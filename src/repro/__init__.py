@@ -25,8 +25,10 @@ Declare a custom sweep without writing a driver (see docs/study.md)::
 #: Bumped to 1.2.0 by the runtime-vendor subsystem: `ExperimentConfig` grew
 #: ``runtime`` / ``wait_policy`` fields (part of the cache key), so every
 #: pre-1.2 cache entry is invalidated rather than replayed against the new
-#: semantics.
-__version__ = "1.2.0"
+#: semantics.  Bumped to 1.3.0 when noise intervals moved to integer
+#: simulated nanoseconds: cache entries hold full-precision results of the
+#: old float-sum overlap semantics and must not replay.
+__version__ = "1.3.0"
 
 # Public API is re-exported lazily to keep `import repro` cheap and to avoid
 # import cycles while subpackages are loaded on demand.

@@ -27,8 +27,9 @@ loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 * counter tracks (``"C"`` events) carry queue depth and busy-thread
   counts.
 
-Timestamps are integer simulated **nanoseconds** internally (exported as
-fractional microseconds, the Chrome convention), which keeps the JSON
+Timestamps are integer simulated **nanoseconds** internally
+(:func:`repro.units.to_sim_ns`, the time base noise intervals share;
+exported as fractional microseconds, the Chrome convention), which keeps the JSON
 byte-deterministic: the trace of a config is a pure function of
 (config, seed) and therefore identical whether the underlying results
 were computed serially, on a process pool, or replayed from cache.
@@ -41,6 +42,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Protocol, runtime_checkable
 
 from repro.errors import ReproError
+from repro.units import to_sim_ns
 
 __all__ = [
     "CPU_TRACK_BASE",
@@ -58,11 +60,6 @@ CPU_TRACK_BASE = 10_000
 #: Simulated-nanosecond gap inserted between successive runs on the
 #: exported timeline, so per-run event clusters stay visually separate.
 _RUN_GAP_NS = 1_000_000
-
-
-def _ns(t: float) -> int:
-    """Simulated seconds -> integer simulated nanoseconds."""
-    return int(round(t * 1e9))
 
 
 @runtime_checkable
@@ -169,8 +166,8 @@ class SpanTracer:
     def span(self, tid, name, t0, t1, cat="sim", args=None) -> None:
         if t1 < t0:
             raise ReproError(f"span {name!r} ends before it starts: {t0} > {t1}")
-        ts = _ns(t0) + self._offset_ns
-        end = _ns(t1) + self._offset_ns
+        ts = to_sim_ns(t0) + self._offset_ns
+        end = to_sim_ns(t1) + self._offset_ns
         if end > self._max_ns:
             self._max_ns = end
         self._events.append(
@@ -179,7 +176,7 @@ class SpanTracer:
         )
 
     def instant(self, tid, name, t, cat="sim", args=None) -> None:
-        ts = _ns(t) + self._offset_ns
+        ts = to_sim_ns(t) + self._offset_ns
         if ts > self._max_ns:
             self._max_ns = ts
         self._events.append(
@@ -188,7 +185,7 @@ class SpanTracer:
         )
 
     def counter(self, name, t, value) -> None:
-        ts = _ns(t) + self._offset_ns
+        ts = to_sim_ns(t) + self._offset_ns
         if ts > self._max_ns:
             self._max_ns = ts
         self._events.append((self.pid, 0, ts, None, "C", name, "counter", value))

@@ -35,11 +35,11 @@ realization and frequency plan, as ``(R,)``- and ``(R, n)``-shaped arrays.
 A single run is the ``R = 1`` case of the same code.  Each row reproduces
 the per-run arithmetic bit for bit: elementwise operations are identical,
 and a row reduction over a C-contiguous ``(R, n)`` array runs through the
-same pairwise-summation tree as a standalone ``(n,)`` array.  The noise
-and frequency queries go through rep-axis planes
-(:class:`~repro.sim.intervals.IntervalBatch`,
-:class:`~repro.freq.dvfs.FrequencyPlanBatch`) that are rebuilt only when
-the team's cpuset changes.
+same pairwise-summation tree as a standalone ``(n,)`` array.  Noise
+windows are exact int64-nanosecond prefix-sum queries on
+:class:`~repro.sim.intervals.IntervalBatch`, frequency queries go through
+:class:`~repro.freq.dvfs.FrequencyPlanBatch`; both planes are rebuilt
+only when the team's cpuset changes.
 """
 
 from __future__ import annotations

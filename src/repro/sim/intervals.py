@@ -1,38 +1,43 @@
-"""Sorted disjoint interval algebra.
+"""Sorted disjoint interval algebra in integer simulated time.
 
 Noise accounting reduces to questions about unions of time intervals:
 *how much of window [a, b) is stolen by noise on this hardware thread?* and
 *given that noise preempts me entirely, when do I finish W seconds of work
-started at t0?*  :class:`IntervalSet` answers both exactly and is the
-workhorse of :mod:`repro.omp.region`.
+started at t0?*  :class:`IntervalSet` answers both and is the workhorse of
+:mod:`repro.omp.region`.
 
-Intervals are half-open ``[start, end)``.  The set is normalized on
-construction: sorted, overlaps merged, empty intervals dropped.
+Intervals are half-open ``[start, end)`` with int64 endpoints in the
+tracer's simulated-nanosecond time base (:func:`repro.units.to_sim_ns`),
+quantized once per set and once per query window; measures come back in
+seconds.  Overlaps difference exact prefix sums of interval lengths: O(log
+L) per query, and independent of how queries are grouped or batched.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from repro.units import NS_PER_SEC, to_sim_ns, to_sim_ns_array
 
 __all__ = ["IntervalBatch", "IntervalSet"]
 
 
 class IntervalSet:
-    """An immutable union of disjoint, sorted half-open intervals."""
+    """An immutable union of disjoint, sorted half-open intervals.
 
-    __slots__ = ("starts", "ends")
+    Construct from seconds with :meth:`from_pairs` or :meth:`from_events`;
+    the constructor takes normalized int64 nanosecond ``starts``/``ends``.
+    """
 
-    def __init__(self, starts: Sequence[float], ends: Sequence[float], *, _normalized: bool = False):
-        s = np.asarray(starts, dtype=np.float64)
-        e = np.asarray(ends, dtype=np.float64)
-        if s.shape != e.shape or s.ndim != 1:
-            raise ValueError("starts/ends must be 1-D arrays of equal length")
-        if not _normalized:
-            s, e = _normalize(s, e)
-        object.__setattr__(self, "starts", s)
-        object.__setattr__(self, "ends", e)
+    __slots__ = ("starts", "ends", "_lists")
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "_lists", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalSet is immutable")
@@ -40,17 +45,25 @@ class IntervalSet:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_seconds(cls, starts, ends) -> "IntervalSet":
+        s, e = to_sim_ns_array(starts), to_sim_ns_array(ends)
+        if s.shape != e.shape or s.ndim != 1:
+            raise ValueError("starts/ends must be 1-D arrays of equal length")
+        return cls(*_normalize(s, e))
+
+    @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls(np.empty(0), np.empty(0), _normalized=True)
+        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     @classmethod
     def from_events(cls, starts: Sequence[float], durations: Sequence[float]) -> "IntervalSet":
-        """Build from event start times and durations (overlaps merged)."""
+        """Build from event start times and durations (overlaps merged):
+        an event covers ``[ns(start), ns(start + duration))``."""
         s = np.asarray(starts, dtype=np.float64)
         d = np.asarray(durations, dtype=np.float64)
         if np.any(d < 0):
             raise ValueError("negative duration")
-        return cls(s, s + d)
+        return cls._from_seconds(s, s + d)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
@@ -58,7 +71,7 @@ class IntervalSet:
         if not pairs:
             return cls.empty()
         s, e = zip(*pairs)
-        return cls(np.asarray(s), np.asarray(e))
+        return cls._from_seconds(s, e)
 
     # -- basic properties ----------------------------------------------------
 
@@ -66,62 +79,70 @@ class IntervalSet:
         return int(self.starts.size)
 
     def __iter__(self):
-        return iter(zip(self.starts.tolist(), self.ends.tolist()))
+        """``(start, end)`` pairs in seconds."""
+        return zip((self.starts / NS_PER_SEC).tolist(), (self.ends / NS_PER_SEC).tolist())
 
     @property
     def total(self) -> float:
-        """Total measure (summed length) of the set."""
-        return float(np.sum(self.ends - self.starts))
+        """Total measure (summed length) of the set, in seconds."""
+        return int(np.sum(self.ends - self.starts)) / NS_PER_SEC
 
     def is_empty(self) -> bool:
         return self.starts.size == 0
 
+    def _as_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """Starts, ends and prefix sums of lengths as int lists, built once
+        on first use: scalar queries bisect without a NumPy round-trip."""
+        cached = self._lists
+        if cached is None:
+            cum = np.zeros(len(self) + 1, dtype=np.int64)
+            np.cumsum(self.ends - self.starts, out=cum[1:])
+            cached = (self.starts.tolist(), self.ends.tolist(), cum.tolist())
+            object.__setattr__(self, "_lists", cached)
+        return cached
+
     def contains_point(self, t: float) -> bool:
-        idx = np.searchsorted(self.starts, t, side="right") - 1
-        if idx < 0:
-            return False
-        return bool(t < self.ends[idx])
+        starts, ends, _ = self._as_lists()
+        x = to_sim_ns(t)
+        i = bisect_right(starts, x) - 1
+        return i >= 0 and x < ends[i]
 
     # -- measure queries -----------------------------------------------------
 
+    def _before(self, x: int) -> int:
+        """Measure of the set before nanosecond *x*."""
+        starts, ends, cum = self._as_lists()
+        i = bisect_right(starts, x)
+        return cum[i] - max(0, ends[i - 1] - x) if i else 0
+
     def overlap(self, a: float, b: float) -> float:
-        """Measure of the intersection with window ``[a, b)``."""
-        if b <= a or self.is_empty():
+        """Measure of the intersection with window ``[a, b)``, in seconds."""
+        lo, hi = to_sim_ns(a), to_sim_ns(b)
+        if hi <= lo or self.is_empty():
             return 0.0
-        # NOTE: do not "optimize" this by slicing to the intersecting range
-        # first — numpy's pairwise summation groups differently on a slice,
-        # so the result is not bit-identical to summing the clamped full
-        # array, and byte-stable results are part of the golden contract.
-        lo = np.maximum(self.starts, a)
-        hi = np.minimum(self.ends, b)
-        return float(np.sum(np.maximum(0.0, hi - lo)))
+        return (self._before(hi) - self._before(lo)) / NS_PER_SEC
 
     def clip(self, a: float, b: float) -> "IntervalSet":
         """The intersection with ``[a, b)`` as a new set."""
-        if b <= a or self.is_empty():
-            return IntervalSet.empty()
-        lo = np.maximum(self.starts, a)
-        hi = np.minimum(self.ends, b)
-        keep = hi > lo
-        return IntervalSet(lo[keep], hi[keep], _normalized=True)
+        lo, hi = to_sim_ns(a), to_sim_ns(b)
+        s = np.maximum(self.starts, lo)
+        e = np.minimum(self.ends, hi)
+        keep = e > s
+        return IntervalSet(s[keep], e[keep])
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(
+        return IntervalSet(*_normalize(
             np.concatenate([self.starts, other.starts]),
             np.concatenate([self.ends, other.ends]),
-        )
+        ))
 
     def complement_within(self, a: float, b: float) -> "IntervalSet":
         """``[a, b)`` minus this set — the *free* time in the window."""
-        if b <= a:
-            return IntervalSet.empty()
         clipped = self.clip(a, b)
-        if clipped.is_empty():
-            return IntervalSet(np.asarray([a]), np.asarray([b]), _normalized=True)
-        gaps_s = np.concatenate([[a], clipped.ends])
-        gaps_e = np.concatenate([clipped.starts, [b]])
+        gaps_s = np.concatenate([[to_sim_ns(a)], clipped.ends])
+        gaps_e = np.concatenate([clipped.starts, [to_sim_ns(b)]])
         keep = gaps_e > gaps_s
-        return IntervalSet(gaps_s[keep], gaps_e[keep], _normalized=True)
+        return IntervalSet(gaps_s[keep], gaps_e[keep])
 
     # -- the preemption query -------------------------------------------------
 
@@ -137,25 +158,22 @@ class IntervalSet:
             raise ValueError(f"negative work: {work}")
         if work == 0.0:
             return start
-        if self.is_empty():
-            return start + work
-        remaining = float(work)
-        t = float(start)
+        t, remaining = float(start), float(work)
+        starts, ends, _ = self._as_lists()
         # index of the first interval that could affect t
-        i = int(np.searchsorted(self.ends, t, side="right"))
-        n = len(self)
+        i = bisect_right(ends, t * NS_PER_SEC)
         while True:
-            if i >= n:
+            if i >= len(starts):
                 return t + remaining
             # free gap before interval i
-            gap_end = float(self.starts[i])
+            gap_end = starts[i] / NS_PER_SEC
             if t < gap_end:
                 avail = gap_end - t
                 if remaining <= avail:
                     return t + remaining
                 remaining -= avail
             # skip busy interval i
-            t = max(t, float(self.ends[i]))
+            t = max(t, ends[i] / NS_PER_SEC)
             i += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -164,75 +182,57 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return np.array_equal(self.starts, other.starts) and np.array_equal(
-            self.ends, other.ends
-        )
+        return np.array_equal(self.starts, other.starts) and np.array_equal(self.ends, other.ends)
 
     def __hash__(self) -> int:
         return hash((self.starts.tobytes(), self.ends.tobytes()))
 
 
 class IntervalBatch:
-    """Length-grouped plane of :class:`IntervalSet` rows for batched queries.
+    """Rows of :class:`IntervalSet` answering one overlap query each.
 
-    The region executor asks the same window question
-    (:meth:`IntervalSet.overlap`) of many sets at once — one per
-    (run, thread).  Rows are grouped by interval count and
-    each group stacked into a dense ``(k, L)`` matrix: a row of a dense
-    C-contiguous matrix reduces along its last axis through exactly the
-    same pairwise-summation routine as a standalone ``(L,)`` array, so a
-    grouped ``np.sum(..., axis=1)`` over the clamped contributions is
-    bit-identical per row to the scalar reference's full-array sum —
-    with no padding elements and therefore no fallback, for any content.
-    (Grouping, unlike padding, never changes a row's summation tree; see
-    the NOTE in :meth:`IntervalSet.overlap` on why that tree is part of
-    the golden contract.)
-
-    ``b <= a`` windows and empty sets need no special casing: every
-    clamped contribution is then ``0.0`` and the row sums to exactly the
-    scalar early-return value.
+    One flat plane holds every row's endpoints, row ``k`` shifted by ``k``
+    times a span wider than the hull of all rows, and one running sum of
+    lengths.  A window end clamped to the hull and shifted alike falls in
+    its own row, so a ``searchsorted`` per window end finds the two exact
+    prefix sums whose difference is :meth:`IntervalSet.overlap` of the row.
     """
 
-    __slots__ = ("sets", "_groups")
+    __slots__ = ("_lo", "_hi", "_shift", "_starts", "_ends", "_cum")
 
     def __init__(self, sets: Iterable["IntervalSet"]):
-        self.sets = tuple(sets)
-        by_len: dict[int, list[int]] = {}
-        for k, s in enumerate(self.sets):
-            by_len.setdefault(len(s), []).append(k)
-        groups = []
-        for length, indices in by_len.items():
-            idx = np.asarray(indices, dtype=np.intp)
-            if length == 0:
-                groups.append((idx, None, None, None, None))
-            else:
-                starts = np.stack([self.sets[i].starts for i in indices])
-                ends = np.stack([self.sets[i].ends for i in indices])
-                # persistent scratch: the plane answers hundreds of window
-                # queries per study; allocating multi-MB temporaries each
-                # call costs more in page faults than the arithmetic itself
-                groups.append(
-                    (idx, starts, ends, np.empty_like(starts), np.empty_like(ends))
-                )
-        self._groups = tuple(groups)
+        sets = tuple(sets)
+        self._lo = min((int(s.starts[0]) for s in sets if len(s)), default=0)
+        self._hi = max((int(s.ends[-1]) for s in sets if len(s)), default=0)
+        span = self._hi - self._lo + 1
+        self._shift = np.arange(len(sets), dtype=np.int64) * span - self._lo
+        n = sum(len(s) for s in sets)
+        self._starts = np.empty(n, dtype=np.int64)
+        # _ends[i + 1] ends flat interval i; _ends[0] = 0 precedes any query
+        self._ends = np.zeros(n + 1, dtype=np.int64)
+        self._cum = np.zeros(n + 1, dtype=np.int64)
+        pos = 0
+        for s, shift in zip(sets, self._shift.tolist()):
+            end = pos + len(s)
+            np.add(s.starts, shift, out=self._starts[pos:end])
+            np.add(s.ends, shift, out=self._ends[pos + 1 : end + 1])
+            pos = end
+        np.subtract(self._ends[1:], self._starts, out=self._cum[1:])
+        np.cumsum(self._cum[1:], out=self._cum[1:])
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return int(self._shift.size)
+
+    def _before(self, t: np.ndarray) -> np.ndarray:
+        """Measure of row ``k`` before ``t[k]`` seconds, in ns, per row."""
+        x = np.clip(to_sim_ns_array(t), self._lo, self._hi)
+        x += self._shift
+        i = np.searchsorted(self._starts, x, side="right")
+        return self._cum[i] - np.maximum(self._ends[i] - x, 0)
 
     def overlap_fused(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-row ``sets[k].overlap(a[k], b[k])``, bit-identical."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        totals = np.zeros(len(self.sets))
-        for idx, starts, ends, lo, hi in self._groups:
-            if starts is None:
-                continue  # empty sets: scalar overlap returns 0.0
-            np.maximum(starts, a[idx][:, None], out=lo)
-            np.minimum(ends, b[idx][:, None], out=hi)
-            np.subtract(hi, lo, out=hi)
-            np.maximum(hi, 0.0, out=hi)
-            totals[idx] = np.sum(hi, axis=1)
-        return totals
+        return np.maximum(self._before(b) - self._before(a), 0) / NS_PER_SEC
 
 
 def _normalize(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

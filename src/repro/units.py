@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # ---------------------------------------------------------------------------
 # Time
 # ---------------------------------------------------------------------------
@@ -20,6 +22,26 @@ USEC = 1e-6
 MSEC = 1e-3
 #: One nanosecond expressed in seconds.
 NSEC = 1e-9
+#: Nanoseconds per second: the integer simulated-time base shared by trace
+#: timestamps and noise intervals.
+NS_PER_SEC = 1e9
+
+
+def to_sim_ns(seconds: float) -> int:
+    """Simulated *seconds* -> integer simulated nanoseconds.
+
+    Multiplies by 1e9 and rounds half to even.  This is the one
+    quantization of the simulated-time base: the tracer stamps spans with
+    it and :class:`~repro.sim.intervals.IntervalSet` stores noise
+    endpoints with it, so the two agree exactly.  (:func:`to_ns` divides
+    by :data:`NSEC`, which can differ in the last bit.)
+    """
+    return int(round(seconds * NS_PER_SEC))
+
+
+def to_sim_ns_array(seconds) -> np.ndarray:
+    """Elementwise :func:`to_sim_ns` as an int64 array, rounding identically."""
+    return np.rint(np.asarray(seconds, dtype=np.float64) * NS_PER_SEC).astype(np.int64)
 
 
 def us(value: float) -> float:

@@ -10,8 +10,8 @@ per-run batches of one, the process pool and traced execution.  The lock
 is enforced at three levels:
 
 * primitives — :class:`~repro.rng.RepStreams` rows are bit-equal to the
-  per-run streams, and :class:`~repro.sim.intervals.IntervalBatch` row
-  sums are bit-equal to per-set overlap;
+  per-run streams, and :class:`~repro.sim.intervals.IntervalBatch` rows
+  equal per-set overlap and an exact integer oracle in any grouping;
 * whole runs — batched vs per-run execution across benchmark shapes,
   plus the registered-experiment golden files rendered with one run per
   batch;
@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_kwargs import GOLDEN_KWARGS
 from repro.cli import main
@@ -43,6 +45,7 @@ from repro.sched.model import SchedulerModel
 from repro.serve import JobService
 from repro.serve.jobspec import spec_fingerprint, spec_to_study, validate_spec
 from repro.sim.intervals import IntervalBatch, IntervalSet
+from repro.units import to_sim_ns
 
 #: Benchmarks that execute on the region executor.
 REGION_BENCHMARKS = ("babelstream", "schedbench", "syncbench")
@@ -100,13 +103,35 @@ class TestRepStreams:
             assert np.array_equal(second[r], g.random(2))
 
 
+def oracle_ns(s: IntervalSet, a: float, b: float) -> int:
+    """Brute-force overlap: every interval's clamped contribution, summed
+    exactly in integer nanoseconds."""
+    lo, hi = to_sim_ns(a), to_sim_ns(b)
+    return sum(
+        max(0, min(end, hi) - max(start, lo))
+        for start, end in zip(s.starts.tolist(), s.ends.tolist())
+    )
+
+
+#: Noise-like rows: up to 8 events in a 1 ms window, empty rows included.
+event_rows = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e-3),
+        st.floats(min_value=0.0, max_value=5e-5),
+    ),
+    max_size=8,
+).map(lambda evs: IntervalSet.from_pairs((s, s + d) for s, d in evs))
+#: Window ends reach before the first and past the last interval.
+window_ends = st.floats(min_value=-1e-4, max_value=1.2e-3)
+
+
 class TestIntervalBatch:
-    """Length-grouped batched overlap == per-set overlap, bitwise."""
+    """Prefix-sum overlap of the flat plane against an exact integer oracle."""
 
     def _sets(self):
         rng = np.random.default_rng(11)
         sets = [IntervalSet.empty()]
-        for n in (1, 2, 7, 7, 40):  # mixed lengths, including a shared group
+        for n in (1, 2, 7, 7, 40):  # mixed lengths
             starts = np.sort(rng.random(n) * 100.0)
             sets.append(IntervalSet.from_events(starts, rng.random(n) * 0.5))
         return sets
@@ -123,6 +148,7 @@ class TestIntervalBatch:
         )
         for k, s in enumerate(sets):
             assert fused[k] == s.overlap(a, b)  # exact, not approx
+            assert fused[k] == oracle_ns(s, a, b) / 1e9
 
     def test_per_row_windows(self):
         sets = self._sets()
@@ -135,6 +161,37 @@ class TestIntervalBatch:
 
     def test_len(self):
         assert len(IntervalBatch(self._sets())) == 6
+
+    @given(data=st.data(), rows=st.lists(event_rows, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_scalar_and_any_grouping(self, data, rows):
+        a = np.asarray(data.draw(st.lists(window_ends, min_size=len(rows), max_size=len(rows))))
+        b = np.asarray(data.draw(st.lists(window_ends, min_size=len(rows), max_size=len(rows))))
+        fused = IntervalBatch(rows).overlap_fused(a, b)
+        for k, s in enumerate(rows):
+            assert fused[k] == oracle_ns(s, a[k], b[k]) / 1e9
+            assert fused[k] == s.overlap(float(a[k]), float(b[k]))
+        # any subset of the rows, in any order, answers each row alike
+        pick = data.draw(st.permutations(range(len(rows))))
+        pick = pick[: data.draw(st.integers(min_value=1, max_value=len(rows)))]
+        again = IntervalBatch(rows[k] for k in pick).overlap_fused(a[pick], b[pick])
+        assert again.tolist() == fused[pick].tolist()
+
+    def test_events_merged_by_quantization_count_once(self):
+        # disjoint as floats; the first end rounds up and the second start
+        # rounds down onto the same nanosecond, so the two merge
+        first = (1e-6, 1.0106e-6)
+        second = (1.0114e-6, 1.0164e-6)
+        assert first[1] < second[0]
+        assert first[1] * 1e9 < to_sim_ns(first[1]) == to_sim_ns(second[0]) < second[0] * 1e9
+        s = IntervalSet.from_pairs([first, second])
+        assert list(zip(s.starts.tolist(), s.ends.tolist())) == [(1000, 1016)]
+        assert s.overlap(0.0, 1.0) == oracle_ns(s, 0.0, 1.0) / 1e9 == 16e-9
+        assert s.overlap(1.011e-6, 1.012e-6) == 1e-9
+        fused = IntervalBatch([s, IntervalSet.empty()]).overlap_fused(
+            np.array([0.0, 0.0]), np.array([1.0, 1.0])
+        )
+        assert fused.tolist() == [16e-9, 0.0]
 
 
 class TestEligibility:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import NoiseModelError
+from repro.obs.tracer import SpanTracer
 from repro.osnoise import (
     IdleFirstPlacement,
     NoiseModel,
+    NoiseRealization,
     PinnedPlacement,
     PoissonSource,
     TimerTickSource,
@@ -194,6 +196,25 @@ class TestNoiseModel:
         real = model.realize(0.0, 0.5, [0], RngFactory(4).stream("n"))
         counts = real.count_by_kind()
         assert counts.get("tick", 0) > 0
+
+    def test_traced_span_has_interval_endpoints(self, machine):
+        """Trace spans and noise intervals share one nanosecond time base:
+        an unclipped span ends exactly where its interval does."""
+        rng = np.random.default_rng(5)
+        starts = np.arange(20) * 0.05 + rng.uniform(0.0, 0.01, 20)
+        durations = rng.uniform(1e-7, 1e-5, 20)  # far apart: nothing merges
+        real = NoiseRealization(
+            machine, arrays=(starts, durations, np.zeros(20, dtype=np.int64), ["tick"] * 20)
+        )
+        tracer = SpanTracer()
+        assert real.trace_onto(tracer, [0], 0.0, 2.0) == 20
+        spans = [
+            (round(ev["ts"] * 1000), round(ev["ts"] * 1000) + round(ev["dur"] * 1000))
+            for ev in tracer.to_chrome()["traceEvents"]
+            if ev["ph"] == "X"
+        ]
+        stolen = real.stolen_on(0)
+        assert spans == list(zip(stolen.starts.tolist(), stolen.ends.tolist()))
 
     def test_profile_from_other_machine_rejected(self, machine):
         # the full dardel profile pins IRQs to cpu 128 — not on this machine

@@ -251,7 +251,9 @@ class TestGather:
         cache = ResultCache(tmp_path)
         summaries = _run_all_shards(study, cache, 5)
         assert sum(s.assigned for s in summaries) == 2
-        assert sum(1 for s in summaries if s.assigned == 0) == 3
+        # keys embed the code version, so whether the two configs share a
+        # shard changes with it; at least 5 - 2 shards are always empty
+        assert sum(1 for s in summaries if s.assigned == 0) >= 3
         assert _dumps(study.gather(cache)) == _dumps(study.run(jobs=1))
 
     def test_uneven_split(self, tmp_path):

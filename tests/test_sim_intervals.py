@@ -119,6 +119,12 @@ class TestFinishTime:
 
 # -- property-based -----------------------------------------------------------
 
+#: Endpoints are stored in integer nanoseconds, so against float arithmetic
+#: every interval endpoint (a set's or a query window's) may move by up to
+#: half a nanosecond: the tolerances below allow the quantum, 1 ns, per
+#: endpoint.
+QUANTUM = 1e-9
+
 interval_lists = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=50.0),
@@ -139,7 +145,7 @@ def test_normalized_invariants(pairs):
     for a, b in items:
         assert b > a
     # total measure never exceeds naive sum and is non-negative
-    assert 0.0 <= s.total <= sum(b - a for a, b in pairs) + 1e-9
+    assert 0.0 <= s.total <= sum(b - a for a, b in pairs) + 2 * len(pairs) * QUANTUM
 
 
 @given(pairs=interval_lists, start=st.floats(min_value=0.0, max_value=60.0),
@@ -151,7 +157,7 @@ def test_finish_time_consistency(pairs, start, work):
     t_end = s.finish_time(start, work)
     assert t_end >= start + work - 1e-9  # busy time only adds delay
     free = (t_end - start) - s.overlap(start, t_end)
-    assert free == pytest.approx(work, rel=1e-9, abs=1e-9)
+    assert free == pytest.approx(work, rel=1e-9, abs=2 * QUANTUM)
 
 
 @given(pairs=interval_lists, a=st.floats(min_value=0.0, max_value=60.0),
@@ -162,4 +168,4 @@ def test_complement_partitions_window(pairs, a, width):
     s = IntervalSet.from_pairs(pairs)
     inside = s.overlap(a, b)
     free = s.complement_within(a, b).total
-    assert inside + free == pytest.approx(max(0.0, b - a), rel=1e-9, abs=1e-9)
+    assert inside + free == pytest.approx(max(0.0, b - a), rel=1e-9, abs=2 * QUANTUM)

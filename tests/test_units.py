@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -24,6 +25,17 @@ class TestTimeConversions:
         assert units.USEC == 1e-6
         assert units.MSEC == 1e-3
         assert units.NSEC == 1e-9
+
+    def test_sim_ns_rounds_half_to_even(self):
+        halves = [0.5e-9, 1.5e-9, 2.5e-9, -0.5e-9]
+        assert [units.to_sim_ns(t) for t in halves] == [0, 2, 2, 0]
+        assert units.to_sim_ns_array(halves).tolist() == [0, 2, 2, 0]
+
+    def test_sim_ns_array_matches_scalar(self):
+        t = np.random.default_rng(3).uniform(-1.0, 50.0, 1000)
+        out = units.to_sim_ns_array(t)
+        assert out.dtype == np.int64
+        assert out.tolist() == [units.to_sim_ns(x) for x in t.tolist()]
 
 
 class TestFrequencyConversions:
