@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ReproError
 
@@ -59,6 +58,11 @@ def compare_samples(a, b) -> ComparisonResult:
     Returns KS and Mann-Whitney statistics plus mean/variance ratios;
     ratios are oriented a/b so "a is worse" shows as ratios > 1.
     """
+    # scipy is imported here, not at module level: only the significance
+    # tests and distribution checks need it, and every CLI call imports
+    # this module
+    from scipy import stats as sps
+
     xa, xb = _validated(a), _validated(b)
     ks = sps.ks_2samp(xa, xb)
     mw = sps.mannwhitneyu(xa, xb, alternative="two-sided")

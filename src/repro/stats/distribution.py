@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ReproError
 
@@ -74,6 +73,8 @@ def lognormal_ks(sample) -> tuple[float, float]:
     High p-values mean "consistent with log-normal" — the expected verdict
     for pinned repetition times; unpinned times fail decisively.
     """
+    from scipy import stats as sps  # lazily: most CLI calls never need scipy
+
     x = _validated(sample, min_size=8)
     fit = fit_lognormal(x)
     if fit.sigma <= 1e-12 * max(1.0, abs(fit.mu)):
@@ -88,6 +89,8 @@ def bimodality_coefficient(sample) -> float:
 
     Returns a value in ``(0, 1]``; > 5/9 suggests bimodality/heavy tails.
     """
+    from scipy import stats as sps  # lazily: most CLI calls never need scipy
+
     x = _validated(sample, min_size=4)
     n = x.size
     g1 = float(sps.skew(x, bias=False))

@@ -1,10 +1,36 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cli_experiment_never_imports_scipy():
+    """Cold start: a CLI experiment in a fresh interpreter leaves scipy
+    unloaded (only the significance tests import it)."""
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['experiment', 'table2', '--runs', '2', '--reps', '3', "
+        "'--no-cache']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "vera@30" in proc.stdout
 
 
 class TestList:
