@@ -29,8 +29,8 @@ loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 
 Timestamps are integer simulated **nanoseconds** internally
 (:func:`repro.units.to_sim_ns`, the time base noise intervals share;
-exported as fractional microseconds, the Chrome convention), which keeps the JSON
-byte-deterministic: the trace of a config is a pure function of
+exported as fractional microseconds, the Chrome convention), which keeps
+the JSON byte-deterministic: the trace of a config is a pure function of
 (config, seed) and therefore identical whether the underlying results
 were computed serially, on a process pool, or replayed from cache.
 """

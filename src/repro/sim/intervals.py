@@ -26,11 +26,9 @@ __all__ = ["IntervalBatch", "IntervalSet"]
 
 
 class IntervalSet:
-    """An immutable union of disjoint, sorted half-open intervals.
-
-    Construct from seconds with :meth:`from_pairs` or :meth:`from_events`;
-    the constructor takes normalized int64 nanosecond ``starts``/``ends``.
-    """
+    """An immutable union of disjoint, sorted half-open intervals held as
+    int64 nanosecond ``starts``/``ends``; build one from seconds with
+    :meth:`from_pairs` or :meth:`from_events`."""
 
     __slots__ = ("starts", "ends", "_lists")
 
@@ -182,7 +180,9 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return np.array_equal(self.starts, other.starts) and np.array_equal(self.ends, other.ends)
+        return np.array_equal(self.starts, other.starts) and np.array_equal(
+            self.ends, other.ends
+        )
 
     def __hash__(self) -> int:
         return hash((self.starts.tobytes(), self.ends.tobytes()))
