@@ -26,13 +26,18 @@ __all__ = ["IntervalBatch", "IntervalSet"]
 
 
 class IntervalSet:
-    """An immutable union of disjoint, sorted half-open intervals held as
-    int64 nanosecond ``starts``/``ends``; build one from seconds with
-    :meth:`from_pairs` or :meth:`from_events`."""
+    """An immutable union of disjoint, sorted half-open intervals, built
+    from seconds (``IntervalSet(starts, ends)``, :meth:`from_pairs`,
+    :meth:`from_events`) and held as int64 nanosecond ``starts``/``ends``."""
 
     __slots__ = ("starts", "ends", "_lists")
 
-    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+    def __init__(self, starts: Sequence[float], ends: Sequence[float], *, _ns: bool = False):
+        if not _ns:  # _ns=True: already-normalized int64 ns arrays, kept as is
+            starts, ends = to_sim_ns_array(starts), to_sim_ns_array(ends)
+            if starts.shape != ends.shape or starts.ndim != 1:
+                raise ValueError("starts/ends must be 1-D arrays of equal length")
+            starts, ends = _normalize(starts, ends)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "_lists", None)
@@ -43,15 +48,8 @@ class IntervalSet:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _from_seconds(cls, starts, ends) -> "IntervalSet":
-        s, e = to_sim_ns_array(starts), to_sim_ns_array(ends)
-        if s.shape != e.shape or s.ndim != 1:
-            raise ValueError("starts/ends must be 1-D arrays of equal length")
-        return cls(*_normalize(s, e))
-
-    @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return cls((), ())
 
     @classmethod
     def from_events(cls, starts: Sequence[float], durations: Sequence[float]) -> "IntervalSet":
@@ -61,7 +59,7 @@ class IntervalSet:
         d = np.asarray(durations, dtype=np.float64)
         if np.any(d < 0):
             raise ValueError("negative duration")
-        return cls._from_seconds(s, s + d)
+        return cls(s, s + d)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
@@ -69,7 +67,7 @@ class IntervalSet:
         if not pairs:
             return cls.empty()
         s, e = zip(*pairs)
-        return cls._from_seconds(s, e)
+        return cls(s, e)
 
     # -- basic properties ----------------------------------------------------
 
@@ -126,13 +124,13 @@ class IntervalSet:
         s = np.maximum(self.starts, lo)
         e = np.minimum(self.ends, hi)
         keep = e > s
-        return IntervalSet(s[keep], e[keep])
+        return IntervalSet(s[keep], e[keep], _ns=True)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(*_normalize(
             np.concatenate([self.starts, other.starts]),
             np.concatenate([self.ends, other.ends]),
-        ))
+        ), _ns=True)
 
     def complement_within(self, a: float, b: float) -> "IntervalSet":
         """``[a, b)`` minus this set — the *free* time in the window."""
@@ -140,7 +138,7 @@ class IntervalSet:
         gaps_s = np.concatenate([[to_sim_ns(a)], clipped.ends])
         gaps_e = np.concatenate([clipped.starts, [to_sim_ns(b)]])
         keep = gaps_e > gaps_s
-        return IntervalSet(gaps_s[keep], gaps_e[keep])
+        return IntervalSet(gaps_s[keep], gaps_e[keep], _ns=True)
 
     # -- the preemption query -------------------------------------------------
 

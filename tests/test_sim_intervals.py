@@ -1,5 +1,6 @@
 """Tests for IntervalSet, including the preemption finish_time query."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,19 @@ class TestNormalization:
     def test_from_events_negative_duration(self):
         with pytest.raises(ValueError):
             IntervalSet.from_events([0.0], [-1.0])
+
+    def test_constructor_takes_seconds(self):
+        """The public constructor quantizes seconds and normalizes, like
+        from_pairs; only the internal ``_ns=True`` path takes raw ns."""
+        s = IntervalSet(np.array([5.0, 1.0, 1.5]), np.array([6.0, 2.0, 3.0]))
+        assert s == IntervalSet.from_pairs([(1.0, 3.0), (5.0, 6.0)])
+        assert s.starts.dtype == np.int64
+        assert s.total == 3.0
+        assert s.overlap(0.0, 10.0) == 3.0
+        with pytest.raises(ValueError):
+            IntervalSet([0.0, 1.0], [2.0])
+        with pytest.raises(ValueError):
+            IntervalSet(np.zeros((1, 2)), np.ones((1, 2)))
 
 
 class TestQueries:
