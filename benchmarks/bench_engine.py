@@ -1,9 +1,11 @@
-"""Engine events/sec microbenchmark (the simulation hot path).
+"""Event-loop events/sec microbenchmark (the simulation hot path).
 
 Unlike the other ``bench_*`` files, which regenerate paper artifacts, this
-one tracks the *simulator's own* throughput: every task body, steal probe
-and backoff is one discrete event, so sweep wall-clock is events/sec times
-event count.  The checks assert the properties the overhaul must keep:
+one tracks the *simulator's own* throughput: the engine's microbenchmark
+shapes, plus the work-stealing scheduler's event loop, where every task
+body, steal probe and backoff is one discrete event, so tasking wall-clock
+is events/sec times event count.  The checks assert the properties the
+overhaul must keep:
 
 * the engine sustains a sane floor on all three microbenchmark shapes
   (callbacks, generator processes, cancellation churn);

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.epcc.common import EpccStats, epcc_stats
+from repro.bench.epcc.common import EpccStats, epcc_stats, require_finite
 from repro.errors import BenchmarkError
 from repro.mem.bandwidth import BandwidthModel
 from repro.mem.pages import PagePlacement
@@ -53,6 +53,7 @@ class BabelStreamParams:
     kernel_gap: float = us(5.0)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.array_size <= 0 or self.element_bytes <= 0 or self.num_times <= 0:
             raise BenchmarkError("invalid BabelStream parameters")
         if self.kernel_gap < 0:

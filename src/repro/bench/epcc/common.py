@@ -14,7 +14,8 @@ The EPCC suite's procedure, reproduced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +47,20 @@ class EpccStats:
     def norm_max(self) -> float:
         """Maximum normalized to the mean."""
         return self.maximum / self.mean if self.mean else float("nan")
+
+
+def require_finite(params: object) -> None:
+    """Reject a benchmark-parameter dataclass holding a NaN or infinite float.
+
+    Range checks such as ``x < 0`` are false for NaN and let infinities
+    through, so every ``__post_init__`` runs this first; the violation
+    surfaces as :class:`~repro.errors.BenchmarkError` (``error: ...`` at
+    the CLI) instead of a failure deep inside the simulation.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BenchmarkError(f"{f.name} must be finite, got {value!r}")
 
 
 def epcc_stats(times: np.ndarray, outlier_sigmas: float = 3.0) -> EpccStats:

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.epcc.common import EpccStats, epcc_stats, target_innerreps
+from repro.bench.epcc.common import (
+    EpccStats,
+    epcc_stats,
+    require_finite,
+    target_innerreps,
+)
 from repro.errors import BenchmarkError
 from repro.omp.constructs import CONSTRUCT_PROFILES
 from repro.omp.region import NoiseMode, RegionExecutor
@@ -49,6 +54,7 @@ class SyncbenchParams:
     smt_efficiency: float = 0.95  # the delay loop co-schedules well on SMT
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.outer_reps <= 0:
             raise BenchmarkError("outer_reps must be positive")
         if self.delay_time < 0 or self.test_time <= 0 or self.rep_gap < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.epcc.common import EpccStats, epcc_stats
+from repro.bench.epcc.common import EpccStats, epcc_stats, require_finite
 from repro.errors import BenchmarkError
 from repro.omp.runtime import RunContext
 from repro.omp.tasking.scheduler import WorkStealingScheduler
@@ -66,6 +66,7 @@ class TaskbenchParams:
     rep_gap: float = us(200.0)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.outer_reps <= 0:
             raise BenchmarkError("outer_reps must be positive")
         if self.pattern not in PATTERNS:

@@ -1,9 +1,10 @@
 """The work-stealing task scheduler.
 
 :class:`WorkStealingScheduler` executes one task graph on a resolved
-:class:`~repro.omp.team.Team` by driving one generator process per thread
-through the discrete-event engine (:mod:`repro.sim.engine`).  The model
-follows the LLVM/libomp runtime:
+:class:`~repro.omp.team.Team` as one flat discrete-event loop: a heap of
+``(time, seq, thread)`` wake-ups plus a per-thread *phase* saying which
+step of the worker loop the thread resumes at.  The model follows the
+LLVM/libomp runtime:
 
 * each thread owns a :class:`~repro.omp.tasking.deque.TaskDeque`; the
   owner pushes/pops LIFO at the bottom, thieves take FIFO from the top;
@@ -24,20 +25,24 @@ follows the LLVM/libomp runtime:
   derating throughput — the same physical substrate the worksharing
   executor uses.
 
-Because the engine orders simultaneous events deterministically and every
-random decision draws from a named per-thread stream, a given (team,
-graph, streams) triple always yields the identical schedule — bit-equal
-across serial and process-pool execution.
+Simultaneous wake-ups run in the order they were queued (``seq`` is a
+push counter, FIFO within a timestamp) and every random decision draws
+from a named per-thread stream, so a given (team, graph, streams) triple
+always yields the identical schedule — bit-equal across serial and
+process-pool execution.
 
-The engine is armed with a ``max_events`` runaway guard sized from the
+The loop is armed with a ``max_events`` runaway guard sized from the
 graph, so a scheduling bug (e.g. a termination-detection error that leaves
 thieves spinning) raises :class:`~repro.errors.SimulationError` instead of
-hanging the harness.
+hanging the harness; so does a non-finite or negative delay, before it is
+queued.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -50,9 +55,12 @@ from repro.omp.tasking.params import TaskCostModel
 from repro.omp.tasking.task import Task
 from repro.omp.team import Team
 from repro.osnoise.model import NoiseRealization
-from repro.sim.clock import Clock
-from repro.sim.engine import Engine
-from repro.sim.process import Timeout
+
+# Worker-loop phases: where a thread resumes when its wake-up is popped.
+_TOP = 0  # loop head: pop, steal or back off
+_SPAWN = 1  # a task was just taken: push its children (if any)
+_BODY = 2  # start the task body
+_DONE = 3  # the body finished: retire the task, then back to the loop head
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,17 +129,17 @@ class WorkStealingScheduler:
         and per-task work jitter draw from thread ``i``'s own stream, so
         adding draws to one thread never perturbs another.
     max_events:
-        Engine runaway cap; ``None`` sizes it from the graph
-        (see :meth:`run`).
+        Lifetime cap on the loop's wake-ups (runaway guard); ``None``
+        sizes it from the graph (see :meth:`run`).
     tracer:
         Observability sink (docs/observability.md).  With the default
         :data:`~repro.obs.tracer.NULL_TRACER` every emission site is a
         single pre-hoisted boolean test; with a
         :class:`~repro.obs.tracer.SpanTracer` the scheduler records task
         bodies, spawns, pops, steals and backoff idling as per-thread
-        spans plus queue-depth / busy-thread counter tracks.  Tracing
-        never touches the RNG streams, so traced and untraced schedules
-        are identical.
+        spans plus queue-depth / busy-thread counter tracks, and one
+        coarse ``engine.run`` span per episode.  Tracing never touches
+        the RNG streams, so traced and untraced schedules are identical.
     """
 
     __slots__ = (
@@ -142,8 +150,6 @@ class WorkStealingScheduler:
         "streams",
         "max_events",
         "tracer",
-        "_stolen_sets",
-        "_smt_shared",
     )
 
     def __init__(
@@ -168,30 +174,6 @@ class WorkStealingScheduler:
         self.streams = list(streams)
         self.max_events = max_events
         self.tracer = tracer
-        # per-thread hot-path lookups, resolved once per scheduler
-        self._stolen_sets = [noise.stolen_on(cpu) for cpu in team.cpus]
-        self._smt_shared = [bool(s) for s in team.smt_shared]
-
-    # -- helpers -------------------------------------------------------------
-
-    def _body_duration(self, thread: int, t: float, work: float) -> float:
-        """Wall time of a task body started at *t* on this thread's CPU.
-
-        One-pass noise accounting: the compute window is rescaled through
-        the CPU's frequency trace, then extended by the OS time stolen
-        inside it (noise falling into the extension itself is neglected —
-        bodies are short against the noise processes).
-        """
-        if work <= 0:
-            return 0.0
-        p = self.cost_model.params
-        if self._smt_shared[thread]:
-            work = work / p.smt_efficiency
-        cpu = self.team.cpus[thread]
-        cycles = work * self.freq_plan.calibration_hz
-        dur = self.freq_plan.duration_for_cycles(cpu, t, cycles)
-        dur += self._stolen_sets[thread].overlap(t, t + dur)
-        return dur
 
     def _default_cap(self, total_tasks: int) -> int:
         """Generous event budget: ~3 events per task + steal-loop slack."""
@@ -211,11 +193,19 @@ class WorkStealingScheduler:
         encountering thread — thread 0 for a ``single``-generated bag),
         every thread enters the scheduling loop at *t_start*, and the
         region ends when the last task body completes.
+
+        Each wake-up runs one worker step — the code between two waits of
+        a thread — and queues the thread's next wake-up after that step's
+        simulated cost.  Task bodies are rescaled through the CPU's
+        frequency trace, then extended by the OS time stolen inside the
+        compute window (noise falling into the extension itself is
+        neglected — bodies are short against the noise processes).
         """
         initial = (tasks,) if isinstance(tasks, Task) else tuple(tasks)
         if not initial:
             raise ConfigurationError("task graph is empty")
-        n = self.team.n_threads
+        team = self.team
+        n = team.n_threads
         if not 0 <= initial_owner < n:
             raise ConfigurationError(
                 f"initial owner {initial_owner} outside team of {n}"
@@ -226,157 +216,206 @@ class WorkStealingScheduler:
             if self.max_events is not None
             else self._default_cap(total_tasks)
         )
-        engine = Engine(clock=Clock(t_start), max_events=cap, tracer=self.tracer)
 
         deques = [TaskDeque(owner=i) for i in range(n)]
         for task in initial:
             deques[initial_owner].push(task)
+        # the live storage: C-level truth tests for the loop head and probes
+        stored = [d.tasks for d in deques]
+        outstanding = queued = len(initial)
+        running = 0
+        t_done = t_start
 
-        state = _SchedulerState(
-            outstanding=len(initial), t_done=t_start, queued=len(initial)
-        )
-        tasks_executed = np.zeros(n, dtype=np.int64)
-        steals = np.zeros(n, dtype=np.int64)
-        failed = np.zeros(n, dtype=np.int64)
-        idle = np.zeros(n)
-        overhead = np.zeros(n)
-        busy = np.zeros(n)
+        tasks_executed = [0] * n
+        steals = [0] * n
+        failed = [0] * n
+        idle = [0.0] * n
+        overhead = [0.0] * n
+        busy = [0.0] * n
 
-        pop_cost = self.cost_model.pop_cost(self.team)
-        create_cost = self.cost_model.create_cost(self.team)
-        steal_cost = self.cost_model.steal_cost(self.team)
-        failed_cost = self.cost_model.failed_steal_cost(self.team)
-        jitter_sigma = self.cost_model.params.work_jitter_sigma
+        cost_model = self.cost_model
+        pop_cost = cost_model.pop_cost(team)
+        create_cost = cost_model.create_cost(team)
+        steal_cost = cost_model.steal_cost(team)
+        failed_cost = cost_model.failed_steal_cost(team)
+        backoff = cost_model.backoff
+        smt_efficiency = cost_model.params.smt_efficiency
+        jitter_sigma = cost_model.params.work_jitter_sigma
         jitter_mean = -0.5 * jitter_sigma**2
-        clock = engine.clock
+        jittered = jitter_sigma > 0.0
+        scan = self._scan_victims
+        rngs = self.streams
+        # per-thread body substrate, resolved once per episode
+        calibration_hz = self.freq_plan.calibration_hz
+        invert = [self.freq_plan.trace(cpu).invert_integral for cpu in team.cpus]
+        stolen = [self.noise.stolen_on(cpu).overlap for cpu in team.cpus]
+        smt_shared = [bool(s) for s in team.smt_shared]
         tracer = self.tracer
         tracing = tracer.enabled  # hoisted once: the null path pays one bool test
 
-        def execute(i: int, task: Task):
-            """Spawn children, then run the body (generator fragment)."""
-            children = task.children
-            if children:
-                deque_i = deques[i]
-                for child in children:
-                    deque_i.push(child)
-                state.outstanding += len(children)
-                state.queued += len(children)
-                spawn_cost = len(children) * create_cost
-                overhead[i] += spawn_cost
-                if tracing:
-                    tracer.span(
-                        i, "task.spawn", clock.now, clock.now + spawn_cost,
-                        cat="task", args={"children": len(children)},
-                    )
-                    tracer.counter("queued_tasks", clock.now, state.queued)
-                yield Timeout(spawn_cost)
-            work = task.work
-            if jitter_sigma > 0.0 and work > 0.0:
-                work *= float(
-                    self.streams[i].lognormal(mean=jitter_mean, sigma=jitter_sigma)
+        phase = [_TOP] * n
+        current: list[Task | None] = [None] * n
+        failed_scans = [0] * n
+        now = float(t_start)
+        # every thread enters the loop at t_start, in thread order
+        heap = [(now, i, i) for i in range(n)]
+        seq = n
+        executed = 0
+        while heap:
+            if executed >= cap:
+                raise SimulationError(
+                    f"scheduler event cap exceeded ({cap} events executed, "
+                    f"{len(heap)} still pending at t={now!r}); likely a "
+                    f"runaway steal loop"
                 )
-            dur = self._body_duration(i, clock.now, work)
-            busy[i] += dur
-            if tracing:
-                tracer.span(i, "task.body", clock.now, clock.now + dur, cat="task")
-                state.running += 1
-                tracer.counter("busy_threads", clock.now, state.running)
-            yield Timeout(dur)
-            tasks_executed[i] += 1
-            state.outstanding -= 1
-            if tracing:
-                state.running -= 1
-                tracer.counter("busy_threads", clock.now, state.running)
-            if state.outstanding == 0:
-                state.t_done = clock.now
-            elif state.outstanding < 0:  # pragma: no cover - invariant
-                raise SimulationError("task accounting went negative")
-
-        def worker(i: int):
-            rng = self.streams[i]
-            deque_i = deques[i]
-            failed_scans = 0
-            while state.outstanding > 0:
-                if deque_i:
-                    failed_scans = 0
-                    task = deque_i.pop()
-                    state.queued -= 1
-                    overhead[i] += pop_cost
+            now, _, i = heappop(heap)
+            executed += 1
+            step = phase[i]
+            if step == _SPAWN:
+                children = current[i].children
+                if children:
+                    push = deques[i].push
+                    for child in children:
+                        push(child)
+                    outstanding += len(children)
+                    queued += len(children)
+                    delay = len(children) * create_cost
+                    overhead[i] += delay
                     if tracing:
                         tracer.span(
-                            i, "deque.pop", clock.now, clock.now + pop_cost,
-                            cat="task",
+                            i, "task.spawn", now, now + delay, cat="task",
+                            args={"children": len(children)},
                         )
-                        tracer.counter("queued_tasks", clock.now, state.queued)
-                    yield Timeout(pop_cost)
-                    yield from execute(i, task)
-                    continue
-                # out of local work: probe the other deques in random order
-                # and take from the first non-empty one
-                victim, empty_probes = self._scan_victims(i, deques, rng, state.queued)
-                failed[i] += empty_probes
-                if victim is not None:
-                    failed_scans = 0
-                    task = deques[victim].steal()
-                    state.queued -= 1
-                    steals[i] += 1
-                    cost = empty_probes * failed_cost + steal_cost
-                    overhead[i] += cost
-                    if tracing:
-                        tracer.span(
-                            i, "steal", clock.now, clock.now + cost, cat="task",
-                            args={"victim": victim, "empty_probes": empty_probes},
-                        )
-                        tracer.counter("queued_tasks", clock.now, state.queued)
-                    yield Timeout(cost)
-                    yield from execute(i, task)
+                        tracer.counter("queued_tasks", now, queued)
+                    phase[i] = _BODY
                 else:
-                    failed_scans += 1
-                    delay = (
-                        empty_probes * failed_cost
-                        + self.cost_model.backoff(failed_scans)
+                    step = _BODY  # no children: the body starts right away
+            if step == _BODY:
+                work = current[i].work
+                if jittered and work > 0.0:
+                    work *= float(
+                        rngs[i].lognormal(mean=jitter_mean, sigma=jitter_sigma)
                     )
-                    idle[i] += delay
+                if work > 0:
+                    if smt_shared[i]:
+                        work = work / smt_efficiency
+                    delay = invert[i](now, work * calibration_hz) - now
+                    delay += stolen[i](now, now + delay)
+                else:
+                    delay = 0.0
+                busy[i] += delay
+                if tracing:
+                    tracer.span(i, "task.body", now, now + delay, cat="task")
+                    running += 1
+                    tracer.counter("busy_threads", now, running)
+                phase[i] = _DONE
+            elif step != _SPAWN:
+                # _DONE retires the body, then falls through to the loop head
+                if step == _DONE:
+                    tasks_executed[i] += 1
+                    outstanding -= 1
+                    if tracing:
+                        running -= 1
+                        tracer.counter("busy_threads", now, running)
+                    if outstanding == 0:
+                        t_done = now
+                    elif outstanding < 0:  # pragma: no cover - invariant
+                        raise SimulationError("task accounting went negative")
+                if outstanding <= 0:
+                    continue  # the team is drained: this thread leaves
+                if stored[i]:
+                    failed_scans[i] = 0
+                    current[i] = deques[i].pop()
+                    queued -= 1
+                    delay = pop_cost
+                    overhead[i] += delay
                     if tracing:
                         tracer.span(
-                            i, "idle.backoff", clock.now, clock.now + delay,
-                            cat="task",
-                            args={
-                                "empty_probes": empty_probes,
-                                "failed_scans": failed_scans,
-                            },
+                            i, "deque.pop", now, now + delay, cat="task",
                         )
-                    yield Timeout(delay)
+                        tracer.counter("queued_tasks", now, queued)
+                    phase[i] = _SPAWN
+                else:
+                    # out of local work: probe the other deques in random
+                    # order and take from the first non-empty one
+                    victim, empty_probes = scan(i, stored, rngs[i], queued)
+                    failed[i] += empty_probes
+                    if victim is not None:
+                        failed_scans[i] = 0
+                        current[i] = deques[victim].steal()
+                        queued -= 1
+                        steals[i] += 1
+                        delay = empty_probes * failed_cost + steal_cost
+                        overhead[i] += delay
+                        if tracing:
+                            tracer.span(
+                                i, "steal", now, now + delay, cat="task",
+                                args={
+                                    "victim": victim,
+                                    "empty_probes": empty_probes,
+                                },
+                            )
+                            tracer.counter("queued_tasks", now, queued)
+                        phase[i] = _SPAWN
+                    else:
+                        failed_scans[i] += 1
+                        delay = empty_probes * failed_cost + backoff(
+                            failed_scans[i]
+                        )
+                        idle[i] += delay
+                        if tracing:
+                            tracer.span(
+                                i, "idle.backoff", now, now + delay,
+                                cat="task",
+                                args={
+                                    "empty_probes": empty_probes,
+                                    "failed_scans": failed_scans[i],
+                                },
+                            )
+                        phase[i] = _TOP
+            if not 0.0 <= delay < inf:  # catches nan too
+                raise SimulationError(
+                    f"worker-{i} produced non-finite or negative delay "
+                    f"{delay!r} at t={now!r}"
+                )
+            heappush(heap, (now + delay, seq, i))
+            seq += 1
 
-        for i in range(n):
-            engine.spawn(worker(i), name=f"worker-{i}")
-        engine.run()
-
-        if state.outstanding != 0:  # pragma: no cover - defensive
+        if tracing:
+            tracer.span(
+                0, "engine.run", float(t_start), now, cat="engine",
+                args={"events": executed, "pending": 0},
+            )
+        if outstanding != 0:  # pragma: no cover - defensive
             raise SimulationError(
-                f"scheduler quiesced with {state.outstanding} tasks outstanding"
+                f"scheduler quiesced with {outstanding} tasks outstanding"
             )
         return TaskRunStats(
             t_start=t_start,
-            t_end=state.t_done,
+            t_end=t_done,
             total_tasks=total_tasks,
-            tasks_executed=tasks_executed,
-            steals=steals,
-            failed_steals=failed,
-            idle_time=idle,
-            overhead_time=overhead,
-            busy_time=busy,
-            events_executed=engine.events_executed,
+            tasks_executed=np.asarray(tasks_executed, dtype=np.int64),
+            steals=np.asarray(steals, dtype=np.int64),
+            failed_steals=np.asarray(failed, dtype=np.int64),
+            idle_time=np.asarray(idle, dtype=np.float64),
+            overhead_time=np.asarray(overhead, dtype=np.float64),
+            busy_time=np.asarray(busy, dtype=np.float64),
+            events_executed=executed,
         )
 
     def _scan_victims(
         self,
         thief: int,
-        deques: Sequence[TaskDeque],
+        deques: Sequence,
         rng: np.random.Generator,
         queued: int = 1,
     ) -> tuple[int | None, int]:
         """One steal scan: probe the other threads in uniform random order.
+
+        *deques* holds one entry per thread whose truth value says whether
+        that thread's deque has a task (:meth:`run` passes each
+        :class:`~repro.omp.tasking.deque.TaskDeque`'s live ``tasks``
+        storage, so a probe is a C-level truth test).
 
         Returns ``(victim, empty_probes)`` — the first thread found with a
         non-empty deque (``None`` when every probe came up empty) and the
@@ -395,31 +434,14 @@ class WorkStealingScheduler:
         n = self.team.n_threads
         if n == 1:
             return None, 0
-        order = rng.permutation(n - 1)
+        order = list(range(n))
+        del order[thief]
+        # Fisher-Yates over the other threads: the same draws, and the same
+        # visit order, as mapping ``rng.permutation(n - 1)`` onto them
+        rng.shuffle(order)
         if queued <= 0:  # nothing stealable anywhere: every probe would miss
             return None, n - 1
-        empty_probes = 0
-        for idx in order.tolist():
-            victim = idx + 1 if idx >= thief else idx
+        for empty_probes, victim in enumerate(order):
             if deques[victim]:
                 return victim, empty_probes
-            empty_probes += 1
-        return None, empty_probes
-
-
-@dataclass(slots=True)
-class _SchedulerState:
-    """Mutable shared state of one scheduling episode.
-
-    ``outstanding`` counts tasks not yet finished executing; ``queued``
-    counts tasks currently sitting in some deque (stealable), which lets an
-    out-of-work thief skip probing when the whole team is drained.
-    ``running`` counts threads currently inside a task body — maintained
-    only while tracing (it feeds the ``busy_threads`` counter track and
-    nothing else).
-    """
-
-    outstanding: int
-    t_done: float
-    queued: int = 0
-    running: int = 0
+        return None, n - 1

@@ -20,6 +20,7 @@ has completed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterator
 
 from repro.errors import ConfigurationError
@@ -34,8 +35,11 @@ class Task:
     children: tuple["Task", ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.work < 0:
-            raise ConfigurationError(f"task {self.tag!r} has negative work")
+        if not 0.0 <= self.work < inf:  # catches nan too
+            raise ConfigurationError(
+                f"task {self.tag!r} needs finite non-negative work, "
+                f"got {self.work!r}"
+            )
 
     def count(self) -> int:
         """Total tasks in this subtree (including this one)."""

@@ -1,24 +1,25 @@
-"""Engine throughput benchmarks (events/second).
+"""Event-loop throughput benchmarks (events/second).
 
-The discrete-event engine is the simulation hot path: every task body,
-steal probe, backoff and logger sample is one engine event, so sweep
-wall-clock scales directly with engine throughput.  This module measures
-it three ways:
+Two event loops carry the simulation's discrete events: the general
+engine (:mod:`repro.sim.engine`, which drives generator processes such
+as the frequency logger) and the work-stealing scheduler's own flat
+loop, where every task body, steal probe and backoff of a tasking run is
+one wake-up.  This module measures the engine three ways:
 
 * :func:`bench_callback_events` — bare callback events through
   ``schedule_at`` + ``run`` (heap + dispatch overhead, no generators);
 * :func:`bench_process_events` — generator processes yielding timeouts
-  (the tasking-scheduler shape: trampoline + ``Process.step`` on top of
+  (the periodic-process shape: trampoline + ``Process.step`` on top of
   the heap);
 * :func:`bench_cancel_churn` — schedule/cancel churn exercising the
   cancellation side-set and lazy compaction;
 
-plus one end-to-end probe, :func:`bench_figure8_smoke`, which runs a
+plus one end-to-end probe, :func:`bench_figure8_smoke`, which runs the
 work-stealing scheduler on a real Vera run context (frequency plan, OS
 noise, taskloop workload — the figure8 configuration) and reports
-*simulated events per second of wall time*, the number the ``repro-omp
-bench`` CLI records into ``BENCH_engine.json`` so the performance
-trajectory is tracked across PRs.
+*simulated events (scheduler wake-ups) per second of wall time*, the
+number the ``repro-omp bench`` CLI records into ``BENCH_engine.json`` so
+the performance trajectory is tracked across commits.
 
 All benchmarks are deterministic in their simulated results (seeded);
 only the wall-clock measurements vary run to run.
@@ -110,8 +111,8 @@ def bench_figure8_smoke(
 
     Builds one real Vera run context (frequency plan + OS noise, exactly
     as the figure8 experiment does for a bound taskbench run) and drives
-    ``reps`` work-stealing taskloop repetitions through the engine,
-    measuring engine events executed per wall-clock second.
+    ``reps`` work-stealing taskloop repetitions through the scheduler,
+    measuring its event-loop wake-ups per wall-clock second.
     """
     from repro.bench.taskbench import Taskbench, TaskbenchParams
     from repro.harness.config import ExperimentConfig

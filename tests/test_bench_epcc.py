@@ -1,5 +1,8 @@
 """Tests for the EPCC benchmark machinery and drivers."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.bench import (
     available_benchmarks,
     target_innerreps,
 )
+from repro.bench.taskbench import TaskbenchParams
 from repro.errors import BenchmarkError
 from repro.omp import OMPEnvironment, RegionExecutor
 from repro.omp.runtime import OpenMPRuntime
@@ -252,3 +256,27 @@ class TestRegistry:
         assert set(available_benchmarks()) == {
             "babelstream", "schedbench", "syncbench", "taskbench",
         }
+
+
+def _float_fields(cls) -> list[tuple[type, str]]:
+    defaults = cls()
+    return [
+        (cls, f.name) for f in dataclasses.fields(cls)
+        if isinstance(getattr(defaults, f.name), float)
+    ]
+
+
+FLOAT_PARAMS = [
+    case
+    for cls in (TaskbenchParams, SyncbenchParams, SchedbenchParams, BabelStreamParams)
+    for case in _float_fields(cls)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name", FLOAT_PARAMS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_PARAMS]
+)
+def test_non_finite_float_parameter_rejected(cls, name, value):
+    with pytest.raises(BenchmarkError, match=f"{name} must be finite"):
+        cls(**{name: value})

@@ -114,6 +114,23 @@ class TestRun:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bench_name, param", [
+        ("taskbench", "iter_work=nan"),
+        ("taskbench", "iter_work=inf"),
+        ("syncbench", "delay_time=nan"),
+        ("schedbench", "delay_time=nan"),
+        ("babelstream", "kernel_gap=nan"),
+    ])
+    def test_non_finite_param_is_a_user_error(self, capsys, bench_name, param):
+        rc = main([
+            "run", "--platform", "vera", "--benchmark", bench_name,
+            "--threads", "4", "--runs", "1", "--reps", "2", "--param", param,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert "Traceback" not in err
+
     def test_run_taskbench_with_params(self, capsys):
         rc = main([
             "run", "--platform", "toy", "--benchmark", "taskbench",

@@ -6,7 +6,9 @@ work-stealing scheduler), the taskbench benchmark, the harness integration
 tasking parameters in the key), and the figure8 experiment driver.
 """
 
+import heapq
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,10 +42,12 @@ from repro.omp.tasking import (
     taskloop_tasks,
     uniform_tasks,
 )
+import repro.omp.tasking.scheduler as scheduler_mod
 from repro.omp.team import Team
 from repro.osnoise.model import NoiseModel
 from repro.platform import toy, vera
 from repro.rng import RngFactory
+from repro.sim.bench import bench_figure8_smoke
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +184,11 @@ class TestTreeWorkloads:
         with pytest.raises(ConfigurationError):
             Task(work=-1.0)
 
+    @pytest.mark.parametrize("work", [math.nan, math.inf, -math.inf])
+    def test_task_rejects_non_finite_work(self, work):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Task(work=work)
+
 
 # ---------------------------------------------------------------------------
 # Scheduler
@@ -286,6 +295,143 @@ class TestWorkStealingScheduler:
         sched.max_events = 10  # far too small for 64 tasks
         with pytest.raises(SimulationError, match="event cap"):
             sched.run(taskloop_tasks(64, 2e-6, grainsize=1))
+
+    def test_nan_backoff_raises_before_it_is_queued(self, monkeypatch):
+        team = Team(toy().machine, (0, 2, 4, 6), bound=True)
+        sched = _scheduler(team)
+        sched.cost_model = _NanBackoff(TaskCostParams())
+        queued_times = []
+
+        def spy(heap, entry):
+            queued_times.append(entry[0])
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(scheduler_mod, "heappush", spy)
+        with pytest.raises(SimulationError, match="non-finite or negative"):
+            sched.run(taskloop_tasks(8, 2e-6, grainsize=4))
+        assert queued_times
+        assert all(math.isfinite(t) for t in queued_times)
+
+    def test_scan_order_is_the_permutation_of_the_other_threads(self):
+        """A scan visits the other threads in the order
+        ``rng.permutation(n - 1)`` maps onto them, and consumes the stream
+        exactly as that permutation would."""
+        for n in (2, 3, 8, 31):
+            team = Team(vera().machine, tuple(range(n)), bound=True)
+            sched = _scheduler(team, platform=vera())
+            for thief in sorted({0, n // 2, n - 1}):
+                for seed in range(5):
+                    perm = np.random.default_rng(seed).permutation(n - 1)
+                    want = [int(k) + 1 if k >= thief else int(k) for k in perm]
+                    for victim in want:
+                        deques = [[]] * n
+                        deques[victim] = [Task(work=0.0)]
+                        rng = np.random.default_rng(seed)
+                        got = sched._scan_victims(thief, deques, rng)
+                        assert got == (victim, want.index(victim))
+                        ref = np.random.default_rng(seed)
+                        ref.permutation(n - 1)
+                        assert rng.random() == ref.random()
+
+
+class _NanBackoff(TaskCostModel):
+    """A cost model whose failed-scan backoff is not a number."""
+
+    __slots__ = ()
+
+    def backoff(self, consecutive_failures: int) -> float:
+        return float("nan")
+
+
+#: Exact outcomes of fixed scheduler episodes (seed 3, default costs,
+#: t_start 0.25): ``(events_executed, total_steals, total_failed_steals,
+#: t_end, idle, busy, overhead)``, the last four as ``float.hex`` of the
+#: end time and of the per-thread sums.  A changed schedule, RNG draw or
+#: event count moves at least one of them.
+PINNED_EPISODES = {
+    "taskloop-g1-n2": (
+        "vera", 2, True, False,
+        taskloop_tasks(512, 2e-6, grainsize=1, imbalance=0.6),
+        (1027, 297, 1, "0x1.009cf991b2152p-2",
+         "0x1.27476ca61b882p-21", "0x1.0c63bd3b34400p-10", "0x1.6c76cbb951710p-13"),
+    ),
+    "taskloop-g64-n2": (
+        "vera", 2, True, False,
+        taskloop_tasks(512, 2e-6, grainsize=64, imbalance=0.6),
+        (23, 5, 5, "0x1.0087185087f2ap-2",
+         "0x1.b93da3cf7d813p-17", "0x1.0aa499f3d0600p-10", "0x1.813472f946d35p-19"),
+    ),
+    "taskloop-g1-n8": (
+        "vera", 8, True, False,
+        taskloop_tasks(512, 2e-6, grainsize=1, imbalance=0.6),
+        (1043, 456, 1449, "0x1.00371cb4f437bp-2",
+         "0x1.33dca65ea3fa4p-16", "0x1.40a68b95ff700p-10", "0x1.d5b858cc74e34p-12"),
+    ),
+    "taskloop-g64-n8": (
+        "vera", 8, True, False,
+        taskloop_tasks(512, 2e-6, grainsize=64, imbalance=0.6),
+        (82, 7, 432, "0x1.003ac48421055p-2",
+         "0x1.5e46dd34231d4p-11", "0x1.3d689cb14f000p-10", "0x1.000533709ac7cp-17"),
+    ),
+    "taskloop-g1-n30": (
+        "vera", 30, True, False,
+        taskloop_tasks(512, 2e-6, grainsize=1, imbalance=0.6),
+        (1100, 478, 7993, "0x1.00291fdb67645p-2",
+         "0x1.0c0e562f0bb14p-11", "0x1.62c93c14d43eep-10", "0x1.8d9233be3d06bp-9"),
+    ),
+    "taskloop-g64-n30": (
+        "vera", 30, True, False,
+        taskloop_tasks(512, 2e-6, grainsize=64, imbalance=0.6),
+        (326, 7, 8238, "0x1.00410fc80d1c3p-2",
+         "0x1.aa47d226a8e16p-8", "0x1.61bab3d425000p-10", "0x1.b39b6cf7ef84ep-15"),
+    ),
+    "fib-smt": (
+        "toy", (0, 8, 1, 9, 2, 10, 3, 11), True, False,
+        fib_tasks(12, 4e-6, 4e-7),
+        (1203, 44, 284, "0x1.003b219dce285p-2",
+         "0x1.24f37f6916c50p-14", "0x1.6c9dcf6245a00p-10", "0x1.70d0441d07c4dp-12"),
+    ),
+    "uniform-quiet": (
+        "toy", 4, True, True,
+        uniform_tasks(64, 5e-6),
+        (141, 47, 73, "0x1.001b13dc8d277p-2",
+         "0x1.13fc3646e3ea2p-16", "0x1.8360ab4201400p-12", "0x1.13bbc99a3d588p-15"),
+    ),
+    "unbound-n8": (
+        "vera", 8, False, False,
+        taskloop_tasks(256, 2e-6, num_tasks=16, imbalance=0.3),
+        (78, 14, 311, "0x1.00189b0ff5f2dp-2",
+         "0x1.67a95c853c148p-13", "0x1.3f08ac02e5a00p-11", "0x1.dccef8761de98p-17"),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_EPISODES))
+def test_pinned_episode(shape):
+    platform, cpus, bound, quiet, workload, want = PINNED_EPISODES[shape]
+    plat = vera() if platform == "vera" else toy()
+    if quiet:
+        plat = plat.quiet()
+    if isinstance(cpus, int):
+        cpus = tuple(range(cpus))
+    team = Team(plat.machine, cpus, bound=bound)
+    stats = _scheduler(team, platform=plat).run(workload, t_start=0.25)
+    got = (
+        stats.events_executed,
+        stats.total_steals,
+        stats.total_failed_steals,
+        stats.t_end.hex(),
+        float(stats.idle_time.sum()).hex(),
+        float(stats.busy_time.sum()).hex(),
+        float(stats.overhead_time.sum()).hex(),
+    )
+    assert got == want
+    assert int(stats.tasks_executed.sum()) == stats.total_tasks
+
+
+def test_figure8_smoke_event_count_matches_committed_report():
+    """The engine trajectory's headline count (``BENCH_engine.json``)."""
+    assert bench_figure8_smoke(reps=30)["events"] == 6463
 
 
 # ---------------------------------------------------------------------------
