@@ -430,7 +430,7 @@ _IDENTITY_BANNED_CALLS = {
 
 #: Scope-name fragments that mark distributed-identity code.  Matching is
 #: case-insensitive over the enclosing class/function names, so
-#: ``ShardedBackend.execute``, ``Sweep._run_shard`` and
+#: ``shard_members``, ``Sweep._complete_shard`` and
 #: ``write_shard_manifest`` are all in scope.
 _IDENTITY_SCOPE_FRAGMENTS = ("shard", "manifest")
 

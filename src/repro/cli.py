@@ -87,7 +87,6 @@ from pathlib import Path
 
 from repro.bench.registry import available_benchmarks
 from repro.errors import ReproError
-from repro.harness.backend import available_backends, make_backend, parse_shard
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import (
@@ -103,23 +102,19 @@ from repro.harness.report import (
     render_tasking_summary,
     split_tasking_labels,
 )
-from repro.harness.shard import ShardRunComplete
+from repro.harness.shard import ShardRunComplete, parse_shard
 from repro.harness.study import Study, coerce_token
 from repro.omp.vendor import available_runtimes, get_runtime_profile
 from repro.platform import available_platforms, get_platform
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """--jobs / --backend / --shard / --cache-dir / --no-cache, shared by
-    experiment, run and sweep."""
+    """--jobs / --shard / --cache-dir / --no-cache, shared by experiment,
+    run and sweep."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the run fan-out (0 = all cores; default 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=available_backends(), default="auto",
-        help="execution backend (default auto: serial for --jobs 1, a "
-             "process pool otherwise; see docs/distributed.md)",
+        help="worker processes for the run fan-out (0 = all cores; default "
+             "1 = serial in-process, more = a process pool)",
     )
     parser.add_argument(
         "--shard", default=None, metavar="I/N",
@@ -160,11 +155,9 @@ def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(args.cache_dir)
 
 
-def _make_backend(args: argparse.Namespace):
-    """The ExecutionBackend the --backend/--shard/--jobs flags ask for
-    (``None`` keeps the Sweep's own jobs-based default)."""
-    shard = parse_shard(args.shard) if args.shard is not None else None
-    return make_backend(args.backend, jobs=args.jobs, shard=shard)
+def _shard(args: argparse.Namespace) -> tuple[int, int] | None:
+    """The ``(index, count)`` pair ``--shard I/N`` asks for, if any."""
+    return parse_shard(args.shard) if args.shard is not None else None
 
 
 def _finish_obs(args: argparse.Namespace, configs, metrics) -> None:
@@ -615,19 +608,20 @@ def _cmd_platform(name: str) -> int:
 
 def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
     spec = get_experiment(name)
-    kwargs: dict = {
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "cache": _make_cache(args),
-        "backend": _make_backend(args),
-    }
+    kwargs: dict = {"seed": args.seed}
     if args.runs is not None:
         kwargs["runs"] = args.runs
     if args.reps is not None:
         # the registry knows each driver's repetition knob(s)
         for key in spec.rep_params:
             kwargs[key] = args.reps
-    artifact = spec.driver(**kwargs)
+    cache = _make_cache(args)
+    shard = _shard(args)
+    if shard is not None:
+        # a shard renders no artifact: run the driver's study directly;
+        # completion surfaces as ShardRunComplete (handled in main)
+        spec.build_study(**kwargs).run(jobs=args.jobs, cache=cache, shard=shard)
+    artifact = spec.driver(**kwargs, jobs=args.jobs, cache=cache)
     print(artifact.render())
     return 0
 
@@ -639,7 +633,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     result = Sweep(
         jobs=args.jobs, cache=_make_cache(args), metrics=metrics,
-        backend=_make_backend(args),
+        shard=_shard(args),
     ).run([config])[0]
     time_labels, metric_labels = split_tasking_labels(result.labels())
     for label in time_labels:
@@ -732,7 +726,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     result = study.run(
         jobs=args.jobs, cache=_make_cache(args), metrics=metrics,
-        backend=_make_backend(args),
+        shard=_shard(args),
     )
     _render_sweep_report(args, result)
     _finish_obs(args, list(result.configs), metrics)

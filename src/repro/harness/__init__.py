@@ -6,13 +6,15 @@ Turns configurations into results:
   configuration (platform, threads, binding, repetitions, seed);
 * :class:`~repro.harness.runner.Runner` — executes N independent runs,
   optionally with the frequency logger on a spare core;
-* :class:`~repro.harness.parallel.Sweep` — fans the runs of one or many
-  configs out over a pluggable execution backend, bit-identical to
-  serial execution;
-* :mod:`repro.harness.backend` — the execution backends (serial,
-  process pool, one shard of a distributed partition);
-* :mod:`repro.harness.shard` — shard manifests and the gather step that
-  assembles a sharded run into one study result;
+* :class:`~repro.harness.parallel.Sweep` — the one execution path for
+  many configs: cache lookups, one backend call over the misses,
+  write-back and telemetry, for a whole study or one shard of it,
+  bit-identical to serial execution;
+* :mod:`repro.harness.backend` — the execution backends ``--jobs``
+  picks between (serial in-process, a process pool);
+* :mod:`repro.harness.shard` — content-addressed shard assignment,
+  shard manifests and the gather step that assembles a sharded run into
+  one study result;
 * :class:`~repro.harness.study.Study` /
   :class:`~repro.harness.study.StudyResult` — declarative sweep specs
   (grid/zip/cases axes, derived fields, filters) executed through one
@@ -30,10 +32,6 @@ from repro.harness.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ShardedBackend,
-    make_backend,
-    parse_shard,
-    shard_index_of,
 )
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
@@ -41,7 +39,13 @@ from repro.harness.freqlogger import FrequencyLog, FrequencyLogger
 from repro.harness.parallel import Sweep
 from repro.harness.results import ExperimentResult, RunRecord
 from repro.harness.runner import Runner
-from repro.harness.shard import ReplayCache, ShardRunComplete, ShardSummary
+from repro.harness.shard import (
+    ReplayCache,
+    ShardRunComplete,
+    ShardSummary,
+    parse_shard,
+    shard_index_of,
+)
 from repro.harness.study import Study, StudyResult
 from repro.harness import experiments
 from repro.harness import report
@@ -55,11 +59,9 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "ShardRunComplete",
     "ShardSummary",
     "ReplayCache",
-    "make_backend",
     "parse_shard",
     "shard_index_of",
     "ResultCache",

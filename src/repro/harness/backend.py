@@ -1,22 +1,16 @@
-"""Pluggable execution backends for the sweep engine.
+"""Execution backends for the sweep engine.
 
 :class:`~repro.harness.parallel.Sweep` owns the *policy* of a batch run —
-cache lookups, result ordering, telemetry — and delegates the *mechanism*
-of simulating the configurations that missed the cache to an
-:class:`ExecutionBackend`.  Three backends implement the protocol:
+which configs this worker owns, cache lookups, result ordering,
+telemetry — and delegates the *mechanism* of simulating the
+configurations that missed the cache to an :class:`ExecutionBackend`.
+Two backends implement the protocol, and ``Sweep(jobs=...)`` picks one:
 
 * :class:`SerialBackend` — simulate in-process, one config at a time (the
   ``jobs=1`` path);
 * :class:`ProcessPoolBackend` — fan run batches out over a
   ``ProcessPoolExecutor``, one pool task per batch, interleaved
-  round-robin across configs (the ``jobs=N`` path);
-* :class:`ShardedBackend` — execute only the configurations assigned to
-  one shard of a distributed run, delegating the actual simulation to an
-  inner backend.  Every shard worker computes the same partition from the
-  configs' cache keys alone (see :func:`shard_index_of`), so N workers on
-  N hosts cover a study exactly once with no coordination beyond a shared
-  cache directory (see :mod:`repro.harness.shard` and
-  docs/distributed.md).
+  round-robin across configs (the ``jobs=N`` path).
 
 Every backend executes a config's runs in the batches
 :meth:`~repro.harness.runner.Runner.batches` picks from the config alone
@@ -25,12 +19,6 @@ batch otherwise), and all of them produce results *bit-identical* to
 serial execution: a backend only decides where and in what order batches
 simulate, never what they compute (the named RNG streams derive every run
 from ``(master seed, run index)`` alone).
-
-Shard assignment is deliberately a pure function of the configuration's
-cache key: it must not depend on wall-clock time, process ids, host
-names or the order in which configs were expanded — otherwise two
-workers could compute different partitions and silently skip or
-duplicate work.  The DET004 lint rule enforces this statically.
 """
 
 from __future__ import annotations
@@ -54,13 +42,9 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ShardedBackend",
-    "available_backends",
-    "make_backend",
-    "parse_shard",
     "resolve_jobs",
-    "shard_index_of",
 ]
+
 
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a job-count request: ``None``/``0`` mean "all cores"."""
@@ -71,67 +55,15 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-#: Hex digits of the cache key consumed by shard assignment.  16 nibbles
-#: = 64 bits, far beyond any realistic shard count, and cheap to parse.
-_SHARD_KEY_NIBBLES = 16
-
-
-def shard_index_of(key: str, shard_count: int) -> int:
-    """Deterministic shard assignment for one cache *key*.
-
-    A pure function of the key's leading 64 bits and the shard count:
-    independent of config order, wall time, process and host, so every
-    worker of an N-shard run computes the identical partition.  Because
-    the cache key is itself a SHA-256 over the canonical config JSON,
-    assignment is uniform across shards for any config family.
-    """
-    if shard_count <= 0:
-        raise ConfigurationError(f"shard_count must be positive, got {shard_count}")
-    return int(key[:_SHARD_KEY_NIBBLES], 16) % shard_count
-
-
-def parse_shard(spec: str) -> tuple[int, int]:
-    """Parse an ``I/N`` shard spec into ``(shard_index, shard_count)``.
-
-    ``I`` is zero-based and must satisfy ``0 <= I < N``.
-    """
-    index_text, sep, count_text = spec.partition("/")
-    try:
-        if not sep:
-            raise ValueError("missing '/'")
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad shard spec {spec!r}: expected I/N with integers, "
-            f"e.g. --shard 0/4"
-        ) from None
-    if count <= 0:
-        raise ConfigurationError(f"shard count must be positive, got {count}")
-    if not 0 <= index < count:
-        raise ConfigurationError(
-            f"shard index {index} out of range for {count} shard(s) "
-            f"(zero-based: 0..{count - 1})"
-        )
-    return index, count
-
-
 class ExecutionBackend:
     """Protocol: simulate a batch of cache-missed configurations.
 
     :meth:`execute` receives ``(config, cache_key)`` pairs and returns a
-    list aligned with its input: each element is an
-    ``(ExperimentResult, wall_seconds)`` tuple for a config this backend
-    executed, or ``None`` for a config it deliberately skipped (only
-    :class:`ShardedBackend` skips; whole-batch backends never return
-    ``None``).  ``wall_seconds`` is telemetry — the wall time the
-    config's simulation consumed (summed across workers for pooled
-    execution) — and never flows into results or cache keys.
+    list aligned with its input of ``(ExperimentResult, wall_seconds)``
+    tuples, one per config.  ``wall_seconds`` is telemetry — the wall
+    time the config's simulation consumed (summed across workers for
+    pooled execution) — and never flows into results or cache keys.
     """
-
-    #: Display name (CLI ``--backend`` value for constructible backends).
-    name: str = "abstract"
-    #: Whether this backend executes only a subset of its input batch.
-    is_sharded: bool = False
 
     @property
     def workers(self) -> int:
@@ -142,21 +74,19 @@ class ExecutionBackend:
         self,
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
+    ) -> list[tuple[ExperimentResult, float]]:
         raise NotImplementedError
 
 
 class SerialBackend(ExecutionBackend):
     """Simulate every pending config in-process, in input order."""
 
-    name = "serial"
-
     def execute(
         self,
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
-        out: list[tuple[ExperimentResult, float] | None] = []
+    ) -> list[tuple[ExperimentResult, float]]:
+        out: list[tuple[ExperimentResult, float]] = []
         for cfg, _key in pending:
             t_cfg = time.time()
             runner = Runner(cfg)
@@ -222,8 +152,6 @@ class ProcessPoolBackend(ExecutionBackend):
     the lazy construction needs the lock.
     """
 
-    name = "process"
-
     def __init__(
         self,
         jobs: int | None = None,
@@ -263,7 +191,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
+    ) -> list[tuple[ExperimentResult, float]]:
         if not pending:
             return []
         # the k-th batch of every config is submitted before any config's
@@ -275,7 +203,7 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         max_workers = min(self.jobs, len(tasks))
         m = metrics
-        out: list[tuple[ExperimentResult, float] | None] = [None] * len(pending)
+        out: list[tuple[ExperimentResult, float]] = []
         t_pool = time.time()
         pool, owned = self._acquire_pool(len(tasks))
         try:
@@ -299,124 +227,19 @@ class ProcessPoolBackend(ExecutionBackend):
                 result = ExperimentResult(config=cfg, records=tuple(records))
                 # pooled configs report the CPU time their runs consumed
                 # (batch walls overlap across workers, so elapsed is not it)
-                out[i] = (result, sum(r.wall_seconds or 0.0 for r in records))
+                out.append((result, sum(r.wall_seconds or 0.0 for r in records)))
         finally:
             if owned:
                 pool.shutdown(wait=True)
         if m is not None:
             elapsed = time.time() - t_pool
-            busy = sum(outcome[1] for outcome in out if outcome is not None)
+            busy = sum(wall for _result, wall in out)
             m.gauge("pool_elapsed_seconds").set(elapsed)
             m.gauge("pool_utilization").set(
                 min(1.0, busy / (elapsed * max_workers)) if elapsed > 0 else 0.0
             )
             used = {
-                rec.worker_id
-                for outcome in out
-                if outcome is not None
-                for rec in outcome[0].records
+                rec.worker_id for result, _wall in out for rec in result.records
             }
             m.gauge("pool_workers_used").set(len(used))
         return out
-
-
-class ShardedBackend(ExecutionBackend):
-    """Execute only the configs assigned to shard ``shard_index`` of
-    ``shard_count``, delegating the simulation to *inner*.
-
-    Assignment is :func:`shard_index_of` over each config's cache key —
-    a pure content hash, so independent workers running the same study
-    with ``--shard 0/N`` .. ``--shard N-1/N`` partition it exactly, in
-    any order, on any host.  Skipped configs come back as ``None``; the
-    sweep layer writes a shard manifest and stops instead of returning
-    partial results (see :mod:`repro.harness.shard`).
-    """
-
-    name = "sharded"
-    is_sharded = True
-
-    def __init__(
-        self,
-        shard_index: int,
-        shard_count: int,
-        inner: ExecutionBackend | None = None,
-    ):
-        if shard_count <= 0:
-            raise ConfigurationError(
-                f"shard_count must be positive, got {shard_count}"
-            )
-        if not 0 <= shard_index < shard_count:
-            raise ConfigurationError(
-                f"shard index {shard_index} out of range for "
-                f"{shard_count} shard(s)"
-            )
-        if inner is not None and inner.is_sharded:
-            raise ConfigurationError("sharded backends do not nest")
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.inner = inner if inner is not None else SerialBackend()
-
-    @property
-    def workers(self) -> int:
-        return self.inner.workers
-
-    @property
-    def label(self) -> str:
-        """Display form, e.g. ``"0/4"``."""
-        return f"{self.shard_index}/{self.shard_count}"
-
-    def assigns(self, key: str) -> bool:
-        """Whether the config with cache *key* belongs to this shard."""
-        return shard_index_of(key, self.shard_count) == self.shard_index
-
-    def execute(
-        self,
-        pending: Sequence[tuple[ExperimentConfig, str]],
-        metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
-        mine = [
-            (i, pair) for i, pair in enumerate(pending) if self.assigns(pair[1])
-        ]
-        inner_out = self.inner.execute([pair for _i, pair in mine], metrics)
-        out: list[tuple[ExperimentResult, float] | None] = [None] * len(pending)
-        for (i, _pair), outcome in zip(mine, inner_out):
-            out[i] = outcome
-        return out
-
-
-#: ``--backend`` choices: ``auto`` picks serial for jobs=1, process otherwise.
-_BACKEND_NAMES = ("auto", "serial", "process")
-
-
-def available_backends() -> tuple[str, ...]:
-    return _BACKEND_NAMES
-
-
-def make_backend(
-    name: str | None = "auto",
-    jobs: int | None = 1,
-    shard: tuple[int, int] | None = None,
-) -> ExecutionBackend | None:
-    """Build a backend from CLI-shaped knobs.
-
-    ``name`` is one of :func:`available_backends`; ``auto`` (or ``None``)
-    resolves to :class:`SerialBackend` for one worker and
-    :class:`ProcessPoolBackend` otherwise — with no *shard*, ``auto``
-    returns ``None`` so callers keep the sweep's own default path.
-    *shard* wraps the chosen backend in a :class:`ShardedBackend`.
-    """
-    name = "auto" if name is None else name
-    if name not in _BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; choose from {_BACKEND_NAMES}"
-        )
-    if name == "auto" and shard is None:
-        return None
-    if name == "serial" or (name == "auto" and resolve_jobs(jobs) == 1):
-        inner: ExecutionBackend = SerialBackend()
-    else:
-        inner = ProcessPoolBackend(jobs)
-    if shard is None:
-        return inner
-    shard_index, shard_count = shard
-    return ShardedBackend(shard_index, shard_count, inner)

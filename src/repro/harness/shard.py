@@ -1,16 +1,17 @@
-"""Shard manifests and the gather step for distributed sweeps.
+"""Shard assignment, shard manifests and the gather step for distributed
+sweeps.
 
 A sharded sweep splits one :class:`~repro.harness.study.Study` across N
 independent workers: each worker runs the same study spec with
 ``--shard i/N`` and a *shared* cache directory, executes only the configs
-:func:`~repro.harness.backend.shard_index_of` assigns to it, and finishes
-by writing a **shard manifest** — a small JSON file recording exactly
-which cache entries its shard covers, each with the SHA-256 of the entry
-file's bytes.  ``repro-omp gather`` then assembles the shards: it checks
-that every shard of the partition reported in (no missing or duplicate
-indices), that every config of the study is covered by the shard that
-owns it, and that every referenced cache entry still hashes to the digest
-its producer recorded — then replays the entries into a single
+:func:`shard_index_of` assigns to it, and finishes by writing a **shard
+manifest** — a small JSON file recording exactly which cache entries its
+shard covers, each with the SHA-256 of the entry file's bytes.
+``repro-omp gather`` then assembles the shards: it checks that every
+shard of the partition reported in (no missing or duplicate indices),
+that every config of the study is covered by the shard that owns it, and
+that every referenced cache entry still hashes to the digest its
+producer recorded — then replays the entries into a single
 :class:`~repro.harness.study.StudyResult` that is byte-identical to an
 unsharded serial run of the same study.
 
@@ -35,8 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import __version__ as _code_version
-from repro.errors import HarnessError, ReproError
-from repro.harness.backend import shard_index_of
+from repro.errors import ConfigurationError, HarnessError, ReproError
 from repro.harness.cache import CACHE_SCHEMA_VERSION, ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
 
@@ -49,9 +49,13 @@ __all__ = [
     "ReplayCache",
     "ShardRunComplete",
     "ShardSummary",
+    "check_shard",
     "gather_study",
     "load_manifests",
     "manifest_path",
+    "parse_shard",
+    "shard_index_of",
+    "shard_members",
     "write_shard_manifest",
 ]
 
@@ -62,6 +66,69 @@ MANIFEST_SCHEMA_VERSION = 1
 _MANIFEST_KIND = "repro-omp-shard-manifest"
 
 _MANIFEST_NAME_RE = re.compile(r"^shard-(\d+)of(\d+)\.manifest\.json$")
+
+#: Hex digits of the cache key consumed by shard assignment.  16 nibbles
+#: = 64 bits, far beyond any realistic shard count, and cheap to parse.
+_SHARD_KEY_NIBBLES = 16
+
+
+def shard_index_of(key: str, shard_count: int) -> int:
+    """Deterministic shard assignment for one cache *key*.
+
+    A pure function of the key's leading 64 bits and the shard count:
+    independent of config order, wall time, process and host, so every
+    worker of an N-shard run computes the identical partition.  Because
+    the cache key is itself a SHA-256 over the canonical config JSON,
+    assignment is uniform across shards for any config family.
+    """
+    if shard_count <= 0:
+        raise ConfigurationError(f"shard_count must be positive, got {shard_count}")
+    return int(key[:_SHARD_KEY_NIBBLES], 16) % shard_count
+
+
+def check_shard(shard: tuple[int, int]) -> tuple[int, int]:
+    """Validate a ``(shard_index, shard_count)`` pair; ``shard_index`` is
+    zero-based and must satisfy ``0 <= shard_index < shard_count``."""
+    index, count = shard
+    if count <= 0:
+        raise ConfigurationError(f"shard count must be positive, got {count}")
+    if not 0 <= index < count:
+        raise ConfigurationError(
+            f"shard index {index} out of range for {count} shard(s) "
+            f"(zero-based: 0..{count - 1})"
+        )
+    return index, count
+
+
+def parse_shard(spec: str) -> tuple[int, int]:
+    """Parse an ``I/N`` shard spec into ``(shard_index, shard_count)``."""
+    index_text, sep, count_text = spec.partition("/")
+    try:
+        if not sep:
+            raise ValueError("missing '/'")
+        index, count = int(index_text), int(count_text)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad shard spec {spec!r}: expected I/N with integers, "
+            f"e.g. --shard 0/4"
+        ) from None
+    return check_shard((index, count))
+
+
+def shard_members(
+    configs: Sequence[ExperimentConfig], shard: tuple[int, int]
+) -> list[int]:
+    """Positions in *configs* of the configs shard ``(index, count)`` owns.
+
+    Membership is :func:`shard_index_of` over each config's cache key, so
+    independent workers running the same study with ``--shard 0/N`` ..
+    ``--shard N-1/N`` partition it exactly, in any order, on any host.
+    """
+    index, count = shard
+    return [
+        i for i, cfg in enumerate(configs)
+        if shard_index_of(cache_key(cfg), count) == index
+    ]
 
 
 @dataclass(frozen=True)

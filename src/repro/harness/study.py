@@ -295,6 +295,7 @@ class Study:
         cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
         backend: "ExecutionBackend | None" = None,
+        shard: tuple[int, int] | None = None,
     ) -> "StudyResult":
         """Execute every selected config through one shared
         :class:`~repro.harness.parallel.Sweep`; bit-identical for any
@@ -302,8 +303,8 @@ class Study:
 
         *backend* selects the execution mechanism explicitly (see
         :mod:`repro.harness.backend`); without one, *jobs* picks serial
-        or process-pool execution.  A sharded backend executes only
-        this worker's shard and raises
+        or process-pool execution.  With ``shard=(i, n)`` only shard
+        ``i`` of an ``n``-way partition executes, and the run raises
         :class:`~repro.harness.shard.ShardRunComplete` after writing its
         manifest — assemble the shards with :meth:`gather`.
 
@@ -319,7 +320,10 @@ class Study:
                 f"study {self.name!r} selects no configurations "
                 f"(empty axes or an unsatisfiable where() filter)"
             )
-        sweep = Sweep(jobs=jobs, cache=cache, metrics=metrics, backend=backend)
+        sweep = Sweep(
+            jobs=jobs, cache=cache, metrics=metrics, backend=backend,
+            shard=shard,
+        )
         results = sweep.run(configs)
         if metrics is not None:
             for name in self.axis_names():

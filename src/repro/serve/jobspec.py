@@ -3,7 +3,7 @@
 A job spec is a plain JSON object describing either a declarative sweep
 (the full :class:`~repro.harness.study.Study` surface: base config,
 ``grid`` / ``zip`` / ``cases`` axes, ``derive`` / ``where`` clauses,
-``reps``, backend and shard selection) or a registered experiment by
+``reps``, shard selection) or a registered experiment by
 name.  :func:`validate_spec` checks it strictly — every error names the
 offending field — and :func:`spec_to_study` builds the exact Study the
 CLI's ``repro-omp sweep`` flags would build, so a job submitted over
@@ -60,9 +60,9 @@ from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError, HarnessError, JobSpecError
-from repro.harness.backend import available_backends, parse_shard
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig
+from repro.harness.shard import parse_shard, shard_members
 from repro.harness.study import Study
 
 __all__ = [
@@ -70,6 +70,7 @@ __all__ = [
     "reps_key",
     "spec_fingerprint",
     "spec_from_study",
+    "spec_shard",
     "spec_to_study",
     "validate_spec",
 ]
@@ -81,16 +82,16 @@ _AXIS_KINDS = ("grid", "zip", "cases")
 
 _SWEEP_KEYS = frozenset({
     "kind", "base", "axes", "derive", "where", "reps",
-    "name", "description", "backend", "shard", "fused",
+    "name", "description", "backend", "shard",
 })
 _EXPERIMENT_KEYS = frozenset({
-    "kind", "experiment", "runs", "reps", "seed", "backend", "shard", "fused",
+    "kind", "experiment", "runs", "reps", "seed", "backend", "shard",
 })
 
-#: Values the retired ``fused`` field accepted.  Execution batches runs
-#: automatically, so the field validates as a no-op and is dropped from
-#: the normalized spec; older specs that set it keep loading.
-_LEGACY_FUSED_MODES = ("auto", "on", "off")
+#: Values the retired ``backend`` field accepted.  Every job runs on the
+#: service's one backend, so the field validates as a no-op and is
+#: dropped from the normalized spec; older specs that set it keep loading.
+_LEGACY_BACKENDS = ("auto", "serial", "process")
 
 
 def reps_key(benchmark: str) -> str:
@@ -294,14 +295,12 @@ def validate_spec(spec: Any) -> dict:
             )
 
     out: dict[str, Any] = {"kind": kind}
-    if spec.get("backend") is not None:
-        backend = spec["backend"]
-        if backend not in available_backends():
-            raise JobSpecError(
-                f"job spec field 'backend': expected one of "
-                f"{available_backends()}, got {backend!r}"
-            )
-        out["backend"] = backend
+    backend = spec.get("backend")
+    if backend is not None and backend not in _LEGACY_BACKENDS:
+        raise JobSpecError(
+            f"job spec field 'backend': expected one of {_LEGACY_BACKENDS} "
+            f"(accepted and ignored), got {backend!r}"
+        )
     if spec.get("shard") is not None:
         shard = spec["shard"]
         try:
@@ -309,12 +308,6 @@ def validate_spec(spec: Any) -> dict:
         except ConfigurationError as exc:
             raise JobSpecError(f"job spec field 'shard': {exc}") from None
         out["shard"] = str(shard)
-    fused = spec.get("fused")
-    if fused is not None and fused not in _LEGACY_FUSED_MODES:
-        raise JobSpecError(
-            f"job spec field 'fused': expected one of {_LEGACY_FUSED_MODES} "
-            f"(accepted and ignored), got {fused!r}"
-        )
     if spec.get("reps") is not None:
         out["reps"] = _require_int(spec["reps"], "reps")
 
@@ -508,15 +501,35 @@ def spec_from_study(study: Study, *, fold: bool | None = None) -> dict:
     }
 
 
-def spec_fingerprint(study: Study) -> str:
-    """Content fingerprint of a job: the SHA-256 over the sorted cache
-    keys of the study's expanded configs.
+def spec_shard(spec: Mapping[str, Any]) -> tuple[int, int] | None:
+    """The ``(index, count)`` a validated *spec*'s ``shard`` names, if any."""
+    shard = spec.get("shard")
+    return parse_shard(shard) if shard is not None else None
 
-    Two specs that expand to the same work share a fingerprint — the
-    dedup key for in-flight sharing.  A pure function of config content
-    (the cache keys are themselves SHA-256 over canonical config JSON):
-    no clock, pid, hostname or entropy may enter here (DET005).
+
+def spec_fingerprint(
+    study: Study, shard: tuple[int, int] | None = None
+) -> str:
+    """Content fingerprint of a job: the SHA-256 over the sorted cache
+    keys of the configs it executes — the study's expanded configs, or
+    the ones shard ``(index, count)`` owns.
+
+    Two jobs that execute the same work share a fingerprint — the
+    dedup key for in-flight sharing.  A shard job also writes that
+    shard's manifest, so its fingerprint covers the shard too: two
+    different shards of one study never collide, even when both own no
+    configs.  A pure function of the spec's content (the cache keys are
+    themselves SHA-256 over canonical config JSON): no clock, pid,
+    hostname or entropy may enter here (DET005).
     """
-    keys = sorted(cache_key(cfg) for cfg in study.configs())
-    blob = json.dumps(keys, separators=(",", ":"))
+    configs = study.configs()
+    if shard is None:
+        payload: Any = sorted(cache_key(cfg) for cfg in configs)
+    else:
+        owned = shard_members(configs, shard)
+        payload = {
+            "shard": list(shard),
+            "keys": sorted(cache_key(configs[i]) for i in owned),
+        }
+    blob = json.dumps(payload, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -44,13 +44,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import JobSpecError, ReproError, ServiceError
-from repro.harness.backend import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardedBackend,
-    parse_shard,
-    resolve_jobs,
-)
+from repro.harness.backend import ProcessPoolBackend, SerialBackend, resolve_jobs
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.parallel import Sweep
 from repro.harness.shard import ShardRunComplete
@@ -58,7 +52,12 @@ from repro.harness.study import StudyResult
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.governor import Governor, monotonic_clock
 from repro.serve.jobs import Job, JobQueue, JobStore, job_id_for
-from repro.serve.jobspec import spec_fingerprint, spec_to_study, validate_spec
+from repro.serve.jobspec import (
+    spec_fingerprint,
+    spec_shard,
+    spec_to_study,
+    validate_spec,
+)
 
 __all__ = ["JobService", "create_http_server"]
 
@@ -157,7 +156,7 @@ class JobService:
                 "total": len(study.configs()),
                 "configs": study.preview(self.cache),
             }
-        fingerprint = spec_fingerprint(study)
+        fingerprint = spec_fingerprint(study, spec_shard(normalized))
         with self._lock:
             dedup_of = None
             for existing in self.jobs.values():
@@ -256,20 +255,6 @@ class JobService:
 
     # -- execution ---------------------------------------------------------
 
-    def _job_backend(self, spec: dict):
-        """The backend one job runs on.  'serial' opts out of the pool;
-        everything else multiplexes over the shared backend; a shard
-        wraps it (sharding partitions by cache key, so the wrapper is
-        stateless)."""
-        if spec.get("backend") == "serial":
-            inner = SerialBackend()
-        else:
-            inner = self.backend
-        if spec.get("shard"):
-            index, count = parse_shard(spec["shard"])
-            return ShardedBackend(index, count, inner)
-        return inner
-
     def _telemetry_snapshot(self, metrics: MetricsRegistry) -> dict:
         return {
             name: metrics.counter(name).value
@@ -330,16 +315,16 @@ class JobService:
 
     def _execute(self, job: Job, job_metrics: MetricsRegistry) -> None:
         study = spec_to_study(job.spec)
-        backend = self._job_backend(job.spec)
-        if backend.is_sharded:
+        shard = spec_shard(job.spec)
+        if shard is not None:
             # whole-batch: membership is decided inside the sweep, and
             # completion surfaces as ShardRunComplete (caught above)
-            study.run(cache=self.cache, metrics=job_metrics, backend=backend)
-            raise ServiceError(
-                f"sharded job {job.job_id} finished without a shard summary"
+            study.run(
+                cache=self.cache, metrics=job_metrics, backend=self.backend,
+                shard=shard,
             )
         configs = study.configs()
-        sweep = Sweep(cache=self.cache, metrics=job_metrics, backend=backend)
+        sweep = Sweep(cache=self.cache, metrics=job_metrics, backend=self.backend)
         results = []
         for index, cfg in enumerate(configs):
             if job.cancel_requested.is_set():

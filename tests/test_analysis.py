@@ -394,8 +394,8 @@ class TestDET004:
             """
             import socket
 
-            class ShardedBackend:
-                def execute(self, pending):
+            class ShardedSweep:
+                def run(self, configs):
                     return socket.gethostname()
             """,
             "DET004",

@@ -322,6 +322,47 @@ class TestSweepDryRun:
         assert [row["cached"] for row in data["configs"]] == [False, False]
 
 
+class TestShard:
+    """The ``--shard`` surface: user errors, and an experiment sharded
+    into one cache dir gathering to the unsharded artifact."""
+
+    SWEEP = ["sweep", "--platform", "toy", "--runs", "1", "--reps", "3",
+             "--grid", "num_threads=2,4"]
+    TABLE2 = ["table2", "--runs", "2", "--reps", "5"]
+
+    def test_shard_without_cache_dir_is_a_user_error(self, capsys):
+        assert main([*self.SWEEP, "--shard", "0/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--cache-dir" in err
+
+    def test_shard_index_out_of_range_is_a_user_error(self, capsys, tmp_path):
+        rc = main([*self.SWEEP, "--shard", "2/2",
+                   "--cache-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of range" in err
+
+    def test_experiment_shards_gather_to_the_unsharded_artifact(
+        self, capsys, tmp_path
+    ):
+        assert main(["experiment", *self.TABLE2]) == 0
+        serial = capsys.readouterr().out
+        cache = ["--cache-dir", str(tmp_path)]
+        for shard in ("0/2", "1/2"):
+            assert main(["experiment", *self.TABLE2, *cache,
+                         "--shard", shard]) == 0
+            assert f"shard {shard}" in capsys.readouterr().out
+        assert main(["gather", "--experiment", *self.TABLE2, *cache,
+                     "--expect-shards", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_backend_flag_is_gone(self, capsys):
+        """``--jobs`` alone picks the backend."""
+        with pytest.raises(SystemExit):
+            main([*self.SWEEP, "--backend", "serial"])
+        assert "--backend" in capsys.readouterr().err
+
+
 class TestBenchReport:
     """The bench report writer: baseline carry rules shared by the CLI
     and benchmarks/bench_engine.py."""

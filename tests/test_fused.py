@@ -16,7 +16,8 @@ is enforced at three levels:
   plus the registered-experiment golden files rendered with one run per
   batch;
 * plumbing — the batch-unit rule, backend provenance, the retired
-  ``fused`` knob, and the job-spec field it leaves behind.
+  ``fused`` knob and job-spec field, and the job-spec ``backend`` field,
+  accepted and ignored for one version.
 """
 
 import json
@@ -31,11 +32,7 @@ from golden_kwargs import GOLDEN_KWARGS
 from repro.cli import main
 from repro.errors import ConfigurationError, HarnessError, JobSpecError
 from repro.harness import ExperimentConfig, Study, Sweep
-from repro.harness.backend import (
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.harness.backend import ProcessPoolBackend, SerialBackend
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import Runner, run_batches
@@ -330,13 +327,6 @@ class TestBackends:
         assert run_batches(cfg) == [(0,)]
         assert Study(cfg).run()[0].to_dict() == per_run(cfg).to_dict()
 
-    def test_make_backend_routes_fused(self):
-        assert make_backend("auto", jobs=1) is None
-        assert isinstance(make_backend("serial", jobs=4), SerialBackend)
-        assert isinstance(make_backend("process", jobs=1), ProcessPoolBackend)
-        sharded = make_backend("auto", jobs=2, shard=(0, 2))
-        assert isinstance(sharded.inner, ProcessPoolBackend)
-
     def test_study_run_fused_knob(self, capsys):
         """The ``fused`` knob is gone end to end: batching is automatic."""
         study = Study(self.BASE)
@@ -344,8 +334,6 @@ class TestBackends:
             study.run(fused="on")
         with pytest.raises(TypeError):
             Sweep(fused="on")
-        with pytest.raises(TypeError):
-            make_backend("auto", jobs=1, fused="on")
         with pytest.raises(TypeError):
             ProcessPoolBackend(2, fused="on")
         with pytest.raises(SystemExit):
@@ -370,37 +358,30 @@ class TestGoldenLockFused:
         assert set(GOLDEN_KWARGS) == set(EXPERIMENTS)
 
 
+def _job_spec(**extra) -> dict:
+    return {
+        "base": {"platform": "vera", "runs": 2, "seed": 5},
+        "axes": [{"kind": "grid", "axes": {"num_threads": [2, 4]}}],
+        "reps": 3,
+        **extra,
+    }
+
+
 class TestJobSpecFused:
-    """The retired ``fused`` job-spec field validates as a no-op."""
-
-    def _spec(self, **extra):
-        return {
-            "base": {"platform": "vera", "runs": 2, "seed": 5},
-            "axes": [{"kind": "grid", "axes": {"num_threads": [2, 4]}}],
-            "reps": 3,
-            **extra,
-        }
-
-    def test_fused_mode_is_accepted_and_normalized(self):
-        plain = validate_spec(self._spec())
-        for mode in ("auto", "on", "off"):
-            out = validate_spec(self._spec(fused=mode))
-            assert "fused" not in out
-            assert out == plain
-        with_field = spec_to_study(validate_spec(self._spec(fused="on")))
-        without = spec_to_study(plain)
-        assert spec_fingerprint(with_field) == spec_fingerprint(without)
-        assert with_field.run().to_json_text() == without.run().to_json_text()
+    """The retired ``fused`` job-spec field is an unknown key; job files
+    that still carry it keep loading."""
 
     def test_bogus_fused_mode_is_rejected(self):
-        with pytest.raises(JobSpecError, match="fused"):
-            validate_spec(self._spec(fused="sometimes"))
+        # every mode is bogus now, including the ones it used to accept
+        for mode in ("auto", "on", "off", "sometimes"):
+            with pytest.raises(JobSpecError, match="'fused': unknown key"):
+                validate_spec(_job_spec(fused=mode))
 
     def test_persisted_job_with_fused_field_recovers(self, tmp_path):
         state = tmp_path / "state"
         svc = JobService(state, workers=1)
         svc.start()
-        snap = svc.submit(self._spec())
+        snap = svc.submit(_job_spec())
         list(svc.get_job(snap["job_id"]).events_from(0))
         records = svc.records_text(snap["job_id"])
         svc.stop()
@@ -416,7 +397,51 @@ class TestJobSpecFused:
             job = reborn.get_job(snap["job_id"])
             assert job.state == "done" and job.spec["fused"] == "on"
             assert reborn.records_text(snap["job_id"]) == records
-            again = reborn.submit(self._spec(fused="on"))
+        finally:
+            reborn.stop()
+
+
+class TestJobSpecBackend:
+    """The job-spec ``backend`` field validates as a no-op: every job
+    runs on the service's one backend, which its ``--jobs`` picks."""
+
+    def test_backend_is_accepted_and_normalized(self):
+        plain = validate_spec(_job_spec())
+        without = spec_to_study(plain)
+        records = without.run().to_json_text()
+        for backend in ("auto", "serial", "process"):
+            out = validate_spec(_job_spec(backend=backend))
+            assert "backend" not in out
+            assert out == plain
+            with_field = spec_to_study(out)
+            assert spec_fingerprint(with_field) == spec_fingerprint(without)
+            assert with_field.run().to_json_text() == records
+
+    def test_bogus_backend_is_rejected(self):
+        with pytest.raises(JobSpecError, match="'backend'"):
+            validate_spec(_job_spec(backend="mpi"))
+
+    def test_persisted_job_with_backend_field_recovers(self, tmp_path):
+        state = tmp_path / "state"
+        svc = JobService(state, workers=1)
+        svc.start()
+        snap = svc.submit(_job_spec())
+        list(svc.get_job(snap["job_id"]).events_from(0))
+        records = svc.records_text(snap["job_id"])
+        svc.stop()
+        # the job file as a service that still honoured the field stored it
+        path = state / "jobs" / f"{snap['job_id']}.json"
+        data = json.loads(path.read_text())
+        data["spec"]["backend"] = "serial"
+        path.write_text(json.dumps(data))
+
+        reborn = JobService(state, workers=1)
+        reborn.start()
+        try:
+            job = reborn.get_job(snap["job_id"])
+            assert job.state == "done" and job.spec["backend"] == "serial"
+            assert reborn.records_text(snap["job_id"]) == records
+            again = reborn.submit(_job_spec(backend="serial"))
             assert again["fingerprint"] == snap["fingerprint"]
             list(reborn.get_job(again["job_id"]).events_from(0))
             assert reborn.records_text(again["job_id"]) == records

@@ -19,6 +19,7 @@ from repro.errors import JobSpecError, ServiceError
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import EXPERIMENTS
+from repro.harness.shard import shard_members
 from repro.harness.study import Study
 from repro.serve import (
     Job,
@@ -447,6 +448,40 @@ class TestServiceEngine:
         # not double
         assert follower.simulated == 0 and follower.cached == 2
         assert service.cache.stores == 2
+
+    def test_different_shards_are_not_duplicates(self, tmp_path):
+        """Each shard of one study is its own work: only a resubmitted
+        shard spec dedups against it."""
+        spec = {
+            "base": {"platform": "toy", "benchmark": "syncbench", "runs": 1},
+            "axes": [{"kind": "grid",
+                      "axes": {"num_threads": [1, 2, 3, 4, 6, 8]}}],
+            "reps": 2,
+        }
+        svc = JobService(tmp_path / "state", workers=2)
+        # submitted before the workers start, so all three are in flight
+        one = svc.submit({**spec, "shard": "1/3"})
+        two = svc.submit({**spec, "shard": "2/3"})
+        again = svc.submit({**spec, "shard": "2/3"})
+        svc.start()
+        try:
+            jobs = [svc.get_job(s["job_id"]) for s in (one, two, again)]
+            for job in jobs:
+                list(job.events_from(0))
+                assert job.state == "done"
+        finally:
+            svc.stop()
+        assert one["fingerprint"] != two["fingerprint"]
+        assert one["dedup_of"] is None and two["dedup_of"] is None
+        assert again["fingerprint"] == two["fingerprint"]
+        assert again["dedup_of"] == two["job_id"]
+        assert svc.metrics.counter("service_jobs_deduped").value == 1
+        # each shard simulated the configs it owns; the follower replayed
+        # its primary's from the shared cache
+        configs = spec_to_study(validate_spec(spec)).configs()
+        owned = [len(shard_members(configs, (i, 3))) for i in (1, 2)]
+        assert [jobs[0].simulated, jobs[1].simulated] == owned
+        assert jobs[2].simulated == 0 and jobs[2].cached == owned[1]
 
     def test_records_unavailable_before_done(self, tmp_path):
         svc = JobService(tmp_path / "state")  # governor never started

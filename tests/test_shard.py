@@ -1,4 +1,4 @@
-"""Tests for sharded execution: backends, manifests, gather, cache tools.
+"""Tests for sharded execution: assignment, manifests, gather, cache tools.
 
 The distributed-execution contract under test is the determinism
 contract extended across hosts: the union of N shard runs, gathered,
@@ -19,20 +19,18 @@ from repro.harness import (
     ResultCache,
     SerialBackend,
     ShardRunComplete,
-    ShardedBackend,
     Study,
     Sweep,
     cache_key,
     experiments,
-    make_backend,
     parse_shard,
     shard_index_of,
 )
-from repro.harness.backend import available_backends
 from repro.harness.shard import (
     ShardSummary,
     load_manifests,
     manifest_path,
+    shard_members,
     verify_manifest_entries,
     write_shard_manifest,
 )
@@ -60,7 +58,7 @@ def _run_all_shards(study: Study, cache: ResultCache, n: int) -> list[ShardSumma
     summaries = []
     for i in range(n):
         with pytest.raises(ShardRunComplete) as exc_info:
-            study.run(cache=cache, backend=ShardedBackend(i, n))
+            study.run(cache=cache, shard=(i, n))
         summaries.append(exc_info.value.summary)
     return summaries
 
@@ -96,11 +94,10 @@ class TestShardAssignment:
         """Every config lands in exactly one shard; shards are disjoint."""
         configs = [_cfg(num_threads=t) for t in (2, 4, 8, 16)]
         n = 3
-        backends = [ShardedBackend(i, n) for i in range(n)]
-        for cfg in configs:
-            key = cache_key(cfg)
-            owners = [b.shard_index for b in backends if b.assigns(key)]
-            assert owners == [shard_index_of(key, n)]
+        members = [shard_members(configs, (i, n)) for i in range(n)]
+        for pos, cfg in enumerate(configs):
+            owners = [i for i in range(n) if pos in members[i]]
+            assert owners == [shard_index_of(cache_key(cfg), n)]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ConfigurationError):
@@ -115,32 +112,10 @@ class TestShardAssignment:
         with pytest.raises(ConfigurationError):
             parse_shard(spec)
 
-    def test_sharded_backend_validates(self):
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(2, 2)
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(0, 2, inner=ShardedBackend(0, 2))
-
-
-class TestMakeBackend:
-    def test_auto_without_shard_is_none(self):
-        assert make_backend("auto", jobs=1) is None
-
-    def test_named_backends(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        pool = make_backend("process", jobs=3)
-        assert isinstance(pool, ProcessPoolBackend) and pool.workers == 3
-
-    def test_shard_wraps(self):
-        backend = make_backend("auto", jobs=1, shard=(1, 2))
-        assert isinstance(backend, ShardedBackend)
-        assert isinstance(backend.inner, SerialBackend)
-        assert backend.label == "1/2"
-
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            make_backend("mpi")
-        assert "serial" in available_backends()
+    def test_sweep_validates_shard(self, tmp_path):
+        for shard in ((2, 2), (-1, 2), (0, 0)):
+            with pytest.raises(ConfigurationError):
+                Sweep(cache=ResultCache(tmp_path), shard=shard)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +144,16 @@ class TestBackendRefactor:
         assert Sweep(backend=ProcessPoolBackend(5)).jobs == 5
         assert Sweep(backend=SerialBackend()).jobs == 1
 
+    def test_backend_follows_jobs(self, tmp_path):
+        """``jobs`` alone picks the backend, sharded or not."""
+        cache = ResultCache(tmp_path)
+        for shard in (None, (0, 2)):
+            assert isinstance(
+                Sweep(jobs=1, cache=cache, shard=shard).backend, SerialBackend
+            )
+            pool = Sweep(jobs=3, cache=cache, shard=shard).backend
+            assert isinstance(pool, ProcessPoolBackend) and pool.workers == 3
+
 
 # ---------------------------------------------------------------------------
 # Sharded runs + gather
@@ -178,13 +163,13 @@ class TestBackendRefactor:
 class TestShardedRun:
     def test_requires_cache(self):
         with pytest.raises(HarnessError, match="shared cache"):
-            _study().run(backend=ShardedBackend(0, 2))
+            _study().run(shard=(0, 2))
 
     def test_raises_shard_run_complete_with_manifest(self, tmp_path):
         cache = ResultCache(tmp_path)
         study = _study()
         with pytest.raises(ShardRunComplete) as exc_info:
-            study.run(cache=cache, backend=ShardedBackend(0, 2))
+            study.run(cache=cache, shard=(0, 2))
         summary = exc_info.value.summary
         assert summary.label == "0/2"
         assert summary.manifest_path.exists()
@@ -209,13 +194,64 @@ class TestShardedRun:
         assert sum(s.assigned for s in summaries) == len(_study())
 
     def test_per_shard_metrics(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        metrics = MetricsRegistry()
-        with pytest.raises(ShardRunComplete) as exc_info:
-            _study().run(cache=cache, backend=ShardedBackend(0, 2), metrics=metrics)
-        assigned = exc_info.value.summary.assigned
-        counter = metrics.counter("shard_configs_assigned", shard="0/2")
-        assert counter.value == assigned
+        """Everything a sharded run records, on a cold cache and then a
+        warm one, serial and pooled: the values the dedicated shard path
+        recorded before sharding joined the sweep's one execution path.
+        The study has 3 configs of 2 runs; the shard owns ``owned``."""
+        pool_only = {
+            "pool_elapsed_seconds", "pool_utilization", "pool_workers_used",
+            "queue_wait_seconds",
+        }
+        for jobs, index in [(1, 0), (1, 1), (2, 0), (2, 1)]:
+            study, shard, label = _study(), (index, 2), f"{index}/2"
+            owned = len(shard_members(study.configs(), shard))
+            # name -> (cold, warm)
+            counters = {
+                "configs_total": (3, 3),
+                "configs_simulated": (owned, 0),
+                "configs_cached": (0, owned),
+                "cache_hits": (0, owned),
+                "cache_misses": (owned, 0),
+                "cache_stores": (owned, 0),
+            }
+            sharded = {
+                "shard_configs_assigned": (owned, owned),
+                "shard_configs_simulated": (owned, 0),
+                "shard_configs_cached": (0, owned),
+            }
+            samples = {
+                "config_wall_seconds": (owned, 0),
+                "run_wall_seconds": (2 * owned, 0),
+            }
+            cache_dir = tmp_path / f"jobs{jobs}-shard{index}"
+            for phase in (0, 1):
+                metrics = MetricsRegistry()
+                with pytest.raises(ShardRunComplete) as exc_info:
+                    study.run(
+                        jobs=jobs, cache=ResultCache(cache_dir),
+                        metrics=metrics, shard=shard,
+                    )
+                assert exc_info.value.summary.assigned == owned
+                # read the names first: looking a metric up creates it
+                recorded = {
+                    entry["name"]
+                    for kind in ("counters", "gauges", "histograms")
+                    for entry in metrics.to_dict()[kind]
+                }
+                simulated = phase == 0 and owned > 0
+                assert recorded == (
+                    set(counters) | set(sharded) | {"pool_workers"}
+                    | (set(samples) if simulated else set())
+                    | (pool_only if simulated and jobs > 1 else set())
+                )
+                for name, values in counters.items():
+                    assert metrics.counter(name).value == values[phase], name
+                for name, values in sharded.items():
+                    value = metrics.counter(name, shard=label).value
+                    assert value == values[phase], name
+                assert metrics.gauge("pool_workers").value == jobs
+                for name, values in samples.items():
+                    assert metrics.histogram(name).count == values[phase], name
 
 
 class TestGather:
@@ -271,10 +307,7 @@ class TestGather:
         cache = ResultCache(tmp_path)
         for i in range(2):
             with pytest.raises(ShardRunComplete):
-                study.run(
-                    cache=cache, backend=ShardedBackend(i, 2),
-                    metrics=MetricsRegistry(),
-                )
+                study.run(cache=cache, shard=(i, 2), metrics=MetricsRegistry())
         metrics = MetricsRegistry()
         study.gather(cache, metrics=metrics)
         assert metrics.gauge("manifest_shards").value == 2
@@ -304,7 +337,7 @@ class TestGatherFailureModes:
         cache = ResultCache(tmp_path)
         study = _study()
         with pytest.raises(ShardRunComplete):
-            study.run(cache=cache, backend=ShardedBackend(0, 2))
+            study.run(cache=cache, shard=(0, 2))
         with pytest.raises(HarnessError, match=r"--shard 1/2"):
             study.gather(cache)
 
@@ -313,9 +346,9 @@ class TestGatherFailureModes:
         cache = ResultCache(tmp_path)
         study = _study()
         with pytest.raises(ShardRunComplete):
-            study.run(cache=cache, backend=ShardedBackend(0, 2))
+            study.run(cache=cache, shard=(0, 2))
         with pytest.raises(ShardRunComplete):
-            study.run(cache=cache, backend=ShardedBackend(1, 3))
+            study.run(cache=cache, shard=(1, 3))
         with pytest.raises(HarnessError, match="disagree on the partition"):
             study.gather(cache)
 
@@ -324,7 +357,7 @@ class TestGatherFailureModes:
         study = _study()
         _run_all_shards(study, cache, 2)
         with pytest.raises(ShardRunComplete):
-            study.run(cache=cache, backend=ShardedBackend(0, 3))
+            study.run(cache=cache, shard=(0, 3))
         with pytest.raises(HarnessError, match="duplicate manifests"):
             study.gather(cache)
 
@@ -447,9 +480,11 @@ class TestShardedExperiments:
     def test_gathered_artifact_byte_identical(self, tmp_path, driver, kwargs):
         serial = driver(**kwargs).render()
         cache = ResultCache(tmp_path)
+        # shards run the driver's registered study, as `experiment --shard` does
+        study = experiments.get_experiment(driver.__name__).build_study(**kwargs)
         for i in range(2):
             with pytest.raises(ShardRunComplete):
-                driver(**kwargs, cache=cache, backend=ShardedBackend(i, 2))
+                study.run(cache=cache, shard=(i, 2))
         manifests = load_manifests(cache, expected_shards=2)
         verify_manifest_entries(cache, manifests)
         gathered = driver(**kwargs, cache=ReplayCache(tmp_path)).render()
