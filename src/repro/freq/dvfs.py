@@ -11,6 +11,13 @@ The plan answers the two questions the rest of the simulator asks:
   *t*  (:meth:`FrequencyPlan.duration_for_cycles`), and
 * *observation*: what frequency would the sysfs logger read at time *t*
   (:meth:`FrequencyPlan.freq_at`, :meth:`FrequencyPlan.snapshot`).
+
+:meth:`FrequencyModel.plan` keeps only the stream's draws and the
+``round(t, 12)`` breakpoint dedup in its per-CPU loop, because each CPU's
+draws follow the previous CPU's in one stream and the dedup sets the size
+of the CPU's jitter draw.  Values, dip minima, p-state quantization and
+the collapse of equal segments run once over every CPU's breakpoints,
+elementwise as the per-CPU code computed them.
 """
 
 from __future__ import annotations
@@ -286,46 +293,87 @@ class FrequencyModel:
             s: spec.derate.sample_factor(load, rng) for s in socket_ids
         }
 
-        traces: dict[int, PiecewiseConstant] = {}
         horizon = window_end - window_start
-        for cpu in range(machine.n_cpus):
-            base = self.steady_target(governor, active_cores, cpu in busy_set)
-            base *= derate_by_socket.get(machine.hwthread(cpu).socket_id, 1.0)
-            # breakpoints: window start + jitter re-draws + dip edges
-            times = [window_start]
+        steady = {
+            busy: self.steady_target(governor, active_cores, busy)
+            for busy in (True, False)
+        }
+        sockets = [hw.socket_id for hw in machine.hwthreads]
+        # Python's round, not np.round, which can differ in the last bit
+        start_bp = round(window_start, 12)
+        dip_edges = {
+            s: [
+                round(t, 12)
+                for dip in socket_dips
+                for t in (dip.start, dip.start + dip.duration)
+                if t >= window_start
+            ]
+            for s, socket_dips in dips_by_socket.items()
+        }
+        jitter_lam = spec.jitter_rate * horizon
+        amplitude = spec.jitter_amplitude
+        poisson, random, uniform = rng.poisson, rng.random, rng.uniform
+
+        # per CPU, in cpu order: the stream's draws and the breakpoint dedup
+        # (window start + jitter re-draws + dip edges); the jitter block's
+        # size is the deduplicated breakpoint count
+        bases = [
+            steady[cpu in busy_set] * derate_by_socket.get(socket_id, 1.0)
+            for cpu, socket_id in enumerate(sockets)
+        ]
+        times: list[float] = []
+        sizes: list[int] = []
+        jitter_parts: list[np.ndarray] = []
+        for socket_id in sockets:
+            cpu_times = {start_bp, *dip_edges.get(socket_id, ())}
             if spec.jitter_rate > 0:
-                n_jit = int(rng.poisson(spec.jitter_rate * horizon))
+                n_jit = int(poisson(jitter_lam))
                 if n_jit:
-                    times.extend(
-                        (window_start + rng.random(n_jit) * horizon).tolist()
-                    )
-            socket_id = machine.hwthread(cpu).socket_id
-            cpu_dips = dips_by_socket.get(socket_id, ())
-            for dip in cpu_dips:
-                times.append(dip.start)
-                times.append(dip.start + dip.duration)
-            times = sorted({round(t, 12) for t in times if t >= window_start})
-            t_arr = np.asarray(times)
+                    # float arithmetic as the array expression window_start
+                    # + random(n) * horizon; never before window_start
+                    cpu_times.update([
+                        round(window_start + r * horizon, 12)
+                        for r in random(n_jit).tolist()
+                    ])
+            cpu_times = sorted(cpu_times)
+            if amplitude > 0:
+                jitter_parts.append(uniform(-amplitude, amplitude, size=len(cpu_times)))
+            times += cpu_times
+            sizes.append(len(cpu_times))
 
+        # one pass over every breakpoint of every cpu: the per-cpu
+        # expressions elementwise, so each value is bit-identical
+        t_all = np.asarray(times)
+        counts = np.asarray(sizes)
+        base = np.repeat(np.asarray(bases), counts)
+        socket = np.repeat(np.asarray(sockets), counts)
+        if amplitude > 0:
             # multiplier per segment: benign jitter (resampled at breakpoints)
-            if spec.jitter_amplitude > 0:
-                jitter = 1.0 + rng.uniform(
-                    -spec.jitter_amplitude, spec.jitter_amplitude, size=t_arr.size
-                )
-            else:
-                jitter = np.ones(t_arr.size)
-            values = base * jitter
-            # apply dips: segment value scaled by deepest overlapping dip
-            for dip in cpu_dips:
-                lo, hi = dip.start, dip.start + dip.duration
-                mask = (t_arr >= lo - 1e-12) & (t_arr < hi - 1e-12)
-                values[mask] = np.minimum(values[mask], base * jitter[mask] * dip.depth)
-            values = np.asarray(self._quantize(values), dtype=np.float64)
+            jitter = 1.0 + np.concatenate(jitter_parts)
+        else:
+            jitter = np.ones(t_all.size)
+        values = base * jitter
+        # apply dips: segment value scaled by deepest overlapping dip
+        for dip in dips:
+            lo, hi = dip.start, dip.start + dip.duration
+            mask = (socket == dip.socket_id) & (t_all >= lo - 1e-12) & (t_all < hi - 1e-12)
+            values[mask] = np.minimum(values[mask], base[mask] * jitter[mask] * dip.depth)
+        values = np.asarray(self._quantize(values), dtype=np.float64)
 
-            # collapse equal consecutive values to keep traces small
-            keep = np.ones(t_arr.size, dtype=bool)
-            keep[1:] = values[1:] != values[:-1]
-            traces[cpu] = PiecewiseConstant(t_arr[keep], values[keep])
+        # collapse equal consecutive values to keep traces small; every
+        # cpu keeps its first breakpoint, and its kept breakpoints stay
+        # strictly increasing (a sorted set's subsequence)
+        ends = np.cumsum(counts)
+        keep = np.ones(t_all.size, dtype=bool)
+        keep[1:] = values[1:] != values[:-1]
+        keep[ends - counts] = True
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        bounds[1:] = np.cumsum(keep)[ends - 1]
+        kept_t, kept_v = t_all[keep], values[keep]
+        traces = {
+            cpu: PiecewiseConstant(kept_t[lo:hi], kept_v[lo:hi], _valid=True)
+            for cpu, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        }
 
         return FrequencyPlan(
             machine,

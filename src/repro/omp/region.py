@@ -36,10 +36,12 @@ A single run is the ``R = 1`` case of the same code.  Each row reproduces
 the per-run arithmetic bit for bit: elementwise operations are identical,
 and a row reduction over a C-contiguous ``(R, n)`` array runs through the
 same pairwise-summation tree as a standalone ``(n,)`` array.  Noise
-windows are exact int64-nanosecond prefix-sum queries on
-:class:`~repro.sim.intervals.IntervalBatch`, frequency queries go through
-:class:`~repro.freq.dvfs.FrequencyPlanBatch`; both planes are rebuilt
-only when the team's cpuset changes.
+windows are exact int64-nanosecond prefix-sum queries on each run's
+per-CPU noise planes (:meth:`~repro.osnoise.model.NoiseRealization.stolen_plane`),
+queried in place with the team's CPUs as rows after the run is asked to
+cover the window end, so a re-placed team rebuilds no noise plane.
+Frequency queries go through :class:`~repro.freq.dvfs.FrequencyPlanBatch`,
+rebuilt only when the team's cpuset changes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.freq.dvfs import FrequencyPlanBatch
 from repro.omp.team import Team
 from repro.sched.balancer import StackingEpisode
-from repro.sim.intervals import IntervalBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.omp.runtime import RunContext
@@ -144,26 +145,20 @@ class RegionExecutor:
     # -- rep-axis planes ------------------------------------------------------
 
     def _use_team(self, team: Team) -> None:
-        """Point the noise planes at *team*'s cpuset (rebuilt on change).
+        """Point the frequency planes at *team*'s cpuset (rebuilt on change).
 
-        Rows are ``(run, thread)`` pairs in run-major order.  Sibling
-        pressure only matters where the SMT sibling is not a teammate, so
-        the sibling plane holds rows for those threads alone.
+        The noise planes have a row per machine CPU, so a new cpuset only
+        changes which rows are queried.  Sibling pressure only matters
+        where the SMT sibling is not a teammate, so only those threads'
+        rows are queried in the sibling plane.
         """
         if team.cpus == self._cpus:
             return
         self._cpus = team.cpus
         self._team_freq: FrequencyPlanBatch | None = None
         self._master_freq: FrequencyPlanBatch | None = None
-        self._stolen = IntervalBatch(
-            noise.stolen_on(cpu) for noise in self._noises for cpu in team.cpus
-        )
+        self._rows = np.asarray(team.cpus, dtype=np.int64)
         self._sib_cols = np.flatnonzero(~np.asarray(team.smt_shared, dtype=bool))
-        self._sibling = IntervalBatch(
-            noise.sibling_pressure_on(team.cpus[i])
-            for noise in self._noises
-            for i in self._sib_cols.tolist()
-        )
 
     def _team_plane(self, team: Team) -> FrequencyPlanBatch:
         self._use_team(team)
@@ -306,18 +301,20 @@ class RegionExecutor:
         base_end = np.max(starts + durations, axis=1) + sync_scaled
         window_end = base_end + 0.25 * (base_end - t) + 1e-6
 
-        # pass 2: noise + stacking within the window
-        stolen = self._stolen.overlap_fused(
-            starts.reshape(-1), np.repeat(window_end, n)
-        ).reshape(n_runs, n)
+        # pass 2: noise + stacking within the window; each run's planes
+        # cover its window end first, which makes them exact up to there
+        stolen = np.empty((n_runs, n))
         sibling = np.zeros((n_runs, n))
-        cols = self._sib_cols
-        if cols.size:
-            # pressure only matters when the sibling is otherwise free
-            sib = self._sibling.overlap_fused(
-                starts[:, cols].reshape(-1), np.repeat(window_end, cols.size)
-            )
-            sibling[:, cols] = sib.reshape(n_runs, cols.size) * p.smt_noise_penalty
+        rows, cols = self._rows, self._sib_cols
+        for r, (noise, end) in enumerate(zip(self._noises, window_end.tolist())):
+            ends = np.full(n, end)
+            stolen[r] = noise.stolen_plane(end).overlap_fused(starts[r], ends, rows)
+            if cols.size:
+                # pressure only matters when the sibling is otherwise free
+                sib = noise.sibling_plane(end).overlap_fused(
+                    starts[r, cols], ends[: cols.size], rows[cols]
+                )
+                sibling[r, cols] = sib * p.smt_noise_penalty
         stacking = self._stacking(stacking_episodes, starts, window_end)
 
         per_thread_delay = sibling + stacking

@@ -15,6 +15,7 @@ from repro.osnoise.source import (
     NoiseEvent,
     NoiseSource,
     PoissonSource,
+    TickBlock,
     TimerTickSource,
     placed,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "NoiseEvent",
     "NoiseSource",
     "PoissonSource",
+    "TickBlock",
     "TimerTickSource",
     "placed",
     "PlacementPolicy",

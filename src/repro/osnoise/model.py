@@ -12,14 +12,21 @@ places unassigned events, and compiles the result into a
   retires instructions more slowly (see the SMT penalty in the region
   executor).
 
+Both are answered from planes: one :class:`~repro.sim.intervals.IntervalBatch`
+row per machine CPU, queried in place by the region executor
+(:meth:`NoiseRealization.stolen_plane`, :meth:`NoiseRealization.sibling_plane`).
+
 Performance note: a full-scale schedbench run on the Dardel model realizes
-on the order of a million timer ticks, so the realization keeps events in
-flat NumPy arrays (start, duration, cpu, kind-code) and materializes
-per-CPU :class:`~repro.sim.intervals.IntervalSet` objects lazily.
+on the order of a million timer ticks, yet a region run reaches only part
+of its horizon.  The realization therefore keeps the non-tick events in
+flat NumPy arrays and the ticks as :class:`~repro.osnoise.source.TickBlock`
+s (every duration drawn, starts computed on demand), and builds the planes
+only up to the time the run's windows reach, growing them as it advances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,9 +35,13 @@ import numpy as np
 from repro.errors import NoiseModelError
 from repro.obs.tracer import CPU_TRACK_BASE, Tracer
 from repro.osnoise.placement import IdleFirstPlacement, PlacementPolicy
-from repro.osnoise.source import NoiseEvent, NoiseSource
-from repro.sim.intervals import IntervalSet
+from repro.osnoise.source import NoiseEvent, NoiseSource, TickBlock, TimerTickSource
+from repro.sim.intervals import IntervalBatch, IntervalSet
 from repro.topology.hwthread import Machine
+from repro.units import to_sim_ns, to_sim_ns_array
+
+_NONE = np.empty(0)
+_NO_CPUS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,12 +55,23 @@ class PlacedEvent:
 
 
 class NoiseRealization:
-    """All noise of one run window, indexed for fast per-CPU queries."""
+    """All noise of one run window, indexed for per-CPU window queries.
+
+    Events are kept flat: the non-tick events as arrays ``(starts,
+    durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  Queries
+    go to two planes whose rows are CPUs (:class:`IntervalBatch`): the
+    stolen plane, built over the non-tick events and the ticks expanded
+    to a *covered* time, and the sibling plane, which copies each stolen
+    interval onto its CPU's SMT siblings' rows.  A plane is exact for
+    every window ending by the covered time (:meth:`stolen_plane`).
+    """
 
     def __init__(self, machine: Machine, events: Sequence[PlacedEvent] | None = None,
-                 *, arrays: tuple[np.ndarray, np.ndarray, np.ndarray, list[str]] | None = None):
+                 *, arrays: tuple[np.ndarray, np.ndarray, np.ndarray, list[str]] | None = None,
+                 ticks: Sequence[TickBlock] = ()):
         """Construct from a list of :class:`PlacedEvent` (tests, small runs)
-        or from flat arrays ``(starts, durations, cpus, kinds)`` (fast path).
+        or from flat arrays ``(starts, durations, cpus, kinds)`` (fast
+        path), plus the tick blocks of the run's tick sources.
         """
         self.machine = machine
         if arrays is not None:
@@ -64,71 +86,178 @@ class NoiseRealization:
             self._durations = np.asarray([e.duration for e in events], dtype=np.float64)
             self._cpus = np.asarray([e.cpu for e in events], dtype=np.int64)
             self._kinds = [e.kind for e in events]
+        self._ticks = tuple(ticks)
         if not (
             self._starts.shape == self._durations.shape == self._cpus.shape
             and len(self._kinds) == self._starts.size
         ):
             raise NoiseModelError("inconsistent noise arrays")
-        if self._cpus.size and (
-            self._cpus.min() < 0 or self._cpus.max() >= machine.n_cpus
-        ):
-            bad = self._cpus[(self._cpus < 0) | (self._cpus >= machine.n_cpus)][0]
-            raise NoiseModelError(f"event on unknown cpu {int(bad)}")
-        self._stolen: dict[int, IntervalSet] = {}
-        self._sibling: dict[int, IntervalSet] = {}
-        # pre-sort by cpu for O(log n) per-cpu slicing
-        order = np.argsort(self._cpus, kind="stable")
-        self._sorted_starts = self._starts[order]
-        self._sorted_durations = self._durations[order]
-        self._sorted_cpus = self._cpus[order]
+        if np.any(self._durations < 0):
+            raise NoiseModelError("negative noise event duration")
+        for cpus in [self._cpus] + [block.cpus for block in self._ticks]:
+            bad = cpus[(cpus < 0) | (cpus >= machine.n_cpus)]
+            if bad.size:
+                raise NoiseModelError(f"event on unknown cpu {int(bad[0])}")
+        # past this time every tick is expanded (-inf without ticks)
+        self._tick_end = max(
+            (float(np.max(b.first + b.period * b.counts)) for b in self._ticks if len(b)),
+            default=-math.inf,
+        )
+        self._covered = -math.inf
+        self._stolen: IntervalBatch | None = None
+        # the ticks the last growth added, for the sibling plane to follow
+        self._added: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._sibling: IntervalBatch | None = None
+        self._sibling_covered = -math.inf
+        self._stolen_rows: dict[int, IntervalSet] = {}
+        self._sibling_rows: dict[int, IntervalSet] = {}
 
     # -- event access (lazy object materialization) ---------------------------
 
+    def _arrays(self, reach: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, durations, cpus)`` of the ticks expanded to *reach*
+        (:meth:`TickBlock.expand`), then every non-tick event."""
+        parts = [block.expand(reach) for block in self._ticks]
+        parts.append((self._starts, self._durations, self._cpus))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def _kinds_until(self, reach: float = math.inf) -> list[str]:
+        """Kinds of the events :meth:`_arrays` returns for *reach*."""
+        kinds = []
+        for block in self._ticks:
+            kinds += [block.kind] * int(block.reach_counts(reach).sum())
+        return kinds + self._kinds
+
     @property
     def events(self) -> tuple[PlacedEvent, ...]:
+        """Every event: ticks first, then the rest in sampling order."""
+        starts, durations, cpus = self._arrays()
         return tuple(
             PlacedEvent(float(s), float(d), k, int(c))
-            for s, d, k, c in zip(self._starts, self._durations, self._kinds, self._cpus)
+            for s, d, k, c in zip(starts, durations, self._kinds_until(), cpus)
         )
 
     @property
     def n_events(self) -> int:
-        return int(self._starts.size)
+        return int(self._starts.size) + sum(len(block) for block in self._ticks)
 
     def events_on(self, cpu: int) -> tuple[PlacedEvent, ...]:
         return tuple(e for e in self.events if e.cpu == cpu)
 
     def count_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
+        for block in self._ticks:
+            out[block.kind] = out.get(block.kind, 0) + len(block)
         for k in self._kinds:
             out[k] = out.get(k, 0) + 1
         return out
 
-    # -- interval queries ---------------------------------------------------------
+    # -- planes ------------------------------------------------------------------
 
-    def _slice_cpu(self, cpu: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = int(np.searchsorted(self._sorted_cpus, cpu, side="left"))
-        hi = int(np.searchsorted(self._sorted_cpus, cpu, side="right"))
-        return self._sorted_starts[lo:hi], self._sorted_durations[lo:hi]
+    def _hull(self) -> tuple[int, int]:
+        """Int64-ns bounds of every event, unexpanded ticks included: the
+        planes' fixed row span, so growth merges into existing keys."""
+        lo, hi = [], []
+        if self._starts.size:
+            lo.append(float(self._starts.min()))
+            hi.append(float((self._starts + self._durations).max()))
+        for block in self._ticks:
+            if len(block):
+                block_lo, block_hi = block.bounds()
+                lo.append(block_lo)
+                hi.append(block_hi)
+        return (to_sim_ns(min(lo)), to_sim_ns(max(hi))) if lo else (0, 0)
+
+    def _cover(self, reach: float) -> None:
+        """Grow the stolen plane if windows may end past the covered time.
+
+        Coverage at least doubles per growth, so a run whose queries
+        advance through its horizon grows O(log) times.  A growth expands
+        only the ticks it adds and merges them into the plane.
+        """
+        if reach <= self._covered:
+            return
+        covered = max(reach, 2.0 * self._covered)
+        if covered >= self._tick_end:
+            covered = math.inf  # every tick is in: the plane is final
+        parts = [block.expand(covered, self._covered) for block in self._ticks]
+        parts.append((_NONE, _NONE, _NO_CPUS))  # defined without tick blocks too
+        starts, durations, cpus = (np.concatenate(column) for column in zip(*parts))
+        starts, ends = to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
+        if self._stolen is None:  # the first plane holds every non-tick event
+            self._stolen = IntervalBatch.from_rows(
+                self.machine.n_cpus,
+                np.concatenate((cpus, self._cpus)),
+                np.concatenate((starts, to_sim_ns_array(self._starts))),
+                np.concatenate((ends, to_sim_ns_array(self._starts + self._durations))),
+                hull=self._hull(),
+            )
+        else:
+            self._stolen = self._stolen.merged(cpus, starts, ends)
+        self._added = (self._covered, cpus, starts, ends)
+        self._covered = covered
+
+    def stolen_plane(self, reach: float = math.inf) -> IntervalBatch:
+        """Stolen intervals, one row per CPU, exact for every window that
+        ends by *reach* (every window for the default).
+
+        Exactness: an interval left out of the plane is a tick starting
+        at or after the covered time, and nanosecond quantization is
+        monotone, so it cannot meet a window ``[a, b)`` with ``b`` at or
+        before that time; merged in, it could only extend intervals past
+        ``b``.  Overlaps are differences of exact integer prefix sums, so
+        the answer is the full-horizon answer bit for bit.
+        """
+        self._cover(reach)
+        return self._stolen
+
+    def sibling_plane(self, reach: float = math.inf) -> IntervalBatch:
+        """Sibling pressure, one row per CPU: row *c* holds the stolen
+        intervals of *c*'s SMT siblings, exact as :meth:`stolen_plane`.
+
+        Built on first need from the stolen plane; one growth behind, it
+        merges in copies of the ticks that growth added (a union of
+        copies is the copy of the union)."""
+        stolen = self.stolen_plane(reach)
+        if self._sibling_covered != self._covered:
+            since, cpus, starts, ends = self._added
+            if self._sibling is not None and self._sibling_covered == since:
+                self._sibling = self._sibling.merged(*self._sibling_copies(cpus, starts, ends))
+            else:
+                self._sibling = IntervalBatch.from_rows(
+                    self.machine.n_cpus,
+                    *self._sibling_copies(*stolen.intervals_ns()),
+                    hull=stolen.hull,
+                )
+            self._sibling_covered = self._covered
+        return self._sibling
+
+    def _sibling_copies(
+        self, cpus: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each interval once per SMT sibling of its CPU, on the sibling's
+        row (the machine's sibling map)."""
+        ptr, idx = self.machine.sibling_table
+        first = ptr[cpus]
+        degree = ptr[cpus + 1] - first
+        copy = np.repeat(np.arange(cpus.size), degree)
+        k = np.arange(copy.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        return idx[first[copy] + k], starts[copy], ends[copy]
+
+    # -- full-horizon interval queries --------------------------------------------
 
     def stolen_on(self, cpu: int) -> IntervalSet:
         """Intervals during which *cpu* runs OS work (thread fully stalled)."""
-        cached = self._stolen.get(cpu)
+        cached = self._stolen_rows.get(cpu)
         if cached is None:
-            starts, durations = self._slice_cpu(cpu)
-            cached = IntervalSet.from_events(starts, durations)
-            self._stolen[cpu] = cached
+            cached = self._stolen_rows[cpu] = self.stolen_plane().row(cpu)
         return cached
 
     def sibling_pressure_on(self, cpu: int) -> IntervalSet:
         """Intervals during which any SMT sibling of *cpu* runs OS work."""
-        cached = self._sibling.get(cpu)
+        cached = self._sibling_rows.get(cpu)
         if cached is None:
-            result = IntervalSet.empty()
-            for s in self.machine.siblings_of(cpu):
-                result = result.union(self.stolen_on(s))
-            cached = result
-            self._sibling[cpu] = cached
+            cached = self._sibling_rows[cpu] = self.sibling_plane().row(cpu)
         return cached
 
     def total_stolen(self, cpu: int, t_start: float, t_end: float) -> float:
@@ -154,31 +283,32 @@ class NoiseRealization:
         """
         if not tracer.enabled:
             return 0
+        # every tick starting before t_end, then the non-tick events
+        all_starts, all_durations, all_cpus = self._arrays(t_end)
+        kinds = self._kinds_until(t_end)
         emitted = 0
         for cpu in sorted(set(int(c) for c in cpus)):
             tid = CPU_TRACK_BASE + cpu
             tracer.thread_name(tid, f"cpu {cpu} os-noise")
             mask = (
-                (self._cpus == cpu)
-                & (self._starts < t_end)
-                & (self._starts + self._durations > t_start)
+                (all_cpus == cpu)
+                & (all_starts < t_end)
+                & (all_starts + all_durations > t_start)
             )
             for j in np.nonzero(mask)[0].tolist():
-                s = max(t_start, float(self._starts[j]))
-                e = min(t_end, float(self._starts[j] + self._durations[j]))
-                tracer.span(tid, self._kinds[j], s, e, cat="osnoise")
+                s = max(t_start, float(all_starts[j]))
+                e = min(t_end, float(all_starts[j] + all_durations[j]))
+                tracer.span(tid, kinds[j], s, e, cat="osnoise")
                 emitted += 1
         return emitted
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NoiseRealization):
             return NotImplemented
-        return (
-            np.array_equal(self._starts, other._starts)
-            and np.array_equal(self._durations, other._durations)
-            and np.array_equal(self._cpus, other._cpus)
-            and self._kinds == other._kinds
-        )
+        return all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self._arrays(), other._arrays())
+        ) and self._kinds_until() == other._kinds_until()
 
 
 class NoiseModel:
@@ -213,6 +343,7 @@ class NoiseModel:
         dur_parts: list[np.ndarray] = []
         cpu_parts: list[np.ndarray] = []
         kinds: list[str] = []
+        ticks: list[TickBlock] = []
         unplaced: list[NoiseEvent] = []
         def _append_events(evs) -> None:
             """Flush a block of assigned events as flat arrays (one append
@@ -223,6 +354,9 @@ class NoiseModel:
             kinds.extend(e.kind for e in evs)
 
         for source in self.sources:
+            if isinstance(source, TimerTickSource):
+                ticks.append(source.sample_block(t_start, t_end, busy_cpus, rng))
+                continue
             sampled = source.sample_arrays(t_start, t_end, busy_cpus, rng)
             if sampled is not None:
                 s, d, c, kind = sampled
@@ -258,5 +392,5 @@ class NoiseModel:
             durations = np.empty(0)
             cpus = np.empty(0, dtype=np.int64)
         return NoiseRealization(
-            self.machine, arrays=(starts, durations, cpus, kinds)
+            self.machine, arrays=(starts, durations, cpus, kinds), ticks=ticks
         )

@@ -14,6 +14,7 @@ over a time window.  Two families cover everything the reproduction needs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -106,50 +107,116 @@ class TimerTickSource(NoiseSource):
         if self.duration_jitter > self.duration_mean:
             raise NoiseModelError("tick jitter exceeds mean (negative durations)")
 
-    def _sample_impl(
-        self, t_start, t_end, busy_cpus, rng
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample_block(self, t_start, t_end, busy_cpus, rng) -> "TickBlock":
+        """All ticks of ``[t_start, t_end)`` as a :class:`TickBlock`.
+
+        The draw-order contract: per busy CPU, in order, one ``random()``
+        phase and, when the CPU ticks at all, one ``uniform(size=n)`` block
+        of its *n* tick durations.  Every duration is drawn here, so the
+        generator leaves in the same state however far the block is later
+        expanded.
+        """
         if t_end < t_start:
             raise NoiseModelError("window end before start")
         period = 1.0 / self.hz
-        starts_parts: list[np.ndarray] = []
+        low = self.duration_mean - self.duration_jitter
+        high = self.duration_mean + self.duration_jitter
+        random, uniform = rng.random, rng.uniform
+        cpus: list[int] = []
+        first: list[float] = []
+        counts: list[int] = []
         dur_parts: list[np.ndarray] = []
-        cpu_parts: list[np.ndarray] = []
         for cpu in busy_cpus:
             # per-cpu phase offset: ticks are not synchronized across cpus
-            phase = rng.random() * period
-            first = t_start + phase
-            n = int(max(0.0, np.floor((t_end - first) / period)) + 1) if first < t_end else 0
-            if n <= 0:
+            start = t_start + random() * period
+            if start >= t_end:
                 continue
-            starts = first + period * np.arange(n)
-            durations = rng.uniform(
-                self.duration_mean - self.duration_jitter,
-                self.duration_mean + self.duration_jitter,
-                size=n,
-            )
-            starts_parts.append(starts)
-            dur_parts.append(durations)
-            cpu_parts.append(np.full(n, int(cpu), dtype=np.int64))
-        if not starts_parts:
-            empty = np.empty(0)
-            return empty, empty.copy(), np.empty(0, dtype=np.int64)
-        return (
-            np.concatenate(starts_parts),
-            np.concatenate(dur_parts),
-            np.concatenate(cpu_parts),
+            n = max(0, math.floor((t_end - start) / period)) + 1
+            dur_parts.append(uniform(low, high, size=n))
+            cpus.append(int(cpu))
+            first.append(start)
+            counts.append(n)
+        return TickBlock(
+            kind=self.kind,
+            period=period,
+            cpus=np.asarray(cpus, dtype=np.int64),
+            first=np.asarray(first, dtype=np.float64),
+            counts=np.asarray(counts, dtype=np.int64),
+            durations=np.concatenate(dur_parts) if dur_parts else np.empty(0),
         )
 
     def sample(self, t_start, t_end, busy_cpus, rng):
-        starts, durations, cpus = self._sample_impl(t_start, t_end, busy_cpus, rng)
+        starts, durations, cpus = self.sample_block(t_start, t_end, busy_cpus, rng).expand()
         return [
             NoiseEvent(float(s), float(d), self.kind, cpu=int(c))
             for s, d, c in zip(starts, durations, cpus)
         ]
 
     def sample_arrays(self, t_start, t_end, busy_cpus, rng):
-        starts, durations, cpus = self._sample_impl(t_start, t_end, busy_cpus, rng)
+        starts, durations, cpus = self.sample_block(t_start, t_end, busy_cpus, rng).expand()
         return starts, durations, cpus, self.kind
+
+
+@dataclass(frozen=True, eq=False)
+class TickBlock:
+    """The periodic ticks of one :class:`TimerTickSource` realization.
+
+    CPU ``cpus[i]`` ticks at ``first[i] + period * k`` for ``k <
+    counts[i]``; its tick ``k`` lasts ``durations[offset_i + k]``, where
+    ``offset_i`` sums the counts of the CPUs before it.  Tick starts are
+    computed, not stored, so a run that reaches only part of its horizon
+    expands only that part (:meth:`expand`).
+    """
+
+    kind: str
+    period: float
+    cpus: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
+    durations: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.durations.size)
+
+    def reach_counts(self, reach: float = math.inf) -> np.ndarray:
+        """Per CPU, how many ticks :meth:`expand` keeps for *reach*."""
+        if reach == math.inf:
+            return self.counts
+        return np.clip(
+            np.ceil((reach - self.first) / self.period) + 1, 0, self.counts
+        ).astype(np.int64)
+
+    def expand(
+        self, reach: float = math.inf, after: float = -math.inf
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, durations, cpus)`` of the ticks that can meet a
+        window ending by *reach* and were not expanded for *after*, CPU
+        block by CPU block in tick order; all ticks by default.
+
+        Each CPU keeps its ticks with index below ``ceil((reach - first) /
+        period) + 1`` (:meth:`reach_counts`): an omitted tick starts at
+        least a period past *reach* in exact arithmetic, far beyond any
+        float rounding of ``first + period * k``.  Kept starts are that
+        expression elementwise, as the full expansion computes them.
+        """
+        done = self.reach_counts(after) if after != -math.inf else 0
+        sizes = np.maximum(self.reach_counts(reach) - done, 0)
+        total = int(sizes.sum())
+        # tick index k within its CPU block, and the block's duration offset
+        block_start = np.cumsum(sizes) - sizes
+        k = np.arange(total) - np.repeat(block_start - done, sizes)
+        offsets = np.cumsum(self.counts) - self.counts
+        starts = np.repeat(self.first, sizes) + self.period * k
+        durations = self.durations[np.repeat(offsets, sizes) + k]
+        return starts, durations, np.repeat(self.cpus, sizes)
+
+    def bounds(self) -> tuple[float, float]:
+        """``(lo, hi)`` with every tick inside ``[lo, hi]``: the first
+        start, and the last start plus the longest duration (float
+        addition is monotone, so no tick's ``start + duration`` exceeds
+        it)."""
+        last = self.first + self.period * (self.counts - 1)
+        return float(self.first.min()), float(last.max() + self.durations.max())
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ tracer's simulated-nanosecond time base (:func:`repro.units.to_sim_ns`),
 quantized once per set and once per query window; measures come back in
 seconds.  Overlaps difference exact prefix sums of interval lengths: O(log
 L) per query, and independent of how queries are grouped or batched.
+
+:class:`IntervalBatch` holds many rows in one flat plane under a
+row-major int64 sort key.  One builder (:meth:`IntervalBatch.from_rows`)
+sorts and merges every row in a single pass, :meth:`IntervalBatch.merged`
+adds intervals to a plane with a fixed hull, and one ``searchsorted``
+answers a query per row.  The noise model keeps one row per CPU.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ import numpy as np
 from repro.units import NS_PER_SEC, to_sim_ns, to_sim_ns_array
 
 __all__ = ["IntervalBatch", "IntervalSet"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class IntervalSet:
@@ -187,50 +196,143 @@ class IntervalSet:
 
 
 class IntervalBatch:
-    """Rows of :class:`IntervalSet` answering one overlap query each.
+    """Rows of :class:`IntervalSet` in one flat plane, answering one overlap
+    query per window.
 
-    One flat plane holds every row's endpoints, row ``k`` shifted by ``k``
-    times a span wider than the hull of all rows, and one running sum of
-    lengths.  A window end clamped to the hull and shifted alike falls in
-    its own row, so a ``searchsorted`` per window end finds the two exact
-    prefix sums whose difference is :meth:`IntervalSet.overlap` of the row.
+    Row ``k``'s endpoints are shifted by ``k * span - lo``, where
+    ``[lo, hi]`` is the hull of every row and ``span = hi - lo + 1``, so
+    the shifted endpoints are one CPU-major sort key: every row sorts
+    before the next, and one merge pass normalizes all rows at once
+    without ever joining two of them.  One running sum of lengths follows.
+    A window end clamped to the hull and shifted alike falls in its own
+    row, so a ``searchsorted`` per window end finds the two exact prefix
+    sums whose difference is :meth:`IntervalSet.overlap` of the row.
     """
 
-    __slots__ = ("_lo", "_hi", "_shift", "_starts", "_ends", "_cum")
+    __slots__ = ("_n_rows", "_lo", "_hi", "_span", "_starts", "_ends", "_cum")
 
     def __init__(self, sets: Iterable["IntervalSet"]):
         sets = tuple(sets)
-        self._lo = min((int(s.starts[0]) for s in sets if len(s)), default=0)
-        self._hi = max((int(s.ends[-1]) for s in sets if len(s)), default=0)
-        span = self._hi - self._lo + 1
-        self._shift = np.arange(len(sets), dtype=np.int64) * span - self._lo
-        n = sum(len(s) for s in sets)
-        self._starts = np.empty(n, dtype=np.int64)
+        rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        starts = np.concatenate([s.starts for s in sets] or [_EMPTY])
+        ends = np.concatenate([s.ends for s in sets] or [_EMPTY])
+        self._fill(len(sets), None, rows, starts, ends)
+
+    @classmethod
+    def from_rows(
+        cls,
+        n_rows: int,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        hull: tuple[int, int] | None = None,
+    ) -> "IntervalBatch":
+        """The plane of int64-ns intervals ``[starts[i], ends[i])`` on row
+        ``rows[i]``: unsorted, overlapping and empty intervals are allowed,
+        and row ``k`` answers as ``IntervalSet`` of its own intervals.
+
+        *hull* ``(lo, hi)`` fixes the row span instead of the intervals'
+        own hull; it must contain every interval, including those a later
+        :meth:`merged` adds.
+        """
+        batch = cls.__new__(cls)
+        batch._fill(n_rows, hull, rows, starts, ends)
+        return batch
+
+    def merged(self, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> "IntervalBatch":
+        """A new plane holding this plane's intervals and the given ones
+        (as :meth:`from_rows`), which must lie inside this plane's hull."""
+        batch = IntervalBatch.__new__(IntervalBatch)
+        batch._fill(self._n_rows, (self._lo, self._hi), rows, starts, ends, self)
+        return batch
+
+    def _fill(
+        self,
+        n_rows: int,
+        hull: tuple[int, int] | None,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        base: "IntervalBatch | None" = None,
+    ) -> None:
+        keep = ends > starts
+        if not keep.all():
+            rows, starts, ends = rows[keep], starts[keep], ends[keep]
+        if hull is None:
+            hull = (int(starts.min()), int(ends.max())) if starts.size else (0, 0)
+        elif starts.size and (int(starts.min()) < hull[0] or int(ends.max()) > hull[1]):
+            raise ValueError(f"intervals outside the plane's hull {hull}")
+        lo, hi = hull
+        span = hi - lo + 1
+        # the sort key of the last row's last end must not wrap int64
+        if n_rows * span > _INT64_MAX:
+            raise OverflowError(
+                f"{n_rows} rows x {span} ns exceed the int64 plane key"
+            )
+        shift = np.asarray(rows, dtype=np.int64) * span
+        shift -= lo
+        flat_starts, flat_ends = starts + shift, shift
+        flat_ends += ends
+        if base is not None:  # already normalized, in the same keys
+            flat_starts = np.concatenate((base._starts, flat_starts))
+            flat_ends = np.concatenate((base._ends[1:], flat_ends))
+        flat_starts, flat_ends = _normalize(flat_starts, flat_ends)
+        self._n_rows, self._lo, self._hi, self._span = n_rows, lo, hi, span
+        self._starts = flat_starts
         # _ends[i + 1] ends flat interval i; _ends[0] = 0 precedes any query
-        self._ends = np.zeros(n + 1, dtype=np.int64)
-        self._cum = np.zeros(n + 1, dtype=np.int64)
-        pos = 0
-        for s, shift in zip(sets, self._shift.tolist()):
-            end = pos + len(s)
-            np.add(s.starts, shift, out=self._starts[pos:end])
-            np.add(s.ends, shift, out=self._ends[pos + 1 : end + 1])
-            pos = end
-        np.subtract(self._ends[1:], self._starts, out=self._cum[1:])
+        self._ends = np.empty(flat_starts.size + 1, dtype=np.int64)
+        self._ends[0] = 0
+        self._ends[1:] = flat_ends
+        self._cum = np.empty(flat_starts.size + 1, dtype=np.int64)
+        self._cum[0] = 0
+        np.subtract(flat_ends, flat_starts, out=self._cum[1:])
         np.cumsum(self._cum[1:], out=self._cum[1:])
 
     def __len__(self) -> int:
-        return int(self._shift.size)
+        return self._n_rows
 
-    def _before(self, t: np.ndarray) -> np.ndarray:
-        """Measure of row ``k`` before ``t[k]`` seconds, in ns, per row."""
-        x = np.clip(to_sim_ns_array(t), self._lo, self._hi)
-        x += self._shift
+    @property
+    def hull(self) -> tuple[int, int]:
+        """``(lo, hi)`` in int64 ns: every interval of every row lies inside."""
+        return self._lo, self._hi
+
+    def _bounds(self, row: int) -> tuple[int, int]:
+        """Flat index range of *row*'s intervals."""
+        base = row * self._span
+        lo, hi = np.searchsorted(self._starts, (base, base + self._span))
+        return int(lo), int(hi)
+
+    def row(self, row: int) -> IntervalSet:
+        """Row *row* as an :class:`IntervalSet`."""
+        i, j = self._bounds(row)
+        shift = row * self._span - self._lo
+        return IntervalSet(
+            self._starts[i:j] - shift, self._ends[i + 1 : j + 1] - shift, _ns=True
+        )
+
+    def intervals_ns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, starts, ends)`` of every interval, unshifted int64 ns."""
+        rows = self._starts // self._span
+        shift = rows * self._span - self._lo
+        return rows, self._starts - shift, self._ends[1:] - shift
+
+    def overlap_fused(
+        self, a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``sets[rows[k]].overlap(a[k], b[k])`` per query, bit-identical;
+        *rows* defaults to one query per row, in row order."""
+        if rows is None:
+            rows = np.arange(self._n_rows)
+        # both window edges in one pass: x[0] holds a, x[1] holds b
+        x = to_sim_ns_array((a, b))
+        np.maximum(x, self._lo, out=x)  # clamp to the hull (np.clip is slower)
+        np.minimum(x, self._hi, out=x)
+        x += np.asarray(rows, dtype=np.int64) * self._span - self._lo
+        # measure of each queried row before x, as a global prefix sum in
+        # ns; differences within one row are exact
         i = np.searchsorted(self._starts, x, side="right")
-        return self._cum[i] - np.maximum(self._ends[i] - x, 0)
-
-    def overlap_fused(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-row ``sets[k].overlap(a[k], b[k])``, bit-identical."""
-        return np.maximum(self._before(b) - self._before(a), 0) / NS_PER_SEC
+        before = self._cum[i] - np.maximum(self._ends[i] - x, 0)
+        return np.maximum(before[1] - before[0], 0) / NS_PER_SEC
 
 
 def _normalize(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,15 +346,18 @@ def _normalize(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.nda
     dominant cost of building per-CPU interval sets.)
     """
     keep = ends > starts
-    starts, ends = starts[keep], ends[keep]
+    if not keep.all():
+        starts, ends = starts[keep], ends[keep]
     if starts.size == 0:
         return starts, ends
     order = np.argsort(starts, kind="stable")
     starts, ends = starts[order], ends[order]
-    reach = np.maximum.accumulate(ends)
+    reach = np.maximum.accumulate(ends, out=ends)
     head = np.empty(starts.size, dtype=bool)
     head[0] = True
-    head[1:] = starts[1:] > reach[:-1]
+    np.greater(starts[1:], reach[:-1], out=head[1:])
     head_idx = np.flatnonzero(head)
-    last_idx = np.append(head_idx[1:] - 1, starts.size - 1)
-    return starts[head_idx].copy(), reach[last_idx].copy()
+    last_idx = np.empty_like(head_idx)
+    np.subtract(head_idx[1:], 1, out=last_idx[:-1])
+    last_idx[-1] = starts.size - 1
+    return starts[head_idx], reach[last_idx]

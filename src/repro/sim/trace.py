@@ -45,17 +45,22 @@ class PiecewiseConstant:
 
     __slots__ = ("times", "values", "_lists")
 
-    def __init__(self, times: Sequence[float], values: Sequence[float]):
-        t = np.asarray(times, dtype=np.float64)
-        v = np.asarray(values, dtype=np.float64)
-        if t.ndim != 1 or v.ndim != 1:
-            raise TraceError("times and values must be one-dimensional")
-        if t.size == 0:
-            raise TraceError("a trace needs at least one breakpoint")
-        if t.size != v.size:
-            raise TraceError(f"length mismatch: {t.size} times vs {v.size} values")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise TraceError("breakpoints must be strictly increasing")
+    def __init__(
+        self, times: Sequence[float], values: Sequence[float], *, _valid: bool = False
+    ):
+        if _valid:  # float64 arrays the caller built valid, kept as is
+            t, v = times, values
+        else:
+            t = np.asarray(times, dtype=np.float64)
+            v = np.asarray(values, dtype=np.float64)
+            if t.ndim != 1 or v.ndim != 1:
+                raise TraceError("times and values must be one-dimensional")
+            if t.size == 0:
+                raise TraceError("a trace needs at least one breakpoint")
+            if t.size != v.size:
+                raise TraceError(f"length mismatch: {t.size} times vs {v.size} values")
+            if t.size > 1 and not np.all(np.diff(t) > 0):
+                raise TraceError("breakpoints must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_lists", None)

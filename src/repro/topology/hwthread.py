@@ -10,6 +10,7 @@ order (so core *c* owns CPUs ``{c, c + ncores}`` on an SMT-2 machine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -151,6 +152,16 @@ class Machine:
         """The other hardware threads sharing this CPU's core."""
         core = self.core_of(cpu_id)
         return tuple(c for c in core.cpu_ids if c != cpu_id)
+
+    @cached_property
+    def sibling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`siblings_of` for every cpu as int64 CSR arrays ``(ptr,
+        idx)``: cpu *c*'s siblings are ``idx[ptr[c]:ptr[c + 1]]``."""
+        siblings = [self.siblings_of(c) for c in range(self.n_cpus)]
+        ptr = np.zeros(self.n_cpus + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in siblings], out=ptr[1:])
+        idx = np.asarray([c for s in siblings for c in s], dtype=np.int64)
+        return ptr, idx
 
     def all_cpus(self) -> CpuSet:
         return CpuSet(range(self.n_cpus))

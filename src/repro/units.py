@@ -41,7 +41,9 @@ def to_sim_ns(seconds: float) -> int:
 
 def to_sim_ns_array(seconds) -> np.ndarray:
     """Elementwise :func:`to_sim_ns` as an int64 array, rounding identically."""
-    return np.rint(np.asarray(seconds, dtype=np.float64) * NS_PER_SEC).astype(np.int64)
+    ns = np.array(seconds, dtype=np.float64)  # a fresh copy, scaled in place
+    ns *= NS_PER_SEC
+    return np.rint(ns, out=ns).astype(np.int64)
 
 
 def us(value: float) -> float:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FrequencyError
 from repro.freq import (
@@ -259,6 +261,116 @@ class TestFrequencyModel:
         # 2 active cores -> 3.0 GHz everywhere, not the 8-core 2.2 GHz floor
         assert plan.freq_at(0, 0.5) == pytest.approx(ghz(3.0))
         assert plan.freq_at(7, 0.5) == pytest.approx(ghz(3.0))
+
+
+def reference_traces(model, window_start, window_end, active_cpus, governor, rng,
+                     machine_wide=False):
+    """The per-CPU plan loop as it was before the one-pass build, kept as
+    the oracle of :meth:`FrequencyModel.plan`'s traces and draws."""
+    machine, spec = model.machine, model.spec
+    active = list(dict.fromkeys(active_cpus))
+    active_cores = machine.cores_spanned(active) if active else 0
+    if machine_wide:
+        cross_numa = machine.numa_span(range(machine.n_cpus)) > 1
+        busy_set = set(range(machine.n_cpus))
+        socket_ids = tuple(s.socket_id for s in machine.sockets)
+    else:
+        cross_numa = machine.numa_span(active) > 1 if active else False
+        busy_set = set(active)
+        socket_ids = tuple(
+            sorted({machine.hwthread(c).socket_id for c in active})
+        ) or tuple(s.socket_id for s in machine.sockets)
+    occupancy = (active_cores / machine.n_cores) if active else None
+    dips = spec.dips.sample(
+        window_start, window_end, socket_ids, cross_numa, rng, occupancy=occupancy
+    )
+    dips_by_socket = {}
+    for dip in dips:
+        dips_by_socket.setdefault(dip.socket_id, []).append(dip)
+    load = active_cores / machine.n_cores
+    derate_by_socket = {s: spec.derate.sample_factor(load, rng) for s in socket_ids}
+    traces = {}
+    horizon = window_end - window_start
+    for cpu in range(machine.n_cpus):
+        base = model.steady_target(governor, active_cores, cpu in busy_set)
+        base *= derate_by_socket.get(machine.hwthread(cpu).socket_id, 1.0)
+        times = [window_start]
+        if spec.jitter_rate > 0:
+            n_jit = int(rng.poisson(spec.jitter_rate * horizon))
+            if n_jit:
+                times.extend((window_start + rng.random(n_jit) * horizon).tolist())
+        cpu_dips = dips_by_socket.get(machine.hwthread(cpu).socket_id, ())
+        for dip in cpu_dips:
+            times.append(dip.start)
+            times.append(dip.start + dip.duration)
+        times = sorted({round(t, 12) for t in times if t >= window_start})
+        t_arr = np.asarray(times)
+        if spec.jitter_amplitude > 0:
+            jitter = 1.0 + rng.uniform(
+                -spec.jitter_amplitude, spec.jitter_amplitude, size=t_arr.size
+            )
+        else:
+            jitter = np.ones(t_arr.size)
+        values = base * jitter
+        for dip in cpu_dips:
+            lo, hi = dip.start, dip.start + dip.duration
+            mask = (t_arr >= lo - 1e-12) & (t_arr < hi - 1e-12)
+            values[mask] = np.minimum(values[mask], base * jitter[mask] * dip.depth)
+        values = np.asarray(model._quantize(values), dtype=np.float64)
+        keep = np.ones(t_arr.size, dtype=bool)
+        keep[1:] = values[1:] != values[:-1]
+        traces[cpu] = (t_arr[keep], values[keep])
+    return traces
+
+
+class TestPlanOracle:
+    """The one-pass plan builds the reference loop's traces bit for bit
+    and leaves the stream where the loop left it."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        amplitude=st.sampled_from([0.0, 0.002, 0.05]),
+        jitter_rate=st.sampled_from([0.0, 3.0, 40.0]),
+        dip_rate=st.sampled_from([0.0, 5.0, 60.0]),
+        cross_rate=st.sampled_from([0.0, 30.0]),
+        dip_median=st.floats(min_value=1e-5, max_value=0.05),
+        depths=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)).map(sorted),
+        derate=st.sampled_from([0.0, 1.0]),
+        window_start=st.floats(min_value=0.0, max_value=2.0),
+        length=st.floats(min_value=1e-3, max_value=3.0),
+        active=st.lists(st.integers(0, 15), max_size=6),
+        machine_wide=st.booleans(),
+        governor=st.sampled_from(["performance", "ondemand", "powersave"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_traces_match_reference_loop(
+        self, seed, amplitude, jitter_rate, dip_rate, cross_rate, dip_median,
+        depths, derate, window_start, length, active, machine_wide, governor,
+    ):
+        # 2 sockets x 2 numa x 2 cores, SMT-2: cross-NUMA teams are possible
+        machine = TopologyBuilder("oracle").add_sockets(2, 2, 2, smt=2).build()
+        spec = simple_spec(
+            jitter_amplitude=amplitude,
+            jitter_rate=jitter_rate,
+            dips=DipProcess(
+                base_rate=dip_rate, cross_numa_rate=cross_rate,
+                duration_median=dip_median,
+                depth_low=depths[0], depth_high=depths[1],
+            ),
+            derate=DerateProcess(prob_at_full_load=derate, load_exponent=0.0),
+        )
+        model = FrequencyModel(machine, spec)
+        gov = make_governor(governor)
+        window_end = window_start + length
+        rng, ref_rng = RngFactory(seed).stream("f"), RngFactory(seed).stream("f")
+        plan = model.plan(window_start, window_end, active, gov, rng, machine_wide)
+        reference = reference_traces(
+            model, window_start, window_end, active, gov, ref_rng, machine_wide
+        )
+        for cpu, (times, values) in reference.items():
+            assert np.array_equal(plan.trace(cpu).times, times)
+            assert np.array_equal(plan.trace(cpu).values, values)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSysfs:

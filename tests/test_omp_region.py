@@ -154,15 +154,22 @@ class TestSiblingRows:
     not a teammate."""
 
     def _spy(self, ex, monkeypatch):
+        """Record the CPU rows every sibling-plane query reads."""
         noise = ex.runs[0].noise
         queried = []
-        original = noise.sibling_pressure_on
+        original = noise.sibling_plane
 
-        def spy(cpu):
-            queried.append(cpu)
-            return original(cpu)
+        class Recorder:
+            def __init__(self, plane):
+                self.plane = plane
 
-        monkeypatch.setattr(noise, "sibling_pressure_on", spy)
+            def overlap_fused(self, a, b, rows):
+                queried.extend(np.asarray(rows).tolist())
+                return self.plane.overlap_fused(a, b, rows)
+
+        monkeypatch.setattr(
+            noise, "sibling_plane", lambda reach: Recorder(original(reach))
+        )
         return queried
 
     def test_all_smt_shared_team_issues_no_sibling_rows(self, platform, monkeypatch):

@@ -1,7 +1,11 @@
 """Tests for the OS-noise substrate."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NoiseModelError
 from repro.obs.tracer import SpanTracer
@@ -11,15 +15,21 @@ from repro.osnoise import (
     NoiseRealization,
     PinnedPlacement,
     PoissonSource,
+    TickBlock,
     TimerTickSource,
     dardel_noise,
     noisy_profile,
     quiet_profile,
     vera_noise,
 )
+from repro.omp import OMPEnvironment, RegionExecutor
+from repro.omp.runtime import OpenMPRuntime
+from repro.platform import toy
 from repro.rng import RngFactory
+from repro.sim.intervals import IntervalSet
 from repro.topology import TopologyBuilder, dardel_topology
-from repro.units import us
+from repro.types import ProcBind
+from repro.units import ms, us
 
 
 @pytest.fixture
@@ -268,3 +278,192 @@ class TestProfiles:
             s.rate for s in noisy_profile().sources if isinstance(s, PoissonSource)
         )
         assert loud_rate > 5 * base_rate
+
+
+def reference_ticks(src, t_start, t_end, busy_cpus, rng):
+    """The per-CPU tick sampler as it was before tick blocks, kept as the
+    oracle of the block's draws and expansion."""
+    period = 1.0 / src.hz
+    starts_parts, dur_parts, cpu_parts = [], [], []
+    for cpu in busy_cpus:
+        phase = rng.random() * period
+        first = t_start + phase
+        n = int(max(0.0, np.floor((t_end - first) / period)) + 1) if first < t_end else 0
+        if n <= 0:
+            continue
+        starts_parts.append(first + period * np.arange(n))
+        dur_parts.append(rng.uniform(
+            src.duration_mean - src.duration_jitter,
+            src.duration_mean + src.duration_jitter,
+            size=n,
+        ))
+        cpu_parts.append(np.full(n, int(cpu), dtype=np.int64))
+    if not starts_parts:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    return tuple(np.concatenate(p) for p in (starts_parts, dur_parts, cpu_parts))
+
+
+tick_sources = st.builds(
+    TimerTickSource,
+    hz=st.sampled_from([100.0, 250.0, 1000.0, 3000.0]),
+    duration_mean=st.floats(min_value=1e-6, max_value=4e-4),
+    duration_jitter=st.just(5e-7),
+)
+
+
+class TestTickBlock:
+    @given(src=tick_sources, seed=st.integers(0, 2**16),
+           t_start=st.floats(min_value=0.0, max_value=1.0),
+           length=st.floats(min_value=0.0, max_value=0.3),
+           busy=st.lists(st.integers(0, 15), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_full_expansion_is_the_reference_draw(self, src, seed, t_start, length, busy):
+        t_end = t_start + length
+        rng, ref_rng, arr_rng = (np.random.default_rng(seed) for _ in range(3))
+        block = src.sample_block(t_start, t_end, busy, rng)
+        reference = reference_ticks(src, t_start, t_end, busy, ref_rng)
+        arrays = src.sample_arrays(t_start, t_end, busy, arr_rng)
+        for mine, ref, arr in zip(block.expand(), reference, arrays):
+            assert np.array_equal(mine, ref) and np.array_equal(arr, ref)
+        assert len(block) == reference[0].size
+        # the generator leaves in the same state, whatever is expanded later
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert arr_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(src=tick_sources, seed=st.integers(0, 2**16),
+           reach=st.floats(min_value=-0.1, max_value=0.4),
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_expansion_keeps_every_tick_before_reach(self, src, seed, reach, busy):
+        block = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
+        starts, durations, cpus = block.expand()
+        part_s, part_d, part_c = block.expand(reach)
+        kept = block.reach_counts(reach)
+        for i, cpu in enumerate(block.cpus.tolist()):
+            lo = int(block.counts[:i].sum())
+            all_s = starts[lo : lo + int(block.counts[i])]
+            plo = int(kept[:i].sum())
+            mine = part_s[plo : plo + int(kept[i])]
+            # a prefix of the CPU's ticks, ending past every start before reach
+            assert np.array_equal(mine, all_s[: mine.size])
+            assert np.all(all_s[mine.size :] >= reach)
+            assert mine.size == min(
+                all_s.size, max(0, math.ceil((reach - block.first[i]) / block.period) + 1)
+            )
+        assert np.all(np.isin(part_c, block.cpus))
+
+
+def smt4_machine():
+    # 1 socket x 1 numa x 3 cores, SMT-4 -> 12 cpus, siblings {c, c+3, c+6, c+9}
+    return TopologyBuilder("smt4").add_sockets(1, 1, 3, smt=4).build()
+
+
+HORIZON = 0.05
+
+
+@st.composite
+def realizations(draw, machine):
+    """A realization with random non-tick events and one tick block."""
+    n = machine.n_cpus
+    events = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=HORIZON),
+            st.floats(min_value=0.0, max_value=2e-3),
+            st.integers(0, n - 1),
+        ),
+        max_size=25,
+    ))
+    src = TimerTickSource(
+        hz=draw(st.sampled_from([500.0, 2000.0, 10000.0])),
+        duration_mean=draw(st.floats(min_value=1e-6, max_value=8e-5)),
+        duration_jitter=5e-7,
+    )
+    busy = draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True))
+    block = src.sample_block(
+        0.0, HORIZON, busy, np.random.default_rng(draw(st.integers(0, 2**16)))
+    )
+    arrays = (
+        np.asarray([e[0] for e in events]),
+        np.asarray([e[1] for e in events]),
+        np.asarray([e[2] for e in events], dtype=np.int64),
+        ["daemon"] * len(events),
+    )
+    return NoiseRealization(machine, arrays=arrays, ticks=[block])
+
+
+def oracle_sets(real):
+    """Full-horizon per-CPU sets, built event by event, and their sibling
+    unions: the per-CPU path the planes replace."""
+    machine = real.machine
+    starts = np.concatenate([b.expand()[0] for b in real._ticks] + [real._starts])
+    durations = np.concatenate([b.expand()[1] for b in real._ticks] + [real._durations])
+    cpus = np.concatenate([b.expand()[2] for b in real._ticks] + [real._cpus])
+    stolen = [
+        IntervalSet.from_events(starts[cpus == c], durations[cpus == c])
+        for c in range(machine.n_cpus)
+    ]
+    sibling = []
+    for c in range(machine.n_cpus):
+        union = IntervalSet.empty()
+        for s in machine.siblings_of(c):
+            union = union.union(stolen[s])
+        sibling.append(union)
+    return stolen, sibling
+
+
+window_point = st.floats(min_value=-1e-3, max_value=HORIZON * 1.2)
+
+
+class TestNoisePlanes:
+    """The per-CPU planes answer every window that ends by the covered
+    time as the full-horizon per-CPU sets do, bit for bit."""
+
+    def _check(self, machine, data):
+        real = data.draw(realizations(machine))
+        stolen, sibling = oracle_sets(real)
+        n = machine.n_cpus
+        reaches = data.draw(st.lists(window_point, min_size=1, max_size=5))
+        for reach in reaches:
+            rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+            b = np.asarray(data.draw(st.lists(
+                st.floats(min_value=-1e-3, max_value=reach), min_size=rows.size, max_size=rows.size)))
+            a = np.asarray(data.draw(st.lists(
+                window_point, min_size=rows.size, max_size=rows.size)))
+            got = real.stolen_plane(reach).overlap_fused(a, b, rows)
+            sib = real.sibling_plane(reach).overlap_fused(a, b, rows)
+            for q, c in enumerate(rows.tolist()):
+                assert got[q] == stolen[c].overlap(float(a[q]), float(b[q]))
+                assert sib[q] == sibling[c].overlap(float(a[q]), float(b[q]))
+        # the full-horizon row views are the per-CPU sets
+        for c in range(n):
+            assert real.stolen_on(c) == stolen[c]
+            assert real.sibling_pressure_on(c) == sibling[c]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_smt2_machine(self, data):
+        self._check(TopologyBuilder("toy").add_sockets(2, 1, 4, smt=2).build(), data)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_smt4_machine(self, data):
+        self._check(smt4_machine(), data)
+
+    def test_short_region_materializes_few_ticks(self, monkeypatch):
+        """A region near the start of a long horizon expands a handful of
+        ticks, not the realization's hundred thousand."""
+        platform = toy()
+        env = OMPEnvironment(num_threads=4, places="cores", proc_bind=ProcBind.CLOSE)
+        ctx = OpenMPRuntime(platform, env).start_run(0, RngFactory(1), horizon=100.0)
+        expanded = []
+        expand = TickBlock.expand
+
+        def counting(self, *args):
+            out = expand(self, *args)
+            expanded.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(TickBlock, "expand", counting)
+        RegionExecutor([ctx]).execute(ctx.team, np.full(4, ms(1)))
+        assert ctx.noise.count_by_kind()["tick"] > 90_000
+        assert 0 < sum(expanded) <= 2 * len(ctx.team.cpus)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import IntervalSet
+from repro.sim.intervals import IntervalBatch, IntervalSet
 
 
 class TestNormalization:
@@ -183,3 +183,106 @@ def test_complement_partitions_window(pairs, a, width):
     inside = s.overlap(a, b)
     free = s.complement_within(a, b).total
     assert inside + free == pytest.approx(max(0.0, b - a), rel=1e-9, abs=2 * QUANTUM)
+
+
+#: Int64-ns intervals on up to 6 rows, in any order: overlapping, touching,
+#: empty and reversed intervals included.
+row_events = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=-50, max_value=2_000),
+        st.integers(min_value=-20, max_value=300),
+    ),
+    max_size=40,
+)
+
+
+class TestPlaneBuilder:
+    """``IntervalBatch.from_rows``: one sort-and-merge pass over every row
+    answers as one :class:`IntervalSet` per row."""
+
+    @staticmethod
+    def _rows(events, n_rows=6):
+        rows = np.asarray([r for r, _, _ in events], dtype=np.int64)
+        starts = np.asarray([s for _, s, _ in events], dtype=np.int64)
+        ends = starts + np.asarray([d for _, _, d in events], dtype=np.int64)
+        per_row = []
+        for k in range(n_rows):
+            sel = rows == k
+            per_row.append(IntervalSet(starts[sel] / 1e9, ends[sel] / 1e9))
+        return IntervalBatch.from_rows(n_rows, rows, starts, ends), per_row
+
+    @given(events=row_events, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_interval_sets(self, events, data):
+        plane, per_row = self._rows(events)
+        assert len(plane) == len(per_row)
+        for k, s in enumerate(per_row):
+            assert plane.row(k) == s
+        rows = np.asarray(data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=12)))
+        a = np.asarray(data.draw(st.lists(
+            st.floats(min_value=-1e-7, max_value=2.5e-6), min_size=rows.size, max_size=rows.size)))
+        b = np.asarray(data.draw(st.lists(
+            st.floats(min_value=-1e-7, max_value=2.5e-6), min_size=rows.size, max_size=rows.size)))
+        fused = plane.overlap_fused(a, b, rows)
+        for q, k in enumerate(rows.tolist()):
+            assert fused[q] == per_row[k].overlap(float(a[q]), float(b[q]))
+
+    @given(events=row_events)
+    @settings(max_examples=100, deadline=None)
+    def test_intervals_round_trip(self, events):
+        plane, per_row = self._rows(events)
+        rows, starts, ends = plane.intervals_ns()
+        again = IntervalBatch.from_rows(len(plane), rows, starts, ends)
+        for k, s in enumerate(per_row):
+            sel = rows == k
+            assert np.array_equal(starts[sel], s.starts)
+            assert np.array_equal(ends[sel], s.ends)
+            assert again.row(k) == s
+
+    @given(first=row_events, second=row_events)
+    @settings(max_examples=100, deadline=None)
+    def test_merged_equals_one_build(self, first, second):
+        """Growing a plane under a fixed hull equals building it at once."""
+        hull = (-50, 2_300)  # contains every generated interval
+        plane_a, _ = self._rows(first)
+        _, per_row = self._rows(first + second)
+        grown = IntervalBatch.from_rows(
+            len(plane_a), *plane_a.intervals_ns(), hull=hull
+        ).merged(*self._rows(second)[0].intervals_ns())
+        assert grown.hull == hull
+        for k, s in enumerate(per_row):
+            assert grown.row(k) == s
+
+    def test_hull_must_contain_the_intervals(self):
+        rows, starts, ends = np.asarray([0]), np.asarray([5]), np.asarray([9])
+        plane = IntervalBatch.from_rows(1, rows, starts, ends, hull=(0, 10))
+        with pytest.raises(ValueError, match="hull"):
+            plane.merged(rows, np.asarray([8]), np.asarray([11]))
+        with pytest.raises(ValueError, match="hull"):
+            IntervalBatch.from_rows(1, rows, starts, ends, hull=(6, 10))
+
+    def test_sets_form_is_the_same_plane(self):
+        sets = [IntervalSet.from_pairs([(0.0, 1.0), (2.0, 3.0)]), IntervalSet.empty(),
+                IntervalSet.from_pairs([(0.5, 2.5)])]
+        plane = IntervalBatch(sets)
+        for k, s in enumerate(sets):
+            assert plane.row(k) == s
+        assert plane.overlap_fused(np.zeros(3), np.full(3, 2.25)).tolist() == [
+            s.overlap(0.0, 2.25) for s in sets
+        ]
+
+    def test_empty_plane_answers_zero(self):
+        plane = IntervalBatch.from_rows(
+            3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+        assert plane.overlap_fused(np.zeros(2), np.ones(2), np.asarray([0, 2])).tolist() == [0.0, 0.0]
+        assert plane.row(1).is_empty()
+
+    def test_sort_key_overflow_is_refused(self):
+        big = np.int64(2**62)
+        with pytest.raises(OverflowError, match="int64"):
+            IntervalBatch.from_rows(
+                4, np.asarray([0, 3]), np.asarray([0, 1]), np.asarray([1, big])
+            )
