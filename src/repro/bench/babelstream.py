@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.epcc.common import EpccStats, epcc_stats, require_finite
+from repro.bench.epcc.common import (
+    EpccStats,
+    epcc_stats,
+    require_finite,
+    require_integers,
+)
 from repro.errors import BenchmarkError
 from repro.mem.bandwidth import BandwidthModel
 from repro.mem.pages import PagePlacement
@@ -54,6 +59,7 @@ class BabelStreamParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.array_size <= 0 or self.element_bytes <= 0 or self.num_times <= 0:
             raise BenchmarkError("invalid BabelStream parameters")
         if self.kernel_gap < 0:

@@ -15,6 +15,7 @@ The EPCC suite's procedure, reproduced here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,6 +62,29 @@ def require_finite(params: object) -> None:
         value = getattr(params, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise BenchmarkError(f"{f.name} must be finite, got {value!r}")
+
+
+#: Field annotations (as ``from __future__ import annotations`` keeps
+#: them) that hold an integer count.
+_INTEGER_ANNOTATIONS = ("int", "int | None")
+
+
+def require_integers(params: object) -> None:
+    """Reject a benchmark-parameter dataclass holding a non-integer count.
+
+    A field annotated ``int`` (or ``int | None``, which may be ``None``)
+    must hold a :class:`numbers.Integral` that is not a ``bool``: a float
+    count such as ``1e3`` would fail deep inside NumPy, or be accepted
+    under a second cache key for the same config.  NumPy integers pass.
+    """
+    for f in fields(params):
+        if f.type not in _INTEGER_ANNOTATIONS:
+            continue
+        value = getattr(params, f.name)
+        if value is None and f.type == "int | None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise BenchmarkError(f"{f.name} must be an integer, got {value!r}")
 
 
 def epcc_stats(times: np.ndarray, outlier_sigmas: float = 3.0) -> EpccStats:

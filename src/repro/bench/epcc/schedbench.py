@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.epcc.common import EpccStats, epcc_stats, require_finite
+from repro.bench.epcc.common import (
+    EpccStats,
+    epcc_stats,
+    require_finite,
+    require_integers,
+)
 from repro.errors import BenchmarkError
 from repro.omp.region import NoiseMode, RegionExecutor
 from repro.omp.runtime import RunContext
@@ -52,6 +57,7 @@ class SchedbenchParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.outer_reps <= 0 or self.itersperthr <= 0:
             raise BenchmarkError("outer_reps and itersperthr must be positive")
         if self.delay_time < 0 or self.rep_gap < 0:

@@ -32,6 +32,7 @@ from repro.bench.epcc.common import (
     EpccStats,
     epcc_stats,
     require_finite,
+    require_integers,
     target_innerreps,
 )
 from repro.errors import BenchmarkError
@@ -55,6 +56,7 @@ class SyncbenchParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.outer_reps <= 0:
             raise BenchmarkError("outer_reps must be positive")
         if self.delay_time < 0 or self.test_time <= 0 or self.rep_gap < 0:

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.epcc.common import EpccStats, epcc_stats, require_finite
+from repro.bench.epcc.common import (
+    EpccStats,
+    epcc_stats,
+    require_finite,
+    require_integers,
+)
 from repro.errors import BenchmarkError
 from repro.omp.runtime import RunContext
 from repro.omp.tasking.scheduler import WorkStealingScheduler
@@ -67,6 +72,7 @@ class TaskbenchParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.outer_reps <= 0:
             raise BenchmarkError("outer_reps must be positive")
         if self.pattern not in PATTERNS:

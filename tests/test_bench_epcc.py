@@ -280,3 +280,41 @@ FLOAT_PARAMS = [
 def test_non_finite_float_parameter_rejected(cls, name, value):
     with pytest.raises(BenchmarkError, match=f"{name} must be finite"):
         cls(**{name: value})
+
+
+def _int_fields(cls) -> list[tuple[type, str]]:
+    return [
+        (cls, f.name) for f in dataclasses.fields(cls) if f.type in ("int", "int | None")
+    ]
+
+
+INT_PARAMS = [
+    case
+    for cls in (TaskbenchParams, SyncbenchParams, SchedbenchParams, BabelStreamParams)
+    for case in _int_fields(cls)
+]
+
+
+@pytest.mark.parametrize("value", [64.0, 2.5, 1e3, True, False, "8"])
+@pytest.mark.parametrize(
+    "cls, name", INT_PARAMS, ids=[f"{c.__name__}.{n}" for c, n in INT_PARAMS]
+)
+def test_non_integer_count_parameter_rejected(cls, name, value):
+    with pytest.raises(BenchmarkError, match=f"{name} must be an integer, got {value!r}"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name", INT_PARAMS, ids=[f"{c.__name__}.{n}" for c, n in INT_PARAMS]
+)
+def test_numpy_integer_count_parameter_accepted(cls, name):
+    value = getattr(cls(), name)
+    if value is None:  # an optional count: None stays legal
+        value = 4
+    assert getattr(cls(**{name: np.int64(value)}), name) == value
+
+
+def test_int_fields_cover_every_benchmark():
+    assert {cls for cls, _ in INT_PARAMS} == {
+        TaskbenchParams, SyncbenchParams, SchedbenchParams, BabelStreamParams,
+    }

@@ -131,6 +131,29 @@ class TestRun:
         assert err.startswith("error:") and "must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, name, value", [
+        (["run", "--benchmark", "syncbench", "--param", "outer_reps=1e3"],
+         "outer_reps", "1000.0"),
+        (["run", "--benchmark", "schedbench", "--param", "itersperthr=2.5"],
+         "itersperthr", "2.5"),
+        (["run", "--benchmark", "taskbench", "--param", "total_iters=64.0"],
+         "total_iters", "64.0"),
+        (["run", "--benchmark", "syncbench", "--param", "outer_reps=true"],
+         "outer_reps", "True"),
+        (["run", "--benchmark", "babelstream", "--param", "array_size=1e6"],
+         "array_size", "1000000.0"),
+        (["sweep", "--benchmark", "syncbench", "--grid", "outer_reps=2.0,3"],
+         "outer_reps", "2.0"),
+    ])
+    def test_non_integer_count_param_is_a_user_error(self, capsys, argv, name, value):
+        rc = main(argv + [
+            "--platform", "toy", "--threads", "4", "--runs", "1", "--reps", "2",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be an integer, got {value}")
+        assert "Traceback" not in err
+
     def test_run_taskbench_with_params(self, capsys):
         rc = main([
             "run", "--platform", "toy", "--benchmark", "taskbench",
