@@ -111,6 +111,18 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    def finish(self, state: str, **data: Any) -> dict:
+        """Move to terminal *state* and append its event in one step.
+
+        Both happen under :attr:`cond`, so a subscriber that sees the job
+        terminal (:meth:`events_from`) always finds the terminal event.
+        """
+        if state not in TERMINAL_STATES:
+            raise ServiceError(f"job {self.job_id}: {state!r} is not terminal")
+        with self.cond:  # re-entrant: add_event takes it again
+            self.transition(state)
+            return self.add_event(state, **data)
+
     # -- events (SSE feed) -------------------------------------------------
 
     def add_event(self, kind: str, **data: Any) -> dict:

@@ -82,16 +82,11 @@ _AXIS_KINDS = ("grid", "zip", "cases")
 
 _SWEEP_KEYS = frozenset({
     "kind", "base", "axes", "derive", "where", "reps",
-    "name", "description", "backend", "shard",
+    "name", "description", "shard",
 })
 _EXPERIMENT_KEYS = frozenset({
-    "kind", "experiment", "runs", "reps", "seed", "backend", "shard",
+    "kind", "experiment", "runs", "reps", "seed", "shard",
 })
-
-#: Values the retired ``backend`` field accepted.  Every job runs on the
-#: service's one backend, so the field validates as a no-op and is
-#: dropped from the normalized spec; older specs that set it keep loading.
-_LEGACY_BACKENDS = ("auto", "serial", "process")
 
 
 def reps_key(benchmark: str) -> str:
@@ -295,12 +290,6 @@ def validate_spec(spec: Any) -> dict:
             )
 
     out: dict[str, Any] = {"kind": kind}
-    backend = spec.get("backend")
-    if backend is not None and backend not in _LEGACY_BACKENDS:
-        raise JobSpecError(
-            f"job spec field 'backend': expected one of {_LEGACY_BACKENDS} "
-            f"(accepted and ignored), got {backend!r}"
-        )
     if spec.get("shard") is not None:
         shard = spec["shard"]
         try:

@@ -501,6 +501,39 @@ class TestServiceEngine:
         with pytest.raises(ServiceError, match="cannot be cancelled"):
             svc.cancel(snap["job_id"])
 
+    @pytest.mark.parametrize("terminal", ["done", "failed", "cancelled"])
+    def test_terminal_event_arrives_with_terminal_state(
+        self, tmp_path, monkeypatch, terminal
+    ):
+        """A subscriber that checks in right after the terminal transition,
+        here from inside the save that follows it, still gets the event."""
+        svc = JobService(tmp_path / "state", workers=1)
+        seen = {}
+        save = svc.store.save
+
+        def subscribing_save(job):
+            if job.terminal:
+                seen[job.state] = [e["event"] for e in job.events_from(0)]
+            save(job)
+
+        monkeypatch.setattr(svc.store, "save", subscribing_save)
+        spec = SWEEP_SPEC
+        if terminal == "failed":  # validates, then fails when it runs
+            spec = {**SWEEP_SPEC, "base": {
+                **SWEEP_SPEC["base"], "benchmark_params": {"outer_reps": 2.5},
+            }}
+        snap = svc.submit(spec)
+        if terminal == "cancelled":
+            svc.cancel(snap["job_id"])
+        else:
+            svc.start()
+        try:
+            list(svc.get_job(snap["job_id"]).events_from(0))
+        finally:
+            svc.stop()
+        assert list(seen) == [terminal]
+        assert seen[terminal][-1] == terminal
+
     def test_restart_recovers_history(self, tmp_path):
         svc = JobService(tmp_path / "state", workers=1)
         svc.start()
