@@ -16,8 +16,9 @@ The plan answers the two questions the rest of the simulator asks:
 ``round(t, 12)`` breakpoint dedup in its per-CPU loop, because each CPU's
 draws follow the previous CPU's in one stream and the dedup sets the size
 of the CPU's jitter draw.  Values, dip minima, p-state quantization and
-the collapse of equal segments run once over every CPU's breakpoints,
-elementwise as the per-CPU code computed them.
+the collapse of equal segments run once over every CPU's breakpoints, as
+the same elementwise operations a single CPU's trace needs, so each value
+is bit-identical to computing that CPU alone.
 """
 
 from __future__ import annotations

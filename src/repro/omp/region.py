@@ -159,6 +159,7 @@ class RegionExecutor:
         self._master_freq: FrequencyPlanBatch | None = None
         self._rows = np.asarray(team.cpus, dtype=np.int64)
         self._sib_cols = np.flatnonzero(~np.asarray(team.smt_shared, dtype=bool))
+        self._sib_rows = self._rows[self._sib_cols]
 
     def _team_plane(self, team: Team) -> FrequencyPlanBatch:
         self._use_team(team)
@@ -305,14 +306,14 @@ class RegionExecutor:
         # cover its window end first, which makes them exact up to there
         stolen = np.empty((n_runs, n))
         sibling = np.zeros((n_runs, n))
-        rows, cols = self._rows, self._sib_cols
+        cols = self._sib_cols
         for r, (noise, end) in enumerate(zip(self._noises, window_end.tolist())):
             ends = np.full(n, end)
-            stolen[r] = noise.stolen_plane(end).overlap_fused(starts[r], ends, rows)
+            stolen[r] = noise.stolen_plane(end).overlap_fused(starts[r], ends, self._rows)
             if cols.size:
                 # pressure only matters when the sibling is otherwise free
                 sib = noise.sibling_plane(end).overlap_fused(
-                    starts[r, cols], ends[: cols.size], rows[cols]
+                    starts[r, cols], ends[: cols.size], self._sib_rows
                 )
                 sibling[r, cols] = sib * p.smt_noise_penalty
         stacking = self._stacking(stacking_episodes, starts, window_end)
