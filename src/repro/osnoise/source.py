@@ -199,7 +199,7 @@ class TickBlock:
         float rounding of ``first + period * k``.  Kept starts are that
         expression elementwise, as the full expansion computes them.
         """
-        done = self.reach_counts(after) if after != -math.inf else 0
+        done = self.reach_counts(after)
         sizes = np.maximum(self.reach_counts(reach) - done, 0)
         total = int(sizes.sum())
         # tick index k within its CPU block, and the block's duration offset

@@ -296,15 +296,10 @@ class IntervalBatch:
         """``(lo, hi)`` in int64 ns: every interval of every row lies inside."""
         return self._lo, self._hi
 
-    def _bounds(self, row: int) -> tuple[int, int]:
-        """Flat index range of *row*'s intervals."""
-        base = row * self._span
-        lo, hi = np.searchsorted(self._starts, (base, base + self._span))
-        return int(lo), int(hi)
-
     def row(self, row: int) -> IntervalSet:
         """Row *row* as an :class:`IntervalSet`."""
-        i, j = self._bounds(row)
+        # the row's keys are [row * span, (row + 1) * span)
+        i, j = np.searchsorted(self._starts, (row * self._span, (row + 1) * self._span))
         shift = row * self._span - self._lo
         return IntervalSet(
             self._starts[i:j] - shift, self._ends[i + 1 : j + 1] - shift, _ns=True

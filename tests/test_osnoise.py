@@ -395,11 +395,12 @@ def oracle_sets(real):
     """Full-horizon per-CPU sets, built event by event, and their sibling
     unions: the per-CPU path the planes replace."""
     machine = real.machine
-    starts = np.concatenate([b.expand()[0] for b in real._ticks] + [real._starts])
-    durations = np.concatenate([b.expand()[1] for b in real._ticks] + [real._durations])
-    cpus = np.concatenate([b.expand()[2] for b in real._ticks] + [real._cpus])
+    events = real.events
     stolen = [
-        IntervalSet.from_events(starts[cpus == c], durations[cpus == c])
+        IntervalSet.from_events(
+            [e.start for e in events if e.cpu == c],
+            [e.duration for e in events if e.cpu == c],
+        )
         for c in range(machine.n_cpus)
     ]
     sibling = []
