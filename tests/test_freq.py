@@ -265,8 +265,9 @@ class TestFrequencyModel:
 
 def reference_traces(model, window_start, window_end, active_cpus, governor, rng,
                      machine_wide=False):
-    """The per-CPU plan loop as it was before the one-pass build, kept as
-    the oracle of :meth:`FrequencyModel.plan`'s traces and draws."""
+    """A per-CPU plan loop that finishes each CPU's trace before drawing
+    the next: the oracle of :meth:`FrequencyModel.plan`'s traces and
+    draws."""
     machine, spec = model.machine, model.spec
     active = list(dict.fromkeys(active_cpus))
     active_cores = machine.cores_spanned(active) if active else 0

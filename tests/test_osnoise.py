@@ -281,7 +281,7 @@ class TestProfiles:
 
 
 def reference_ticks(src, t_start, t_end, busy_cpus, rng):
-    """The per-CPU tick sampler as it was before tick blocks, kept as the
+    """An eager per-CPU tick sampler, every tick built as it is drawn: the
     oracle of the block's draws and expansion."""
     period = 1.0 / src.hz
     starts_parts, dur_parts, cpu_parts = [], [], []
