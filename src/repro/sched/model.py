@@ -21,7 +21,6 @@ from repro.obs.tracer import Tracer
 from repro.sched.balancer import BalancerModel, StackingEpisode
 from repro.sched.migration import MigrationEvent, MigrationModel
 from repro.sched.params import SchedParams
-from repro.sched.runqueue import RunqueueState
 from repro.sched.wakeup import WakeupPlacer
 from repro.topology.hwthread import Machine
 
@@ -162,10 +161,3 @@ class SchedulerModel:
     ) -> list[MigrationEvent]:
         """Unbound-thread migrations over a long region (e.g. a stream kernel)."""
         return self.migrations.sample(cpus, t_start, t_end, rng)
-
-    def runqueue_for(self, cpus: list[int]) -> RunqueueState:
-        """A runqueue view with the given team marked runnable (for tests)."""
-        rq = RunqueueState(self.machine)
-        for c in cpus:
-            rq.add(c)
-        return rq

@@ -3,6 +3,9 @@
 :class:`RunqueueState` is the scheduler model's view of "how many runnable
 tasks does each logical CPU host".  It backs both wakeup placement (find an
 idle CPU / idle core) and collision detection (who is stacked where).
+"The core has no busy hardware thread" has one implementation,
+:meth:`RunqueueState.idle_core_mask`: one vectorized pass over the counts
+that the wakeup placer's idle-core pass and :meth:`idle_cores` share.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ class RunqueueState:
     def __init__(self, machine: Machine):
         self.machine = machine
         self._count = np.zeros(machine.n_cpus, dtype=np.int64)
+        self._core_of = machine.core_ids_array()
 
     # -- mutation -----------------------------------------------------------
 
@@ -54,13 +58,15 @@ class RunqueueState:
         """CPUs with an empty runqueue."""
         return np.flatnonzero(self._count == 0).tolist()
 
+    def idle_core_mask(self) -> np.ndarray:
+        """Per CPU: ``True`` when no hardware thread of its core is busy."""
+        busy = np.zeros(self.machine.n_cores, dtype=bool)
+        busy[self._core_of[self._count != 0]] = True
+        return ~busy[self._core_of]
+
     def idle_cores(self) -> list[int]:
         """Cores whose *every* hardware thread is idle."""
-        out = []
-        for core in self.machine.cores:
-            if all(self._count[c] == 0 for c in core.cpu_ids):
-                out.append(core.core_id)
-        return out
+        return np.unique(self._core_of[self.idle_core_mask()]).tolist()
 
     def stacked_cpus(self) -> list[int]:
         """CPUs hosting more than one runnable task."""

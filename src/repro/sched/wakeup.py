@@ -11,6 +11,14 @@ A small per-thread stacking probability short-circuits the search even when
 idle CPUs exist, modelling the limited search depth of the real scheduler
 under fork storms — this is what occasionally hands an unbound OpenMP team
 a stacked worker and a multi-millisecond region.
+
+The pools are int64 arrays cached per waker CPU on the first unbound
+placement, so bound teams never build them; pass 1 searches them cut to
+each core's first hardware thread (``smt_index == 0``). Each wake derives
+the idle-core and idle-CPU masks from the runqueue counts in one
+vectorized pass, and each pass draws ``rng.choice(pool[mask[pool]])``. A
+``choice`` draw depends only on the candidates' count, so this is the
+draw, and the pick, of a choice over the pool's filtered list.
 """
 
 from __future__ import annotations
@@ -28,18 +36,32 @@ class WakeupPlacer:
     def __init__(self, machine: Machine, params: SchedParams):
         self.machine = machine
         self.params = params
+        self._pools: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 
-    def _candidate_order(self, waker_cpu: int) -> list[list[int]]:
-        """CPU pools in preference order relative to the waker's position."""
-        m = self.machine
-        waker = m.hwthread(waker_cpu)
-        same_numa = [c for c in m.numa_domains[waker.numa_id].cpu_ids]
-        same_socket = [
-            c for c in m.sockets[waker.socket_id].cpu_ids if c not in set(same_numa)
-        ]
-        seen = set(same_numa) | set(same_socket)
-        rest = [c for c in range(m.n_cpus) if c not in seen]
-        return [same_numa, same_socket, rest]
+    def _candidate_order(
+        self, waker_cpu: int
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """CPU pools in preference order relative to the waker's position,
+        cut to the cores' first hardware threads, and whole."""
+        pools = self._pools.get(waker_cpu)
+        if pools is None:
+            m = self.machine
+            waker = m.hwthread(waker_cpu)
+            same_numa = m.numa_domains[waker.numa_id].cpu_ids
+            seen = set(same_numa)
+            same_socket = [c for c in m.sockets[waker.socket_id].cpu_ids if c not in seen]
+            seen.update(same_socket)
+            rest = [c for c in range(m.n_cpus) if c not in seen]
+            whole = (same_numa, same_socket, rest)
+            heads = tuple(
+                [c for c in pool if m.hwthread(c).smt_index == 0] for pool in whole
+            )
+            pools = tuple(
+                tuple(np.asarray(p, dtype=np.int64) for p in order)
+                for order in (heads, whole)
+            )
+            self._pools[waker_cpu] = pools
+        return pools
 
     def place_one(
         self,
@@ -49,32 +71,22 @@ class WakeupPlacer:
         allow_stacking_shortcut: bool = True,
     ) -> int:
         """Pick a CPU for one woken thread; does **not** update *rq*."""
-        m = self.machine
         p = self.params
         # imperfect search: sometimes the scheduler settles for a loaded cpu
         load = rq.load_fraction()
         stacking_prob = min(1.0, p.stacking_prob_per_thread * (1.0 + 8.0 * load))
         if allow_stacking_shortcut and rng.random() < stacking_prob:
-            counts = rq.counts()
-            return int(rng.integers(0, m.n_cpus))
+            return int(rng.integers(0, self.machine.n_cpus))
 
-        pools = self._candidate_order(waker_cpu)
+        head_pools, pools = self._candidate_order(waker_cpu)
         counts = rq.counts()
-        # pass 1: idle core (no hw thread busy) in preference order
-        for pool in pools:
-            idle_core_cpus = [
-                c
-                for c in pool
-                if all(counts[s] == 0 for s in m.core_of(c).cpu_ids)
-                and m.hwthread(c).smt_index == 0
-            ]
-            if idle_core_cpus:
-                return int(rng.choice(idle_core_cpus))
+        # pass 1: idle core (no hw thread busy) in preference order;
         # pass 2: any idle hw thread
-        for pool in pools:
-            idle = [c for c in pool if counts[c] == 0]
-            if idle:
-                return int(rng.choice(idle))
+        for mask, order in ((rq.idle_core_mask(), head_pools), (counts == 0, pools)):
+            for pool in order:
+                idle = pool[mask[pool]]
+                if idle.size:
+                    return int(rng.choice(idle))
         # pass 3: least loaded cpu, ties broken randomly
         least = counts.min()
         candidates = np.flatnonzero(counts == least)

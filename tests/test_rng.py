@@ -101,6 +101,15 @@ class TestBatchedDrawEquivalence:
         assert scalar == batched
         # generator state advanced identically: next draws agree
         assert a.random() == b.random()
+        # a list and an int64 array of equal length: same bits, same
+        # position (the wakeup placer draws from masked array pools)
+        for n in (1, 2, 3, 7, 31, 128, 255):
+            pool = list(range(5, 5 + 3 * n, 3))
+            for seed in range(50):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                from_list = int(a.choice(pool))
+                assert from_list == int(b.choice(np.asarray(pool, dtype=np.int64)))
+                assert a.bit_generator.state == b.bit_generator.state
 
     def test_uniform_batched_equals_affine_random(self):
         lo, hi = -0.3, 1.7
