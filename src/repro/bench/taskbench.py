@@ -26,7 +26,7 @@ from repro.bench.epcc.common import (
 )
 from repro.errors import BenchmarkError
 from repro.omp.runtime import RunContext
-from repro.omp.tasking.scheduler import WorkStealingScheduler
+from repro.omp.tasking.scheduler import TaskRunStats, WorkStealingScheduler
 from repro.omp.tasking.task import Task
 from repro.omp.tasking.workloads import fib_tasks, taskloop_tasks, uniform_tasks
 from repro.units import us
@@ -160,13 +160,49 @@ class Taskbench:
 
     def __init__(self, params: TaskbenchParams | None = None):
         self.params = params if params is not None else TaskbenchParams()
+        self._workloads: dict[int, tuple[Task, ...]] = {}
+
+    def _workload(self, n_threads: int) -> tuple[Task, ...]:
+        """:meth:`TaskbenchParams.build_workload`, built once per team size."""
+        workload = self._workloads.get(n_threads)
+        if workload is None:
+            workload = self.params.build_workload(n_threads)
+            self._workloads[n_threads] = workload
+        return workload
+
+    def run_rep(self, ctx: RunContext, rep: int) -> tuple[float, TaskRunStats]:
+        """Fork the team at the cursor and run repetition *rep*'s task graph
+        to quiescence; returns the fork cost and the scheduler's outcome.
+
+        Thread ``i`` draws from the run's stream
+        ``("taskbench", label, "rep", rep, "thread", i)``.  The caller
+        closes the region and moves the cursor.
+        """
+        team = ctx.team
+        n = team.n_threads
+        rep_rng = ctx.rng.child("taskbench", self.params.label(n), "rep", rep)
+        streams = [rep_rng.stream("thread", i) for i in range(n)]
+        tracer = ctx.tracer
+        scheduler = WorkStealingScheduler(
+            team,
+            ctx.runtime.task_cost,
+            ctx.freq_plan,
+            ctx.noise,
+            streams,
+            tracer=tracer,
+        )
+        fork = ctx.sync_cost.fork_cost(team)
+        if tracer.enabled:
+            tracer.span(
+                0, "parallel.fork", ctx.t, ctx.t + fork, cat="omp",
+                args={"rep": rep, "n_threads": n},
+            )
+        return fork, scheduler.run(self._workload(n), t_start=ctx.t + fork)
 
     def measure(self, ctx: RunContext) -> TaskMeasurement:
         """Execute ``outer_reps`` task-region repetitions along the run."""
         p = self.params
-        n = ctx.team.n_threads
-        label = p.label(n)
-        workload = p.build_workload(n)
+        label = p.label(ctx.team.n_threads)
         refork_rng = ctx.stream("taskbench", label, "refork")
         tracer = ctx.tracer
         tracing = tracer.enabled  # hoisted once; the null path pays one bool test
@@ -179,25 +215,7 @@ class Taskbench:
             if not ctx.team.bound:
                 ctx.refork_unbound(refork_rng)
             team = ctx.team
-            streams = [
-                ctx.stream("taskbench", label, "rep", rep, "thread", i)
-                for i in range(team.n_threads)
-            ]
-            scheduler = WorkStealingScheduler(
-                team,
-                ctx.runtime.task_cost,
-                ctx.freq_plan,
-                ctx.noise,
-                streams,
-                tracer=tracer,
-            )
-            fork = ctx.sync_cost.fork_cost(team)
-            if tracing:
-                tracer.span(
-                    0, "parallel.fork", ctx.t, ctx.t + fork, cat="omp",
-                    args={"rep": rep, "n_threads": team.n_threads},
-                )
-            run_stats = scheduler.run(workload, t_start=ctx.t + fork)
+            fork, run_stats = self.run_rep(ctx, rep)
             duration = fork + run_stats.makespan + ctx.sync_cost.join_cost(team)
             if tracing:
                 # the region's closing join: implicit barrier decomposition
@@ -222,7 +240,7 @@ class Taskbench:
     def horizon_estimate(self, n_threads: int) -> float:
         """Rough run duration for horizon sizing (generous)."""
         p = self.params
-        workload = p.build_workload(n_threads)
+        workload = self._workload(n_threads)
         total_work = sum(t.total_work() for t in workload)
         total_tasks = sum(t.count() for t in workload)
         # critical path >= total/n; add per-task overhead and sync slack

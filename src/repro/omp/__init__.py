@@ -41,7 +41,6 @@ from repro.omp.tasking import (
     Task,
     TaskCostModel,
     TaskCostParams,
-    TaskDeque,
     TaskRunStats,
     WorkStealingScheduler,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "RegionParams",
     "RegionResult",
     "Task",
-    "TaskDeque",
     "TaskCostModel",
     "TaskCostParams",
     "TaskRunStats",

@@ -6,8 +6,11 @@
 step of the worker loop the thread resumes at.  The model follows the
 LLVM/libomp runtime:
 
-* each thread owns a :class:`~repro.omp.tasking.deque.TaskDeque`; the
-  owner pushes/pops LIFO at the bottom, thieves take FIFO from the top;
+* each thread owns a :class:`collections.deque` of tasks; the owner
+  pushes and pops LIFO at the right end (freshest task first, which keeps
+  divide-and-conquer working sets cache-hot), thieves take FIFO from the
+  left end (the oldest task, in recursive workloads the largest remaining
+  subtree);
 * an out-of-work thread scans the other team members in *random order*
   (drawn from its own named RNG stream — the paper's class of
   irreproducible runtime decisions, made reproducible here by seeding)
@@ -40,7 +43,9 @@ queued.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
 from math import inf
 from typing import Sequence
@@ -50,7 +55,6 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.freq.dvfs import FrequencyPlan
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.omp.tasking.deque import TaskDeque
 from repro.omp.tasking.params import TaskCostModel
 from repro.omp.tasking.task import Task
 from repro.omp.team import Team
@@ -150,6 +154,7 @@ class WorkStealingScheduler:
         "streams",
         "max_events",
         "tracer",
+        "_victims",
     )
 
     def __init__(
@@ -174,6 +179,7 @@ class WorkStealingScheduler:
         self.streams = list(streams)
         self.max_events = max_events
         self.tracer = tracer
+        self._victims = _victim_orders(team.n_threads)
 
     def _default_cap(self, total_tasks: int) -> int:
         """Generous event budget: ~3 events per task + steal-loop slack."""
@@ -217,11 +223,9 @@ class WorkStealingScheduler:
             else self._default_cap(total_tasks)
         )
 
-        deques = [TaskDeque(owner=i) for i in range(n)]
-        for task in initial:
-            deques[initial_owner].push(task)
-        # the live storage: C-level truth tests for the loop head and probes
-        stored = [d.tasks for d in deques]
+        # owner: append and pop at the right end; thieves: popleft
+        deques = [deque() for _ in range(n)]
+        deques[initial_owner].extend(initial)
         outstanding = queued = len(initial)
         running = 0
         t_done = t_start
@@ -274,9 +278,7 @@ class WorkStealingScheduler:
             if step == _SPAWN:
                 children = current[i].children
                 if children:
-                    push = deques[i].push
-                    for child in children:
-                        push(child)
+                    deques[i].extend(children)
                     outstanding += len(children)
                     queued += len(children)
                     delay = len(children) * create_cost
@@ -323,7 +325,7 @@ class WorkStealingScheduler:
                         raise SimulationError("task accounting went negative")
                 if outstanding <= 0:
                     continue  # the team is drained: this thread leaves
-                if stored[i]:
+                if deques[i]:
                     failed_scans[i] = 0
                     current[i] = deques[i].pop()
                     queued -= 1
@@ -338,11 +340,11 @@ class WorkStealingScheduler:
                 else:
                     # out of local work: probe the other deques in random
                     # order and take from the first non-empty one
-                    victim, empty_probes = scan(i, stored, rngs[i], queued)
+                    victim, empty_probes = scan(i, deques, rngs[i], queued)
                     failed[i] += empty_probes
                     if victim is not None:
                         failed_scans[i] = 0
-                        current[i] = deques[victim].steal()
+                        current[i] = deques[victim].popleft()
                         queued -= 1
                         steals[i] += 1
                         delay = empty_probes * failed_cost + steal_cost
@@ -413,9 +415,9 @@ class WorkStealingScheduler:
         """One steal scan: probe the other threads in uniform random order.
 
         *deques* holds one entry per thread whose truth value says whether
-        that thread's deque has a task (:meth:`run` passes each
-        :class:`~repro.omp.tasking.deque.TaskDeque`'s live ``tasks``
-        storage, so a probe is a C-level truth test).
+        that thread's deque has a task (:meth:`run` passes its
+        :class:`collections.deque` objects, so a probe is a C-level truth
+        test).
 
         Returns ``(victim, empty_probes)`` — the first thread found with a
         non-empty deque (``None`` when every probe came up empty) and the
@@ -431,17 +433,21 @@ class WorkStealingScheduler:
         empty the probe loop is skipped: the outcome is forced to the
         all-probes-empty result the loop would have produced.
         """
-        n = self.team.n_threads
-        if n == 1:
+        order = list(self._victims[thief])
+        if not order:  # a team of one has nobody to probe
             return None, 0
-        order = list(range(n))
-        del order[thief]
         # Fisher-Yates over the other threads: the same draws, and the same
         # visit order, as mapping ``rng.permutation(n - 1)`` onto them
         rng.shuffle(order)
         if queued <= 0:  # nothing stealable anywhere: every probe would miss
-            return None, n - 1
+            return None, len(order)
         for empty_probes, victim in enumerate(order):
             if deques[victim]:
                 return victim, empty_probes
-        return None, n - 1
+        return None, len(order)
+
+
+@lru_cache(maxsize=16)  # O(n^2) entries per team size: keep a few sizes
+def _victim_orders(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per thief of an *n*-thread team, the other threads in thread order."""
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))

@@ -43,6 +43,8 @@ class Task:
 
     def count(self) -> int:
         """Total tasks in this subtree (including this one)."""
+        if not self.children:
+            return 1
         return 1 + sum(child.count() for child in self.children)
 
     def total_work(self) -> float:

@@ -15,7 +15,11 @@ the reproduction needs:
 
 Streams are identified by a *path* of hashable components, e.g.
 ``("noise", "daemon", run=3)``.  The path is hashed (SHA-256) together with
-the master seed into a 128-bit seed for :class:`numpy.random.PCG64`.
+the master seed into a 128-bit seed for :class:`numpy.random.PCG64`
+(:func:`derive_seed`).  A factory hashes its master seed and prefix once
+and extends a copy of that hash state per stream or child, so a stream's
+seed is :func:`derive_seed` of its full path while only the components
+past the prefix are hashed again.
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ def _encode_component(component: Any) -> bytes:
     )
 
 
+def _extended(state, path: tuple[Any, ...]):
+    """*state* updated in place with *path*, as :func:`derive_seed` hashes it."""
+    for component in path:
+        state.update(b"/")
+        state.update(_encode_component(component))
+    return state
+
+
 def derive_seed(master_seed: int, *path: Any) -> int:
     """Derive a 128-bit integer seed from *master_seed* and a stream path."""
     h = hashlib.sha256()
@@ -89,37 +101,45 @@ class RngFactory:
     True
     """
 
-    __slots__ = ("master_seed", "prefix")
+    __slots__ = ("master_seed", "prefix", "_state")
 
     def __init__(self, master_seed: int, prefix: tuple[Any, ...] = ()):
         self.master_seed = int(master_seed)
         self.prefix = tuple(prefix)
+        self._state = None  # SHA-256 of the seed and prefix, built on first use
+
+    def _hashed(self):
+        """The SHA-256 state after the master seed and the prefix.
+
+        Callers extend a ``copy()``; the state itself is never updated.
+        """
+        state = self._state
+        if state is None:
+            state = hashlib.sha256(str(self.master_seed).encode())
+            self._state = state = _extended(state, self.prefix)
+        return state
 
     def stream(self, *path: Any) -> np.random.Generator:
         """Return a fresh :class:`numpy.random.Generator` for *path*.
 
         Calling this twice with the same path returns two generators that
         produce identical sequences (they are distinct objects, so consuming
-        one does not affect the other).
+        one does not affect the other).  The seed is
+        ``derive_seed(master_seed, *prefix, *path)``.
         """
-        seed = derive_seed(self.master_seed, *self.prefix, *path)
+        digest = _extended(self._hashed().copy(), path).digest()
+        seed = int.from_bytes(digest[:16], "little")
         return np.random.Generator(np.random.PCG64(seed))
 
     def child(self, *path: Any) -> "RngFactory":
         """Return a factory whose streams are scoped under *path*."""
-        return RngFactory(self.master_seed, self.prefix + tuple(path))
+        child = RngFactory(self.master_seed, self.prefix + path)
+        child._state = _extended(self._hashed().copy(), path)
+        return child
 
-    def rep_streams(self, n_reps: int, *path: Any) -> "RepStreams":
-        """Fan one named stream out over the rep (run) axis.
-
-        Row ``r`` of the returned :class:`RepStreams` is exactly the
-        generator ``self.child("run", r).stream(*path)`` — i.e. the stream
-        run ``r`` draws for this path — so batched draws are bit-equal per
-        row to the per-run sequences.
-        """
-        return RepStreams(
-            tuple(self.stream("run", r, *path) for r in range(int(n_reps)))
-        )
+    def __reduce__(self):
+        # a hashlib state cannot be pickled: rebuild it on the other side
+        return RngFactory, (self.master_seed, self.prefix)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(master_seed={self.master_seed}, prefix={self.prefix!r})"

@@ -117,7 +117,6 @@ def bench_figure8_smoke(
     from repro.bench.taskbench import Taskbench, TaskbenchParams
     from repro.harness.config import ExperimentConfig
     from repro.harness.runner import Runner
-    from repro.omp.tasking.scheduler import WorkStealingScheduler
 
     params = TaskbenchParams(outer_reps=reps, grainsize=grainsize)
     config = ExperimentConfig(
@@ -135,21 +134,13 @@ def bench_figure8_smoke(
     horizon = bench.horizon_estimate(threads) * 1.5
     ctx = runner.runtime.start_run(0, runner.rng_factory, horizon)
 
-    workload = params.build_workload(threads)
-    label = params.label(threads)
     total_events = 0
     start = time.perf_counter()
     for rep in range(reps):
-        streams = [
-            ctx.stream("taskbench", label, "rep", rep, "thread", i)
-            for i in range(ctx.team.n_threads)
-        ]
-        scheduler = WorkStealingScheduler(
-            ctx.team, ctx.runtime.task_cost, ctx.freq_plan, ctx.noise, streams
-        )
-        fork = ctx.sync_cost.fork_cost(ctx.team)
-        stats = scheduler.run(workload, t_start=ctx.t + fork)
+        fork, stats = bench.run_rep(ctx, rep)
         total_events += stats.events_executed
+        # unlike Taskbench.measure, the cursor skips the join: the
+        # recorded event counts were measured along this timeline
         ctx.advance(fork + stats.makespan + params.rep_gap)
     elapsed = time.perf_counter() - start
     return {

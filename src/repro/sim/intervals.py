@@ -114,18 +114,32 @@ class IntervalSet:
 
     # -- measure queries -----------------------------------------------------
 
-    def _before(self, x: int) -> int:
-        """Measure of the set before nanosecond *x*."""
-        starts, ends, cum = self._as_lists()
-        i = bisect_right(starts, x)
-        return cum[i] - max(0, ends[i - 1] - x) if i else 0
-
     def overlap(self, a: float, b: float) -> float:
-        """Measure of the intersection with window ``[a, b)``, in seconds."""
-        lo, hi = to_sim_ns(a), to_sim_ns(b)
-        if hi <= lo or self.is_empty():
+        """Measure of the intersection with window ``[a, b)``, in seconds.
+
+        The measure before ``ns(b)`` minus the measure before ``ns(a)``,
+        each one bisect over the cached lists plus a prefix sum.
+        """
+        # the scalar query of every task body: to_sim_ns inlined
+        lo, hi = int(round(a * NS_PER_SEC)), int(round(b * NS_PER_SEC))
+        if hi <= lo:
             return 0.0
-        return (self._before(hi) - self._before(lo)) / NS_PER_SEC
+        starts, ends, cum = self._lists or self._as_lists()
+        i = bisect_right(starts, hi)
+        if not i:  # an empty set, or a window before its first interval
+            return 0.0
+        measure = cum[i]
+        past = ends[i - 1] - hi
+        if past > 0:  # hi falls inside interval i - 1
+            measure -= past
+        # lo < hi: its insertion point is at most i
+        i = bisect_right(starts, lo, 0, i)
+        if i:
+            measure -= cum[i]
+            past = ends[i - 1] - lo
+            if past > 0:
+                measure += past
+        return measure / NS_PER_SEC
 
     def clip(self, a: float, b: float) -> "IntervalSet":
         """The intersection with ``[a, b)`` as a new set."""

@@ -175,8 +175,11 @@ class PiecewiseConstant:
             raise TraceError(f"invert_integral: negative target {target}")
         if target == 0:
             return a
-        idx = self._seg_idx(a)
-        times, values = self._as_lists()
+        # the scalar query of every task body: _seg_idx inlined
+        times, values = self._lists or self._as_lists()
+        idx = bisect_right(times, a) - 1
+        if idx < 0:
+            raise TraceError(f"query before trace start {self.start}: min t = {a}")
         t = a
         remaining = float(target)
         n = len(times)

@@ -37,7 +37,7 @@ from repro.harness.experiments import EXPERIMENTS
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import Runner, run_batches
 from repro.obs.tracer import SpanTracer
-from repro.rng import RngFactory
+from repro.rng import RepStreams, RngFactory
 from repro.sched.model import SchedulerModel
 from repro.serve import JobService
 from repro.serve.jobspec import spec_fingerprint, spec_to_study, validate_spec
@@ -62,11 +62,19 @@ class PerRunBackend(SerialBackend):
         return [(per_run(cfg), 0.0) for cfg, _key in pending]
 
 
+def rep_streams(factory: RngFactory, n_reps: int, *path) -> RepStreams:
+    """Run ``r``'s stream for *path* in row ``r``, as the benchmarks build
+    their rep-axis streams."""
+    return RepStreams(
+        tuple(factory.child("run", r).stream(*path) for r in range(n_reps))
+    )
+
+
 class TestRepStreams:
     """Rep-axis RNG fan-out: row r == the run-r stream."""
 
     def test_rows_bit_equal_scalar_run_streams(self):
-        reps = RngFactory(42).rep_streams(5, "noise", "cpu", 3)
+        reps = rep_streams(RngFactory(42), 5, "noise", "cpu", 3)
         batched = reps.random(8)
         assert batched.shape == (5, 8)
         for r in range(5):
@@ -84,14 +92,14 @@ class TestRepStreams:
         ],
     )
     def test_every_distribution_preserves_draw_order(self, method, kwargs):
-        reps = RngFactory(7).rep_streams(3, "span")
+        reps = rep_streams(RngFactory(7), 3, "span")
         batched = getattr(reps, method)(size=4, **kwargs)
         for r in range(3):
             g = RngFactory(7).stream("run", r, "span")
             assert np.array_equal(batched[r], getattr(g, method)(size=4, **kwargs))
 
     def test_consuming_a_draw_advances_every_row_in_lockstep(self):
-        reps = RngFactory(9).rep_streams(2, "x")
+        reps = rep_streams(RngFactory(9), 2, "x")
         reps.random(3)  # discarded, but each row advanced by 3 variates
         second = reps.random(2)
         for r in range(2):

@@ -1,9 +1,30 @@
 """Tests for repro.rng (deterministic named streams)."""
 
+import pickle
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rng import RngFactory, derive_seed
+
+#: Path components of every type a stream path accepts, nested included.
+components = st.recursive(
+    st.one_of(
+        st.integers(),
+        st.text(max_size=8),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner), st.lists(inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+paths = st.lists(components, max_size=4).map(tuple)
 
 
 class TestDeriveSeed:
@@ -84,6 +105,31 @@ class TestRngFactory:
         a = RngFactory(1).stream("noise").random(8)
         b = RngFactory(2).stream("noise").random(8)
         assert not np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-2**70, max_value=2**70), paths, paths, paths)
+    def test_prefix_hashed_streams_are_derive_seed_streams(
+        self, master, prefix, scope, path
+    ):
+        """A factory extends its hashed seed and prefix per stream: the
+        generator is the one ``derive_seed`` of the whole path seeds."""
+        got = RngFactory(master, prefix).child(*scope).stream(*path)
+        want = np.random.Generator(
+            np.random.PCG64(derive_seed(master, *prefix, *scope, *path))
+        )
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(3).tolist() == want.random(3).tolist()
+
+    def test_pickled_factory_derives_equal_streams(self):
+        f = RngFactory(11, ("run", 2)).child("taskbench", 1.5)
+        before = f.stream("thread", 0).random(4)  # the hash state is cached
+        again = pickle.loads(pickle.dumps(f))
+        assert again == f
+        np.testing.assert_array_equal(again.stream("thread", 0).random(4), before)
+        np.testing.assert_array_equal(
+            again.child("rep", 3).stream(None).random(4),
+            f.child("rep", 3).stream(None).random(4),
+        )
 
 
 class TestBatchedDrawEquivalence:
@@ -194,7 +240,6 @@ class TestBatchedDrawEquivalence:
         """The all-deques-empty fast path must draw the permutation anyway
         (draw order is the determinism contract) and force the exact
         outcome the probe loop would have produced."""
-        from repro.omp.tasking.deque import TaskDeque
         from repro.omp.tasking.params import TaskCostModel, TaskCostParams
         from repro.omp.tasking.scheduler import WorkStealingScheduler
         from repro.omp.team import Team
@@ -202,10 +247,11 @@ class TestBatchedDrawEquivalence:
 
         plat = get_platform("vera")
         team = Team(machine=plat.machine, cpus=tuple(range(8)), bound=True)
-        sched = WorkStealingScheduler.__new__(WorkStealingScheduler)
-        sched.team = team
+        sched = WorkStealingScheduler(
+            team, TaskCostModel(TaskCostParams()), None, None, [None] * 8
+        )
 
-        deques = [TaskDeque(owner=i) for i in range(8)]
+        deques = [deque() for _ in range(8)]
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         # fast path (queued=0) vs the probe loop (queued>0, all empty)
         fast = sched._scan_victims(2, deques, a, queued=0)

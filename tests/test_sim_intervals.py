@@ -1,11 +1,15 @@
 """Tests for IntervalSet, including the preemption finish_time query."""
 
+from bisect import bisect_right
+from math import inf, nan
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.intervals import IntervalBatch, IntervalSet
+from repro.units import NS_PER_SEC, to_sim_ns
 
 
 class TestNormalization:
@@ -183,6 +187,59 @@ def test_complement_partitions_window(pairs, a, width):
     inside = s.overlap(a, b)
     free = s.complement_within(a, b).total
     assert inside + free == pytest.approx(max(0.0, b - a), rel=1e-9, abs=2 * QUANTUM)
+
+
+def overlap_oracle(s, a, b):
+    """Measure before ``ns(b)`` minus measure before ``ns(a)``: bisect over
+    fresh lists of starts and ends plus a running sum of lengths."""
+    lo, hi = to_sim_ns(a), to_sim_ns(b)
+    if hi <= lo or s.is_empty():
+        return 0.0
+    starts, ends = s.starts.tolist(), s.ends.tolist()
+    cum = [0]
+    for start, end in zip(starts, ends):
+        cum.append(cum[-1] + end - start)
+
+    def before(x):
+        i = bisect_right(starts, x)
+        return cum[i] - max(0, ends[i - 1] - x) if i else 0
+
+    return (before(hi) - before(lo)) / NS_PER_SEC
+
+
+def outcome(query, *args):
+    """A query's float, exactly (``repr`` tells -0.0 from 0.0), or the type
+    of the exception it raised."""
+    try:
+        return repr(query(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@st.composite
+def overlap_queries(draw):
+    """An interval set (possibly empty) and a window: arbitrary, reversed
+    or empty, inside one interval, or on or 1 ns off an interval's
+    endpoints."""
+    s = IntervalSet.from_pairs(draw(interval_lists))
+    edge = st.floats(min_value=-5.0, max_value=60.0)
+    if len(s) and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(s) - 1))
+        start, end = list(s)[k]
+        ends = [x + d for x in (start, end) for d in (-1e-9, 0.0, 1e-9)]
+        mid = st.floats(min_value=start, max_value=end)
+        edge = st.one_of(st.sampled_from(ends), mid, edge)
+    edge = st.one_of(edge, st.sampled_from([nan, inf, -inf]))
+    return s, draw(edge), draw(edge)
+
+
+@given(overlap_queries())
+@settings(max_examples=300, deadline=None)
+def test_overlap_matches_prefix_sum_reference(query):
+    s, a, b = query
+    want = outcome(overlap_oracle, s, a, b)
+    assert outcome(s.overlap, a, b) == want
+    assert outcome(s.overlap, a, b) == want  # lists cached
 
 
 #: Int64-ns intervals on up to 6 rows, in any order: overlapping, touching,

@@ -1,5 +1,8 @@
 """Tests for PiecewiseConstant traces, including property-based checks."""
 
+from bisect import bisect_right
+from math import inf
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +175,71 @@ def test_mean_bounded_by_extremes(segments):
     m = t.mean(0.0, span)
     vals = [v for _, v in segments]
     assert min(vals) - 1e-9 <= m <= max(vals) + 1e-9
+
+
+def invert_integral_oracle(trace, a, target):
+    """The segment walk of ``invert_integral`` over fresh lists: bisect for
+    the segment holding *a*, then spend *target* segment by segment."""
+    if target < 0:
+        raise TraceError(f"invert_integral: negative target {target}")
+    if target == 0:
+        return a
+    times, values = trace.times.tolist(), trace.values.tolist()
+    idx = bisect_right(times, a) - 1
+    if idx < 0:
+        raise TraceError(f"query before trace start: {a}")
+    t = a
+    remaining = float(target)
+    while True:
+        v = values[idx]
+        if v <= 0:
+            raise TraceError(f"non-positive signal {v} at segment {idx}")
+        seg_end = times[idx + 1] if idx + 1 < len(times) else inf
+        capacity = v * (seg_end - t)
+        if remaining <= capacity:
+            return t + remaining / v
+        remaining -= capacity
+        t = seg_end
+        idx += 1
+
+
+def outcome(query, *args):
+    """A query's float, exactly (``repr`` tells -0.0 from 0.0), or the type
+    of the exception it raised."""
+    try:
+        return repr(query(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@st.composite
+def trace_queries(draw):
+    """A multi-segment trace (some segments non-positive) and a query whose
+    start may precede the trace or sit on a breakpoint, target 0 included."""
+    times = [draw(st.floats(min_value=-5.0, max_value=5.0))]
+    for d in draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), max_size=7)):
+        times.append(times[-1] + d)
+    level = st.one_of(
+        st.floats(min_value=0.1, max_value=100.0), st.sampled_from([0.0, -1.0])
+    )
+    levels = draw(st.lists(level, min_size=len(times), max_size=len(times)))
+    a = draw(st.one_of(
+        st.floats(min_value=times[0] - 2.0, max_value=times[0]),
+        st.floats(min_value=times[0], max_value=times[-1] + 2.0),
+        st.sampled_from(times),
+    ))
+    target = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=500.0),
+        st.floats(min_value=-10.0, max_value=-1e-9),
+    ))
+    return PiecewiseConstant(times, levels), a, target
+
+
+@given(trace_queries())
+@settings(max_examples=300, deadline=None)
+def test_invert_integral_matches_segment_walk(query):
+    trace, a, target = query
+    want = outcome(invert_integral_oracle, trace, a, target)
+    assert outcome(trace.invert_integral, a, target) == want
+    assert outcome(trace.invert_integral, a, target) == want  # lists cached

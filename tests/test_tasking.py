@@ -9,6 +9,7 @@ tasking parameters in the key), and the figure8 experiment driver.
 import heapq
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.errors import (
     HarnessError,
     SimulationError,
 )
-from repro.freq.dvfs import FrequencyModel
+from repro.freq.dvfs import FrequencyModel, FrequencyPlan
 from repro.freq.governor import make_governor
 from repro.harness import (
     ExperimentConfig,
@@ -36,7 +37,6 @@ from repro.omp.tasking import (
     Task,
     TaskCostModel,
     TaskCostParams,
-    TaskDeque,
     WorkStealingScheduler,
     fib_tasks,
     taskloop_tasks,
@@ -48,6 +48,8 @@ from repro.osnoise.model import NoiseModel
 from repro.platform import toy, vera
 from repro.rng import RngFactory
 from repro.sim.bench import bench_figure8_smoke
+from repro.sim.intervals import IntervalSet
+from repro.sim.trace import PiecewiseConstant
 
 
 # ---------------------------------------------------------------------------
@@ -86,37 +88,6 @@ class TestTaskCostParams:
                           bound=True)
         assert model.steal_cost(two_socket) > model.steal_cost(one_numa)
         assert model.failed_steal_cost(two_socket) > model.failed_steal_cost(one_numa)
-
-
-# ---------------------------------------------------------------------------
-# Deques
-# ---------------------------------------------------------------------------
-
-class TestTaskDeque:
-    def test_owner_lifo_thief_fifo(self):
-        d = TaskDeque(owner=0)
-        for tag in "abc":
-            d.push(Task(work=0.0, tag=tag))
-        assert d.pop().tag == "c"        # owner: freshest
-        assert d.steal().tag == "a"      # thief: oldest
-        assert d.pop().tag == "b"
-        assert len(d) == 0 and not d
-
-    def test_empty_operations_raise(self):
-        d = TaskDeque(owner=1)
-        with pytest.raises(SimulationError):
-            d.pop()
-        with pytest.raises(SimulationError):
-            d.steal()
-        assert d.peek_steal() is None
-
-    def test_counters(self):
-        d = TaskDeque(owner=0)
-        d.push(Task(work=0.0))
-        d.push(Task(work=0.0))
-        d.pop()
-        d.steal()
-        assert (d.pushes, d.pops, d.steals_taken) == (2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +283,29 @@ class TestWorkStealingScheduler:
         assert queued_times
         assert all(math.isfinite(t) for t in queued_times)
 
+    def test_owner_pops_newest_thief_takes_oldest(self, monkeypatch):
+        """Thread 0 starts with the whole bag: it pops the task pushed
+        last, and thread 1, waking next, steals the task pushed first."""
+        taken = []
+
+        class Recording(deque):
+            def pop(self):
+                task = super().pop()
+                taken.append(("pop", task.tag))
+                return task
+
+            def popleft(self):
+                task = super().popleft()
+                taken.append(("steal", task.tag))
+                return task
+
+        monkeypatch.setattr(scheduler_mod, "deque", Recording)
+        team = Team(toy().machine, (0, 2), bound=True)
+        bag = tuple(Task(work=2e-6, tag=tag) for tag in "abcd")
+        _scheduler(team).run(bag)
+        assert taken[:2] == [("pop", "d"), ("steal", "a")]
+        assert sorted(tag for _, tag in taken) == list("abcd")
+
     def test_scan_order_is_the_permutation_of_the_other_threads(self):
         """A scan visits the other threads in the order
         ``rng.permutation(n - 1)`` maps onto them, and consumes the stream
@@ -324,8 +318,8 @@ class TestWorkStealingScheduler:
                     perm = np.random.default_rng(seed).permutation(n - 1)
                     want = [int(k) + 1 if k >= thief else int(k) for k in perm]
                     for victim in want:
-                        deques = [[]] * n
-                        deques[victim] = [Task(work=0.0)]
+                        deques = [deque() for _ in range(n)]
+                        deques[victim].append(Task(work=0.0))
                         rng = np.random.default_rng(seed)
                         got = sched._scan_victims(thief, deques, rng)
                         assert got == (victim, want.index(victim))
@@ -343,79 +337,145 @@ class _NanBackoff(TaskCostModel):
         return float("nan")
 
 
+#: Levels (Hz) the hand-built step traces cycle through.
+_STEP_LEVELS = (2.0e9, 1.4e9, 2.6e9, 1.8e9, 2.3e9)
+
+
+class _StolenSets:
+    """Per-CPU stolen intervals: the one query the scheduler makes of a
+    noise realization."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def stolen_on(self, cpu):
+        return self.sets[cpu]
+
+
+def _stepped_substrate(machine):
+    """A hand-built frequency plan of step traces, and per-CPU stolen sets.
+
+    From t = 0.25, every CPU's trace steps every 3.1 us at its own phase,
+    and its stolen set holds a 1.5 us interval every 11 us, so bodies of a
+    few microseconds run across breakpoints and lose time to noise.  (No
+    taskbench body crosses a breakpoint of the platforms' own traces.)
+    """
+    n = machine.n_cpus
+    traces, stolen = {}, {}
+    for cpu in range(n):
+        phase = cpu / n
+        times = [0.0] + [0.25 + (k + phase) * 3.1e-6 for k in range(2000)]
+        traces[cpu] = PiecewiseConstant(
+            times, [_STEP_LEVELS[(cpu + k) % 5] for k in range(len(times))]
+        )
+        stolen[cpu] = IntervalSet.from_pairs(
+            (t, t + 1.5e-6)
+            for t in (0.25 + (k + 1.0 - phase) * 11e-6 for k in range(600))
+        )
+    plan = FrequencyPlan(machine, traces, 0.0, calibration_hz=2.0e9)
+    return plan, _StolenSets(stolen)
+
+
+def _pinned_scheduler(platform, cpus, bound, substrate):
+    plat = vera() if platform == "vera" else toy()
+    if substrate == "quiet":
+        plat = plat.quiet()
+    if isinstance(cpus, int):
+        cpus = tuple(range(cpus))
+    sched = _scheduler(Team(plat.machine, cpus, bound=bound), platform=plat)
+    if substrate == "stepped":
+        sched.freq_plan, sched.noise = _stepped_substrate(plat.machine)
+    return sched
+
+
 #: Exact outcomes of fixed scheduler episodes (seed 3, default costs,
 #: t_start 0.25): ``(events_executed, total_steals, total_failed_steals,
 #: t_end, idle, busy, overhead)``, the last four as ``float.hex`` of the
 #: end time and of the per-thread sums.  A changed schedule, RNG draw or
-#: event count moves at least one of them.
+#: event count moves at least one of them.  The substrate is the
+#: platform's frequency and noise models (``"model"``), its noise-free
+#: copy (``"quiet"``), or :func:`_stepped_substrate` (``"stepped"``).
 PINNED_EPISODES = {
     "taskloop-g1-n2": (
-        "vera", 2, True, False,
+        "vera", 2, True, "model",
         taskloop_tasks(512, 2e-6, grainsize=1, imbalance=0.6),
         (1027, 297, 1, "0x1.009cf991b2152p-2",
          "0x1.27476ca61b882p-21", "0x1.0c63bd3b34400p-10", "0x1.6c76cbb951710p-13"),
     ),
     "taskloop-g64-n2": (
-        "vera", 2, True, False,
+        "vera", 2, True, "model",
         taskloop_tasks(512, 2e-6, grainsize=64, imbalance=0.6),
         (23, 5, 5, "0x1.0087185087f2ap-2",
          "0x1.b93da3cf7d813p-17", "0x1.0aa499f3d0600p-10", "0x1.813472f946d35p-19"),
     ),
     "taskloop-g1-n8": (
-        "vera", 8, True, False,
+        "vera", 8, True, "model",
         taskloop_tasks(512, 2e-6, grainsize=1, imbalance=0.6),
         (1043, 456, 1449, "0x1.00371cb4f437bp-2",
          "0x1.33dca65ea3fa4p-16", "0x1.40a68b95ff700p-10", "0x1.d5b858cc74e34p-12"),
     ),
     "taskloop-g64-n8": (
-        "vera", 8, True, False,
+        "vera", 8, True, "model",
         taskloop_tasks(512, 2e-6, grainsize=64, imbalance=0.6),
         (82, 7, 432, "0x1.003ac48421055p-2",
          "0x1.5e46dd34231d4p-11", "0x1.3d689cb14f000p-10", "0x1.000533709ac7cp-17"),
     ),
     "taskloop-g1-n30": (
-        "vera", 30, True, False,
+        "vera", 30, True, "model",
         taskloop_tasks(512, 2e-6, grainsize=1, imbalance=0.6),
         (1100, 478, 7993, "0x1.00291fdb67645p-2",
          "0x1.0c0e562f0bb14p-11", "0x1.62c93c14d43eep-10", "0x1.8d9233be3d06bp-9"),
     ),
     "taskloop-g64-n30": (
-        "vera", 30, True, False,
+        "vera", 30, True, "model",
         taskloop_tasks(512, 2e-6, grainsize=64, imbalance=0.6),
         (326, 7, 8238, "0x1.00410fc80d1c3p-2",
          "0x1.aa47d226a8e16p-8", "0x1.61bab3d425000p-10", "0x1.b39b6cf7ef84ep-15"),
     ),
     "fib-smt": (
-        "toy", (0, 8, 1, 9, 2, 10, 3, 11), True, False,
+        "toy", (0, 8, 1, 9, 2, 10, 3, 11), True, "model",
         fib_tasks(12, 4e-6, 4e-7),
         (1203, 44, 284, "0x1.003b219dce285p-2",
          "0x1.24f37f6916c50p-14", "0x1.6c9dcf6245a00p-10", "0x1.70d0441d07c4dp-12"),
     ),
     "uniform-quiet": (
-        "toy", 4, True, True,
+        "toy", 4, True, "quiet",
         uniform_tasks(64, 5e-6),
         (141, 47, 73, "0x1.001b13dc8d277p-2",
          "0x1.13fc3646e3ea2p-16", "0x1.8360ab4201400p-12", "0x1.13bbc99a3d588p-15"),
     ),
     "unbound-n8": (
-        "vera", 8, False, False,
+        "vera", 8, False, "model",
         taskloop_tasks(256, 2e-6, num_tasks=16, imbalance=0.3),
         (78, 14, 311, "0x1.00189b0ff5f2dp-2",
          "0x1.67a95c853c148p-13", "0x1.3f08ac02e5a00p-11", "0x1.dccef8761de98p-17"),
+    ),
+    "stepped-taskloop-smt": (
+        "toy", (0, 8, 1, 9), True, "stepped",
+        taskloop_tasks(256, 2e-6, grainsize=4, imbalance=0.6),
+        (141, 52, 77, "0x1.0030b7e5c8271p-2",
+         "0x1.50a284cfb3062p-16", "0x1.66031a39a0cb3p-11", "0x1.847160b7c8254p-15"),
+    ),
+    "stepped-fib-smt": (
+        "toy", (0, 8, 1, 9, 2, 3), True, "stepped",
+        fib_tasks(12, 4e-6, 4e-7),
+        (1194, 54, 174, "0x1.004a191701dcbp-2",
+         "0x1.6f0068db8bac8p-15", "0x1.549828e61f9aap-10", "0x1.74d5b74e82bc1p-12"),
+    ),
+    "stepped-uniform-n8": (
+        "toy", 8, True, "stepped",
+        uniform_tasks(64, 5e-6),
+        (149, 53, 259, "0x1.0010dd919c29cp-2",
+         "0x1.684dc7332fd82p-15", "0x1.6e74d2f0f7672p-12", "0x1.1a25f1005dc8ep-13"),
     ),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(PINNED_EPISODES))
 def test_pinned_episode(shape):
-    platform, cpus, bound, quiet, workload, want = PINNED_EPISODES[shape]
-    plat = vera() if platform == "vera" else toy()
-    if quiet:
-        plat = plat.quiet()
-    if isinstance(cpus, int):
-        cpus = tuple(range(cpus))
-    team = Team(plat.machine, cpus, bound=bound)
-    stats = _scheduler(team, platform=plat).run(workload, t_start=0.25)
+    platform, cpus, bound, substrate, workload, want = PINNED_EPISODES[shape]
+    sched = _pinned_scheduler(platform, cpus, bound, substrate)
+    stats = sched.run(workload, t_start=0.25)
     got = (
         stats.events_executed,
         stats.total_steals,
@@ -427,6 +487,52 @@ def test_pinned_episode(shape):
     )
     assert got == want
     assert int(stats.tasks_executed.sum()) == stats.total_tasks
+
+
+class _Recorded:
+    """Forwards the scheduler's two pricing queries and records, per call,
+    whether the body spanned a breakpoint or lost time to noise."""
+
+    def __init__(self, target, log):
+        self.target, self.log = target, log
+
+    def invert_integral(self, a, cycles):
+        end = self.target.invert_integral(a, cycles)
+        times = self.target.times
+        self.log.append(
+            np.searchsorted(times, a, "right") < np.searchsorted(times, end)
+        )
+        return end
+
+    def overlap(self, a, b):
+        stolen = self.target.overlap(a, b)
+        self.log.append(stolen > 0)
+        return stolen
+
+
+@pytest.mark.parametrize(
+    "shape", sorted(k for k in PINNED_EPISODES if k.startswith("stepped"))
+)
+def test_stepped_bodies_cross_breakpoints_and_stolen_time(shape):
+    """Stepped episodes price what the platforms' taskbench episodes never
+    reach: bodies across frequency breakpoints, inside stolen time."""
+    platform, cpus, bound, substrate, workload, want = PINNED_EPISODES[shape]
+    sched = _pinned_scheduler(platform, cpus, bound, substrate)
+    crossed, stolen = [], []
+    plan = sched.freq_plan
+    sched.freq_plan = FrequencyPlan(
+        plan.machine,
+        {cpu: _Recorded(trace, crossed) for cpu, trace in plan.traces.items()},
+        plan.window_start,
+        plan.calibration_hz,
+    )
+    sched.noise.sets = {
+        cpu: _Recorded(s, stolen) for cpu, s in sched.noise.sets.items()
+    }
+    stats = sched.run(workload, t_start=0.25)
+    assert stats.t_end.hex() == want[3]
+    assert len(crossed) == len(stolen) == stats.total_tasks
+    assert any(crossed) and any(stolen)
 
 
 def test_figure8_smoke_event_count_matches_committed_report():
