@@ -12,13 +12,19 @@ The plan answers the two questions the rest of the simulator asks:
 * *observation*: what frequency would the sysfs logger read at time *t*
   (:meth:`FrequencyPlan.freq_at`, :meth:`FrequencyPlan.snapshot`).
 
-:meth:`FrequencyModel.plan` keeps only the stream's draws and the
-``round(t, 12)`` breakpoint dedup in its per-CPU loop, because each CPU's
-draws follow the previous CPU's in one stream and the dedup sets the size
-of the CPU's jitter draw.  Values, dip minima, p-state quantization and
-the collapse of equal segments run once over every CPU's breakpoints, as
-the same elementwise operations a single CPU's trace needs, so each value
-is bit-identical to computing that CPU alone.
+:meth:`FrequencyModel.plan` draws the run's dips and derate factors and
+returns a plan that owns the rest of the ``freq`` stream.  The plan
+builds a CPU's trace on first request, together with every unbuilt CPU
+below it, in CPU order (:class:`_LazyTraces`): the per-CPU loop is the
+stream's last consumer, so CPUs built over several requests draw the
+bits one loop over every CPU draws, and a run pays only for the CPUs up
+to the highest one it touches.  The loop keeps only the stream's draws
+and the ``round(t, 12)`` breakpoint dedup, because each CPU's draws
+follow the previous CPU's in one stream and the dedup sets the size of
+the CPU's jitter draw.  Values, dip minima, p-state quantization and
+the collapse of equal segments run once over the new CPUs'
+breakpoints, as the same elementwise operations a single CPU's trace
+needs, so each value is bit-identical to computing that CPU alone.
 """
 
 from __future__ import annotations
@@ -84,7 +90,13 @@ class FrequencySpec:
 
 
 class FrequencyPlan:
-    """Per-CPU frequency traces over one run window."""
+    """Per-CPU frequency traces over one run window.
+
+    *traces* maps every CPU of *machine* to its trace.  A plan from
+    :meth:`FrequencyModel.plan` passes a :class:`_LazyTraces` instead,
+    which builds each trace on first request; every method below reads
+    through ``traces`` and so builds what it needs.
+    """
 
     def __init__(
         self,
@@ -94,16 +106,27 @@ class FrequencyPlan:
         calibration_hz: float,
         dips: Sequence[FrequencyDip] = (),
     ):
-        if set(traces) != set(range(machine.n_cpus)):
-            raise FrequencyError("plan must cover every cpu exactly once")
+        if not isinstance(traces, _LazyTraces):
+            if set(traces) != set(range(machine.n_cpus)):
+                raise FrequencyError("plan must cover every cpu exactly once")
+            traces = dict(traces)
         self.machine = machine
-        self.traces = dict(traces)
+        self.traces = traces
         self.window_start = float(window_start)
         self.calibration_hz = float(calibration_hz)
         self.dips = tuple(dips)
 
     def trace(self, cpu: int) -> PiecewiseConstant:
         return self.traces[cpu]
+
+    def traces_for(self, cpus: Sequence[int]) -> list[PiecewiseConstant]:
+        """The traces of *cpus*, in order, from one request: the highest
+        CPU is asked for first, so a lazy plan builds the team's traces
+        in one extension instead of one per CPU."""
+        traces = self.traces
+        if len(cpus):
+            traces[max(cpus)]
+        return [traces[c] for c in cpus]
 
     def freq_at(self, cpu: int, t: float) -> float:
         return float(self.traces[cpu].value_at(t))
@@ -117,18 +140,11 @@ class FrequencyPlan:
         end = self.traces[cpu].invert_integral(start, cycles)
         return end - start
 
-    def cycles_in(self, cpu: int, start: float, end: float) -> float:
-        """Cycles retired by *cpu* over ``[start, end]``."""
-        return self.traces[cpu].integrate(start, end)
-
     def snapshot(self, t: float) -> np.ndarray:
         """Frequencies (Hz) of all CPUs at time *t*, indexed by cpu id."""
         return np.asarray(
-            [self.traces[c].value_at(t) for c in range(self.machine.n_cpus)]
+            [tr.value_at(t) for tr in self.traces_for(range(self.machine.n_cpus))]
         )
-
-    def mean_freq(self, cpu: int, start: float, end: float) -> float:
-        return self.traces[cpu].mean(start, end)
 
 
 class FrequencyPlanBatch:
@@ -149,7 +165,7 @@ class FrequencyPlanBatch:
     def __init__(self, plans: Sequence[FrequencyPlan], cpus: Sequence[int]):
         self.plans = tuple(plans)
         self.cpus = tuple(int(c) for c in cpus)
-        traces = [p.traces[c] for p in self.plans for c in self.cpus]
+        traces = [tr for p in self.plans for tr in p.traces_for(self.cpus)]
         width = max(len(t) for t in traces)
         # one extra +inf column: segment ends read at idx + 1 stay in bounds
         times = np.full((len(traces), width + 1), np.inf)
@@ -260,6 +276,10 @@ class FrequencyModel:
         for unbound teams, whose placement migrates during the run — the
         boost *limit* still follows the team's active-core count, but the
         triggers must not be anchored to the initial placement.
+
+        The dips and derate factors are drawn here.  The plan keeps *rng*
+        and draws each CPU's jitter when its trace is first requested, so
+        *rng* must have no other consumer once the plan is made.
         """
         if window_end <= window_start:
             raise FrequencyError("empty frequency window")
@@ -284,9 +304,6 @@ class FrequencyModel:
             window_start, window_end, socket_ids, cross_numa, rng,
             occupancy=occupancy,
         )
-        dips_by_socket: dict[int, list[FrequencyDip]] = {}
-        for dip in dips:
-            dips_by_socket.setdefault(dip.socket_id, []).append(dip)
 
         # run-scale derate episodes (one draw per socket hosting work)
         load = active_cores / machine.n_cores
@@ -294,34 +311,94 @@ class FrequencyModel:
             s: spec.derate.sample_factor(load, rng) for s in socket_ids
         }
 
-        horizon = window_end - window_start
         steady = {
             busy: self.steady_target(governor, active_cores, busy)
             for busy in (True, False)
         }
-        sockets = [hw.socket_id for hw in machine.hwthreads]
+        traces = _LazyTraces(
+            self, rng, window_start, window_end - window_start, busy_set,
+            steady, derate_by_socket, dips,
+        )
+        return FrequencyPlan(
+            machine,
+            traces,
+            window_start,
+            calibration_hz=spec.calibration_hz,
+            dips=dips,
+        )
+
+
+class _LazyTraces(dict):
+    """``cpu -> trace`` of a plan from :meth:`FrequencyModel.plan`, built
+    on first request.
+
+    A miss on CPU *k* builds every unbuilt CPU up to *k*, in CPU order,
+    from the plan's own ``freq`` generator (:meth:`_build`).  A CPU
+    outside the machine raises ``KeyError``; a negative one never wraps
+    around.
+    """
+
+    def __init__(
+        self,
+        model: FrequencyModel,
+        rng: np.random.Generator,
+        window_start: float,
+        horizon: float,
+        busy_set: set[int],
+        steady: Mapping[bool, float],
+        derate_by_socket: Mapping[int, float],
+        dips: Sequence[FrequencyDip],
+    ):
+        super().__init__()
+        self._model = model
+        self._rng = rng
+        self._window_start = window_start
+        self._horizon = horizon
+        self._busy_set = busy_set
+        self._steady = steady
+        self._derate_by_socket = derate_by_socket
+        self._dips = dips
         # Python's round, not np.round, which can differ in the last bit
-        start_bp = round(window_start, 12)
-        dip_edges = {
-            s: [
+        self._start_bp = round(window_start, 12)
+        dip_edges: dict[int, list[float]] = {}
+        for dip in dips:
+            dip_edges.setdefault(dip.socket_id, []).extend(
                 round(t, 12)
-                for dip in socket_dips
                 for t in (dip.start, dip.start + dip.duration)
                 if t >= window_start
-            ]
-            for s, socket_dips in dips_by_socket.items()
-        }
+            )
+        self._dip_edges = dip_edges
+        self._built = 0  # CPUs 0 .. _built - 1 have traces
+
+    def __missing__(self, cpu: int) -> PiecewiseConstant:
+        if not 0 <= cpu < self._model.machine.n_cpus:
+            raise KeyError(cpu)
+        self._build(cpu + 1)
+        return self[cpu]
+
+    def _build(self, stop: int) -> None:
+        """Build the traces of CPUs ``_built .. stop - 1``.
+
+        Per CPU, in CPU order: the stream's draws and the breakpoint
+        dedup (window start + jitter re-draws + dip edges); the jitter
+        block's size is the deduplicated breakpoint count.  This loop is
+        the stream's last consumer, so building CPUs over several calls
+        draws what one call over every CPU draws.
+        """
+        model = self._model
+        cpus = range(self._built, stop)
+        sockets = [hw.socket_id for hw in model.machine.hwthreads[self._built : stop]]
+        steady, derate_by_socket = self._steady, self._derate_by_socket
+        bases = [
+            steady[cpu in self._busy_set] * derate_by_socket.get(socket_id, 1.0)
+            for cpu, socket_id in zip(cpus, sockets)
+        ]
+        spec, rng = model.spec, self._rng
+        window_start, horizon = self._window_start, self._horizon
+        start_bp, dip_edges = self._start_bp, self._dip_edges
         jitter_lam = spec.jitter_rate * horizon
         amplitude = spec.jitter_amplitude
         poisson, random, uniform = rng.poisson, rng.random, rng.uniform
-
-        # per CPU, in cpu order: the stream's draws and the breakpoint dedup
-        # (window start + jitter re-draws + dip edges); the jitter block's
-        # size is the deduplicated breakpoint count
-        bases = [
-            steady[cpu in busy_set] * derate_by_socket.get(socket_id, 1.0)
-            for cpu, socket_id in enumerate(sockets)
-        ]
         times: list[float] = []
         sizes: list[int] = []
         jitter_parts: list[np.ndarray] = []
@@ -342,7 +419,7 @@ class FrequencyModel:
             times += cpu_times
             sizes.append(len(cpu_times))
 
-        # one pass over every breakpoint of every cpu: the per-cpu
+        # one pass over every breakpoint of the new cpus: the per-cpu
         # expressions elementwise, so each value is bit-identical
         t_all = np.asarray(times)
         counts = np.asarray(sizes)
@@ -355,11 +432,11 @@ class FrequencyModel:
             jitter = np.ones(t_all.size)
         values = base * jitter
         # apply dips: segment value scaled by deepest overlapping dip
-        for dip in dips:
+        for dip in self._dips:
             lo, hi = dip.start, dip.start + dip.duration
             mask = (socket == dip.socket_id) & (t_all >= lo - 1e-12) & (t_all < hi - 1e-12)
             values[mask] = np.minimum(values[mask], base[mask] * jitter[mask] * dip.depth)
-        values = np.asarray(self._quantize(values), dtype=np.float64)
+        values = np.asarray(model._quantize(values), dtype=np.float64)
 
         # collapse equal consecutive values to keep traces small; every
         # cpu keeps its first breakpoint, and its kept breakpoints stay
@@ -371,15 +448,6 @@ class FrequencyModel:
         bounds = np.zeros(counts.size + 1, dtype=np.int64)
         bounds[1:] = np.cumsum(keep)[ends - 1]
         kept_t, kept_v = t_all[keep], values[keep]
-        traces = {
-            cpu: PiecewiseConstant(kept_t[lo:hi], kept_v[lo:hi], _valid=True)
-            for cpu, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        }
-
-        return FrequencyPlan(
-            machine,
-            traces,
-            window_start,
-            calibration_hz=spec.calibration_hz,
-            dips=dips,
-        )
+        for cpu, lo, hi in zip(cpus, bounds[:-1].tolist(), bounds[1:].tolist()):
+            self[cpu] = PiecewiseConstant(kept_t[lo:hi], kept_v[lo:hi], _valid=True)
+        self._built = stop

@@ -72,6 +72,8 @@ class Runner:
             config.platform, config.benchmark, config.num_threads, config.proc_bind
         )
         self._bench = self._make_benchmark()
+        # resolved and checked before any run is simulated
+        self._logger_at = self._logger_cpu() if config.freq_logging else None
 
     # -- benchmark construction -----------------------------------------------
 
@@ -150,10 +152,16 @@ class Runner:
         return ()
 
     def _logger_cpu(self) -> int:
-        n_cpus = self.platform.machine.n_cpus
+        machine = self.platform.machine
+        n_cpus = machine.n_cpus
         planned = set(self.planned_cpus())
         if self.config.logger_cpu is not None:
             cpu = self.config.logger_cpu
+            if isinstance(cpu, bool) or not isinstance(cpu, int) or not 0 <= cpu < n_cpus:
+                raise HarnessError(
+                    f"frequency logger CPU {cpu!r} is not a CPU of "
+                    f"{machine.name} (CPUs 0-{n_cpus - 1})"
+                )
         else:
             # default: the last CPU of the machine (a spare core in the
             # paper's configurations, which leave at least 2 CPUs free)
@@ -178,7 +186,7 @@ class Runner:
         extra_busy: tuple[int, ...] = ()
         logger = None
         if cfg.freq_logging:
-            logger = FrequencyLogger(self._logger_cpu())
+            logger = FrequencyLogger(self._logger_at)
             extra_busy = (logger.logger_cpu,)
         horizon = self._horizon(cfg.num_threads)
         tracer = self.tracer

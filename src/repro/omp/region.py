@@ -149,8 +149,9 @@ class RegionExecutor:
 
         The noise planes have a row per machine CPU, so a new cpuset only
         changes which rows are queried.  Sibling pressure only matters
-        where the SMT sibling is not a teammate, so only those threads'
-        rows are queried in the sibling plane.
+        where the CPU has an SMT sibling and it is not a teammate, so only
+        those threads query the sibling plane, at the rows the runs'
+        realizations map their CPUs to (one map: the runs share a machine).
         """
         if team.cpus == self._cpus:
             return
@@ -158,8 +159,11 @@ class RegionExecutor:
         self._team_freq: FrequencyPlanBatch | None = None
         self._master_freq: FrequencyPlanBatch | None = None
         self._rows = np.asarray(team.cpus, dtype=np.int64)
-        self._sib_cols = np.flatnonzero(~np.asarray(team.smt_shared, dtype=bool))
-        self._sib_rows = self._rows[self._sib_cols]
+        sib_rows = self._noises[0].sibling_rows(self._rows)
+        self._sib_cols = np.flatnonzero(
+            ~np.asarray(team.smt_shared, dtype=bool) & (sib_rows >= 0)
+        )
+        self._sib_rows = sib_rows[self._sib_cols]
 
     def _team_plane(self, team: Team) -> FrequencyPlanBatch:
         self._use_team(team)

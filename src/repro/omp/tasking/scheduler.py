@@ -251,7 +251,7 @@ class WorkStealingScheduler:
         rngs = self.streams
         # per-thread body substrate, resolved once per episode
         calibration_hz = self.freq_plan.calibration_hz
-        invert = [self.freq_plan.trace(cpu).invert_integral for cpu in team.cpus]
+        invert = [tr.invert_integral for tr in self.freq_plan.traces_for(team.cpus)]
         stolen = [self.noise.stolen_on(cpu).overlap for cpu in team.cpus]
         smt_shared = [bool(s) for s in team.smt_shared]
         tracer = self.tracer

@@ -15,6 +15,12 @@ places unassigned events, and compiles the result into a
 Both are answered from planes: one :class:`~repro.sim.intervals.IntervalBatch`
 row per machine CPU, queried in place by the region executor
 (:meth:`NoiseRealization.stolen_plane`, :meth:`NoiseRealization.sibling_plane`).
+Where no CPU has more than one SMT sibling (SMT-2 machines, and machines
+without SMT), a CPU's sibling pressure is its sibling's stolen row, so
+the sibling plane *is* the stolen plane, read at the siblings' rows
+(:meth:`NoiseRealization.sibling_rows`), and a CPU without a sibling is
+never queried.  Only machines where a CPU has two or more siblings
+build a separate union plane.
 
 Performance note: a full-scale schedbench run on the Dardel model realizes
 on the order of a million timer ticks, yet a region run reaches only part
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +66,12 @@ class NoiseRealization:
 
     Events are kept flat: the non-tick events as arrays ``(starts,
     durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  Queries
-    go to two planes whose rows are CPUs (:class:`IntervalBatch`): the
+    go to planes whose rows are CPUs (:class:`IntervalBatch`): the
     stolen plane, built over the non-tick events and the ticks expanded
-    to a *covered* time, and the sibling plane, which copies each stolen
-    interval onto its CPU's SMT siblings' rows.  A plane is exact for
-    every window ending by the covered time (:meth:`stolen_plane`).
+    to a *covered* time, and the sibling plane, read at the rows of a
+    map decided from the machine's sibling table (:meth:`sibling_plane`,
+    :meth:`sibling_rows`).  A plane is exact for every window ending by
+    the covered time (:meth:`stolen_plane`).
     """
 
     def __init__(self, machine: Machine, events: Sequence[PlacedEvent] | None = None,
@@ -141,9 +149,6 @@ class NoiseRealization:
     def n_events(self) -> int:
         return int(self._starts.size) + sum(len(block) for block in self._ticks)
 
-    def events_on(self, cpu: int) -> tuple[PlacedEvent, ...]:
-        return tuple(e for e in self.events if e.cpu == cpu)
-
     def count_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for block in self._ticks:
@@ -211,14 +216,40 @@ class NoiseRealization:
         self._cover(reach)
         return self._stolen
 
-    def sibling_plane(self, reach: float = math.inf) -> IntervalBatch:
-        """Sibling pressure, one row per CPU: row *c* holds the stolen
-        intervals of *c*'s SMT siblings, exact as :meth:`stolen_plane`.
+    @cached_property
+    def _sibling_map(self) -> tuple[bool, np.ndarray]:
+        """``(union, rows)``, decided on first need from the machine's
+        sibling table: whether sibling pressure needs a union plane (a
+        CPU has two or more SMT siblings), and the sibling-plane row
+        holding each CPU's pressure, -1 for a CPU without a sibling."""
+        ptr, idx = self.machine.sibling_table
+        degree = np.diff(ptr)
+        if degree.max() > 1:
+            return True, np.where(degree > 0, np.arange(self.machine.n_cpus), -1)
+        rows = np.full(self.machine.n_cpus, -1, dtype=np.int64)
+        rows[degree == 1] = idx  # a lone sibling's stolen row is the pressure
+        return False, rows
 
-        Built on first need from the stolen plane; one growth behind, it
-        merges in copies of the ticks that growth added (a union of
-        copies is the copy of the union)."""
+    def sibling_rows(self, cpus: np.ndarray) -> np.ndarray:
+        """The :meth:`sibling_plane` row holding the sibling pressure of
+        each of *cpus*, or -1 for a CPU without an SMT sibling (it has
+        none to query)."""
+        return self._sibling_map[1][cpus]
+
+    def sibling_plane(self, reach: float = math.inf) -> IntervalBatch:
+        """Sibling pressure at the rows :meth:`sibling_rows` gives, exact
+        as :meth:`stolen_plane`.
+
+        With at most one SMT sibling per CPU this is the stolen plane:
+        the row of *c*'s sibling holds exactly *c*'s pressure, already
+        normalized.  Otherwise it is a union plane whose row *c* holds
+        the stolen intervals of all of *c*'s siblings, built on first
+        need from the stolen plane; one growth behind, it merges in
+        copies of the ticks that growth added (a union of copies is the
+        copy of the union)."""
         stolen = self.stolen_plane(reach)
+        if not self._sibling_map[0]:
+            return stolen
         if self._sibling_covered != self._covered:
             since, cpus, starts, ends = self._added
             if self._sibling is not None and self._sibling_covered == since:
@@ -257,7 +288,11 @@ class NoiseRealization:
         """Intervals during which any SMT sibling of *cpu* runs OS work."""
         cached = self._sibling_rows.get(cpu)
         if cached is None:
-            cached = self._sibling_rows[cpu] = self.sibling_plane().row(cpu)
+            rows = self._sibling_map[1]
+            row = int(rows[cpu]) if 0 <= cpu < rows.size else -1
+            cached = self._sibling_rows[cpu] = (
+                self.sibling_plane().row(row) if row >= 0 else IntervalSet.empty()
+            )
         return cached
 
     def total_stolen(self, cpu: int, t_start: float, t_end: float) -> float:

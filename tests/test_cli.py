@@ -291,6 +291,20 @@ class TestSweep:
         assert rc == 1
         assert "KEY=V1,V2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cpu", [-1, 32])
+    def test_logger_cpu_off_the_machine_returns_one(self, capsys, cpu):
+        """Rejected up front under the logger's name, not deep inside the
+        noise model or the placer once the run has started."""
+        rc = main([
+            "sweep", "--platform", "vera", "--benchmark", "syncbench",
+            "--threads", "4", "--freq-log", "--grid", f"logger_cpu={cpu}",
+            "--runs", "1", "--reps", "2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: frequency logger CPU {cpu} is not a CPU of vera (CPUs 0-31)"
+        ]
+
     def test_unknown_benchmark_param_axis_returns_one(self, capsys):
         rc = main([
             "sweep", "--platform", "toy", "--runs", "1", "--reps", "3",

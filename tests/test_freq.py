@@ -19,7 +19,9 @@ from repro.freq import (
     SchedutilGovernor,
     make_governor,
 )
+from repro.freq.dvfs import FrequencyPlan, _LazyTraces
 from repro.rng import RngFactory
+from repro.sim.trace import PiecewiseConstant
 from repro.topology import TopologyBuilder
 from repro.units import ghz
 
@@ -264,10 +266,11 @@ class TestFrequencyModel:
 
 
 def reference_traces(model, window_start, window_end, active_cpus, governor, rng,
-                     machine_wide=False):
+                     machine_wide=False, states=None):
     """A per-CPU plan loop that finishes each CPU's trace before drawing
     the next: the oracle of :meth:`FrequencyModel.plan`'s traces and
-    draws."""
+    draws.  *states*, if given, receives the stream's state before CPU 0
+    and after each CPU."""
     machine, spec = model.machine, model.spec
     active = list(dict.fromkeys(active_cpus))
     active_cores = machine.cores_spanned(active) if active else 0
@@ -292,6 +295,8 @@ def reference_traces(model, window_start, window_end, active_cpus, governor, rng
     derate_by_socket = {s: spec.derate.sample_factor(load, rng) for s in socket_ids}
     traces = {}
     horizon = window_end - window_start
+    if states is not None:
+        states.append(rng.bit_generator.state)
     for cpu in range(machine.n_cpus):
         base = model.steady_target(governor, active_cores, cpu in busy_set)
         base *= derate_by_socket.get(machine.hwthread(cpu).socket_id, 1.0)
@@ -321,57 +326,169 @@ def reference_traces(model, window_start, window_end, active_cpus, governor, rng
         keep = np.ones(t_arr.size, dtype=bool)
         keep[1:] = values[1:] != values[:-1]
         traces[cpu] = (t_arr[keep], values[keep])
+        if states is not None:
+            states.append(rng.bit_generator.state)
     return traces
 
 
+@st.composite
+def plan_cases(draw):
+    """A model over a 16-CPU machine (2 sockets x 2 numa x 2 cores,
+    SMT-2: cross-NUMA teams are possible), one window's plan arguments
+    ``(window_start, window_end, active_cpus, governor)``, *machine_wide*
+    and a seed."""
+    machine = TopologyBuilder("oracle").add_sockets(2, 2, 2, smt=2).build()
+    depths = sorted(draw(st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0))))
+    spec = simple_spec(
+        jitter_amplitude=draw(st.sampled_from([0.0, 0.002, 0.05])),
+        jitter_rate=draw(st.sampled_from([0.0, 3.0, 40.0])),
+        dips=DipProcess(
+            base_rate=draw(st.sampled_from([0.0, 5.0, 60.0])),
+            cross_numa_rate=draw(st.sampled_from([0.0, 30.0])),
+            duration_median=draw(st.floats(min_value=1e-5, max_value=0.05)),
+            depth_low=depths[0], depth_high=depths[1],
+        ),
+        derate=DerateProcess(
+            prob_at_full_load=draw(st.sampled_from([0.0, 1.0])), load_exponent=0.0
+        ),
+    )
+    window_start = draw(st.floats(min_value=0.0, max_value=2.0))
+    args = (
+        window_start,
+        window_start + draw(st.floats(min_value=1e-3, max_value=3.0)),
+        draw(st.lists(st.integers(0, 15), max_size=6)),
+        make_governor(draw(st.sampled_from(["performance", "ondemand", "powersave"]))),
+    )
+    return FrequencyModel(machine, spec), args, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+def assert_reference_traces(plan, reference, cpus):
+    for cpu in cpus:
+        times, values = reference[cpu]
+        assert np.array_equal(plan.trace(cpu).times, times)
+        assert np.array_equal(plan.trace(cpu).values, values)
+
+
 class TestPlanOracle:
-    """The one-pass plan builds the reference loop's traces bit for bit
-    and leaves the stream where the loop left it."""
+    """The lazy plan builds the reference loop's traces bit for bit, in
+    whatever order its CPUs are asked for, and leaves the stream where
+    the loop left it after the highest CPU built."""
+
+    @given(case=plan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_traces_match_reference_loop(self, case):
+        model, args, machine_wide, seed = case
+        rng, ref_rng = RngFactory(seed).stream("f"), RngFactory(seed).stream("f")
+        plan = model.plan(*args, rng, machine_wide)
+        reference = reference_traces(model, *args, ref_rng, machine_wide)
+        assert_reference_traces(plan, reference, reference)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @given(
-        seed=st.integers(0, 2**16),
-        amplitude=st.sampled_from([0.0, 0.002, 0.05]),
-        jitter_rate=st.sampled_from([0.0, 3.0, 40.0]),
-        dip_rate=st.sampled_from([0.0, 5.0, 60.0]),
-        cross_rate=st.sampled_from([0.0, 30.0]),
-        dip_median=st.floats(min_value=1e-5, max_value=0.05),
-        depths=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)).map(sorted),
-        derate=st.sampled_from([0.0, 1.0]),
-        window_start=st.floats(min_value=0.0, max_value=2.0),
-        length=st.floats(min_value=1e-3, max_value=3.0),
-        active=st.lists(st.integers(0, 15), max_size=6),
-        machine_wide=st.booleans(),
-        governor=st.sampled_from(["performance", "ondemand", "powersave"]),
+        case=plan_cases(),
+        order=st.sampled_from(["ascending", "descending", "permutation", "team", "snapshot"]),
+        data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_traces_match_reference_loop(
-        self, seed, amplitude, jitter_rate, dip_rate, cross_rate, dip_median,
-        depths, derate, window_start, length, active, machine_wide, governor,
-    ):
-        # 2 sockets x 2 numa x 2 cores, SMT-2: cross-NUMA teams are possible
-        machine = TopologyBuilder("oracle").add_sockets(2, 2, 2, smt=2).build()
-        spec = simple_spec(
-            jitter_amplitude=amplitude,
-            jitter_rate=jitter_rate,
-            dips=DipProcess(
-                base_rate=dip_rate, cross_numa_rate=cross_rate,
-                duration_median=dip_median,
-                depth_low=depths[0], depth_high=depths[1],
-            ),
-            derate=DerateProcess(prob_at_full_load=derate, load_exponent=0.0),
-        )
-        model = FrequencyModel(machine, spec)
-        gov = make_governor(governor)
-        window_end = window_start + length
+    def test_any_request_order_builds_the_reference_traces(self, case, order, data):
+        model, args, machine_wide, seed = case
+        n = model.machine.n_cpus
         rng, ref_rng = RngFactory(seed).stream("f"), RngFactory(seed).stream("f")
-        plan = model.plan(window_start, window_end, active, gov, rng, machine_wide)
-        reference = reference_traces(
-            model, window_start, window_end, active, gov, ref_rng, machine_wide
-        )
-        for cpu, (times, values) in reference.items():
-            assert np.array_equal(plan.trace(cpu).times, times)
-            assert np.array_equal(plan.trace(cpu).values, values)
+        plan = model.plan(*args, rng, machine_wide)
+        reference = reference_traces(model, *args, ref_rng, machine_wide)
+        if order == "ascending":
+            cpus = list(range(n))
+        elif order == "descending":
+            cpus = list(range(n - 1, -1, -1))
+        else:
+            cpus = data.draw(st.permutations(range(n)))
+        if order == "team":
+            team = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+            for cpu, trace in zip(team, plan.traces_for(team)):
+                assert trace is plan.trace(cpu)
+        elif order == "snapshot":
+            # traces start at round(window_start, 12), up to 5e-13 later
+            snap = plan.snapshot(data.draw(st.floats(args[0] + 1e-9, args[1] + 1.0)))
+            assert snap.shape == (n,)
+        assert_reference_traces(plan, reference, cpus)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(case=plan_cases(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_plans_from_one_seed_agree_in_any_order(self, case, data):
+        model, args, machine_wide, seed = case
+        n = model.machine.n_cpus
+        rngs = [RngFactory(seed).stream("f") for _ in range(2)]
+        plans = [model.plan(*args, rng, machine_wide) for rng in rngs]
+        for plan in plans:
+            for cpu in data.draw(st.permutations(range(n))):
+                plan.trace(cpu)
+        for cpu in range(n):
+            a, b = (plan.trace(cpu) for plan in plans)
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.values, b.values)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @given(case=plan_cases(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_partial_plan_drew_what_the_loop_drew_up_to_its_cpu(self, case, data):
+        model, args, machine_wide, seed = case
+        n = model.machine.n_cpus
+        rng, ref_rng = RngFactory(seed).stream("f"), RngFactory(seed).stream("f")
+        plan = model.plan(*args, rng, machine_wide)
+        states = []
+        reference_traces(model, *args, ref_rng, machine_wide, states=states)
+        # states[0]: before CPU 0 (dips and derate drawn); states[k + 1]:
+        # after CPU k
+        assert rng.bit_generator.state == states[0]
+        highest = -1
+        for cpu in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+            plan.trace(cpu)
+            highest = max(highest, cpu)
+            assert rng.bit_generator.state == states[highest + 1]
+
+    def test_cpus_off_the_machine_raise(self, machine):
+        model = FrequencyModel(machine, simple_spec(jitter_amplitude=0.01, jitter_rate=5.0))
+        rng, ref_rng = RngFactory(2).stream("f"), RngFactory(2).stream("f")
+        plan = model.plan(0.0, 1.0, [0], PerformanceGovernor(), rng)
+        states = []
+        reference_traces(model, 0.0, 1.0, [0], PerformanceGovernor(), ref_rng, states=states)
+        for cpu in (-1, machine.n_cpus):
+            with pytest.raises(KeyError):
+                plan.trace(cpu)
+            with pytest.raises(KeyError):
+                plan.freq_at(cpu, 0.5)
+            with pytest.raises(KeyError):
+                plan.traces_for([cpu])
+        # -1 did not wrap around to the last CPU: nothing was built
+        assert rng.bit_generator.state == states[0]
+        plan.trace(0)
+        assert rng.bit_generator.state == states[1]
+
+    def test_team_request_builds_in_one_extension(self, machine, monkeypatch):
+        stops = []
+        build = _LazyTraces._build
+
+        def counting(self, stop):
+            stops.append(stop)
+            build(self, stop)
+
+        monkeypatch.setattr(_LazyTraces, "_build", counting)
+        model = FrequencyModel(machine, simple_spec(jitter_amplitude=0.01, jitter_rate=5.0))
+        plan = model.plan(0.0, 1.0, [0], PerformanceGovernor(), RngFactory(2).stream("f"))
+        plan.traces_for([3, 0, 5, 1])
+        plan.snapshot(0.5)
+        assert stops == [6, machine.n_cpus]
+
+    def test_explicit_plan_must_cover_every_cpu(self, machine):
+        trace = PiecewiseConstant([0.0], [2.0e9])
+        traces = {cpu: trace for cpu in range(machine.n_cpus)}
+        assert FrequencyPlan(machine, traces, 0.0, 2.0e9).trace(3) is trace
+        del traces[3]
+        with pytest.raises(FrequencyError, match="every cpu"):
+            FrequencyPlan(machine, traces, 0.0, 2.0e9)
+        with pytest.raises(FrequencyError, match="every cpu"):
+            FrequencyPlan(machine, {**traces, 3: trace, 99: trace}, 0.0, 2.0e9)
 
 
 class TestSysfs:

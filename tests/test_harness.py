@@ -153,6 +153,15 @@ class TestRunner:
         with pytest.raises(HarnessError, match=r"collides.*logger_cpu=15"):
             Runner(cfg).run()
 
+    def test_logger_cpu_off_the_machine_fails_at_construction(self):
+        cfg = ExperimentConfig(
+            platform="toy", benchmark="syncbench", num_threads=4,
+            runs=1, seed=5, benchmark_params=QUICK,
+            freq_logging=True, logger_cpu=16,
+        )
+        with pytest.raises(HarnessError, match=r"logger CPU 16 .* \(CPUs 0-15\)"):
+            Runner(cfg)
+
     def test_logger_default_collision_on_saturated_machine(self):
         # 16 threads on the 16-CPU toy machine leave no spare core, so the
         # default last-CPU placement must be rejected rather than silently

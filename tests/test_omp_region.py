@@ -13,9 +13,10 @@ from repro.omp.runtime import OpenMPRuntime
 from repro.osnoise.model import NoiseModel, NoiseRealization, PlacedEvent
 from repro.osnoise.source import PoissonSource
 from repro.osnoise.placement import PinnedPlacement
-from repro.platform import toy
+from repro.platform import toy, vera
 from repro.rng import RngFactory
 from repro.sched.balancer import StackingEpisode
+from repro.sim.intervals import IntervalBatch
 from repro.types import ProcBind
 from repro.units import ms, us
 
@@ -150,26 +151,22 @@ class TestNoiseAggregation:
 
 
 class TestSiblingRows:
-    """Sibling pressure is queried only for threads whose SMT sibling is
-    not a teammate."""
+    """Sibling pressure is queried only for threads whose CPU has an SMT
+    sibling that is not a teammate, at the rows the realization maps
+    them to: with one sibling per CPU, the sibling's own stolen row."""
 
     def _spy(self, ex, monkeypatch):
-        """Record the CPU rows every sibling-plane query reads."""
+        """Record the plane and rows of every overlap query of run 0."""
         noise = ex.runs[0].noise
         queried = []
-        original = noise.sibling_plane
+        overlap_fused = IntervalBatch.overlap_fused
 
-        class Recorder:
-            def __init__(self, plane):
-                self.plane = plane
+        def recording(plane, a, b, rows=None):
+            which = "stolen" if plane is noise._stolen else "sibling"
+            queried.append((which, np.asarray(rows).tolist()))
+            return overlap_fused(plane, a, b, rows)
 
-            def overlap_fused(self, a, b, rows):
-                queried.extend(np.asarray(rows).tolist())
-                return self.plane.overlap_fused(a, b, rows)
-
-        monkeypatch.setattr(
-            noise, "sibling_plane", lambda reach: Recorder(original(reach))
-        )
+        monkeypatch.setattr(IntervalBatch, "overlap_fused", recording)
         return queried
 
     def test_all_smt_shared_team_issues_no_sibling_rows(self, platform, monkeypatch):
@@ -182,14 +179,35 @@ class TestSiblingRows:
         ex, _ = make_executor(platform, [0, 8], noise_events=events)
         queried = self._spy(ex, monkeypatch)
         res = ex.execute(Team(m, (0, 8), bound=True), np.full(2, ms(1)))
-        assert queried == []
+        assert queried == [("stolen", [0, 8])]
         assert res.noise_seconds[0] == pytest.approx(us(400), rel=1e-3)
 
     def test_free_sibling_is_queried(self, platform, monkeypatch):
         ex, _ = make_executor(platform, [0, 1])
         queried = self._spy(ex, monkeypatch)
         ex.execute(Team(platform.machine, (0, 1), bound=True), np.full(2, ms(1)))
-        assert queried == [0, 1]
+        # SMT-2: the pressure on cpus 0 and 1 is the stolen rows of 8 and 9
+        assert queried == [("stolen", [0, 1]), ("stolen", [8, 9])]
+        assert ex.runs[0].noise._sibling is None
+
+    def test_team_without_smt_issues_no_sibling_query(self, monkeypatch):
+        plat = vera()
+        ex, _ = make_executor(plat, [0, 1, 2, 3])
+        queried = self._spy(ex, monkeypatch)
+        ex.execute(Team(plat.machine, (0, 1, 2, 3), bound=True), np.full(4, ms(1)))
+        assert queried == [("stolen", [0, 1, 2, 3])]
+        assert ex.runs[0].noise._sibling is None
+
+    def test_wider_smt_queries_the_union_plane(self, monkeypatch):
+        plat = toy(smt=4)
+        # cpu 8 is a sibling of cpu 0: its noise is pressure on thread 0
+        events = [PlacedEvent(us(10), us(400), "daemon", cpu=8)]
+        ex, _ = make_executor(plat, [0, 1], noise_events=events)
+        queried = self._spy(ex, monkeypatch)
+        res = ex.execute(Team(plat.machine, (0, 1), bound=True), np.full(2, ms(1)))
+        assert queried == [("stolen", [0, 1]), ("sibling", [0, 1])]
+        expected_extra = plat.region_params.smt_noise_penalty * us(400)
+        assert res.duration[0] == pytest.approx(ms(1) + expected_extra, rel=1e-2)
 
 
 class TestRepAxis:

@@ -431,9 +431,15 @@ class TestNoisePlanes:
             a = np.asarray(data.draw(st.lists(
                 window_point, min_size=rows.size, max_size=rows.size)))
             got = real.stolen_plane(reach).overlap_fused(a, b, rows)
-            sib = real.sibling_plane(reach).overlap_fused(a, b, rows)
+            # sibling pressure is read at the realization's row map; a
+            # CPU without an SMT sibling maps to no row and has none
+            sib_rows = real.sibling_rows(rows)
+            has = sib_rows >= 0
+            sib = np.zeros(rows.size)
+            sib[has] = real.sibling_plane(reach).overlap_fused(a[has], b[has], sib_rows[has])
             for q, c in enumerate(rows.tolist()):
                 assert got[q] == stolen[c].overlap(float(a[q]), float(b[q]))
+                assert has[q] == bool(machine.siblings_of(c))
                 assert sib[q] == sibling[c].overlap(float(a[q]), float(b[q]))
         # the full-horizon row views are the per-CPU sets
         for c in range(n):
@@ -449,6 +455,11 @@ class TestNoisePlanes:
     @settings(max_examples=150, deadline=None)
     def test_smt4_machine(self, data):
         self._check(smt4_machine(), data)
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_machine_without_smt(self, data):
+        self._check(TopologyBuilder("nosmt").add_sockets(2, 1, 4, smt=1).build(), data)
 
     def test_short_region_materializes_few_ticks(self, monkeypatch):
         """A region near the start of a long horizon expands a handful of

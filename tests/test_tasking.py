@@ -522,7 +522,7 @@ def test_stepped_bodies_cross_breakpoints_and_stolen_time(shape):
     plan = sched.freq_plan
     sched.freq_plan = FrequencyPlan(
         plan.machine,
-        {cpu: _Recorded(trace, crossed) for cpu, trace in plan.traces.items()},
+        {cpu: _Recorded(plan.trace(cpu), crossed) for cpu in range(plan.machine.n_cpus)},
         plan.window_start,
         plan.calibration_hz,
     )
