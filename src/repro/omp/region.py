@@ -36,12 +36,12 @@ A single run is the ``R = 1`` case of the same code.  Each row reproduces
 the per-run arithmetic bit for bit: elementwise operations are identical,
 and a row reduction over a C-contiguous ``(R, n)`` array runs through the
 same pairwise-summation tree as a standalone ``(n,)`` array.  Noise
-windows are exact int64-nanosecond prefix-sum queries on each run's
-per-CPU noise planes (:meth:`~repro.osnoise.model.NoiseRealization.stolen_plane`),
-queried in place with the team's CPUs as rows after the run is asked to
-cover the window end, so a re-placed team rebuilds no noise plane.
-Frequency queries go through :class:`~repro.freq.dvfs.FrequencyPlanBatch`,
-rebuilt only when the team's cpuset changes.
+windows are exact int64-nanosecond measures that each run's realization
+answers for the team's CPUs
+(:meth:`~repro.osnoise.model.NoiseRealization.stolen_time`), so a
+re-placed team rebuilds nothing noise-related.  Frequency queries go
+through :class:`~repro.freq.dvfs.FrequencyPlanBatch`, rebuilt only when
+the team's cpuset changes.
 """
 
 from __future__ import annotations
@@ -147,11 +147,11 @@ class RegionExecutor:
     def _use_team(self, team: Team) -> None:
         """Point the frequency planes at *team*'s cpuset (rebuilt on change).
 
-        The noise planes have a row per machine CPU, so a new cpuset only
-        changes which rows are queried.  Sibling pressure only matters
-        where the CPU has an SMT sibling and it is not a teammate, so only
-        those threads query the sibling plane, at the rows the runs'
-        realizations map their CPUs to (one map: the runs share a machine).
+        Noise is queried by CPU, so a new cpuset only changes which CPUs
+        are asked.  Sibling pressure only matters where the CPU has an SMT
+        sibling and it is not a teammate, so only those threads query it,
+        at the rows the runs' realizations map their CPUs to (one map: the
+        runs share a machine).
         """
         if team.cpus == self._cpus:
             return
@@ -306,18 +306,18 @@ class RegionExecutor:
         base_end = np.max(starts + durations, axis=1) + sync_scaled
         window_end = base_end + 0.25 * (base_end - t) + 1e-6
 
-        # pass 2: noise + stacking within the window; each run's planes
-        # cover its window end first, which makes them exact up to there
+        # pass 2: noise + stacking within the window, asked of each run's
+        # realization
         stolen = np.empty((n_runs, n))
         sibling = np.zeros((n_runs, n))
         cols = self._sib_cols
         for r, (noise, end) in enumerate(zip(self._noises, window_end.tolist())):
             ends = np.full(n, end)
-            stolen[r] = noise.stolen_plane(end).overlap_fused(starts[r], ends, self._rows)
+            stolen[r] = noise.stolen_time(self._rows, starts[r], ends)
             if cols.size:
                 # pressure only matters when the sibling is otherwise free
-                sib = noise.sibling_plane(end).overlap_fused(
-                    starts[r, cols], ends[: cols.size], self._sib_rows
+                sib = noise.sibling_time(
+                    self._sib_rows, starts[r, cols], ends[: cols.size]
                 )
                 sibling[r, cols] = sib * p.smt_noise_penalty
         stacking = self._stacking(stacking_episodes, starts, window_end)

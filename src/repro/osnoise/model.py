@@ -12,27 +12,34 @@ places unassigned events, and compiles the result into a
   retires instructions more slowly (see the SMT penalty in the region
   executor).
 
-Both are answered from planes: one :class:`~repro.sim.intervals.IntervalBatch`
-row per machine CPU, queried in place by the region executor
-(:meth:`NoiseRealization.stolen_plane`, :meth:`NoiseRealization.sibling_plane`).
-Where no CPU has more than one SMT sibling (SMT-2 machines, and machines
-without SMT), a CPU's sibling pressure is its sibling's stolen row, so
-the sibling plane *is* the stolen plane, read at the siblings' rows
+The region executor asks for the measure of many windows at once
+(:meth:`NoiseRealization.stolen_time`, :meth:`NoiseRealization.sibling_time`).
+A CPU's ticks and the rest of its noise answer separately, and their
+int64-ns measures add: the ticks, an arithmetic progression that never
+overlaps itself, are clipped to each window and summed straight from
+their :class:`~repro.osnoise.source.TickBlock`; the sparse non-tick
+events live in one :class:`~repro.sim.intervals.IntervalBatch` row per
+CPU with those ticks cut out.  Where no CPU has more than one SMT
+sibling (SMT-2 machines, and machines without SMT), a CPU's sibling
+pressure is its sibling's stolen time, read at the siblings' rows
 (:meth:`NoiseRealization.sibling_rows`), and a CPU without a sibling is
 never queried.  Only machines where a CPU has two or more siblings
-build a separate union plane.
+build a union plane.
 
 Performance note: a full-scale schedbench run on the Dardel model realizes
 on the order of a million timer ticks, yet a region run reaches only part
 of its horizon.  The realization therefore keeps the non-tick events in
 flat NumPy arrays and the ticks as :class:`~repro.osnoise.source.TickBlock`
-s (every duration drawn, starts computed on demand), and builds the planes
-only up to the time the run's windows reach, growing them as it advances.
+s (every duration drawn, starts computed on demand).  A window query
+touches only the few ticks near the window, so a region run holds no
+interval arrays of its ticks; only the full-horizon rows of
+:meth:`NoiseRealization.stolen_on` put them all in one plane.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -45,10 +52,11 @@ from repro.osnoise.placement import IdleFirstPlacement, PlacementPolicy
 from repro.osnoise.source import NoiseEvent, NoiseSource, TickBlock, TimerTickSource
 from repro.sim.intervals import IntervalBatch, IntervalSet
 from repro.topology.hwthread import Machine
-from repro.units import to_sim_ns, to_sim_ns_array
+from repro.units import NS_PER_SEC, to_sim_ns_array
 
-_NONE = np.empty(0)
-_NO_CPUS = np.empty(0, dtype=np.int64)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+#: The window every tick lies in: ``TickBlock.clip`` edges for whole ticks.
+_WHOLE = np.asarray([[_INT64_MIN], [_INT64_MAX]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,13 +73,14 @@ class NoiseRealization:
     """All noise of one run window, indexed for per-CPU window queries.
 
     Events are kept flat: the non-tick events as arrays ``(starts,
-    durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  Queries
-    go to planes whose rows are CPUs (:class:`IntervalBatch`): the
-    stolen plane, built over the non-tick events and the ticks expanded
-    to a *covered* time, and the sibling plane, read at the rows of a
-    map decided from the machine's sibling table (:meth:`sibling_plane`,
-    :meth:`sibling_rows`).  A plane is exact for every window ending by
-    the covered time (:meth:`stolen_plane`).
+    durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  A
+    CPU's noise is split into two disjoint parts whose int64-ns measures
+    add: the ticks of the block on the tick path, clipped to each window
+    and summed (:meth:`TickBlock.clip`), and the rest plane, one
+    :class:`IntervalBatch` row per CPU holding every other event with
+    those ticks cut out (:meth:`stolen_time`).  Sibling pressure is read
+    at the rows of a map decided from the machine's sibling table
+    (:meth:`sibling_rows`, :meth:`sibling_time`).
     """
 
     def __init__(self, machine: Machine, events: Sequence[PlacedEvent] | None = None,
@@ -106,19 +115,17 @@ class NoiseRealization:
             bad = cpus[(cpus < 0) | (cpus >= machine.n_cpus)]
             if bad.size:
                 raise NoiseModelError(f"event on unknown cpu {int(bad[0])}")
-        # past this time every tick is expanded (-inf without ticks)
-        self._tick_end = max(
-            (float(np.max(b.first + b.period * b.counts)) for b in self._ticks if len(b)),
-            default=-math.inf,
+        # the first block of disjoint ticks takes the tick path; any other
+        # block (ticks that may overlap, a repeated CPU, a second tick
+        # source on the same CPUs) joins the events in the rest plane
+        self._tick = next(
+            (block for block in self._ticks if len(block) and block.disjoint), None
         )
-        self._covered = -math.inf
-        self._stolen: IntervalBatch | None = None
-        # the ticks the last growth added, for the sibling plane to follow
-        self._added: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._sibling: IntervalBatch | None = None
-        self._sibling_covered = -math.inf
+        # each CPU's index in the tick path's block, -1 where it has no ticks
+        self._slots = np.full(machine.n_cpus, -1, dtype=np.int64)
+        if self._tick is not None:
+            self._slots[self._tick.cpus] = np.arange(self._tick.cpus.size)
         self._stolen_rows: dict[int, IntervalSet] = {}
-        self._sibling_rows: dict[int, IntervalSet] = {}
 
     # -- event access (lazy object materialization) ---------------------------
 
@@ -157,71 +164,91 @@ class NoiseRealization:
             out[k] = out.get(k, 0) + 1
         return out
 
-    # -- planes ------------------------------------------------------------------
+    # -- window queries ----------------------------------------------------------
 
-    def _hull(self) -> tuple[int, int]:
-        """Int64-ns bounds of every event, unexpanded ticks included: the
-        planes' fixed row span, so growth merges into existing keys."""
-        lo, hi = [], []
-        if self._starts.size:
-            lo.append(float(self._starts.min()))
-            hi.append(float((self._starts + self._durations).max()))
-        for block in self._ticks:
-            if len(block):
-                block_lo, block_hi = block.bounds()
-                lo.append(block_lo)
-                hi.append(block_hi)
-        return (to_sim_ns(min(lo)), to_sim_ns(max(hi))) if lo else (0, 0)
+    @cached_property
+    def _rest(self) -> tuple[IntervalBatch, list[int], list[int]]:
+        """The rest plane, built on first query, and the time it spans.
 
-    def _cover(self, reach: float) -> None:
-        """Grow the stolen plane if windows may end past the covered time.
-
-        Coverage at least doubles per growth, so a run whose queries
-        advance through its horizon grows O(log) times.  A growth expands
-        only the ticks it adds and merges them into the plane.
+        The plane holds every event off the tick path, normalized per
+        row, with the tick path's ticks cut out: disjoint from those
+        ticks, it adds to them to make each CPU's noise.  The span is the
+        union of all its rows as sorted int64-ns ``(starts, ends)`` lists;
+        a query whose windows miss it skips the plane.
         """
-        if reach <= self._covered:
-            return
-        covered = max(reach, 2.0 * self._covered)
-        if covered >= self._tick_end:
-            covered = math.inf  # every tick is in: the plane is final
-        parts = [block.expand(covered, self._covered) for block in self._ticks]
-        parts.append((_NONE, _NONE, _NO_CPUS))  # defined without tick blocks too
+        n_cpus = self.machine.n_cpus
+        parts = [block.expand() for block in self._ticks if block is not self._tick]
+        parts.append((self._starts, self._durations, self._cpus))
         starts, durations, cpus = (np.concatenate(column) for column in zip(*parts))
-        starts, ends = to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
-        if self._stolen is None:  # the first plane holds every non-tick event
-            self._stolen = IntervalBatch.from_rows(
-                self.machine.n_cpus,
-                np.concatenate((cpus, self._cpus)),
-                np.concatenate((starts, to_sim_ns_array(self._starts))),
-                np.concatenate((ends, to_sim_ns_array(self._starts + self._durations))),
-                hull=self._hull(),
+        rows, starts, ends = IntervalBatch.from_rows(
+            n_cpus, cpus, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
+        ).intervals_ns()
+        if self._tick is not None:
+            # an interval keeps [start, first tick), the gaps between its
+            # ticks and [last tick, end): its pieces start at its start and
+            # at each tick end, and end at each tick start and at its end.
+            # A row without ticks asks an empty window and keeps it whole.
+            slots = self._slots[rows]
+            tick_starts, tick_ends = self._tick.clip(
+                np.maximum(slots, 0), np.stack((starts, np.where(slots >= 0, ends, starts)))
             )
+            meets = tick_ends > tick_starts
+            owner = np.nonzero(meets)[0]
+            whole = np.arange(rows.size)
+            at_start = np.argsort(np.concatenate((whole, owner)), kind="stable")
+            at_end = np.argsort(np.concatenate((owner, whole)), kind="stable")
+            rows = rows[np.concatenate((whole, owner))[at_start]]
+            starts = np.concatenate((starts, tick_ends[meets]))[at_start]
+            ends = np.concatenate((tick_starts[meets], ends))[at_end]
+        plane = IntervalBatch.from_rows(n_cpus, rows, starts, ends)
+        span = IntervalBatch.from_rows(1, np.zeros_like(rows), starts, ends).row(0)
+        return plane, span.starts.tolist(), span.ends.tolist()
+
+    def _tick_ns(self, slots: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Int64 ns of the tick path's ticks of slot ``slots[q]`` inside
+        window ``[edges[0, q], edges[1, q])``: each CPU's ticks are
+        disjoint, so the sum of their clipped lengths is their measure."""
+        starts, ends = self._tick.clip(slots, edges)
+        ends -= starts
+        np.maximum(ends, 0, out=ends)
+        return ends.sum(axis=1)
+
+    def _stolen_ns(self, cpus: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Int64 ns of ``cpus[q]`` stolen inside ``[edges[0, q], edges[1, q])``."""
+        slots = self._slots[cpus]
+        if self._tick is not None and slots.min(initial=0) >= 0:  # no filter
+            ns = self._tick_ns(slots, edges)
         else:
-            self._stolen = self._stolen.merged(cpus, starts, ends)
-        self._added = (self._covered, cpus, starts, ends)
-        self._covered = covered
+            ns = np.zeros(cpus.size, dtype=np.int64)
+            ticking = np.flatnonzero(slots >= 0)
+            if ticking.size:
+                ns[ticking] = self._tick_ns(slots[ticking], edges[:, ticking])
+        rest, span_starts, span_ends = self._rest
+        # the rest plane only where an interval of any row meets the
+        # windows' span [earliest start, latest end)
+        i = bisect_right(span_ends, int(edges[0].min(initial=_INT64_MAX)))
+        if i < len(span_starts) and span_starts[i] < int(edges[1].max(initial=_INT64_MIN)):
+            ns += rest.measure_ns(edges, cpus)
+        return ns
 
-    def stolen_plane(self, reach: float = math.inf) -> IntervalBatch:
-        """Stolen intervals, one row per CPU, exact for every window that
-        ends by *reach* (every window for the default).
+    def stolen_time(self, cpus: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Seconds of ``cpus[q]`` stolen inside ``[a[q], b[q])``, per
+        query: ``stolen_on(cpus[q]).overlap(a[q], b[q])`` bit for bit.
 
-        Exactness: an interval left out of the plane is a tick starting
-        at or after the covered time, and nanosecond quantization is
-        monotone, so it cannot meet a window ``[a, b)`` with ``b`` at or
-        before that time; merged in, it could only extend intervals past
-        ``b``.  Overlaps are differences of exact integer prefix sums, so
-        the answer is the full-horizon answer bit for bit.
+        The tick path's ticks and the rest plane are disjoint and make
+        up the CPU's noise together, so their int64-ns measures add to
+        the measure of its union, which is divided by 1e9 once, as
+        :meth:`IntervalSet.overlap` divides it.
         """
-        self._cover(reach)
-        return self._stolen
+        cpus = np.asarray(cpus, dtype=np.int64)
+        return self._stolen_ns(cpus, to_sim_ns_array((a, b))) / NS_PER_SEC
 
     @cached_property
     def _sibling_map(self) -> tuple[bool, np.ndarray]:
         """``(union, rows)``, decided on first need from the machine's
         sibling table: whether sibling pressure needs a union plane (a
-        CPU has two or more SMT siblings), and the sibling-plane row
-        holding each CPU's pressure, -1 for a CPU without a sibling."""
+        CPU has two or more SMT siblings), and the row holding each CPU's
+        pressure, -1 for a CPU without a sibling."""
         ptr, idx = self.machine.sibling_table
         degree = np.diff(ptr)
         if degree.max() > 1:
@@ -231,69 +258,71 @@ class NoiseRealization:
         return False, rows
 
     def sibling_rows(self, cpus: np.ndarray) -> np.ndarray:
-        """The :meth:`sibling_plane` row holding the sibling pressure of
-        each of *cpus*, or -1 for a CPU without an SMT sibling (it has
-        none to query)."""
+        """The row holding the sibling pressure of each of *cpus* for
+        :meth:`sibling_time`, or -1 for a CPU without an SMT sibling (it
+        has none to query)."""
         return self._sibling_map[1][cpus]
 
-    def sibling_plane(self, reach: float = math.inf) -> IntervalBatch:
-        """Sibling pressure at the rows :meth:`sibling_rows` gives, exact
-        as :meth:`stolen_plane`.
+    def sibling_time(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Seconds of sibling pressure inside ``[a[q], b[q])`` at row
+        ``rows[q]`` of :meth:`sibling_rows`.
 
-        With at most one SMT sibling per CPU this is the stolen plane:
-        the row of *c*'s sibling holds exactly *c*'s pressure, already
-        normalized.  Otherwise it is a union plane whose row *c* holds
-        the stolen intervals of all of *c*'s siblings, built on first
-        need from the stolen plane; one growth behind, it merges in
-        copies of the ticks that growth added (a union of copies is the
-        copy of the union)."""
-        stolen = self.stolen_plane(reach)
-        if not self._sibling_map[0]:
-            return stolen
-        if self._sibling_covered != self._covered:
-            since, cpus, starts, ends = self._added
-            if self._sibling is not None and self._sibling_covered == since:
-                self._sibling = self._sibling.merged(*self._sibling_copies(cpus, starts, ends))
-            else:
-                self._sibling = IntervalBatch.from_rows(
-                    self.machine.n_cpus,
-                    *self._sibling_copies(*stolen.intervals_ns()),
-                    hull=stolen.hull,
-                )
-            self._sibling_covered = self._covered
-        return self._sibling
+        With at most one SMT sibling per CPU the row is the sibling
+        itself, and its pressure is the sibling's stolen time
+        (:meth:`stolen_time`).  Otherwise it is a union plane whose row
+        *c* holds the noise of all of *c*'s siblings (:meth:`_union`)."""
+        if self._sibling_map[0]:
+            return self._union.overlap_fused(a, b, rows)
+        return self.stolen_time(rows, a, b)
 
-    def _sibling_copies(
-        self, cpus: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each interval once per SMT sibling of its CPU, on the sibling's
-        row (the machine's sibling map)."""
+    # -- full-horizon interval queries --------------------------------------------
+
+    @cached_property
+    def _whole(self) -> IntervalBatch:
+        """Every CPU's noise over the full horizon, one row per CPU: its
+        whole tick-path ticks merged with its rest row.  Built on the
+        first full-row request (the work-stealing scheduler's)."""
+        parts = [self._rest[0].intervals_ns()]
+        if self._tick is not None:
+            slots = np.arange(self._tick.cpus.size)
+            tick_starts, tick_ends = self._tick.clip(
+                slots, np.broadcast_to(_WHOLE, (2, slots.size))
+            )
+            ticks = tick_ends > tick_starts  # every tick, and no padding
+            parts.append(
+                (self._tick.cpus[np.nonzero(ticks)[0]], tick_starts[ticks], tick_ends[ticks])
+            )
+        rows, starts, ends = (np.concatenate(column) for column in zip(*parts))
+        return IntervalBatch.from_rows(self.machine.n_cpus, rows, starts, ends)
+
+    @cached_property
+    def _union(self) -> IntervalBatch:
+        """Row *c*: the noise of every SMT sibling of *c*, built once over
+        the full horizon from each interval copied to its CPU's siblings."""
+        cpus, starts, ends = self._whole.intervals_ns()
         ptr, idx = self.machine.sibling_table
         first = ptr[cpus]
         degree = ptr[cpus + 1] - first
         copy = np.repeat(np.arange(cpus.size), degree)
         k = np.arange(copy.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        return idx[first[copy] + k], starts[copy], ends[copy]
-
-    # -- full-horizon interval queries --------------------------------------------
+        return IntervalBatch.from_rows(
+            self.machine.n_cpus, idx[first[copy] + k], starts[copy], ends[copy]
+        )
 
     def stolen_on(self, cpu: int) -> IntervalSet:
         """Intervals during which *cpu* runs OS work (thread fully stalled)."""
         cached = self._stolen_rows.get(cpu)
         if cached is None:
-            cached = self._stolen_rows[cpu] = self.stolen_plane().row(cpu)
+            cached = self._stolen_rows[cpu] = self._whole.row(cpu)
         return cached
 
     def sibling_pressure_on(self, cpu: int) -> IntervalSet:
         """Intervals during which any SMT sibling of *cpu* runs OS work."""
-        cached = self._sibling_rows.get(cpu)
-        if cached is None:
-            rows = self._sibling_map[1]
-            row = int(rows[cpu]) if 0 <= cpu < rows.size else -1
-            cached = self._sibling_rows[cpu] = (
-                self.sibling_plane().row(row) if row >= 0 else IntervalSet.empty()
-            )
-        return cached
+        union, rows = self._sibling_map
+        row = int(rows[cpu]) if 0 <= cpu < rows.size else -1
+        if row < 0:
+            return IntervalSet.empty()
+        return self._union.row(row) if union else self.stolen_on(row)
 
     def total_stolen(self, cpu: int, t_start: float, t_end: float) -> float:
         """Seconds of *cpu* time stolen inside ``[t_start, t_end)``."""

@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import NoiseModelError
+from repro.units import NS_PER_SEC, to_sim_ns_array
+
+#: Added to the floored window edges of :meth:`TickBlock.clip`: the first
+#: candidate is one tick before the low edge's, the last one past the high
+#: edge's (the bound is exclusive).
+_SPARE = np.asarray([[-1.0], [2.0]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +150,7 @@ class TimerTickSource(NoiseSource):
             first=np.asarray(first, dtype=np.float64),
             counts=np.asarray(counts, dtype=np.int64),
             durations=np.concatenate(dur_parts) if dur_parts else np.empty(0),
+            longest=high,
         )
 
     def sample(self, t_start, t_end, busy_cpus, rng):
@@ -163,9 +171,11 @@ class TickBlock:
 
     CPU ``cpus[i]`` ticks at ``first[i] + period * k`` for ``k <
     counts[i]``; its tick ``k`` lasts ``durations[offset_i + k]``, where
-    ``offset_i`` sums the counts of the CPUs before it.  Tick starts are
-    computed, not stored, so a run that reaches only part of its horizon
-    expands only that part (:meth:`expand`).
+    ``offset_i`` sums the counts of the CPUs before it, and no tick lasts
+    longer than ``longest``, the source's ``duration_mean +
+    duration_jitter``.  Tick starts are computed, not stored: tracing
+    expands the ticks up to the time it shows (:meth:`expand`), and noise
+    queries clip only the ticks near each window (:meth:`clip`).
     """
 
     kind: str
@@ -174,9 +184,27 @@ class TickBlock:
     first: np.ndarray
     counts: np.ndarray
     durations: np.ndarray
+    longest: float
 
     def __len__(self) -> int:
         return int(self.durations.size)
+
+    @property
+    def disjoint(self) -> bool:
+        """Whether every tick is disjoint from every other in int64 ns:
+        no CPU appears twice, and the longest tick ends at least 2 ns
+        before its CPU's next tick starts, so rounding each endpoint to
+        the nanosecond (by at most half of one) cannot make two ticks
+        meet.  Decided from the source's parameters alone."""
+        return (
+            self.longest + 2e-9 <= self.period
+            and len(set(self.cpus.tolist())) == self.cpus.size
+        )
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Per CPU, the index of its first tick's duration."""
+        return np.cumsum(self.counts) - self.counts
 
     def reach_counts(self, reach: float = math.inf) -> np.ndarray:
         """Per CPU, how many ticks :meth:`expand` keeps for *reach*."""
@@ -186,37 +214,60 @@ class TickBlock:
             np.ceil((reach - self.first) / self.period) + 1, 0, self.counts
         ).astype(np.int64)
 
-    def expand(
-        self, reach: float = math.inf, after: float = -math.inf
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def expand(self, reach: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(starts, durations, cpus)`` of the ticks that can meet a
-        window ending by *reach* and were not expanded for *after*, CPU
-        block by CPU block in tick order; all ticks by default.
+        window ending by *reach*, CPU block by CPU block in tick order;
+        all ticks by default.
 
         Each CPU keeps its ticks with index below ``ceil((reach - first) /
         period) + 1`` (:meth:`reach_counts`): an omitted tick starts at
         least a period past *reach* in exact arithmetic, far beyond any
-        float rounding of ``first + period * k``.  Kept starts are that
-        expression elementwise, as the full expansion computes them.
+        float rounding of ``first + period * k``.
         """
-        done = self.reach_counts(after)
-        sizes = np.maximum(self.reach_counts(reach) - done, 0)
-        total = int(sizes.sum())
-        # tick index k within its CPU block, and the block's duration offset
-        block_start = np.cumsum(sizes) - sizes
-        k = np.arange(total) - np.repeat(block_start - done, sizes)
-        offsets = np.cumsum(self.counts) - self.counts
+        sizes = self.reach_counts(reach)
+        # tick index k within its CPU block
+        k = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         starts = np.repeat(self.first, sizes) + self.period * k
-        durations = self.durations[np.repeat(offsets, sizes) + k]
+        durations = self.durations[np.repeat(self._offsets, sizes) + k]
         return starts, durations, np.repeat(self.cpus, sizes)
 
-    def bounds(self) -> tuple[float, float]:
-        """``(lo, hi)`` with every tick inside ``[lo, hi]``: the first
-        start, and the last start plus the longest duration (float
-        addition is monotone, so no tick's ``start + duration`` exceeds
-        it)."""
-        last = self.first + self.period * (self.counts - 1)
-        return float(self.first.min()), float(last.max() + self.durations.max())
+    def clip(self, slots: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ticks of CPU ``cpus[slots[q]]`` clipped to the int64-ns
+        window ``[edges[0, q], edges[1, q])``, for every query *q*:
+        ``(starts, ends)``, each ``(Q, W)``, row *q* holding the query's
+        candidate ticks in tick order, padded to the *W* candidates of
+        the widest window.  A candidate that misses its window, and the
+        padding, come back with ``ends <= starts``.
+
+        A tick is quantized as every noise interval is: ``to_sim_ns`` of
+        its start ``first + period * k`` and of that start plus its
+        duration.  The candidates of a window ``[lo, hi)`` are the ticks
+        ``floor((lo - first) / period) - 1`` to ``floor((hi - first) /
+        period) + 1`` (edges in seconds), one spare tick beyond each
+        edge: a tick that starts before *hi* rounds to at most half a
+        nanosecond past it, and on a :attr:`disjoint` block a tick ending
+        after *lo* starts less than a period before it.  Both edges go
+        through one pass.
+        """
+        first, counts = self.first[slots], self.counts[slots]
+        bounds = edges / NS_PER_SEC
+        bounds -= first
+        bounds /= self.period
+        np.floor(bounds, out=bounds)
+        bounds += _SPARE
+        np.maximum(bounds, 0, out=bounds)
+        np.minimum(bounds, counts, out=bounds)
+        k0, k1 = bounds.astype(np.int64)
+        k = k0[:, None] + np.arange(int((k1 - k0).max(initial=0)))
+        padding = k >= k1[:, None]
+        np.minimum(k, counts[:, None] - 1, out=k)  # padding indexes a real tick
+        starts = first[:, None] + self.period * k
+        k += self._offsets[slots][:, None]
+        ticks = to_sim_ns_array((starts, starts + self.durations[k]))
+        np.maximum(ticks[0], edges[0][:, None], out=ticks[0])
+        np.minimum(ticks[1], edges[1][:, None], out=ticks[1])
+        np.copyto(ticks[1], ticks[0], where=padding)
+        return ticks[0], ticks[1]
 
 
 @dataclass(frozen=True)

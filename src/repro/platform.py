@@ -7,11 +7,16 @@ documented per constant below and cross-checked in EXPERIMENTS.md.
 
 A small :func:`toy` platform (16 CPUs) is provided for tests and examples
 that should run in milliseconds.
+
+The preset factories are memoized: a :class:`Platform` is frozen, so
+every caller of one preset shares one object, and its machine computes
+its cached tables (``Machine.sibling_table``) once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from repro.errors import ConfigurationError
 from repro.freq.dvfs import FrequencySpec
@@ -77,6 +82,7 @@ class Platform:
         )
 
 
+@cache
 def dardel() -> Platform:
     """Dardel: 2x AMD EPYC Zen2 64c SMT-2, 8 NUMA domains, 256 CPUs.
 
@@ -150,6 +156,7 @@ def dardel() -> Platform:
     )
 
 
+@cache
 def vera() -> Platform:
     """Vera: 2x Intel Xeon Gold 6130 16c, 2 NUMA domains, 32 CPUs, no SMT.
 
@@ -220,6 +227,7 @@ def vera() -> Platform:
     )
 
 
+@cache
 def toy(smt: int = 2) -> Platform:
     """A small 8-core platform for fast tests and examples."""
     machine = (

@@ -14,9 +14,10 @@ L) per query, and independent of how queries are grouped or batched.
 
 :class:`IntervalBatch` holds many rows in one flat plane under a
 row-major int64 sort key.  One builder (:meth:`IntervalBatch.from_rows`)
-sorts and merges every row in a single pass, :meth:`IntervalBatch.merged`
-adds intervals to a plane with a fixed hull, and one ``searchsorted``
-answers a query per row.  The noise model keeps one row per CPU.
+sorts and merges every row in a single pass, and one ``searchsorted``
+answers a query per row, in int64 ns (:meth:`IntervalBatch.measure_ns`)
+or in seconds (:meth:`IntervalBatch.overlap_fused`).  The noise model
+keeps one row per CPU.
 """
 
 from __future__ import annotations
@@ -230,53 +231,26 @@ class IntervalBatch:
         rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
         starts = np.concatenate([s.starts for s in sets] or [_EMPTY])
         ends = np.concatenate([s.ends for s in sets] or [_EMPTY])
-        self._fill(len(sets), None, rows, starts, ends)
+        self._fill(len(sets), rows, starts, ends)
 
     @classmethod
     def from_rows(
-        cls,
-        n_rows: int,
-        rows: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        hull: tuple[int, int] | None = None,
+        cls, n_rows: int, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
     ) -> "IntervalBatch":
         """The plane of int64-ns intervals ``[starts[i], ends[i])`` on row
         ``rows[i]``: unsorted, overlapping and empty intervals are allowed,
-        and row ``k`` answers as ``IntervalSet`` of its own intervals.
-
-        *hull* ``(lo, hi)`` fixes the row span instead of the intervals'
-        own hull; it must contain every interval, including those a later
-        :meth:`merged` adds.
-        """
+        and row ``k`` answers as ``IntervalSet`` of its own intervals."""
         batch = cls.__new__(cls)
-        batch._fill(n_rows, hull, rows, starts, ends)
-        return batch
-
-    def merged(self, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> "IntervalBatch":
-        """A new plane holding this plane's intervals and the given ones
-        (as :meth:`from_rows`), which must lie inside this plane's hull."""
-        batch = IntervalBatch.__new__(IntervalBatch)
-        batch._fill(self._n_rows, (self._lo, self._hi), rows, starts, ends, self)
+        batch._fill(n_rows, rows, starts, ends)
         return batch
 
     def _fill(
-        self,
-        n_rows: int,
-        hull: tuple[int, int] | None,
-        rows: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        base: "IntervalBatch | None" = None,
+        self, n_rows: int, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
     ) -> None:
         keep = ends > starts
         if not keep.all():
             rows, starts, ends = rows[keep], starts[keep], ends[keep]
-        if hull is None:
-            hull = (int(starts.min()), int(ends.max())) if starts.size else (0, 0)
-        elif starts.size and (int(starts.min()) < hull[0] or int(ends.max()) > hull[1]):
-            raise ValueError(f"intervals outside the plane's hull {hull}")
-        lo, hi = hull
+        lo, hi = (int(starts.min()), int(ends.max())) if starts.size else (0, 0)
         span = hi - lo + 1
         # the sort key of the last row's last end must not wrap int64
         if n_rows * span > _INT64_MAX:
@@ -287,9 +261,6 @@ class IntervalBatch:
         shift -= lo
         flat_starts, flat_ends = starts + shift, shift
         flat_ends += ends
-        if base is not None:  # already normalized, in the same keys
-            flat_starts = np.concatenate((base._starts, flat_starts))
-            flat_ends = np.concatenate((base._ends[1:], flat_ends))
         flat_starts, flat_ends = _normalize(flat_starts, flat_ends)
         self._n_rows, self._lo, self._hi, self._span = n_rows, lo, hi, span
         self._starts = flat_starts
@@ -304,11 +275,6 @@ class IntervalBatch:
 
     def __len__(self) -> int:
         return self._n_rows
-
-    @property
-    def hull(self) -> tuple[int, int]:
-        """``(lo, hi)`` in int64 ns: every interval of every row lies inside."""
-        return self._lo, self._hi
 
     def row(self, row: int) -> IntervalSet:
         """Row *row* as an :class:`IntervalSet`."""
@@ -325,23 +291,28 @@ class IntervalBatch:
         shift = rows * self._span - self._lo
         return rows, self._starts - shift, self._ends[1:] - shift
 
-    def overlap_fused(
-        self, a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``sets[rows[k]].overlap(a[k], b[k])`` per query, bit-identical;
-        *rows* defaults to one query per row, in row order."""
+    def measure_ns(self, edges: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Int64 ns of row ``rows[k]`` inside the int64-ns window
+        ``[edges[0, k], edges[1, k])``, per query; *rows* defaults to one
+        query per row, in row order."""
         if rows is None:
             rows = np.arange(self._n_rows)
-        # both window edges in one pass: x[0] holds a, x[1] holds b
-        x = to_sim_ns_array((a, b))
-        np.maximum(x, self._lo, out=x)  # clamp to the hull (np.clip is slower)
+        # clamp both window edges to the hull in one pass (np.clip is slower)
+        x = np.maximum(edges, self._lo)
         np.minimum(x, self._hi, out=x)
         x += np.asarray(rows, dtype=np.int64) * self._span - self._lo
         # measure of each queried row before x, as a global prefix sum in
         # ns; differences within one row are exact
         i = np.searchsorted(self._starts, x, side="right")
         before = self._cum[i] - np.maximum(self._ends[i] - x, 0)
-        return np.maximum(before[1] - before[0], 0) / NS_PER_SEC
+        return np.maximum(before[1] - before[0], 0)
+
+    def overlap_fused(
+        self, a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``sets[rows[k]].overlap(a[k], b[k])`` per query, bit-identical:
+        :meth:`measure_ns` of the quantized windows, in seconds."""
+        return self.measure_ns(to_sim_ns_array((a, b)), rows) / NS_PER_SEC
 
 
 def _normalize(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

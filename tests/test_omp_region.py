@@ -16,7 +16,6 @@ from repro.osnoise.placement import PinnedPlacement
 from repro.platform import toy, vera
 from repro.rng import RngFactory
 from repro.sched.balancer import StackingEpisode
-from repro.sim.intervals import IntervalBatch
 from repro.types import ProcBind
 from repro.units import ms, us
 
@@ -153,20 +152,19 @@ class TestNoiseAggregation:
 class TestSiblingRows:
     """Sibling pressure is queried only for threads whose CPU has an SMT
     sibling that is not a teammate, at the rows the realization maps
-    them to: with one sibling per CPU, the sibling's own stolen row."""
+    them to: with one sibling per CPU, the sibling's own stolen time."""
 
     def _spy(self, ex, monkeypatch):
-        """Record the plane and rows of every overlap query of run 0."""
+        """Record the method and rows of every noise query of run 0."""
         noise = ex.runs[0].noise
         queried = []
-        overlap_fused = IntervalBatch.overlap_fused
+        for name in ("stolen_time", "sibling_time"):
+            def recording(real, rows, a, b, name=name, query=getattr(NoiseRealization, name)):
+                if real is noise:
+                    queried.append((name, np.asarray(rows).tolist()))
+                return query(real, rows, a, b)
 
-        def recording(plane, a, b, rows=None):
-            which = "stolen" if plane is noise._stolen else "sibling"
-            queried.append((which, np.asarray(rows).tolist()))
-            return overlap_fused(plane, a, b, rows)
-
-        monkeypatch.setattr(IntervalBatch, "overlap_fused", recording)
+            monkeypatch.setattr(NoiseRealization, name, recording)
         return queried
 
     def test_all_smt_shared_team_issues_no_sibling_rows(self, platform, monkeypatch):
@@ -179,24 +177,26 @@ class TestSiblingRows:
         ex, _ = make_executor(platform, [0, 8], noise_events=events)
         queried = self._spy(ex, monkeypatch)
         res = ex.execute(Team(m, (0, 8), bound=True), np.full(2, ms(1)))
-        assert queried == [("stolen", [0, 8])]
+        assert queried == [("stolen_time", [0, 8])]
         assert res.noise_seconds[0] == pytest.approx(us(400), rel=1e-3)
 
     def test_free_sibling_is_queried(self, platform, monkeypatch):
         ex, _ = make_executor(platform, [0, 1])
         queried = self._spy(ex, monkeypatch)
         ex.execute(Team(platform.machine, (0, 1), bound=True), np.full(2, ms(1)))
-        # SMT-2: the pressure on cpus 0 and 1 is the stolen rows of 8 and 9
-        assert queried == [("stolen", [0, 1]), ("stolen", [8, 9])]
-        assert ex.runs[0].noise._sibling is None
+        # SMT-2: the pressure on cpus 0 and 1 is the stolen time of 8 and 9
+        assert queried == [
+            ("stolen_time", [0, 1]), ("sibling_time", [8, 9]), ("stolen_time", [8, 9]),
+        ]
+        assert "_union" not in vars(ex.runs[0].noise)
 
     def test_team_without_smt_issues_no_sibling_query(self, monkeypatch):
         plat = vera()
         ex, _ = make_executor(plat, [0, 1, 2, 3])
         queried = self._spy(ex, monkeypatch)
         ex.execute(Team(plat.machine, (0, 1, 2, 3), bound=True), np.full(4, ms(1)))
-        assert queried == [("stolen", [0, 1, 2, 3])]
-        assert ex.runs[0].noise._sibling is None
+        assert queried == [("stolen_time", [0, 1, 2, 3])]
+        assert "_union" not in vars(ex.runs[0].noise)
 
     def test_wider_smt_queries_the_union_plane(self, monkeypatch):
         plat = toy(smt=4)
@@ -205,7 +205,8 @@ class TestSiblingRows:
         ex, _ = make_executor(plat, [0, 1], noise_events=events)
         queried = self._spy(ex, monkeypatch)
         res = ex.execute(Team(plat.machine, (0, 1), bound=True), np.full(2, ms(1)))
-        assert queried == [("stolen", [0, 1]), ("sibling", [0, 1])]
+        assert queried == [("stolen_time", [0, 1]), ("sibling_time", [0, 1])]
+        assert "_union" in vars(ex.runs[0].noise)
         expected_extra = plat.region_params.smt_noise_penalty * us(400)
         assert res.duration[0] == pytest.approx(ms(1) + expected_extra, rel=1e-2)
 

@@ -166,6 +166,21 @@ class TestPlatformPresets:
         with pytest.raises(ConfigurationError):
             get_platform("summit")
 
+    def test_presets_are_built_once(self):
+        assert get_platform("dardel") is get_platform("DARDEL") is dardel()
+        assert get_platform("vera") is vera()
+        assert toy(smt=4) is toy(smt=4)
+        assert toy(smt=4) is not toy()
+        assert toy(smt=4).machine.n_cpus == 32 and toy().machine.n_cpus == 16
+
+    def test_registered_platform_resolves_to_its_own_object(self, monkeypatch):
+        import repro.platform as platform_module
+
+        custom = vera().quiet()
+        monkeypatch.setitem(platform_module._PLATFORMS, "custom", lambda: custom)
+        assert get_platform("custom") is custom
+        assert get_platform("vera") is vera() is not custom
+
     def test_dardel_spec_sanity(self):
         p = dardel()
         assert p.machine.n_cpus == 256

@@ -1,10 +1,11 @@
 """Tests for the OS-noise substrate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoiseModelError
@@ -24,12 +25,12 @@ from repro.osnoise import (
 )
 from repro.omp import OMPEnvironment, RegionExecutor
 from repro.omp.runtime import OpenMPRuntime
-from repro.platform import toy
+from repro.platform import get_platform, toy
 from repro.rng import RngFactory
 from repro.sim.intervals import IntervalSet
 from repro.topology import TopologyBuilder, dardel_topology
 from repro.types import ProcBind
-from repro.units import ms, us
+from repro.units import ms, to_sim_ns_array, us
 
 
 @pytest.fixture
@@ -352,6 +353,82 @@ class TestTickBlock:
             )
         assert np.all(np.isin(part_c, block.cpus))
 
+    @given(src=tick_sources, seed=st.integers(0, 2**16),
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_clip_is_the_expanded_ticks_clipped_by_hand(self, src, seed, busy, data):
+        block = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
+        assume(block.disjoint and len(block))
+        starts, durations, cpus = block.expand()
+        ticks = to_sim_ns_array((starts, starts + durations))
+        point = st.floats(min_value=-0.1, max_value=0.4)
+        n = data.draw(st.integers(1, 8))
+        slots = np.asarray(data.draw(st.lists(
+            st.integers(0, block.cpus.size - 1), min_size=n, max_size=n)))
+        edges = to_sim_ns_array([
+            data.draw(st.lists(point, min_size=n, max_size=n)) + [-0.1, 0.35],
+            data.draw(st.lists(point, min_size=n, max_size=n)) + [-0.05, 0.4],
+        ])  # with one window before the first tick and one after the last
+        slots = np.concatenate((slots, [0, 0]))
+        clip_starts, clip_ends = block.clip(slots, edges)
+        for q, slot in enumerate(slots.tolist()):
+            own = ticks[:, cpus == block.cpus[slot]]
+            lo, hi = np.maximum(own[0], edges[0, q]), np.minimum(own[1], edges[1, q])
+            meets = hi > lo
+            got_lo, got_hi = clip_starts[q], clip_ends[q]
+            got = got_hi > got_lo
+            # every tick that meets the window is a candidate, clipped alike
+            assert np.array_equal(got_lo[got], lo[meets])
+            assert np.array_equal(got_hi[got], hi[meets])
+            assert np.maximum(got_hi - got_lo, 0).sum() == (hi - lo)[meets].sum()
+        # padded to the widest window's candidates, spares included
+        widest = max(np.max(edges[1] - edges[0]), 0) / 1e9 / block.period
+        assert clip_starts.shape == clip_ends.shape == (slots.size, clip_starts.shape[1])
+        assert clip_starts.shape[1] <= widest + 4
+
+
+class TestTickPath:
+    """Which tick block a realization sums straight from its ticks."""
+
+    def test_every_preset_tick_source_is_disjoint(self):
+        for profile in (dardel_noise(), vera_noise(), noisy_profile(), toy().noise_profile):
+            for src in profile.sources:
+                if isinstance(src, TimerTickSource):
+                    block = src.sample_block(0.0, 1.0, [0, 1], np.random.default_rng(1))
+                    assert block.disjoint
+
+    def test_ticks_that_may_overlap_join_the_events(self):
+        src = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
+        assert not src.sample_block(0.0, 0.1, [0], np.random.default_rng(1)).disjoint
+
+    def test_ticks_need_two_nanoseconds_of_room(self):
+        period, jitter = 1e-3, 5e-7
+        rng = np.random.default_rng(1)
+        for room, disjoint in ((1e-9, False), (3e-9, True)):
+            src = TimerTickSource(
+                hz=1 / period, duration_mean=period - room - jitter, duration_jitter=jitter
+            )
+            assert src.sample_block(0.0, 0.1, [0], rng).disjoint is disjoint
+
+    def test_a_repeated_cpu_joins_the_events(self):
+        src = TimerTickSource()
+        rng = np.random.default_rng(1)
+        assert src.sample_block(0.0, 0.1, [0, 1], rng).disjoint
+        assert not src.sample_block(0.0, 0.1, [0, 1, 0], rng).disjoint
+
+    def test_the_first_disjoint_block_takes_the_tick_path(self, machine):
+        rng = np.random.default_rng(2)
+        loose = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
+        blocks = [loose.sample_block(0.0, 0.1, [0], rng),
+                  TimerTickSource().sample_block(0.0, 0.1, [0, 1], rng),
+                  TimerTickSource().sample_block(0.0, 0.1, [1, 2], rng)]
+        real = NoiseRealization(machine, [], ticks=blocks)
+        assert real._tick is blocks[1]
+        stolen, _ = oracle_sets(real)
+        for cpu in range(4):
+            assert real.stolen_on(cpu) == stolen[cpu]
+
 
 def smt4_machine():
     # 1 socket x 1 numa x 3 cores, SMT-4 -> 12 cpus, siblings {c, c+3, c+6, c+9}
@@ -363,32 +440,44 @@ HORIZON = 0.05
 
 @st.composite
 def realizations(draw, machine):
-    """A realization with random non-tick events and one tick block."""
+    """A realization with random non-tick events, one block of disjoint
+    ticks and, at random, a block whose ticks must join the rest plane:
+    ticks longer than their period, or a busy list that repeats a CPU.
+    Either block may come first."""
     n = machine.n_cpus
+    cpu = st.integers(0, n - 1)
     events = draw(st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=HORIZON),
             st.floats(min_value=0.0, max_value=2e-3),
-            st.integers(0, n - 1),
+            cpu,
         ),
         max_size=25,
     ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     src = TimerTickSource(
         hz=draw(st.sampled_from([500.0, 2000.0, 10000.0])),
         duration_mean=draw(st.floats(min_value=1e-6, max_value=8e-5)),
         duration_jitter=5e-7,
     )
-    busy = draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True))
-    block = src.sample_block(
-        0.0, HORIZON, busy, np.random.default_rng(draw(st.integers(0, 2**16)))
-    )
+    blocks = [src.sample_block(0.0, HORIZON, draw(st.lists(cpu, max_size=6, unique=True)), rng)]
+    fallback = draw(st.sampled_from([None, "overlapping", "repeated"]))
+    if fallback == "overlapping":
+        loose = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
+        busy = draw(st.lists(cpu, min_size=1, max_size=4, unique=True))
+        blocks.append(loose.sample_block(0.0, HORIZON, busy, rng))
+    elif fallback == "repeated":
+        busy = draw(st.lists(cpu, min_size=1, max_size=4))
+        blocks.append(src.sample_block(0.0, HORIZON, busy + busy[:1], rng))
+    if draw(st.booleans()):
+        blocks.reverse()
     arrays = (
         np.asarray([e[0] for e in events]),
         np.asarray([e[1] for e in events]),
         np.asarray([e[2] for e in events], dtype=np.int64),
         ["daemon"] * len(events),
     )
-    return NoiseRealization(machine, arrays=arrays, ticks=[block])
+    return NoiseRealization(machine, arrays=arrays, ticks=blocks)
 
 
 def oracle_sets(real):
@@ -416,27 +505,31 @@ window_point = st.floats(min_value=-1e-3, max_value=HORIZON * 1.2)
 
 
 class TestNoisePlanes:
-    """The per-CPU planes answer every window that ends by the covered
-    time as the full-horizon per-CPU sets do, bit for bit."""
+    """Window queries answer as the full-horizon per-CPU sets do, bit for
+    bit: the tick sum plus the rest plane for stolen time, the row map or
+    the union plane for sibling pressure."""
 
     def _check(self, machine, data):
         real = data.draw(realizations(machine))
         stolen, sibling = oracle_sets(real)
         n = machine.n_cpus
-        reaches = data.draw(st.lists(window_point, min_size=1, max_size=5))
-        for reach in reaches:
+        for _ in range(data.draw(st.integers(1, 5))):
             rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
-            b = np.asarray(data.draw(st.lists(
-                st.floats(min_value=-1e-3, max_value=reach), min_size=rows.size, max_size=rows.size)))
-            a = np.asarray(data.draw(st.lists(
-                window_point, min_size=rows.size, max_size=rows.size)))
-            got = real.stolen_plane(reach).overlap_fused(a, b, rows)
+            # independent edges: about half the windows are reversed
+            a, b = (
+                np.asarray(data.draw(st.lists(window_point, min_size=rows.size, max_size=rows.size)))
+                for _ in range(2)
+            )
+            # and every window again, moved past the horizon
+            past = data.draw(st.floats(min_value=HORIZON, max_value=2 * HORIZON))
+            rows, a, b = np.tile(rows, 2), np.concatenate((a, a + past)), np.concatenate((b, b + past))
+            got = real.stolen_time(rows, a, b)
             # sibling pressure is read at the realization's row map; a
             # CPU without an SMT sibling maps to no row and has none
             sib_rows = real.sibling_rows(rows)
             has = sib_rows >= 0
             sib = np.zeros(rows.size)
-            sib[has] = real.sibling_plane(reach).overlap_fused(a[has], b[has], sib_rows[has])
+            sib[has] = real.sibling_time(sib_rows[has], a[has], b[has])
             for q, c in enumerate(rows.tolist()):
                 assert got[q] == stolen[c].overlap(float(a[q]), float(b[q]))
                 assert has[q] == bool(machine.siblings_of(c))
@@ -462,20 +555,41 @@ class TestNoisePlanes:
         self._check(TopologyBuilder("nosmt").add_sockets(2, 1, 4, smt=1).build(), data)
 
     def test_short_region_materializes_few_ticks(self, monkeypatch):
-        """A region near the start of a long horizon expands a handful of
-        ticks, not the realization's hundred thousand."""
+        """A region near the start of a long horizon clips a handful of
+        ticks per thread, not the realization's hundred thousand."""
         platform = toy()
         env = OMPEnvironment(num_threads=4, places="cores", proc_bind=ProcBind.CLOSE)
         ctx = OpenMPRuntime(platform, env).start_run(0, RngFactory(1), horizon=100.0)
-        expanded = []
-        expand = TickBlock.expand
+        shapes = []  # (windows, candidate ticks of the widest)
+        clip = TickBlock.clip
 
-        def counting(self, *args):
-            out = expand(self, *args)
-            expanded.append(out[0].size)
+        def counting(self, slots, edges):
+            out = clip(self, slots, edges)
+            shapes.append(out[0].shape)
             return out
 
-        monkeypatch.setattr(TickBlock, "expand", counting)
+        monkeypatch.setattr(TickBlock, "clip", counting)
         RegionExecutor([ctx]).execute(ctx.team, np.full(4, ms(1)))
         assert ctx.noise.count_by_kind()["tick"] > 90_000
-        assert 0 < sum(expanded) <= 2 * len(ctx.team.cpus)
+        assert (len(ctx.team.cpus), 2) in shapes
+        assert max(width for _, width in shapes) <= 4
+
+
+class TestNoiseMemory:
+    def test_machine_wide_window_queries_hold_no_tick_planes(self):
+        """Window queries over a machine-wide realization allocate per
+        window, not per tick: no interval array of the ticks they reach."""
+        platform = get_platform("dardel")
+        model = NoiseModel(platform.machine, platform.noise_profile.sources)
+        real = model.realize(
+            0.0, 20.0, range(platform.machine.n_cpus), RngFactory(1).stream("noise")
+        )
+        rows = np.arange(64)
+        tracemalloc.start()
+        try:
+            for t in np.linspace(0.0, 10.0 - ms(5), 2000).tolist():
+                real.stolen_time(rows, np.full(64, t), np.full(64, t + ms(5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.intervals import IntervalBatch, IntervalSet
-from repro.units import NS_PER_SEC, to_sim_ns
+from repro.units import NS_PER_SEC, to_sim_ns, to_sim_ns_array
 
 
 class TestNormalization:
@@ -284,6 +284,10 @@ class TestPlaneBuilder:
         fused = plane.overlap_fused(a, b, rows)
         for q, k in enumerate(rows.tolist()):
             assert fused[q] == per_row[k].overlap(float(a[q]), float(b[q]))
+        # the seconds form of the int64-ns measure
+        measure = plane.measure_ns(to_sim_ns_array((a, b)), rows)
+        assert measure.dtype == np.int64
+        assert np.array_equal(measure / 1e9, fused)
 
     @given(events=row_events)
     @settings(max_examples=100, deadline=None)
@@ -296,28 +300,6 @@ class TestPlaneBuilder:
             assert np.array_equal(starts[sel], s.starts)
             assert np.array_equal(ends[sel], s.ends)
             assert again.row(k) == s
-
-    @given(first=row_events, second=row_events)
-    @settings(max_examples=100, deadline=None)
-    def test_merged_equals_one_build(self, first, second):
-        """Growing a plane under a fixed hull equals building it at once."""
-        hull = (-50, 2_300)  # contains every generated interval
-        plane_a, _ = self._rows(first)
-        _, per_row = self._rows(first + second)
-        grown = IntervalBatch.from_rows(
-            len(plane_a), *plane_a.intervals_ns(), hull=hull
-        ).merged(*self._rows(second)[0].intervals_ns())
-        assert grown.hull == hull
-        for k, s in enumerate(per_row):
-            assert grown.row(k) == s
-
-    def test_hull_must_contain_the_intervals(self):
-        rows, starts, ends = np.asarray([0]), np.asarray([5]), np.asarray([9])
-        plane = IntervalBatch.from_rows(1, rows, starts, ends, hull=(0, 10))
-        with pytest.raises(ValueError, match="hull"):
-            plane.merged(rows, np.asarray([8]), np.asarray([11]))
-        with pytest.raises(ValueError, match="hull"):
-            IntervalBatch.from_rows(1, rows, starts, ends, hull=(6, 10))
 
     def test_sets_form_is_the_same_plane(self):
         sets = [IntervalSet.from_pairs([(0.0, 1.0), (2.0, 3.0)]), IntervalSet.empty(),
