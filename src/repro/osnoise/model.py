@@ -39,7 +39,6 @@ interval arrays of its ticks; only the full-horizon rows of
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -53,10 +52,6 @@ from repro.osnoise.source import NoiseEvent, NoiseSource, TickBlock, TimerTickSo
 from repro.sim.intervals import IntervalBatch, IntervalSet
 from repro.topology.hwthread import Machine
 from repro.units import NS_PER_SEC, to_sim_ns_array
-
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-#: The window every tick lies in: ``TickBlock.clip`` edges for whole ticks.
-_WHOLE = np.asarray([[_INT64_MIN], [_INT64_MAX]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,15 +162,11 @@ class NoiseRealization:
     # -- window queries ----------------------------------------------------------
 
     @cached_property
-    def _rest(self) -> tuple[IntervalBatch, list[int], list[int]]:
-        """The rest plane, built on first query, and the time it spans.
-
-        The plane holds every event off the tick path, normalized per
-        row, with the tick path's ticks cut out: disjoint from those
-        ticks, it adds to them to make each CPU's noise.  The span is the
-        union of all its rows as sorted int64-ns ``(starts, ends)`` lists;
-        a query whose windows miss it skips the plane.
-        """
+    def _rest(self) -> IntervalBatch:
+        """The rest plane, built on first query: every event off the tick
+        path, normalized per row, with the tick path's ticks cut out.
+        Disjoint from those ticks, it adds to them to make each CPU's
+        noise."""
         n_cpus = self.machine.n_cpus
         parts = [block.expand() for block in self._ticks if block is not self._tick]
         parts.append((self._starts, self._durations, self._cpus))
@@ -200,9 +191,7 @@ class NoiseRealization:
             rows = rows[np.concatenate((whole, owner))[at_start]]
             starts = np.concatenate((starts, tick_ends[meets]))[at_start]
             ends = np.concatenate((tick_starts[meets], ends))[at_end]
-        plane = IntervalBatch.from_rows(n_cpus, rows, starts, ends)
-        span = IntervalBatch.from_rows(1, np.zeros_like(rows), starts, ends).row(0)
-        return plane, span.starts.tolist(), span.ends.tolist()
+        return IntervalBatch.from_rows(n_cpus, rows, starts, ends)
 
     def _tick_ns(self, slots: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Int64 ns of the tick path's ticks of slot ``slots[q]`` inside
@@ -223,13 +212,7 @@ class NoiseRealization:
             ticking = np.flatnonzero(slots >= 0)
             if ticking.size:
                 ns[ticking] = self._tick_ns(slots[ticking], edges[:, ticking])
-        rest, span_starts, span_ends = self._rest
-        # the rest plane only where an interval of any row meets the
-        # windows' span [earliest start, latest end)
-        i = bisect_right(span_ends, int(edges[0].min(initial=_INT64_MAX)))
-        if i < len(span_starts) and span_starts[i] < int(edges[1].max(initial=_INT64_MIN)):
-            ns += rest.measure_ns(edges, cpus)
-        return ns
+        return ns + self._rest.measure_ns(edges, cpus)
 
     def stolen_time(self, cpus: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Seconds of ``cpus[q]`` stolen inside ``[a[q], b[q])``, per
@@ -279,21 +262,13 @@ class NoiseRealization:
 
     @cached_property
     def _whole(self) -> IntervalBatch:
-        """Every CPU's noise over the full horizon, one row per CPU: its
-        whole tick-path ticks merged with its rest row.  Built on the
-        first full-row request (the work-stealing scheduler's)."""
-        parts = [self._rest[0].intervals_ns()]
-        if self._tick is not None:
-            slots = np.arange(self._tick.cpus.size)
-            tick_starts, tick_ends = self._tick.clip(
-                slots, np.broadcast_to(_WHOLE, (2, slots.size))
-            )
-            ticks = tick_ends > tick_starts  # every tick, and no padding
-            parts.append(
-                (self._tick.cpus[np.nonzero(ticks)[0]], tick_starts[ticks], tick_ends[ticks])
-            )
-        rows, starts, ends = (np.concatenate(column) for column in zip(*parts))
-        return IntervalBatch.from_rows(self.machine.n_cpus, rows, starts, ends)
+        """Every CPU's noise over the full horizon, one row per CPU: all
+        its ticks and other events, merged.  Built on the first full-row
+        request (the work-stealing scheduler's)."""
+        starts, durations, cpus = self._arrays()
+        return IntervalBatch.from_rows(
+            self.machine.n_cpus, cpus, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
+        )
 
     @cached_property
     def _union(self) -> IntervalBatch:

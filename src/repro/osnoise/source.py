@@ -174,8 +174,8 @@ class TickBlock:
     ``offset_i`` sums the counts of the CPUs before it, and no tick lasts
     longer than ``longest``, the source's ``duration_mean +
     duration_jitter``.  Tick starts are computed, not stored: tracing
-    expands the ticks up to the time it shows (:meth:`expand`), and noise
-    queries clip only the ticks near each window (:meth:`clip`).
+    and the full-horizon rows expand the ticks (:meth:`expand`), and
+    window queries clip only the ticks near each window (:meth:`clip`).
     """
 
     kind: str
