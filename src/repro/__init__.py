@@ -10,7 +10,7 @@ paper's evaluation.
 Quickstart
 ----------
 >>> from repro import experiments
->>> result = experiments.figure1(platform="vera", runs=3, outer_reps=10, seed=1)
+>>> result = experiments.figure1(runs=3, outer_reps=10, seed=1)
 >>> print(result.render())                                    # doctest: +SKIP
 
 Declare a custom sweep without writing a driver (see docs/study.md)::

@@ -189,23 +189,6 @@ class Schedbench:
             for times in rep_times
         ]
 
-    def measure_suite(
-        self,
-        ex: RegionExecutor,
-        schedules: tuple[tuple[ScheduleKind, int | None], ...] = (
-            (ScheduleKind.STATIC, None),
-            (ScheduleKind.STATIC, 1),
-            (ScheduleKind.DYNAMIC, 1),
-            (ScheduleKind.GUIDED, 1),
-        ),
-    ) -> dict[str, list[ScheduleMeasurement]]:
-        """Measure several schedules sequentially along the runs' timelines."""
-        out: dict[str, list[ScheduleMeasurement]] = {}
-        for kind, chunk in schedules:
-            per_run = self.measure(ex, kind, chunk)
-            out[per_run[0].label] = per_run
-        return out
-
     def horizon_estimate(self, n_threads: int) -> float:
         """Rough single-schedule run duration for horizon sizing."""
         p = self.params

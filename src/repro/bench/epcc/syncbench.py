@@ -83,10 +83,6 @@ class ConstructMeasurement:
     def stats(self) -> EpccStats:
         return epcc_stats(self.rep_times)
 
-    @property
-    def overhead_stats(self) -> EpccStats:
-        return epcc_stats(np.maximum(self.overheads, 0.0))
-
 
 class Syncbench:
     """The syncbench driver; one instance is reusable across runs."""
@@ -208,13 +204,6 @@ class Syncbench:
             )
             for times in rep_times
         ]
-
-    def measure_all(
-        self, ex: RegionExecutor, constructs: tuple[SyncConstruct, ...] | None = None
-    ) -> dict[SyncConstruct, list[ConstructMeasurement]]:
-        """Measure several constructs sequentially along the runs' timelines."""
-        selected = constructs if constructs is not None else tuple(SyncConstruct)
-        return {c: self.measure(ex, c) for c in selected}
 
     def horizon_estimate(self, ctx_or_none=None) -> float:
         """Rough run duration for horizon sizing: reps x test_time x slack."""

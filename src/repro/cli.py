@@ -41,6 +41,11 @@ records as CSV or JSON::
     repro-omp sweep --grid num_threads=4,8 --grid runtime=gnu,llvm \
         --runs 5 --reps 20 --out sweep.csv
 
+``run``, ``sweep`` and ``gather`` compile their flags into the job
+service's spec schema and build the Study through its ``validate_spec``
+→ ``spec_to_study`` (see docs/service.md): flags and a JSON job spec
+expand to the same configs, and a flag error names the spec field.
+
 Shard one sweep across independent workers (different terminals, or
 different hosts sharing one cache directory), then assemble the shards
 into a result byte-identical to the unsharded run (see
@@ -88,13 +93,11 @@ from pathlib import Path
 from repro.bench.registry import available_benchmarks
 from repro.errors import ReproError
 from repro.harness.cache import ResultCache
-from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import (
     EXPERIMENTS,
     available_experiments,
     get_experiment,
 )
-from repro.harness.parallel import Sweep
 from repro.harness.report import (
     render_group_summaries,
     render_shard_summary,
@@ -153,11 +156,6 @@ def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     if args.cache_dir is None or args.no_cache:
         return None
     return ResultCache(args.cache_dir)
-
-
-def _shard(args: argparse.Namespace) -> tuple[int, int] | None:
-    """The ``(index, count)`` pair ``--shard I/N`` asks for, if any."""
-    return parse_shard(args.shard) if args.shard is not None else None
 
 
 def _finish_obs(args: argparse.Namespace, configs, metrics) -> None:
@@ -231,47 +229,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="extra benchmark parameter (repeatable), e.g. "
                              "--param pattern=fib --param fib_n=14")
     parser.add_argument("--freq-log", action="store_true")
-
-
-def _reps_key(benchmark: str) -> str:
-    """The repetition knob of *benchmark* (``--reps`` maps onto it).
-
-    Canonical definition lives in :func:`repro.serve.jobspec.reps_key` so
-    the job service maps ``reps`` identically to this CLI."""
-    from repro.serve.jobspec import reps_key
-
-    return reps_key(benchmark)
-
-
-def _config_from_args(
-    args: argparse.Namespace, include_reps: bool = True
-) -> ExperimentConfig:
-    """Build the (base) ExperimentConfig from the shared config flags.
-
-    ``sweep`` passes ``include_reps=False`` and applies ``--reps`` per
-    expanded config instead: the knob's name depends on the benchmark,
-    which may itself be a swept axis.
-    """
-    params: dict = {}
-    if include_reps and args.reps is not None:
-        params[_reps_key(args.benchmark)] = args.reps
-    params.update(_parse_param(item) for item in args.param)
-    return ExperimentConfig(
-        platform=args.platform,
-        benchmark=args.benchmark,
-        num_threads=args.threads,
-        places=None if args.proc_bind == "false" else args.places,
-        proc_bind=args.proc_bind,
-        schedule=args.schedule,
-        schedule_chunk=args.chunk,
-        runs=args.runs,
-        seed=args.seed,
-        noise=args.noise,
-        runtime=args.runtime,
-        wait_policy=args.wait_policy,
-        benchmark_params=params,
-        freq_logging=args.freq_log,
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,33 +565,83 @@ def _cmd_platform(name: str) -> int:
 
 def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
     spec = get_experiment(name)
-    kwargs: dict = {"seed": args.seed}
-    if args.runs is not None:
-        kwargs["runs"] = args.runs
-    if args.reps is not None:
-        # the registry knows each driver's repetition knob(s)
-        for key in spec.rep_params:
-            kwargs[key] = args.reps
+    knobs = spec.knobs(args.runs, args.reps, args.seed)
     cache = _make_cache(args)
-    shard = _shard(args)
-    if shard is not None:
-        # a shard renders no artifact: run the driver's study directly;
+    if args.shard is not None:
+        # a shard renders no artifact: run the experiment's study directly;
         # completion surfaces as ShardRunComplete (handled in main)
-        spec.build_study(**kwargs).run(jobs=args.jobs, cache=cache, shard=shard)
-    artifact = spec.driver(**kwargs, jobs=args.jobs, cache=cache)
+        spec.build_study(**knobs).run(
+            jobs=args.jobs, cache=cache, shard=parse_shard(args.shard)
+        )
+    artifact = spec.driver(**knobs, jobs=args.jobs, cache=cache)
     print(artifact.render())
     return 0
+
+
+def _job_spec(args: argparse.Namespace) -> dict:
+    """The job spec the config flags describe (see docs/service.md).
+
+    Each ``--grid`` is one grid axis, in flag order; all ``--zip`` flags
+    together are one zip axis after them.  ``--reps`` maps onto each
+    expanded config's repetition knob, which follows the config's
+    benchmark (itself possibly an axis); an explicit axis or ``--param``
+    value for the knob wins.
+    """
+    spec: dict = {
+        "base": {
+            "platform": args.platform,
+            "benchmark": args.benchmark,
+            "num_threads": args.threads,
+            "places": None if args.proc_bind == "false" else args.places,
+            "proc_bind": args.proc_bind,
+            "schedule": args.schedule,
+            "schedule_chunk": args.chunk,
+            "runs": args.runs,
+            "seed": args.seed,
+            "noise": args.noise,
+            "runtime": args.runtime,
+            "wait_policy": args.wait_policy,
+            "benchmark_params": dict(_parse_param(p) for p in args.param),
+            "freq_logging": args.freq_log,
+        },
+        "axes": [
+            {"kind": "grid", "axes": dict([_parse_axis(item)])}
+            for item in getattr(args, "grid", [])
+        ],
+    }
+    if getattr(args, "zip", []):
+        spec["axes"].append(
+            {"kind": "zip", "axes": dict(_parse_axis(i) for i in args.zip)}
+        )
+    if args.reps is not None:
+        spec["reps"] = args.reps
+    if getattr(args, "shard", None) is not None:
+        spec["shard"] = args.shard
+    return spec
+
+
+def _study_from_args(
+    args: argparse.Namespace,
+) -> tuple[Study, tuple[int, int] | None]:
+    """The Study the config flags describe and the shard they select,
+    built by the job service's validator and builder: flags and JSON
+    specs expand to the same configs, and a user error names the spec
+    field, as the service's errors do."""
+    from repro.serve.jobspec import spec_shard, spec_to_study, validate_spec
+
+    spec = validate_spec(_job_spec(args))
+    return spec_to_study(spec), spec_shard(spec)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
 
-    config = _config_from_args(args)
+    study, shard = _study_from_args(args)
     metrics = MetricsRegistry()
-    result = Sweep(
-        jobs=args.jobs, cache=_make_cache(args), metrics=metrics,
-        shard=_shard(args),
-    ).run([config])[0]
+    ran = study.run(
+        jobs=args.jobs, cache=_make_cache(args), metrics=metrics, shard=shard,
+    )
+    result = ran[0]
     time_labels, metric_labels = split_tasking_labels(result.labels())
     for label in time_labels:
         print(result.report(label).render())
@@ -652,33 +659,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         result.save(args.out)
         print(f"saved raw result to {args.out}")
-    _finish_obs(args, [config], metrics)
+    _finish_obs(args, list(ran.configs), metrics)
     return 0
-
-
-def _build_sweep_study(args: argparse.Namespace) -> Study:
-    """The Study the sweep flags describe — shared verbatim by ``sweep``
-    and ``gather`` so a gathered sharded run expands the exact same
-    configs (and hence cache keys) the shard workers ran."""
-    study = Study(
-        _config_from_args(args, include_reps=False),
-        name="sweep",
-        description="declarative CLI sweep",
-    )
-    for item in args.grid:
-        key, values = _parse_axis(item)
-        study = study.grid(**{key: values})
-    if args.zip:
-        study = study.zip(**dict(_parse_axis(item) for item in args.zip))
-    if args.reps is not None:
-        # applied per expanded config: the knob's name follows each
-        # config's benchmark (which may be a swept axis), and an explicit
-        # axis/--param value for the knob wins over --reps.  Shared with
-        # the job service so HTTP-submitted sweeps expand identically.
-        from repro.serve.jobspec import reps_derive
-
-        study = study.derive(benchmark_params=reps_derive(args.reps))
-    return study
 
 
 def _render_sweep_report(args: argparse.Namespace, result) -> None:
@@ -716,7 +698,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.obs.metrics import MetricsRegistry
 
-    study = _build_sweep_study(args)
+    study, shard = _study_from_args(args)
     if args.dry_run:
         # same payload POST /jobs?dry_run=1 returns: the expanded config
         # list with cache keys and warm/cold status, nothing simulated
@@ -725,8 +707,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     metrics = MetricsRegistry()
     result = study.run(
-        jobs=args.jobs, cache=_make_cache(args), metrics=metrics,
-        shard=_shard(args),
+        jobs=args.jobs, cache=_make_cache(args), metrics=metrics, shard=shard,
     )
     _render_sweep_report(args, result)
     _finish_obs(args, list(result.configs), metrics)
@@ -762,23 +743,17 @@ def _cmd_gather(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         spec = get_experiment(args.experiment)
-        kwargs: dict = {
-            "seed": args.seed,
-            "jobs": 1,
-            "cache": ReplayCache(args.cache_dir),
-        }
-        if args.runs is not None:
-            kwargs["runs"] = args.runs
-        if args.reps is not None:
-            for key in spec.rep_params:
-                kwargs[key] = args.reps
-        artifact = spec.driver(**kwargs)
+        artifact = spec.driver(
+            **spec.knobs(args.runs, args.reps, args.seed),
+            jobs=1,
+            cache=ReplayCache(args.cache_dir),
+        )
         print(artifact.render())
         return 0
 
     if args.runs is None:
         args.runs = 10  # the sweep parser's default: keep spec parity
-    study = _build_sweep_study(args)
+    study, _ = _study_from_args(args)
     metrics = MetricsRegistry()
     result = study.gather(
         cache, expected_shards=args.expect_shards, metrics=metrics

@@ -1,34 +1,42 @@
-"""Canonical experiment drivers — one per table/figure of the paper.
+"""Canonical experiments — one per table/figure of the paper.
 
-Every public function regenerates one artifact of the evaluation section
-and returns an :class:`ExperimentArtifact` carrying both structured data
-(for assertions and further analysis) and an ASCII rendering (the
-"figure").  Default arguments are the paper's scale (10 runs x 100
-repetitions); tests and the pytest-benchmark harness pass reduced values.
+Every experiment regenerates one artifact of the evaluation section as an
+:class:`ExperimentArtifact` carrying both structured data (for assertions
+and further analysis) and an ASCII rendering (the "figure").
 
-Every driver declares its sweep as a :class:`~repro.harness.study.Study`:
-the axes (``grid`` / ``zip`` / ``cases``), derived fields and filters
-compose into the explicit config list, and ``Study.run`` executes it —
-so a driver is the sweep declaration plus the artifact rendering, and a
-new scenario needs no hand-rolled config assembly (or, via the
-``repro-omp sweep`` CLI, no Python at all).  The rendered artifacts are
-regression-locked byte-for-byte against the pre-Study drivers
-(``tests/test_study.py``).
+An experiment is declared once, as two functions:
 
-Every driver accepts two execution knobs, forwarded to ``Study.run``:
+* a *study builder* (``figure3_study``, ...) returns the experiment's
+  sweep as a :class:`~repro.harness.study.Study`.  Its signature is the
+  experiment's whole knob surface — scale (``runs``, ``outer_reps`` /
+  ``num_times``), ``seed`` and axis values — and its defaults are the
+  paper's scale (10 runs x 100 repetitions);
+* a *renderer*, decorated with :func:`experiment`, turns the executed
+  :class:`~repro.harness.study.StudyResult` into the artifact.  It takes
+  the knobs it reads as keyword-only arguments and declares no defaults:
+  those live in the builder.
+
+The decorator returns the experiment's *driver*, ``figure3(runs=2,
+jobs=2, cache=...)``: it binds the call's knobs against the builder's
+signature (an unknown knob raises :class:`TypeError`), runs the study
+through one shared :class:`~repro.harness.parallel.Sweep` and renders the
+result.  Besides the builder's knobs, every driver accepts two execution
+knobs, forwarded to ``Study.run``:
 
 ``jobs``
-    Worker processes for the run fan-out (default ``1`` = serial, the
-    historical behavior; ``0``/``None`` = every core).  Each driver's
-    study schedules *all* of its configs through one shared
-    :class:`~repro.harness.parallel.Sweep`, so the runs of short configs
-    interleave with long ones instead of serializing behind them.  Results
-    are bit-identical to serial execution for any ``jobs``.
+    Worker processes for the run fan-out (default ``1`` = serial;
+    ``0``/``None`` = every core).  All of an experiment's configs share
+    one sweep, so the runs of short configs interleave with long ones
+    instead of serializing behind them.  Results are bit-identical to
+    serial execution for any ``jobs``.
 ``cache``
     Optional :class:`~repro.harness.cache.ResultCache`; configs already in
     the cache are replayed from disk without any simulation.
 
-Index (see DESIGN.md section 4):
+The rendered artifacts are regression-locked byte-for-byte against the
+committed goldens (``tests/test_study.py``).
+
+Index:
 
 ========  ==================================================================
 table2    schedbench dynamic_1 total times, Dardel@{4,254} / Vera@{4,30}
@@ -45,14 +53,14 @@ runtime_compare  vendor (libgomp/libomp) x wait-policy x threads, both
                  platforms — an open-comparison scenario beyond the paper
 ========  ==================================================================
 
-Drivers register themselves through the :func:`experiment` decorator; the
-CLI (``repro-omp list`` / ``repro-omp experiment``) and the bench harness
-discover them from the registry, so a new driver needs no dispatch edits
-anywhere else.
+The CLI (``repro-omp list`` / ``repro-omp experiment``), the job service
+and the bench harness discover experiments from the registry, so a new
+one needs no dispatch edits anywhere else.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -60,7 +68,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import HarnessError
-from repro.harness.backend import ExecutionBackend
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
 from repro.harness.report import (
@@ -69,7 +76,7 @@ from repro.harness.report import (
     render_table,
     render_tasking_summary,
 )
-from repro.harness.study import Study
+from repro.harness.study import Study, StudyResult
 from repro.stats.descriptive import summarize
 from repro.types import StreamKernel, SyncConstruct
 from repro.units import to_ms, to_us
@@ -96,27 +103,56 @@ class ExperimentArtifact:
 # Registry
 # ---------------------------------------------------------------------------
 
+_REP_PARAM_NAMES = ("outer_reps", "num_times")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment driver.
+    """A registered experiment: its study builder, renderer and driver.
 
-    ``rep_params`` names the driver's repetition knobs (``outer_reps`` /
-    ``num_times``), extracted from the signature at registration so callers
-    like the CLI's ``--reps`` can map one number onto whichever knobs a
-    driver has.
-
-    ``study_builder`` is the driver's sweep declaration factored out as a
-    pure function of the scale knobs (no ``jobs``/``cache``/``backend``):
-    it returns the exact :class:`~repro.harness.study.Study` the driver
-    executes.  The job service builds experiment jobs from it, and the
-    schema round-trip tests lock it to the driver's own config list.
+    ``study_builder`` returns the exact :class:`~repro.harness.study.Study`
+    the experiment executes, as a pure function of its knobs; the job
+    service builds experiment jobs from it.  ``renderer`` turns the
+    executed :class:`~repro.harness.study.StudyResult` into the artifact,
+    and ``driver`` does both (see the module docstring).
     """
 
     name: str
-    driver: Callable[..., ExperimentArtifact]
     description: str
-    rep_params: tuple[str, ...]
-    study_builder: Callable[..., Study] | None = None
+    study_builder: Callable[..., Study]
+    renderer: Callable[..., ExperimentArtifact]
+    driver: Callable[..., ExperimentArtifact]
+
+    @property
+    def rep_params(self) -> tuple[str, ...]:
+        """The builder's repetition knobs (``outer_reps`` / ``num_times``)."""
+        params = inspect.signature(self.study_builder).parameters
+        return tuple(k for k in _REP_PARAM_NAMES if k in params)
+
+    def knobs(
+        self,
+        runs: int | None = None,
+        reps: int | None = None,
+        seed: int | None = None,
+    ) -> dict[str, int]:
+        """The knobs one ``runs`` / ``reps`` / ``seed`` triple sets, as the
+        CLI and the job service pass them: ``reps`` sets every repetition
+        knob the builder has, and ``None`` leaves the builder's default."""
+        knobs: dict[str, int] = {}
+        if runs is not None:
+            knobs["runs"] = runs
+        if reps is not None:
+            knobs.update(dict.fromkeys(self.rep_params, reps))
+        if seed is not None:
+            knobs["seed"] = seed
+        return knobs
+
+    def bind(self, **knobs: Any) -> dict[str, Any]:
+        """*knobs* with the builder's defaults filled in; a knob the
+        builder does not take raises :class:`TypeError`."""
+        bound = inspect.signature(self.study_builder).bind(**knobs)
+        bound.apply_defaults()
+        return bound.arguments
 
     def build_study(self, **knobs: Any) -> Study:
         """Call ``study_builder`` with the knobs its signature accepts.
@@ -125,54 +161,73 @@ class ExperimentSpec:
         rep param names can pass the union), so one call site serves every
         registered experiment.
         """
-        if self.study_builder is None:
-            raise HarnessError(
-                f"experiment {self.name!r} does not declare a study builder"
-            )
         params = inspect.signature(self.study_builder).parameters
         accepted = {k: v for k, v in knobs.items() if k in params}
         return self.study_builder(**accepted)
+
+    def render(self, result: StudyResult, **knobs: Any) -> ExperimentArtifact:
+        """Render an executed study of this experiment; knobs left out
+        take the builder's defaults."""
+        bound = self.bind(**knobs)
+        names = inspect.signature(self.renderer).parameters
+        return self.renderer(
+            result, **{k: v for k, v in bound.items() if k in names}
+        )
 
 
 #: name -> spec, populated by the :func:`experiment` decorator.
 EXPERIMENTS: dict[str, ExperimentSpec] = {}
 
-_REP_PARAM_NAMES = ("outer_reps", "num_times")
+#: The execution knobs every driver takes besides its builder's knobs.
+_EXECUTION_PARAMS = (
+    inspect.Parameter("jobs", inspect.Parameter.KEYWORD_ONLY, default=1),
+    inspect.Parameter("cache", inspect.Parameter.KEYWORD_ONLY, default=None),
+)
 
 
 def experiment(
     description: str,
+    *,
+    study: Callable[..., Study],
     name: str | None = None,
-    study: Callable[..., Study] | None = None,
 ):
-    """Register an experiment driver under *name* (default: function name).
+    """Register the decorated renderer with its *study* builder under
+    *name* (default: the renderer's name) and return the driver."""
 
-    *study* registers the driver's sweep declaration as a standalone
-    builder (see :attr:`ExperimentSpec.study_builder`); every built-in
-    driver provides one, and the driver body calls it so the two can
-    never drift apart.
-    """
-
-    def decorate(fn: Callable[..., ExperimentArtifact]):
-        exp_name = name if name is not None else fn.__name__
+    def decorate(render: Callable[..., ExperimentArtifact]):
+        exp_name = name if name is not None else render.__name__
         if exp_name in EXPERIMENTS:
             raise HarnessError(f"experiment {exp_name!r} registered twice")
-        params = inspect.signature(fn).parameters
+
+        @functools.wraps(render)
+        def driver(
+            *, jobs: int | None = 1, cache: ResultCache | None = None,
+            **knobs: Any,
+        ) -> ExperimentArtifact:
+            bound = spec.bind(**knobs)
+            result = study(**bound).run(jobs=jobs, cache=cache)
+            return spec.render(result, **bound)
+
+        params = inspect.signature(study).parameters.values()
+        driver.__signature__ = inspect.Signature([  # type: ignore[attr-defined]
+            *(p.replace(kind=p.KEYWORD_ONLY) for p in params),
+            *_EXECUTION_PARAMS,
+        ])
         spec = ExperimentSpec(
             name=exp_name,
-            driver=fn,
             description=description,
-            rep_params=tuple(k for k in _REP_PARAM_NAMES if k in params),
             study_builder=study,
+            renderer=render,
+            driver=driver,
         )
         EXPERIMENTS[exp_name] = spec
-        return fn
+        return driver
 
     return decorate
 
 
 def get_experiment(name: str) -> ExperimentSpec:
-    """Look up a registered driver; raises :class:`HarnessError` if unknown."""
+    """Look up a registered experiment; raises :class:`HarnessError` if unknown."""
     try:
         return EXPERIMENTS[name]
     except KeyError:
@@ -223,21 +278,12 @@ def table2_study(
     "Table 2: run-to-run schedbench dynamic_1 times, Dardel/Vera",
     study=table2_study,
 )
-def table2(
-    runs: int = 10,
-    outer_reps: int = 100,
-    seed: int = 42,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
-) -> ExperimentArtifact:
+def table2(result: StudyResult, *, runs: int) -> ExperimentArtifact:
     """Table 2: higher execution time (us) for schedbench ``dynamic_1``."""
-    columns = _TABLE2_COLUMNS
-    study = table2_study(runs=runs, outer_reps=outer_reps, seed=seed)
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by("platform", "num_threads")
+    by_combo = result.by("platform", "num_threads")
 
     per_column_means: dict[str, np.ndarray] = {}
-    for platform, threads, _places in columns:
+    for platform, threads, _places in _TABLE2_COLUMNS:
         matrix = by_combo[(platform, threads)].runs_matrix("dynamic_1")
         per_column_means[f"{platform}@{threads}"] = matrix.mean(axis=1)
 
@@ -309,36 +355,26 @@ def figure1_study(
     study=figure1_study,
 )
 def figure1(
-    runs: int = 10,
-    outer_reps: int = 100,
-    seed: int = 42,
-    dardel_threads: Sequence[int] = _DARDEL_THREADS,
-    vera_threads: Sequence[int] = _VERA_THREADS,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult,
+    *,
+    dardel_threads: Sequence[int],
+    vera_threads: Sequence[int],
 ) -> ExperimentArtifact:
     """Figure 1: syncbench (reduction) time vs HW thread count."""
     sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    study = figure1_study(
-        runs=runs,
-        outer_reps=outer_reps,
-        seed=seed,
-        dardel_threads=dardel_threads,
-        vera_threads=vera_threads,
-    )
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by("platform", "num_threads")
+    by_combo = result.by("platform", "num_threads")
 
     sections = []
     data: dict[str, Any] = {}
     for platform, sweep in sweeps:
         xs, ys = [], []
         for threads in sweep:
-            result = by_combo[(platform, threads)]
             # EPCC reports the per-construct overhead; that is what grows
             # with thread count (raw test times are held near the target
             # test time by the inner-repetition doubling)
-            matrix = result.runs_matrix(f"{SyncConstruct.REDUCTION.value}.overhead")
+            matrix = by_combo[(platform, threads)].runs_matrix(
+                f"{SyncConstruct.REDUCTION.value}.overhead"
+            )
             xs.append(threads)
             ys.append(to_us(float(matrix.mean())))
         data[platform] = {"threads": list(xs), "mean_us": list(ys)}
@@ -395,34 +431,22 @@ def figure2_study(
     study=figure2_study,
 )
 def figure2(
-    runs: int = 3,
-    num_times: int = 100,
-    seed: int = 42,
-    dardel_threads: Sequence[int] = (2, 4, 8, 16, 32, 64, 128, 254),
-    vera_threads: Sequence[int] = _VERA_THREADS,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult,
+    *,
+    dardel_threads: Sequence[int],
+    vera_threads: Sequence[int],
 ) -> ExperimentArtifact:
     """Figure 2: BabelStream kernel time (ms) vs HW thread count."""
     sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    study = figure2_study(
-        runs=runs,
-        num_times=num_times,
-        seed=seed,
-        dardel_threads=dardel_threads,
-        vera_threads=vera_threads,
-    )
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by("platform", "num_threads")
+    by_combo = result.by("platform", "num_threads")
 
     sections = []
     data: dict[str, Any] = {}
     for platform, sweep in sweeps:
         per_kernel: dict[str, list[float]] = {k.value: [] for k in StreamKernel}
         for threads in sweep:
-            result = by_combo[(platform, threads)]
             for kernel in StreamKernel:
-                matrix = result.runs_matrix(kernel.value)
+                matrix = by_combo[(platform, threads)].runs_matrix(kernel.value)
                 per_kernel[kernel.value].append(to_ms(float(matrix.mean())))
         data[platform] = {"threads": list(sweep), "mean_ms": per_kernel}
         lines = [
@@ -500,15 +524,12 @@ def figure3_study(
     study=figure3_study,
 )
 def figure3(
-    runs: int = 10,
-    outer_reps: int = 100,
-    num_times: int = 100,
-    seed: int = 42,
-    dardel_threads: Sequence[int] = (4, 16, 64, 128, 254),
-    vera_threads: Sequence[int] = (2, 8, 16, 30),
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult,
+    *,
+    outer_reps: int,
+    num_times: int,
+    dardel_threads: Sequence[int],
+    vera_threads: Sequence[int],
 ) -> ExperimentArtifact:
     """Figure 3: normalized min/max per run vs thread count, 6 panels."""
     panels: list[tuple[str, str]] = []
@@ -524,17 +545,7 @@ def figure3(
 
     benches = _figure3_benches(outer_reps, num_times)
     sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    study = figure3_study(
-        runs=runs,
-        outer_reps=outer_reps,
-        num_times=num_times,
-        seed=seed,
-        dardel_threads=dardel_threads,
-        vera_threads=vera_threads,
-    )
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by(
-        "platform", "benchmark", "num_threads"
-    )
+    by_combo = result.by("platform", "benchmark", "num_threads")
 
     for platform, sweep in sweeps:
         for bench, label, _params in benches:
@@ -624,23 +635,12 @@ def figure4_study(
 
 @experiment("Figure 4: thread pinning on/off on Dardel", study=figure4_study)
 def figure4(
-    runs: int = 10,
-    outer_reps: int = 100,
-    num_times: int = 100,
-    seed: int = 42,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult, *, outer_reps: int, num_times: int
 ) -> ExperimentArtifact:
     """Figure 4: before/after pinning on Dardel."""
     cases = _figure4_cases(outer_reps, num_times)
     bindings = _FIGURE4_BINDINGS
-    study = figure4_study(
-        runs=runs, outer_reps=outer_reps, num_times=num_times, seed=seed
-    )
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by(
-        "benchmark", "num_threads", "proc_bind"
-    )
+    by_combo = result.by("benchmark", "num_threads", "proc_bind")
 
     sections = []
     data: dict[str, Any] = {}
@@ -735,22 +735,13 @@ def figure5_study(
     study=figure5_study,
 )
 def figure5(
-    runs: int = 10,
-    outer_reps: int = 100,
-    num_times: int = 100,
-    seed: int = 42,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult, *, outer_reps: int, num_times: int
 ) -> ExperimentArtifact:
     """Figure 5: ST vs MT at equal thread counts on Dardel."""
     modes = _FIGURE5_MODES
     constructs = tuple(c.value for c in SyncConstruct)
     blocks = _figure5_blocks(outer_reps, num_times)
-    study = figure5_study(
-        runs=runs, outer_reps=outer_reps, num_times=num_times, seed=seed
-    )
-    by_places = study.run(jobs=jobs, cache=cache, backend=backend).by("benchmark", "places")
+    by_places = result.by("benchmark", "places")
     mode_places = dict(modes)
     by_spec = {
         (block, mode): by_places[(bench, mode_places[mode])]
@@ -791,9 +782,9 @@ def figure5(
     # syncbench at 32 threads: CV per construct
     sync_entry: dict[str, Any] = {}
     for mode, _places in modes:
-        result = by_spec[("syncbench@32", mode)]
+        sync = by_spec[("syncbench@32", mode)]
         sync_entry[mode] = {
-            c: [summarize(row).cv for row in result.runs_matrix(c)]
+            c: [summarize(row).cv for row in sync.runs_matrix(c)]
             for c in constructs
         }
     data["syncbench@32"] = sync_entry
@@ -816,9 +807,9 @@ def figure5(
     # babelstream at 128 threads
     stream_entry: dict[str, Any] = {}
     for mode, _places in modes:
-        result = by_spec[("babelstream@128", mode)]
+        stream = by_spec[("babelstream@128", mode)]
         stream_entry[mode] = {
-            k.value: [summarize(row).norm_max for row in result.runs_matrix(k.value)]
+            k.value: [summarize(row).norm_max for row in stream.runs_matrix(k.value)]
             for k in StreamKernel
         }
     data["babelstream@128"] = stream_entry
@@ -906,27 +897,19 @@ def figure7_study(
     )
 
 
-def _vera_numa_experiment(
-    benchmark: str,
-    label: str,
-    params: dict,
-    runs: int,
-    seed: int,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+def _vera_numa_sections(
+    result: StudyResult, label: str
 ) -> tuple[tuple[tuple[str, str], ...], dict[str, Any]]:
-    placements = _VERA_NUMA_PLACEMENTS
-    study = _vera_numa_study(benchmark, params, runs, seed)
-    by_places = study.run(jobs=jobs, cache=cache, backend=backend).by("places")
+    """The figure6/figure7 panels: series *label* per NUMA placement."""
+    by_places = result.by("places")
 
     sections = []
     data: dict[str, Any] = {}
-    for name, places in placements:
-        result = by_places[places]
-        matrix = result.runs_matrix(label)
+    for name, places in _VERA_NUMA_PLACEMENTS:
+        placed = by_places[places]
+        matrix = placed.runs_matrix(label)
         stats = [summarize(row) for row in matrix]
-        logs = [rec.freq_log for rec in result.records if rec.freq_log is not None]
+        logs = [rec.freq_log for rec in placed.records if rec.freq_log is not None]
         dip_occupancy = float(
             np.mean([log.band_occupancy(2.6) for log in logs])
         )
@@ -960,25 +943,9 @@ def _vera_numa_experiment(
     "Figure 6: Vera schedbench on 1 vs 2 NUMA domains + freq traces",
     study=figure6_study,
 )
-def figure6(
-    runs: int = 10,
-    outer_reps: int = 100,
-    seed: int = 42,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
-) -> ExperimentArtifact:
+def figure6(result: StudyResult) -> ExperimentArtifact:
     """Figure 6: schedbench on 16 Vera cores, 1 vs 2 NUMA domains."""
-    sections, data = _vera_numa_experiment(
-        "schedbench",
-        "dynamic_1",
-        _figure6_params(outer_reps),
-        runs,
-        seed,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-    )
+    sections, data = _vera_numa_sections(result, "dynamic_1")
     return ExperimentArtifact(
         name="figure6",
         description="cross-NUMA teams see frequency dips and higher variability",
@@ -991,38 +958,20 @@ def figure6(
     "Figure 7: Vera syncbench on 1 vs 2 NUMA domains + freq traces",
     study=figure7_study,
 )
-def figure7(
-    runs: int = 10,
-    outer_reps: int = 100,
-    seed: int = 42,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
-) -> ExperimentArtifact:
+def figure7(result: StudyResult) -> ExperimentArtifact:
     """Figure 7: syncbench (reduction) on 16 Vera cores, 1 vs 2 NUMA.
 
     As in the real suite, the whole construct set runs in one invocation
     (so the run is long enough for frequency dips to land); the reduction
     micro-benchmark is the one reported.
     """
-    sections, data = _vera_numa_experiment(
-        "syncbench",
-        SyncConstruct.REDUCTION.value,
-        _figure7_params(outer_reps),
-        runs,
-        seed,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-    )
+    sections, data = _vera_numa_sections(result, SyncConstruct.REDUCTION.value)
     return ExperimentArtifact(
         name="figure7",
         description="same effect for the synchronization micro-benchmark",
         sections=sections,
         data=data,
     )
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -1071,16 +1020,11 @@ def figure8_study(
     study=figure8_study,
 )
 def figure8(
-    runs: int = 10,
-    outer_reps: int = 20,
-    seed: int = 42,
-    threads: Sequence[int] = (2, 8, 16, 30),
-    grainsizes: Sequence[int] = (1, 8, 64),
-    noise_profiles: Sequence[str] = ("default", "quiet"),
-    total_iters: int = 512,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult,
+    *,
+    threads: Sequence[int],
+    grainsizes: Sequence[int],
+    noise_profiles: Sequence[str],
 ) -> ExperimentArtifact:
     """Figure 8: tasking-runtime variability on Vera.
 
@@ -1096,26 +1040,15 @@ def figure8(
     remains is purely the runtime's own stochastic scheduling (victim
     choices + contention jitter); the default profile adds the OS on top.
     """
-    study = figure8_study(
-        runs=runs,
-        outer_reps=outer_reps,
-        seed=seed,
-        threads=threads,
-        grainsizes=grainsizes,
-        noise_profiles=noise_profiles,
-        total_iters=total_iters,
-    )
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by(
-        "noise", "num_threads", "grainsize"
-    )
+    by_combo = result.by("noise", "num_threads", "grainsize")
 
     data: dict[str, Any] = {}
-    for (noise, n, g), result in by_combo.items():
+    for (noise, n, g), cell in by_combo.items():
         label = f"taskloop_g{g}"
-        matrix = result.runs_matrix(label)
-        steals = result.runs_matrix(f"{label}.steals")
-        failed = result.runs_matrix(f"{label}.failed_steals")
-        idle = result.runs_matrix(f"{label}.idle_frac")
+        matrix = cell.runs_matrix(label)
+        steals = cell.runs_matrix(f"{label}.steals")
+        failed = cell.runs_matrix(f"{label}.failed_steals")
+        idle = cell.runs_matrix(f"{label}.idle_frac")
         pooled = summarize(matrix.ravel())
         attempts = float(steals.sum() + failed.sum())
         data[f"{noise}/n{n}/g{g}"] = {
@@ -1223,16 +1156,12 @@ def runtime_compare_study(
 @experiment("Runtime compare: vendor (gnu/llvm) x wait-policy x threads, "
             "both platforms", study=runtime_compare_study)
 def runtime_compare(
-    runs: int = 10,
-    outer_reps: int = 50,
-    seed: int = 42,
-    dardel_threads: Sequence[int] = (16, 64, 128),
-    vera_threads: Sequence[int] = (8, 16, 30),
-    runtimes: Sequence[str] = ("gnu", "llvm"),
-    wait_policies: Sequence[str] = ("active", "passive"),
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: ExecutionBackend | None = None,
+    result: StudyResult,
+    *,
+    dardel_threads: Sequence[int],
+    vera_threads: Sequence[int],
+    runtimes: Sequence[str],
+    wait_policies: Sequence[str],
 ) -> ExperimentArtifact:
     """Sweep runtime vendor x wait policy x threads on both platforms.
 
@@ -1251,29 +1180,18 @@ def runtime_compare(
       not just a mean shift.
     """
     sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    study = runtime_compare_study(
-        runs=runs,
-        outer_reps=outer_reps,
-        seed=seed,
-        dardel_threads=dardel_threads,
-        vera_threads=vera_threads,
-        runtimes=runtimes,
-        wait_policies=wait_policies,
-    )
-    by_combo = study.run(jobs=jobs, cache=cache, backend=backend).by(
-        "platform", "runtime", "wait_policy", "num_threads"
-    )
+    by_combo = result.by("platform", "runtime", "wait_policy", "num_threads")
 
     data: dict[str, Any] = {}
     for platform, sweep in sweeps:
         for rt in runtimes:
             for wp in wait_policies:
                 for threads in sweep:
-                    result = by_combo[(platform, rt, wp, threads)]
-                    barrier = result.runs_matrix(
+                    cell = by_combo[(platform, rt, wp, threads)]
+                    barrier = cell.runs_matrix(
                         f"{SyncConstruct.BARRIER.value}.overhead"
                     )
-                    par = result.runs_matrix(
+                    par = cell.runs_matrix(
                         f"{SyncConstruct.PARALLEL.value}.overhead"
                     )
                     pooled = summarize(barrier.ravel())

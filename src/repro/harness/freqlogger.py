@@ -36,9 +36,6 @@ class FrequencyLog:
     def n_samples(self) -> int:
         return int(self.times.size)
 
-    def cpu_series(self, cpu: int) -> np.ndarray:
-        return self.freqs_khz[:, cpu]
-
     def min_freq_ghz(self) -> float:
         return float(self.freqs_khz.min()) / 1e6
 

@@ -92,16 +92,6 @@ def render_series(
     return f"{label:<28} {sparkline(ys)}  {pairs}{suffix}"
 
 
-def render_norm_minmax_rows(
-    label: str, norm: np.ndarray
-) -> str:
-    """Per-run normalized (min, max) rows — the Figure 3 payload."""
-    lines = [f"{label}: normalized min/max per run"]
-    for i, (lo, hi) in enumerate(np.asarray(norm), start=1):
-        lines.append(f"  run {i:>2}: min {lo:.3f}  max {hi:.3f}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Study-driven rendering
 # ---------------------------------------------------------------------------

@@ -187,16 +187,3 @@ class BandwidthModel:
         if smt_shared is not None and bool(np.asarray(smt_shared).any()):
             sigma += spec.smt_stream_jitter
         return sigma
-
-    def aggregate_bandwidth(
-        self,
-        total_bytes: float,
-        cpus: list[int],
-        placement: PagePlacement,
-        smt_shared: np.ndarray | None = None,
-    ) -> float:
-        """Effective node bandwidth for an evenly divided kernel (bytes/s)."""
-        n = len(cpus)
-        per_thread = np.full(n, total_bytes / n)
-        t = self.kernel_time(per_thread, cpus, placement, smt_shared=smt_shared)
-        return total_bytes / t

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import MemoryModelError
 from repro.topology.hwthread import Machine
 
@@ -44,16 +42,3 @@ class PagePlacement:
 
     def domain_of(self, thread: int) -> int:
         return self.home_domain[thread]
-
-    def locality_vector(self, machine: Machine, current_cpus: list[int]) -> np.ndarray:
-        """1.0 where a thread's pages are local to its current CPU, else 0.0."""
-        if len(current_cpus) != self.n_threads:
-            raise MemoryModelError(
-                f"{len(current_cpus)} cpus for {self.n_threads} threads"
-            )
-        return np.asarray(
-            [
-                1.0 if machine.hwthread(c).numa_id == d else 0.0
-                for c, d in zip(current_cpus, self.home_domain)
-            ]
-        )

@@ -94,12 +94,6 @@ class LoopPlan:
     imbalance_tail: float
     n_chunks: int
 
-    @property
-    def makespan_estimate(self) -> float:
-        """Noise-free, frequency-nominal makespan estimate."""
-        compute = float(np.max(self.per_thread_work + self.per_thread_overhead))
-        return max(compute, self.queue_serialization) + self.imbalance_tail
-
 
 def chunk_sequence(
     kind: ScheduleKind, total_iters: int, n_threads: int, chunk: int | None

@@ -128,10 +128,6 @@ class TaskCostModel:
         l_eff = self.sync.effective_line_latency(team)
         return max(1.0, l_eff / self.params.line_latency_ref)
 
-    def push_cost(self, team: Team) -> float:
-        p = self.params
-        return p.deque_push * (p.smt_task_factor if team.uses_smt else 1.0)
-
     def pop_cost(self, team: Team) -> float:
         p = self.params
         return p.deque_pop * (p.smt_task_factor if team.uses_smt else 1.0)

@@ -7,9 +7,9 @@ places unassigned events, and compiles the result into a
 * :meth:`NoiseRealization.stolen_on` — intervals during which a CPU is
   executing OS work instead of the application thread pinned there
   (a thread makes **no** progress inside these intervals), and
-* :meth:`NoiseRealization.sibling_pressure_on` — intervals during which the
-  *SMT sibling* of a CPU is executing OS work; the thread keeps running but
-  retires instructions more slowly (see the SMT penalty in the region
+* :meth:`NoiseRealization.sibling_time` — how much of a window the
+  *SMT siblings* of a CPU spend executing OS work; the thread keeps running
+  but retires instructions more slowly (see the SMT penalty in the region
   executor).
 
 The region executor asks for the measure of many windows at once
@@ -290,18 +290,6 @@ class NoiseRealization:
         if cached is None:
             cached = self._stolen_rows[cpu] = self._whole.row(cpu)
         return cached
-
-    def sibling_pressure_on(self, cpu: int) -> IntervalSet:
-        """Intervals during which any SMT sibling of *cpu* runs OS work."""
-        union, rows = self._sibling_map
-        row = int(rows[cpu]) if 0 <= cpu < rows.size else -1
-        if row < 0:
-            return IntervalSet.empty()
-        return self._union.row(row) if union else self.stolen_on(row)
-
-    def total_stolen(self, cpu: int, t_start: float, t_end: float) -> float:
-        """Seconds of *cpu* time stolen inside ``[t_start, t_end)``."""
-        return self.stolen_on(cpu).overlap(t_start, t_end)
 
     # -- observability ---------------------------------------------------------
 

@@ -76,7 +76,3 @@ class MigrationModel:
                 cpu = dst
         events.sort(key=lambda e: e.t)
         return events
-
-    def expected_migrations(self, n_threads: int, duration: float) -> float:
-        """Mean number of migrations for a team over *duration* seconds."""
-        return n_threads * self.params.migration_rate_unbound * max(0.0, duration)

@@ -72,9 +72,6 @@ class RunqueueState:
         """CPUs hosting more than one runnable task."""
         return np.flatnonzero(self._count > 1).tolist()
 
-    def total_running(self) -> int:
-        return int(self._count.sum())
-
     def load_fraction(self) -> float:
         """Busy CPUs / all CPUs."""
         return float(np.count_nonzero(self._count)) / self.machine.n_cpus

@@ -14,7 +14,7 @@ Layers
 ------
 :mod:`repro.serve.jobspec`
     The JSON job-spec schema: strict validation (errors name the
-    offending field), ``spec_to_study`` / ``study_to_spec`` round-trips
+    offending field), ``spec_to_study`` / ``spec_from_study`` round-trips
     of the full Study surface, and a safe expression evaluator for
     string-form ``derive`` / ``where`` clauses.
 :mod:`repro.serve.jobs`
@@ -36,24 +36,34 @@ See docs/service.md for the endpoint catalog, lifecycle and dedup /
 rate-limit semantics.
 """
 
-from repro.serve.jobspec import (
-    spec_from_study,
-    spec_to_study,
-    validate_spec,
-)
-from repro.serve.jobs import Job, JobQueue, JobStore
-from repro.serve.governor import Governor, TokenBucket
-from repro.serve.server import JobService, create_http_server
+# Public names resolve on first access (PEP 562), so importing one layer
+# — the CLI's sweep/run/gather load only :mod:`repro.serve.jobspec` —
+# does not pull in the HTTP stack of :mod:`repro.serve.server`.
+_LAZY_ATTRS = {
+    "Governor": "repro.serve.governor",
+    "Job": "repro.serve.jobs",
+    "JobQueue": "repro.serve.jobs",
+    "JobService": "repro.serve.server",
+    "JobStore": "repro.serve.jobs",
+    "TokenBucket": "repro.serve.governor",
+    "create_http_server": "repro.serve.server",
+    "spec_from_study": "repro.serve.jobspec",
+    "spec_to_study": "repro.serve.jobspec",
+    "validate_spec": "repro.serve.jobspec",
+}
 
-__all__ = [
-    "Governor",
-    "Job",
-    "JobQueue",
-    "JobService",
-    "JobStore",
-    "TokenBucket",
-    "create_http_server",
-    "spec_from_study",
-    "spec_to_study",
-    "validate_spec",
-]
+__all__ = sorted(_LAZY_ATTRS)
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY_ATTRS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.serve' has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache for next access
+    return value

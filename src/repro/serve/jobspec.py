@@ -5,9 +5,11 @@ A job spec is a plain JSON object describing either a declarative sweep
 ``grid`` / ``zip`` / ``cases`` axes, ``derive`` / ``where`` clauses,
 ``reps``, shard selection) or a registered experiment by
 name.  :func:`validate_spec` checks it strictly — every error names the
-offending field — and :func:`spec_to_study` builds the exact Study the
-CLI's ``repro-omp sweep`` flags would build, so a job submitted over
-HTTP produces records byte-identical to the same sweep run locally.
+offending field — and :func:`spec_to_study` builds the Study it
+describes.  The CLI's ``run`` / ``sweep`` / ``gather`` compile their
+flags to a spec and build it through the same two functions, so a job
+submitted over HTTP produces records byte-identical to the same sweep
+run locally.
 
 Sweep specs::
 
@@ -92,17 +94,6 @@ _EXPERIMENT_KEYS = frozenset({
 def reps_key(benchmark: str) -> str:
     """The repetition knob of *benchmark* (``reps`` maps onto it)."""
     return "num_times" if benchmark == "babelstream" else "outer_reps"
-
-
-def reps_derive(reps: int) -> Callable[[ExperimentConfig], dict]:
-    """The per-config ``reps`` derivation shared by the sweep CLI and the
-    job service: the knob's name follows each config's benchmark (which
-    may be a swept axis), and an explicit axis/param value wins."""
-
-    def derive_params(cfg: ExperimentConfig) -> dict:
-        return {reps_key(cfg.benchmark): reps, **cfg.benchmark_params}
-
-    return derive_params
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +300,6 @@ def validate_spec(spec: Any) -> dict:
                 f"job spec field 'experiment': unknown experiment "
                 f"{name!r} (choose from {', '.join(sorted(EXPERIMENTS))})"
             )
-        if EXPERIMENTS[name].study_builder is None:
-            raise JobSpecError(
-                f"job spec field 'experiment': {name!r} does not declare "
-                f"a study builder and cannot run as a service job"
-            )
         out["experiment"] = name
         if spec.get("runs") is not None:
             out["runs"] = _require_int(spec["runs"], "runs")
@@ -369,25 +355,17 @@ def validate_spec(spec: Any) -> dict:
 def spec_to_study(spec: Mapping[str, Any]) -> Study:
     """Build the :class:`Study` a validated *spec* describes.
 
-    The construction mirrors the sweep CLI exactly — same base-config
-    handling, same axis application order, same per-config ``reps``
-    derivation — so identical parameters produce identical configs (and
-    identical cache keys) whether they arrive as flags or as JSON.
+    The sweep CLI builds its Study here too, so identical parameters
+    produce identical configs (and identical cache keys) whether they
+    arrive as flags or as JSON.
     """
     if spec.get("kind") == "experiment":
         from repro.harness.experiments import EXPERIMENTS
 
-        knobs: dict[str, Any] = {}
-        if spec.get("runs") is not None:
-            knobs["runs"] = spec["runs"]
-        if spec.get("seed") is not None:
-            knobs["seed"] = spec["seed"]
-        if spec.get("reps") is not None:
-            # one number maps onto whichever repetition knobs the builder
-            # has, exactly like the CLI's --reps
-            knobs["outer_reps"] = spec["reps"]
-            knobs["num_times"] = spec["reps"]
-        return EXPERIMENTS[spec["experiment"]].build_study(**knobs)
+        exp = EXPERIMENTS[spec["experiment"]]
+        return exp.build_study(
+            **exp.knobs(spec.get("runs"), spec.get("reps"), spec.get("seed"))
+        )
 
     base_fields = dict(spec.get("base", {}))
     try:
@@ -410,8 +388,13 @@ def spec_to_study(spec: Mapping[str, Any]) -> Study:
         study = study.derive(**{key: compile_clause(text, f"derive.{key}")})
     for j, text in enumerate(spec.get("where") or []):
         study = study.where(compile_clause(text, f"where[{j}]"))
-    if spec.get("reps") is not None:
-        study = study.derive(benchmark_params=reps_derive(spec["reps"]))
+    reps = spec.get("reps")
+    if reps is not None:
+        # per config: the knob's name follows each config's benchmark
+        # (which may be a swept axis), and an explicit axis/param value wins
+        study = study.derive(benchmark_params=lambda cfg: {
+            reps_key(cfg.benchmark): reps, **cfg.benchmark_params
+        })
     return study
 
 

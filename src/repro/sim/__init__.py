@@ -15,8 +15,8 @@ built on:
 
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine, ScheduledEvent
-from repro.sim.process import Process, Timeout, waituntil
-from repro.sim.trace import PiecewiseConstant, TraceSample
+from repro.sim.process import Process, Timeout
+from repro.sim.trace import PiecewiseConstant
 from repro.sim.intervals import IntervalSet
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "ScheduledEvent",
     "Process",
     "Timeout",
-    "waituntil",
     "PiecewiseConstant",
-    "TraceSample",
     "IntervalSet",
 ]

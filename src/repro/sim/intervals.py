@@ -37,8 +37,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 class IntervalSet:
     """An immutable union of disjoint, sorted half-open intervals, built
-    from seconds (``IntervalSet(starts, ends)``, :meth:`from_pairs`,
-    :meth:`from_events`) and held as int64 nanosecond ``starts``/``ends``."""
+    from seconds (``IntervalSet(starts, ends)``, :meth:`from_pairs`) and
+    held as int64 nanosecond ``starts``/``ends``."""
 
     __slots__ = ("starts", "ends", "_lists")
 
@@ -60,16 +60,6 @@ class IntervalSet:
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls((), ())
-
-    @classmethod
-    def from_events(cls, starts: Sequence[float], durations: Sequence[float]) -> "IntervalSet":
-        """Build from event start times and durations (overlaps merged):
-        an event covers ``[ns(start), ns(start + duration))``."""
-        s = np.asarray(starts, dtype=np.float64)
-        d = np.asarray(durations, dtype=np.float64)
-        if np.any(d < 0):
-            raise ValueError("negative duration")
-        return cls(s, s + d)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
@@ -156,45 +146,7 @@ class IntervalSet:
             np.concatenate([self.ends, other.ends]),
         ), _ns=True)
 
-    def complement_within(self, a: float, b: float) -> "IntervalSet":
-        """``[a, b)`` minus this set — the *free* time in the window."""
-        clipped = self.clip(a, b)
-        gaps_s = np.concatenate([[to_sim_ns(a)], clipped.ends])
-        gaps_e = np.concatenate([clipped.starts, [to_sim_ns(b)]])
-        keep = gaps_e > gaps_s
-        return IntervalSet(gaps_s[keep], gaps_e[keep], _ns=True)
-
     # -- the preemption query -------------------------------------------------
-
-    def finish_time(self, start: float, work: float) -> float:
-        """Completion time of *work* seconds of CPU started at *start*,
-        assuming the CPU is unavailable whenever inside this set.
-
-        The thread makes progress only in the gaps; if it starts inside a
-        busy interval it waits until the interval ends.  ``work == 0``
-        returns *start* even if *start* is inside a busy interval.
-        """
-        if work < 0:
-            raise ValueError(f"negative work: {work}")
-        if work == 0.0:
-            return start
-        t, remaining = float(start), float(work)
-        starts, ends, _ = self._as_lists()
-        # index of the first interval that could affect t
-        i = bisect_right(ends, t * NS_PER_SEC)
-        while True:
-            if i >= len(starts):
-                return t + remaining
-            # free gap before interval i
-            gap_end = starts[i] / NS_PER_SEC
-            if t < gap_end:
-                avail = gap_end - t
-                if remaining <= avail:
-                    return t + remaining
-                remaining -= avail
-            # skip busy interval i
-            t = max(t, ends[i] / NS_PER_SEC)
-            i += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntervalSet(n={len(self)}, total={self.total:.6g})"

@@ -20,11 +20,6 @@ class Timeout:
     delay: float
 
 
-def waituntil(now: float, t: float) -> Timeout:
-    """Convenience: a timeout that resumes at absolute time *t* (>= now)."""
-    return Timeout(max(0.0, t - now))
-
-
 class Process:
     """A running generator with liveness tracking.
 

@@ -13,21 +13,12 @@ until a core running at frequency f(t) retires W cycles?*
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import TraceError
-
-
-@dataclass(frozen=True, slots=True)
-class TraceSample:
-    """One (time, value) observation, e.g. a frequency-logger reading."""
-
-    time: float
-    value: float
 
 
 class PiecewiseConstant:
@@ -160,12 +151,6 @@ class PiecewiseConstant:
         total += values[ib] * (b - times[ib])
         return float(total)
 
-    def mean(self, a: float, b: float) -> float:
-        """Time-average of the signal over ``[a, b]`` (``a < b``)."""
-        if b <= a:
-            raise TraceError(f"mean: window [{a}, {b}] is empty")
-        return self.integrate(a, b) / (b - a)
-
     def invert_integral(self, a: float, target: float) -> float:
         """Smallest ``t >= a`` with ``integrate(a, t) == target``.
 
@@ -196,13 +181,6 @@ class PiecewiseConstant:
             remaining -= capacity
             t = seg_end
             idx += 1
-
-    def resample(self, sample_times: Sequence[float]) -> list[TraceSample]:
-        """Sample the signal at given times (the frequency logger's view)."""
-        st = np.asarray(sample_times, dtype=np.float64)
-        vals = self.value_at(st)
-        vals = np.atleast_1d(vals)
-        return [TraceSample(float(t), float(v)) for t, v in zip(st, vals)]
 
     def restricted(self, a: float, b: float) -> "PiecewiseConstant":
         """The trace clipped to start at *a*, keeping breakpoints < *b*."""

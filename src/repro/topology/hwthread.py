@@ -142,12 +142,6 @@ class Machine:
     def core_of(self, cpu_id: int) -> Core:
         return self.cores[self.hwthread(cpu_id).core_id]
 
-    def numa_of(self, cpu_id: int) -> NUMADomain:
-        return self.numa_domains[self.hwthread(cpu_id).numa_id]
-
-    def socket_of(self, cpu_id: int) -> Socket:
-        return self.sockets[self.hwthread(cpu_id).socket_id]
-
     def siblings_of(self, cpu_id: int) -> tuple[int, ...]:
         """The other hardware threads sharing this CPU's core."""
         core = self.core_of(cpu_id)

@@ -101,15 +101,7 @@ class TestSyncbench:
         red = bench.measure(one_run(ctx), SyncConstruct.REDUCTION)[0]
         bar = bench.measure(one_run(ctx), SyncConstruct.BARRIER)[0]
         # overhead per construct instance: reduction >> barrier
-        assert red.overhead_stats.mean > bar.overhead_stats.mean
-
-    def test_measure_all(self):
-        ctx = make_ctx(toy(), horizon=5.0)
-        bench = Syncbench(SyncbenchParams(outer_reps=4))
-        out = bench.measure_all(
-            one_run(ctx), (SyncConstruct.BARRIER, SyncConstruct.CRITICAL)
-        )
-        assert set(out) == {SyncConstruct.BARRIER, SyncConstruct.CRITICAL}
+        assert red.overheads.mean() > bar.overheads.mean()
 
     def test_determinism(self):
         p = toy()
@@ -162,12 +154,6 @@ class TestSchedbench:
         st = bench.measure(one_run(ctx), ScheduleKind.STATIC)[0]
         dy = bench.measure(one_run(ctx), ScheduleKind.DYNAMIC, 1)[0]
         assert dy.stats.mean > st.stats.mean
-
-    def test_labels(self):
-        ctx = make_ctx(toy(), horizon=120.0)
-        bench = Schedbench(SchedbenchParams(outer_reps=2, itersperthr=64))
-        suite = bench.measure_suite(one_run(ctx))
-        assert set(suite) == {"static", "static_1", "dynamic_1", "guided_1"}
 
     def test_params_validation(self):
         with pytest.raises(BenchmarkError):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.errors import JobSpecError
+from repro.serve.jobspec import validate_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +33,32 @@ def test_cli_experiment_never_imports_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert "vera@30" in proc.stdout
+
+
+def test_local_commands_leave_the_http_stack_unloaded():
+    """``list`` and ``experiment`` load no ``repro.serve`` module, and
+    ``sweep`` loads the job-spec layer without the HTTP server."""
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['list']) == 0\n"
+        "assert main(['experiment', 'table2', '--runs', '1', '--reps', '2']) == 0\n"
+        "assert not [m for m in sys.modules if m.startswith('repro.serve')]\n"
+        "assert main(['sweep', '--grid', 'num_threads=2,4', '--dry-run']) == 0\n"
+        "assert 'repro.serve.jobspec' in sys.modules\n"
+        "assert 'http.server' not in sys.modules, 'http.server was imported'\n"
+        "assert 'repro.serve.server' not in sys.modules\n"
+        "from repro.serve import JobService\n"
+        "assert 'repro.serve.server' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestList:
@@ -285,6 +313,33 @@ class TestSweep:
         ])
         assert rc == 1
         assert "share a length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--zip", "num_threads=2,4", "--zip", "schedule=static"],
+         "axes[0].axes"),
+        (["sweep", "--grid", "noise=quiet", "--zip", "num_threads=2,4",
+          "--zip", "schedule=static"], "axes[1].axes"),
+        (["run", "--threads", "0"], "base"),
+        (["sweep", "--reps", "0"], "reps"),
+        (["run", "--shard", "0/0"], "shard"),
+    ])
+    def test_user_error_names_the_spec_field(self, capsys, argv, field):
+        assert main([*argv, "--platform", "toy", "--runs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: job spec field '{field}': ")
+        assert err.count("\n") == 1
+
+    def test_user_error_is_the_services_message(self, capsys):
+        argv = ["sweep", "--platform", "toy", "--runs", "1",
+                "--zip", "num_threads=2,4", "--zip", "schedule=static"]
+        assert main(argv) == 1
+        with pytest.raises(JobSpecError) as service:
+            validate_spec({
+                "base": {"platform": "toy", "runs": 1},
+                "axes": [{"kind": "zip", "axes": {"num_threads": [2, 4],
+                                                  "schedule": ["static"]}}],
+            })
+        assert capsys.readouterr().err == f"error: {service.value}\n"
 
     def test_bad_axis_returns_one(self, capsys):
         rc = main(["sweep", "--platform", "toy", "--grid", "num_threads"])

@@ -138,7 +138,7 @@ class TestIntervalBatch:
         sets = [IntervalSet.empty()]
         for n in (1, 2, 7, 7, 40):  # mixed lengths
             starts = np.sort(rng.random(n) * 100.0)
-            sets.append(IntervalSet.from_events(starts, rng.random(n) * 0.5))
+            sets.append(IntervalSet(starts, starts + rng.random(n) * 0.5))
         return sets
 
     @pytest.mark.parametrize(
@@ -357,10 +357,9 @@ class TestGoldenLockFused:
     @pytest.mark.parametrize("name", sorted(GOLDEN_KWARGS))
     def test_driver_matches_golden_under_fused_backend(self, name):
         golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
-        artifact = EXPERIMENTS[name].driver(
-            jobs=1, backend=PerRunBackend(), **GOLDEN_KWARGS[name]
-        )
-        assert artifact.render() + "\n" == golden
+        spec, kwargs = EXPERIMENTS[name], GOLDEN_KWARGS[name]
+        result = spec.build_study(**kwargs).run(backend=PerRunBackend())
+        assert spec.render(result, **kwargs).render() + "\n" == golden
 
     def test_lock_covers_every_registered_driver(self):
         assert set(GOLDEN_KWARGS) == set(EXPERIMENTS)

@@ -39,17 +39,6 @@ class TestPagePlacement:
         p = PagePlacement.interleaved(machine, 6)
         assert p.home_domain == (0, 1, 2, 3, 0, 1)
 
-    def test_locality_vector(self, machine):
-        p = PagePlacement.first_touch(machine, [0, 2])
-        # thread 0 stays on numa0 cpu, thread 1 moves to cpu in numa0
-        loc = p.locality_vector(machine, [1, 0])
-        np.testing.assert_array_equal(loc, [1.0, 0.0])
-
-    def test_locality_vector_length_check(self, machine):
-        p = PagePlacement.first_touch(machine, [0, 2])
-        with pytest.raises(MemoryModelError):
-            p.locality_vector(machine, [0])
-
 
 class TestPathFactor:
     def test_local(self, machine, spec):
@@ -138,13 +127,6 @@ class TestKernelTime:
         p = PagePlacement.first_touch(machine, [0])
         t = model.kernel_time(np.asarray([0.0]), [0], p)
         assert t == pytest.approx(5e-6)
-
-    def test_aggregate_bandwidth(self, machine, spec):
-        model = BandwidthModel(machine, spec)
-        cpus = [0, 2, 4, 6]
-        p = PagePlacement.first_touch(machine, cpus)
-        agg = model.aggregate_bandwidth(1e9, cpus, p)
-        assert agg == pytest.approx(4 * gb_per_s(20.0), rel=1e-6)
 
 
 class TestSpecValidation:

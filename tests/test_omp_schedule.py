@@ -108,10 +108,6 @@ class TestPlanLoop:
         assert gui.n_chunks < dyn.n_chunks
         assert gui.queue_serialization < dyn.queue_serialization
 
-    def test_makespan_estimate(self):
-        plan = plan_loop(ScheduleKind.STATIC, 100, 4, None, us(10), self.params)
-        assert plan.makespan_estimate == pytest.approx(25 * us(10), rel=0.01)
-
     def test_negative_work_rejected(self):
         with pytest.raises(ScheduleError):
             plan_loop(ScheduleKind.STATIC, 10, 2, None, -1.0, self.params)

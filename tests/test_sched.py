@@ -433,11 +433,6 @@ class TestMigrationModel:
             assert e.dst_cpu not in set(team)
             assert e.penalty == params.migration_penalty
 
-    def test_expected_migrations(self, machine):
-        params = SchedParams(migration_rate_unbound=0.5)
-        m = MigrationModel(machine, params)
-        assert m.expected_migrations(8, 10.0) == pytest.approx(40.0)
-
 
 class TestSchedulerModel:
     def test_fork_bound_keeps_cpus(self, machine):

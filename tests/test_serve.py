@@ -9,18 +9,24 @@ ephemeral port — records byte-identity, SSE progress, dedup sharing, and
 rate limiting.
 """
 
+import contextlib
+import io
 import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cli import _build_parser, _build_sweep_study
+from repro.bench.registry import available_benchmarks
+from repro.cli import main
 from repro.errors import JobSpecError, ServiceError
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.shard import shard_members
 from repro.harness.study import Study
+from repro.platform import available_platforms
 from repro.serve import (
     Job,
     JobQueue,
@@ -176,35 +182,121 @@ class TestClauses:
 # ---------------------------------------------------------------------------
 
 
-class TestSpecStudyParity:
-    def _cli_study(self, argv):
-        args = _build_parser().parse_args(["sweep", *argv])
-        return _build_sweep_study(args)
+#: Values a sweep spec may give each swept key, all of which survive the
+#: CLI's token coercion unchanged.  ``proc_bind`` values are taken
+#: verbatim; every other ``none`` token reads as ``None``.
+AXIS_VALUES = {
+    "platform": st.sampled_from(available_platforms()),
+    "benchmark": st.sampled_from(available_benchmarks()),
+    "num_threads": st.integers(1, 64),
+    "proc_bind": st.sampled_from(["false", "true", "close", "spread", "master"]),
+    "places": st.sampled_from(["cores", "threads", "sockets", None]),
+    "schedule": st.sampled_from(["static", "dynamic", "guided"]),
+    "runtime": st.sampled_from(["gnu", "llvm"]),
+    "wait_policy": st.sampled_from([None, "active", "passive"]),
+    "noise": st.sampled_from(["default", "quiet"]),
+    "runs": st.integers(1, 5),
+    "seed": st.integers(0, 1000),
+    "outer_reps": st.integers(1, 50),
+    "grainsize": st.integers(1, 64),
+    "pattern": st.sampled_from(["fib", "taskloop"]),
+    "delay_time": st.sampled_from([0.0, 1e-07, 2.5e-06]),
+    "balanced": st.booleans(),
+}
+PARAM_KEYS = ["outer_reps", "grainsize", "pattern", "delay_time", "balanced"]
 
-    def test_sweep_spec_matches_cli_flags(self):
-        """The byte-identity cornerstone: a spec and the equivalent CLI
-        flags expand to identical configs, hence identical cache keys."""
-        cli = self._cli_study([
-            "--grid", "num_threads=2,4", "--grid", "runtime=gnu,llvm",
-            "--runs", "2", "--reps", "3", "--seed", "42",
-        ])
-        spec = validate_spec({
-            "base": {"platform": "vera", "benchmark": "syncbench", "runs": 2,
-                     "seed": 42},
-            "axes": [
-                {"kind": "grid", "axes": {"num_threads": [2, 4]}},
-                {"kind": "grid", "axes": {"runtime": ["gnu", "llvm"]}},
-            ],
-            "reps": 3,
-        })
-        service = spec_to_study(spec)
-        assert canonical_configs(service) == canonical_configs(cli)
-        assert service.axis_names() == cli.axis_names()
-        assert spec_fingerprint(service) == spec_fingerprint(cli)
+
+def _token(value) -> str:
+    if value is None:
+        return "none"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@st.composite
+def cli_sweep_specs(draw):
+    """A valid sweep spec that the sweep flags can express: the base
+    carries the fields the config flags set (each may be left to its
+    default), grid axes of one key come first, then at most one zip."""
+    base = draw(st.fixed_dictionaries({}, optional={
+        "platform": AXIS_VALUES["platform"],
+        "benchmark": AXIS_VALUES["benchmark"],
+        "num_threads": AXIS_VALUES["num_threads"],
+        "places": st.sampled_from(["cores", "threads", "sockets"]),
+        "proc_bind": AXIS_VALUES["proc_bind"],
+        "schedule": AXIS_VALUES["schedule"],
+        "schedule_chunk": st.integers(1, 8),
+        "runs": AXIS_VALUES["runs"],
+        "seed": AXIS_VALUES["seed"],
+        "noise": AXIS_VALUES["noise"],
+        "runtime": AXIS_VALUES["runtime"],
+        "wait_policy": st.sampled_from(["active", "passive"]),
+        "freq_logging": st.just(True),
+        "benchmark_params": st.dictionaries(
+            st.sampled_from(PARAM_KEYS), st.integers(1, 9), max_size=2,
+        ),
+    }))
+    if base.get("proc_bind") == "false":
+        base["places"] = None  # --proc-bind false leaves placement to the OS
+    keys = st.sampled_from(sorted(AXIS_VALUES))
+    axes = [
+        {"kind": "grid", "axes": {key: draw(st.lists(AXIS_VALUES[key], min_size=1, max_size=3))}}
+        for key in draw(st.lists(keys, max_size=2))
+    ]
+    zipped = draw(st.lists(keys, max_size=3, unique=True))
+    if zipped:
+        n = draw(st.integers(1, 3))
+        axes.append({"kind": "zip", "axes": {
+            key: draw(st.lists(AXIS_VALUES[key], min_size=n, max_size=n))
+            for key in zipped
+        }})
+    spec = {"kind": "sweep", "base": base, "axes": axes}
+    if draw(st.booleans()):
+        spec["reps"] = draw(st.integers(1, 5))
+    return spec
+
+
+def sweep_flags(spec) -> list[str]:
+    """The ``repro-omp sweep`` flags that describe *spec*."""
+    flag = {
+        "num_threads": "--threads", "schedule_chunk": "--chunk",
+        "proc_bind": "--proc-bind", "wait_policy": "--wait-policy",
+    }
+    argv = ["sweep"]
+    for key, value in spec["base"].items():
+        if key == "benchmark_params":
+            for k, v in value.items():
+                argv += ["--param", f"{k}={_token(v)}"]
+        elif key == "freq_logging":
+            argv.append("--freq-log")
+        elif value is not None:
+            argv += [flag.get(key, "--" + key), str(value)]
+    for entry in spec["axes"]:
+        for key, values in entry["axes"].items():
+            argv += [f"--{entry['kind']}", f"{key}=" + ",".join(map(_token, values))]
+    if "reps" in spec:
+        argv += ["--reps", str(spec["reps"])]
+    return argv
+
+
+def cli_dry_run(argv) -> list[dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--dry-run"]) == 0
+    return json.loads(out.getvalue())["configs"]
+
+
+class TestSpecStudyParity:
+    @given(spec=cli_sweep_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_spec_matches_cli_flags(self, spec):
+        """The byte-identity cornerstone: a spec and the sweep flags that
+        describe it expand to identical configs, hence cache keys."""
+        service = spec_to_study(validate_spec(spec)).preview()
+        assert cli_dry_run(sweep_flags(spec)) == service
 
     def test_zip_axes_match_cli(self):
-        cli = self._cli_study([
-            "--zip", "schedule=static,dynamic", "--zip", "num_threads=2,4",
+        cli = cli_dry_run([
+            "sweep", "--zip", "schedule=static,dynamic", "--zip", "num_threads=2,4",
             "--runs", "2",
         ])
         service = spec_to_study(validate_spec({
@@ -212,8 +304,8 @@ class TestSpecStudyParity:
                      "seed": 42},
             "axes": [{"kind": "zip", "axes": {"schedule": ["static", "dynamic"],
                                               "num_threads": [2, 4]}}],
-        }))
-        assert canonical_configs(service) == canonical_configs(cli)
+        })).preview()
+        assert cli == service
 
     def test_reps_key_follows_benchmark(self):
         assert reps_key("babelstream") == "num_times"

@@ -1,4 +1,4 @@
-"""Tests for IntervalSet, including the preemption finish_time query."""
+"""Tests for IntervalSet and IntervalBatch."""
 
 from bisect import bisect_right
 from math import inf, nan
@@ -34,14 +34,6 @@ class TestNormalization:
     def test_drops_empty_intervals(self):
         s = IntervalSet.from_pairs([(1.0, 1.0), (2.0, 3.0)])
         assert list(s) == [(2.0, 3.0)]
-
-    def test_from_events(self):
-        s = IntervalSet.from_events([0.0, 10.0], [1.0, 0.5])
-        assert list(s) == [(0.0, 1.0), (10.0, 10.5)]
-
-    def test_from_events_negative_duration(self):
-        with pytest.raises(ValueError):
-            IntervalSet.from_events([0.0], [-1.0])
 
     def test_constructor_takes_seconds(self):
         """The public constructor quantizes seconds and normalizes, like
@@ -85,54 +77,10 @@ class TestQueries:
         other = IntervalSet.from_pairs([(1.5, 4.5)])
         assert list(self.s.union(other)) == [(1.0, 6.0)]
 
-    def test_complement_within(self):
-        free = self.s.complement_within(0.0, 7.0)
-        assert list(free) == [(0.0, 1.0), (2.0, 4.0), (6.0, 7.0)]
-
-    def test_complement_of_empty(self):
-        free = IntervalSet.empty().complement_within(2.0, 3.0)
-        assert list(free) == [(2.0, 3.0)]
-
     def test_equality_and_hash(self):
         again = IntervalSet.from_pairs([(1.0, 2.0), (4.0, 6.0)])
         assert self.s == again
         assert hash(self.s) == hash(again)
-
-
-class TestFinishTime:
-    def test_no_interference(self):
-        s = IntervalSet.empty()
-        assert s.finish_time(1.0, 2.5) == pytest.approx(3.5)
-
-    def test_zero_work(self):
-        s = IntervalSet.from_pairs([(0.0, 10.0)])
-        assert s.finish_time(5.0, 0.0) == 5.0
-
-    def test_work_pushed_past_busy_interval(self):
-        s = IntervalSet.from_pairs([(2.0, 3.0)])
-        # 2s of work from t=1: 1s before the busy interval, then wait 1s, 1s after
-        assert s.finish_time(1.0, 2.0) == pytest.approx(4.0)
-
-    def test_start_inside_busy_interval(self):
-        s = IntervalSet.from_pairs([(0.0, 5.0)])
-        assert s.finish_time(2.0, 1.0) == pytest.approx(6.0)
-
-    def test_multiple_interruptions(self):
-        s = IntervalSet.from_pairs([(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)])
-        # 3.5s of work from 0: gaps [0,1),[2,3),[4,5),[6,...)
-        assert s.finish_time(0.0, 3.5) == pytest.approx(6.5)
-
-    def test_work_fits_before_first_interval(self):
-        s = IntervalSet.from_pairs([(10.0, 20.0)])
-        assert s.finish_time(0.0, 5.0) == pytest.approx(5.0)
-
-    def test_start_after_all_intervals(self):
-        s = IntervalSet.from_pairs([(0.0, 1.0)])
-        assert s.finish_time(2.0, 3.0) == pytest.approx(5.0)
-
-    def test_negative_work_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalSet.empty().finish_time(0.0, -1.0)
 
 
 # -- property-based -----------------------------------------------------------
@@ -164,29 +112,6 @@ def test_normalized_invariants(pairs):
         assert b > a
     # total measure never exceeds naive sum and is non-negative
     assert 0.0 <= s.total <= sum(b - a for a, b in pairs) + 2 * len(pairs) * QUANTUM
-
-
-@given(pairs=interval_lists, start=st.floats(min_value=0.0, max_value=60.0),
-       work=st.floats(min_value=0.0, max_value=20.0))
-@settings(max_examples=100)
-def test_finish_time_consistency(pairs, start, work):
-    """finish_time(t0, W) == t_end such that free time in [t0, t_end) == W."""
-    s = IntervalSet.from_pairs(pairs)
-    t_end = s.finish_time(start, work)
-    assert t_end >= start + work - 1e-9  # busy time only adds delay
-    free = (t_end - start) - s.overlap(start, t_end)
-    assert free == pytest.approx(work, rel=1e-9, abs=2 * QUANTUM)
-
-
-@given(pairs=interval_lists, a=st.floats(min_value=0.0, max_value=60.0),
-       width=st.floats(min_value=0.0, max_value=20.0))
-@settings(max_examples=100)
-def test_complement_partitions_window(pairs, a, width):
-    b = a + width
-    s = IntervalSet.from_pairs(pairs)
-    inside = s.overlap(a, b)
-    free = s.complement_within(a, b).total
-    assert inside + free == pytest.approx(max(0.0, b - a), rel=1e-9, abs=2 * QUANTUM)
 
 
 def overlap_oracle(s, a, b):

@@ -89,9 +89,6 @@ class TestIntegrate:
         with pytest.raises(TraceError):
             make_trace().integrate(2.0, 1.0)
 
-    def test_mean(self):
-        assert make_trace().mean(0.0, 4.0) == pytest.approx(11.0 / 4.0)
-
 
 class TestInvertIntegral:
     def test_roundtrip_simple(self):
@@ -128,11 +125,6 @@ class TestRestrictedAndSampling:
         assert make_trace().min_value(0.0, 2.0) == 2.0
         assert make_trace().min_value(0.0, 4.0) == 1.0
         assert make_trace().min_value(1.0, 2.5) == 4.0
-
-    def test_resample(self):
-        samples = make_trace().resample([0.0, 1.5, 5.0])
-        assert [s.value for s in samples] == [2.0, 4.0, 1.0]
-        assert [s.time for s in samples] == [0.0, 1.5, 5.0]
 
 
 # -- property-based checks ----------------------------------------------------
@@ -172,7 +164,7 @@ def test_invert_integral_is_inverse(segments, frac):
 def test_mean_bounded_by_extremes(segments):
     t = PiecewiseConstant.from_segments(segments)
     span = sum(d for d, _ in segments)
-    m = t.mean(0.0, span)
+    m = t.integrate(0.0, span) / span
     vals = [v for _, v in segments]
     assert min(vals) - 1e-9 <= m <= max(vals) + 1e-9
 

@@ -7,6 +7,7 @@ tasking parameters in the key), and the figure8 experiment driver.
 """
 
 import heapq
+import inspect
 import json
 import math
 from collections import deque
@@ -712,13 +713,41 @@ class TestExperimentRegistry:
         assert spec.rep_params == ("outer_reps",)
         assert "work-stealing" in spec.description
 
+    @pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+    def test_unknown_knob_raises_type_error(self, name):
+        with pytest.raises(TypeError, match="bogus"):
+            experiments.EXPERIMENTS[name].driver(bogus=1)
+
+    def test_rep_params_come_from_the_builders(self):
+        both = ("outer_reps", "num_times")
+        expected = {"figure2": ("num_times",), "figure3": both,
+                    "figure4": both, "figure5": both}
+        assert {
+            name: spec.rep_params
+            for name, spec in experiments.EXPERIMENTS.items()
+        } == {
+            name: expected.get(name, ("outer_reps",))
+            for name in experiments.EXPERIMENTS
+        }
+
+    def test_driver_takes_the_builder_knobs_and_jobs_cache(self):
+        for spec in experiments.EXPERIMENTS.values():
+            driver = inspect.signature(spec.driver).parameters
+            builder = inspect.signature(spec.study_builder).parameters
+            assert list(driver) == [*builder, "jobs", "cache"]
+            assert [driver[k].default for k in builder] == [
+                p.default for p in builder.values()
+            ]
+
     def test_unknown_experiment_raises(self):
         with pytest.raises(HarnessError):
             experiments.get_experiment("figure99")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(HarnessError):
-            experiments.experiment("dup", name="figure8")(lambda: None)
+            experiments.experiment(
+                "dup", study=experiments.figure8_study, name="figure8"
+            )(lambda result: None)
 
 
 FIGURE8_TINY = dict(
