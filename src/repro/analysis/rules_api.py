@@ -53,8 +53,9 @@ class DriverRegistration(Rule):
         "of those surfaces — it will silently rot."
     )
     fix_hint = (
-        "decorate the driver with @experiment(\"<description>\") (or "
-        "prefix its name with _ if it is a helper, not a driver)"
+        "decorate the renderer with @experiment(\"<description>\", "
+        "study=<builder>) (or prefix its name with _ if it is a helper, "
+        "not a driver)"
     )
     packages = ("harness",)
     node_types = (ast.FunctionDef,)
