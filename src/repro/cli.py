@@ -91,7 +91,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.registry import available_benchmarks
-from repro.errors import ReproError
+from repro.errors import HarnessError, ReproError
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import (
     EXPERIMENTS,
@@ -155,6 +155,13 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     if args.cache_dir is None or args.no_cache:
         return None
+    return ResultCache(args.cache_dir)
+
+
+def _existing_cache(args: argparse.Namespace) -> ResultCache:
+    """The cache of a read-only command, which never creates its dir."""
+    if not Path(args.cache_dir).is_dir():
+        raise HarnessError(f"cache dir {args.cache_dir} does not exist")
     return ResultCache(args.cache_dir)
 
 
@@ -725,7 +732,7 @@ def _cmd_gather(args: argparse.Namespace) -> int:
     )
     from repro.obs.metrics import MetricsRegistry
 
-    cache = ResultCache(args.cache_dir)
+    cache = _existing_cache(args)
 
     if args.experiment is not None:
         # verify the partition + entry digests, then replay the driver
@@ -782,7 +789,7 @@ def _cmd_gather(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
-    cache = ResultCache(args.cache_dir)
+    cache = _existing_cache(args)
     if args.cache_command == "stats":
         stats = cache.stats()
         if args.fmt == "json":

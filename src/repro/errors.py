@@ -33,6 +33,10 @@ class ScheduleError(ConfigurationError):
     """An OpenMP loop schedule specification is invalid."""
 
 
+class AxisPointError(ConfigurationError):
+    """A study axis point (named in the message) builds no valid config."""
+
+
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 

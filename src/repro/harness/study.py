@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import HarnessError
+from repro.errors import AxisPointError, ConfigurationError, HarnessError
 from repro.harness.backend import ExecutionBackend
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
@@ -245,7 +245,11 @@ class Study:
             for point in combo:
                 for key, value in point.items():
                     self._apply_point(key, value, fields, params)
-            cfg = self.base.with_overrides(benchmark_params=params, **fields)
+            try:
+                cfg = self.base.with_overrides(benchmark_params=params, **fields)
+            except ConfigurationError as exc:
+                point = ", ".join(f"{k}={v}" for p in combo for k, v in p.items())
+                raise AxisPointError(f"{point}: {exc}") from None
             for key, fn in self._derived:
                 value = fn(cfg)
                 if key in _CONFIG_FIELDS:

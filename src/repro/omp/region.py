@@ -36,12 +36,13 @@ A single run is the ``R = 1`` case of the same code.  Each row reproduces
 the per-run arithmetic bit for bit: elementwise operations are identical,
 and a row reduction over a C-contiguous ``(R, n)`` array runs through the
 same pairwise-summation tree as a standalone ``(n,)`` array.  Noise
-windows are exact int64-nanosecond measures that each run's realization
-answers for the team's CPUs
-(:meth:`~repro.osnoise.model.NoiseRealization.stolen_time`), so a
-re-placed team rebuilds nothing noise-related.  Frequency queries go
-through :class:`~repro.freq.dvfs.FrequencyPlanBatch`, rebuilt only when
-the team's cpuset changes.
+windows are exact int64-nanosecond measures that one
+:class:`~repro.osnoise.model.NoiseBatch` over the runs' realizations
+answers, every run's stolen and sibling windows in one call per region
+(:meth:`~repro.osnoise.model.NoiseBatch.overlap`), so a re-placed team
+rebuilds nothing noise-related.  Frequency queries go through
+:class:`~repro.freq.dvfs.FrequencyPlanBatch`, rebuilt only when the
+team's cpuset changes.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.freq.dvfs import FrequencyPlanBatch
 from repro.omp.team import Team
+from repro.osnoise.model import NoiseBatch
 from repro.sched.balancer import StackingEpisode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,7 +126,7 @@ class RegionExecutor:
         self.runs = tuple(runs)
         self.params: RegionParams = self.runs[0].runtime.platform.region_params
         self._plans = [ctx.freq_plan for ctx in self.runs]
-        self._noises = [ctx.noise for ctx in self.runs]
+        self._noise = NoiseBatch([ctx.noise for ctx in self.runs])
         self._cpus: tuple[int, ...] | None = None
 
     @property
@@ -150,8 +152,7 @@ class RegionExecutor:
         Noise is queried by CPU, so a new cpuset only changes which CPUs
         are asked.  Sibling pressure only matters where the CPU has an SMT
         sibling and it is not a teammate, so only those threads query it,
-        at the rows the runs' realizations map their CPUs to (one map: the
-        runs share a machine).
+        at the rows the noise batch maps their CPUs to.
         """
         if team.cpus == self._cpus:
             return
@@ -159,7 +160,7 @@ class RegionExecutor:
         self._team_freq: FrequencyPlanBatch | None = None
         self._master_freq: FrequencyPlanBatch | None = None
         self._rows = np.asarray(team.cpus, dtype=np.int64)
-        sib_rows = self._noises[0].sibling_rows(self._rows)
+        sib_rows = self._noise.sibling_rows(self._rows)
         self._sib_cols = np.flatnonzero(
             ~np.asarray(team.smt_shared, dtype=bool) & (sib_rows >= 0)
         )
@@ -306,20 +307,15 @@ class RegionExecutor:
         base_end = np.max(starts + durations, axis=1) + sync_scaled
         window_end = base_end + 0.25 * (base_end - t) + 1e-6
 
-        # pass 2: noise + stacking within the window, asked of each run's
-        # realization
-        stolen = np.empty((n_runs, n))
-        sibling = np.zeros((n_runs, n))
+        # pass 2: noise + stacking within the window. One query: every run's
+        # stolen windows, then those of threads whose sibling is otherwise free
         cols = self._sib_cols
-        for r, (noise, end) in enumerate(zip(self._noises, window_end.tolist())):
-            ends = np.full(n, end)
-            stolen[r] = noise.stolen_time(self._rows, starts[r], ends)
-            if cols.size:
-                # pressure only matters when the sibling is otherwise free
-                sib = noise.sibling_time(
-                    self._sib_rows, starts[r, cols], ends[: cols.size]
-                )
-                sibling[r, cols] = sib * p.smt_noise_penalty
+        a = np.concatenate((starts, starts[:, cols]), axis=1)
+        stolen, sib = self._noise.overlap(
+            self._rows, self._sib_rows, a, window_end[:, None].repeat(a.shape[1], axis=1)
+        )
+        sibling = np.zeros((n_runs, n))
+        sibling[:, cols] = sib * p.smt_noise_penalty
         stacking = self._stacking(stacking_episodes, starts, window_end)
 
         per_thread_delay = sibling + stacking

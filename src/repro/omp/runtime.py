@@ -14,6 +14,7 @@ graph stays acyclic (platform -> omp -> substrates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -134,12 +135,16 @@ class OpenMPRuntime:
     # -- team resolution ---------------------------------------------------------
 
     def resolve_bound_team(self) -> Team:
-        """Apply OMP_PLACES + OMP_PROC_BIND to get the pinned team."""
-        env = self.env
-        if not env.bound:
+        """Apply OMP_PLACES + OMP_PROC_BIND to get the pinned team, once
+        per runtime: every run shares the frozen :class:`Team`."""
+        if not self.env.bound:
             raise BindingError("resolve_bound_team with OMP_PROC_BIND=false")
-        places = parse_places(self.machine, env.places or "cores")
-        thread_places = bind_threads(env.num_threads, len(places), env.proc_bind)
+        return self._bound_team
+
+    @cached_property
+    def _bound_team(self) -> Team:
+        places = parse_places(self.machine, self.env.places or "cores")
+        thread_places = bind_threads(self.env.num_threads, len(places), self.env.proc_bind)
         cpus = assign_cpus(places, thread_places)
         return Team(self.machine, tuple(cpus), bound=True)
 

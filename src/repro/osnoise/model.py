@@ -7,24 +7,23 @@ places unassigned events, and compiles the result into a
 * :meth:`NoiseRealization.stolen_on` — intervals during which a CPU is
   executing OS work instead of the application thread pinned there
   (a thread makes **no** progress inside these intervals), and
-* :meth:`NoiseRealization.sibling_time` — how much of a window the
-  *SMT siblings* of a CPU spend executing OS work; the thread keeps running
-  but retires instructions more slowly (see the SMT penalty in the region
-  executor).
+* :meth:`NoiseBatch.overlap` — how much of each window of ``R`` runs a
+  CPU is stolen, and how much of it its *SMT siblings* spend executing
+  OS work; the thread keeps running but retires instructions more slowly
+  (see the SMT penalty in the region executor).
 
-The region executor asks for the measure of many windows at once
-(:meth:`NoiseRealization.stolen_time`, :meth:`NoiseRealization.sibling_time`).
-A CPU's ticks and the rest of its noise answer separately, and their
-int64-ns measures add: the ticks, an arithmetic progression that never
-overlaps itself, are clipped to each window and summed straight from
-their :class:`~repro.osnoise.source.TickBlock`; the sparse non-tick
-events live in one :class:`~repro.sim.intervals.IntervalBatch` row per
+A :class:`NoiseBatch` keys its runs' noise by ``run * n_cpus + cpu`` and
+answers every window of every run in one call; a single realization is
+the ``R = 1`` batch.  A CPU's ticks and the rest of its noise answer
+separately, and their int64-ns measures add: the ticks, an arithmetic
+progression that never overlaps itself, are clipped to each window and
+summed from the runs' stacked tick tables; the sparse non-tick events
+live in one :class:`~repro.sim.intervals.IntervalBatch` row per run and
 CPU with those ticks cut out.  Where no CPU has more than one SMT
 sibling (SMT-2 machines, and machines without SMT), a CPU's sibling
-pressure is its sibling's stolen time, read at the siblings' rows
-(:meth:`NoiseRealization.sibling_rows`), and a CPU without a sibling is
-never queried.  Only machines where a CPU has two or more siblings
-build a union plane.
+pressure is its sibling's stolen time, read in the same pass at the
+siblings' rows (:meth:`NoiseBatch.sibling_rows`).  Only machines where a
+CPU has two or more siblings build a union plane.
 
 Performance note: a full-scale schedbench run on the Dardel model realizes
 on the order of a million timer ticks, yet a region run reaches only part
@@ -65,17 +64,13 @@ class PlacedEvent:
 
 
 class NoiseRealization:
-    """All noise of one run window, indexed for per-CPU window queries.
+    """All noise of one run window.
 
     Events are kept flat: the non-tick events as arrays ``(starts,
-    durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  A
-    CPU's noise is split into two disjoint parts whose int64-ns measures
-    add: the ticks of the block on the tick path, clipped to each window
-    and summed (:meth:`TickBlock.clip`), and the rest plane, one
-    :class:`IntervalBatch` row per CPU holding every other event with
-    those ticks cut out (:meth:`stolen_time`).  Sibling pressure is read
-    at the rows of a map decided from the machine's sibling table
-    (:meth:`sibling_rows`, :meth:`sibling_time`).
+    durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  The
+    first block of disjoint ticks takes the tick path, whose ticks a
+    :class:`NoiseBatch` sums straight from the block; every other event
+    joins the batch's rest plane.
     """
 
     def __init__(self, machine: Machine, events: Sequence[PlacedEvent] | None = None,
@@ -116,10 +111,6 @@ class NoiseRealization:
         self._tick = next(
             (block for block in self._ticks if len(block) and block.disjoint), None
         )
-        # each CPU's index in the tick path's block, -1 where it has no ticks
-        self._slots = np.full(machine.n_cpus, -1, dtype=np.int64)
-        if self._tick is not None:
-            self._slots[self._tick.cpus] = np.arange(self._tick.cpus.size)
         self._stolen_rows: dict[int, IntervalSet] = {}
 
     # -- event access (lazy object materialization) ---------------------------
@@ -159,105 +150,6 @@ class NoiseRealization:
             out[k] = out.get(k, 0) + 1
         return out
 
-    # -- window queries ----------------------------------------------------------
-
-    @cached_property
-    def _rest(self) -> IntervalBatch:
-        """The rest plane, built on first query: every event off the tick
-        path, normalized per row, with the tick path's ticks cut out.
-        Disjoint from those ticks, it adds to them to make each CPU's
-        noise."""
-        n_cpus = self.machine.n_cpus
-        parts = [block.expand() for block in self._ticks if block is not self._tick]
-        parts.append((self._starts, self._durations, self._cpus))
-        starts, durations, cpus = (np.concatenate(column) for column in zip(*parts))
-        rows, starts, ends = IntervalBatch.from_rows(
-            n_cpus, cpus, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
-        ).intervals_ns()
-        if self._tick is not None:
-            # an interval keeps [start, first tick), the gaps between its
-            # ticks and [last tick, end): its pieces start at its start and
-            # at each tick end, and end at each tick start and at its end.
-            # A row without ticks asks an empty window and keeps it whole.
-            slots = self._slots[rows]
-            tick_starts, tick_ends = self._tick.clip(
-                np.maximum(slots, 0), np.stack((starts, np.where(slots >= 0, ends, starts)))
-            )
-            meets = tick_ends > tick_starts
-            owner = np.nonzero(meets)[0]
-            whole = np.arange(rows.size)
-            at_start = np.argsort(np.concatenate((whole, owner)), kind="stable")
-            at_end = np.argsort(np.concatenate((owner, whole)), kind="stable")
-            rows = rows[np.concatenate((whole, owner))[at_start]]
-            starts = np.concatenate((starts, tick_ends[meets]))[at_start]
-            ends = np.concatenate((tick_starts[meets], ends))[at_end]
-        return IntervalBatch.from_rows(n_cpus, rows, starts, ends)
-
-    def _tick_ns(self, slots: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Int64 ns of the tick path's ticks of slot ``slots[q]`` inside
-        window ``[edges[0, q], edges[1, q])``: each CPU's ticks are
-        disjoint, so the sum of their clipped lengths is their measure."""
-        starts, ends = self._tick.clip(slots, edges)
-        ends -= starts
-        np.maximum(ends, 0, out=ends)
-        return ends.sum(axis=1)
-
-    def _stolen_ns(self, cpus: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Int64 ns of ``cpus[q]`` stolen inside ``[edges[0, q], edges[1, q])``."""
-        slots = self._slots[cpus]
-        if self._tick is not None and slots.min(initial=0) >= 0:  # no filter
-            ns = self._tick_ns(slots, edges)
-        else:
-            ns = np.zeros(cpus.size, dtype=np.int64)
-            ticking = np.flatnonzero(slots >= 0)
-            if ticking.size:
-                ns[ticking] = self._tick_ns(slots[ticking], edges[:, ticking])
-        return ns + self._rest.measure_ns(edges, cpus)
-
-    def stolen_time(self, cpus: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Seconds of ``cpus[q]`` stolen inside ``[a[q], b[q])``, per
-        query: ``stolen_on(cpus[q]).overlap(a[q], b[q])`` bit for bit.
-
-        The tick path's ticks and the rest plane are disjoint and make
-        up the CPU's noise together, so their int64-ns measures add to
-        the measure of its union, which is divided by 1e9 once, as
-        :meth:`IntervalSet.overlap` divides it.
-        """
-        cpus = np.asarray(cpus, dtype=np.int64)
-        return self._stolen_ns(cpus, to_sim_ns_array((a, b))) / NS_PER_SEC
-
-    @cached_property
-    def _sibling_map(self) -> tuple[bool, np.ndarray]:
-        """``(union, rows)``, decided on first need from the machine's
-        sibling table: whether sibling pressure needs a union plane (a
-        CPU has two or more SMT siblings), and the row holding each CPU's
-        pressure, -1 for a CPU without a sibling."""
-        ptr, idx = self.machine.sibling_table
-        degree = np.diff(ptr)
-        if degree.max() > 1:
-            return True, np.where(degree > 0, np.arange(self.machine.n_cpus), -1)
-        rows = np.full(self.machine.n_cpus, -1, dtype=np.int64)
-        rows[degree == 1] = idx  # a lone sibling's stolen row is the pressure
-        return False, rows
-
-    def sibling_rows(self, cpus: np.ndarray) -> np.ndarray:
-        """The row holding the sibling pressure of each of *cpus* for
-        :meth:`sibling_time`, or -1 for a CPU without an SMT sibling (it
-        has none to query)."""
-        return self._sibling_map[1][cpus]
-
-    def sibling_time(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Seconds of sibling pressure inside ``[a[q], b[q])`` at row
-        ``rows[q]`` of :meth:`sibling_rows`.
-
-        With at most one SMT sibling per CPU the row is the sibling
-        itself, and its pressure is the sibling's stolen time
-        (:meth:`stolen_time`).  Otherwise it is a union plane whose row
-        *c* holds the noise of all of *c*'s siblings (:meth:`_union`)."""
-        if self._sibling_map[0]:
-            return self._union.overlap_fused(a, b, rows)
-        return self.stolen_time(rows, a, b)
-
     # -- full-horizon interval queries --------------------------------------------
 
     @cached_property
@@ -268,20 +160,6 @@ class NoiseRealization:
         starts, durations, cpus = self._arrays()
         return IntervalBatch.from_rows(
             self.machine.n_cpus, cpus, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
-        )
-
-    @cached_property
-    def _union(self) -> IntervalBatch:
-        """Row *c*: the noise of every SMT sibling of *c*, built once over
-        the full horizon from each interval copied to its CPU's siblings."""
-        cpus, starts, ends = self._whole.intervals_ns()
-        ptr, idx = self.machine.sibling_table
-        first = ptr[cpus]
-        degree = ptr[cpus + 1] - first
-        copy = np.repeat(np.arange(cpus.size), degree)
-        k = np.arange(copy.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        return IntervalBatch.from_rows(
-            self.machine.n_cpus, idx[first[copy] + k], starts[copy], ends[copy]
         )
 
     def stolen_on(self, cpu: int) -> IntervalSet:
@@ -336,6 +214,192 @@ class NoiseRealization:
             np.array_equal(mine, theirs)
             for mine, theirs in zip(self._arrays(), other._arrays())
         ) and self._kinds_until() == other._kinds_until()
+
+
+class NoiseBatch:
+    """The noise of ``R`` realizations of one machine, answering every
+    run's window queries in one call (:meth:`overlap`).  Row ``run *
+    n_cpus + cpu`` is that CPU's noise in that run: its slot in the runs'
+    stacked tick-path tables (the durations stay in each realization's
+    own array), and its row of the rest and union planes, each built
+    once per batch."""
+
+    def __init__(self, realizations: Sequence[NoiseRealization]):
+        self.realizations = tuple(realizations)
+        self.machine = self.realizations[0].machine
+        # the first row of each run, as a column
+        self._bases = np.arange(len(self.realizations))[:, None] * self.machine.n_cpus
+        paths = [(base, real._tick) for base, real in zip(self._bases.ravel(), self.realizations)
+                 if real._tick is not None]
+        keys = np.concatenate([np.empty(0, dtype=np.int64)] + [base + t.cpus for base, t in paths])
+        # each row's slot in the stacked table, -1 where it has no ticks
+        self._slots = np.full(self._bases.size * self.machine.n_cpus, -1, dtype=np.int64)
+        self._slots[keys] = np.arange(keys.size)
+        # per slot: (first tick, period) and (tick count, offset of its durations)
+        self._times = np.hstack([np.empty((2, 0))] + [
+            (t.first, np.full(t.cpus.size, t.period)) for _, t in paths])
+        self._index = np.hstack([np.empty((2, 0), dtype=np.int64)] + [
+            (t.counts, t.offsets) for _, t in paths])
+
+    def _clip(
+        self, slots: np.ndarray, edges: np.ndarray, blocks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ticks of slot ``slots[q]`` clipped to the int64-ns window
+        ``[edges[0, q], edges[1, q])``, for every query *q*: ``(starts,
+        ends)``, each ``(Q, W)``, row *q* holding the query's candidate
+        ticks in tick order, padded to the *W* candidates of the widest
+        window.  A candidate that misses its window, and the padding,
+        come back with ``ends <= starts``.  One ``take`` per run reads
+        the durations of its queries, ``blocks[r]:blocks[r + 1]``.
+
+        A tick is quantized as every noise interval is: ``to_sim_ns`` of
+        its start ``first + period * k`` and of that start plus its
+        duration.  The candidates of a window ``[lo, hi)`` are the ticks
+        ``floor((lo - first) / period) - 1`` to ``floor((hi - first) /
+        period) + 1`` (edges in seconds), one spare tick beyond each
+        edge: a tick that starts before *hi* rounds to at most half a
+        nanosecond past it, and on a :attr:`TickBlock.disjoint` block a
+        tick ending after *lo* starts less than a period before it.
+        """
+        (first, period), (counts, offsets) = self._times.take(slots, 1), self._index.take(slots, 1)
+        bounds = edges / NS_PER_SEC
+        bounds -= first
+        bounds /= period
+        np.floor(bounds, out=bounds)
+        bounds += [[-1.0], [2.0]]  # the spare ticks
+        np.maximum(bounds, 0, out=bounds)
+        np.minimum(bounds, counts, out=bounds)
+        k0, k1 = bounds.astype(np.int64)
+        k = k0[:, None] + np.arange(int((k1 - k0).max(initial=0)))
+        padding = k >= k1[:, None]
+        np.minimum(k, counts[:, None] - 1, out=k)  # padding indexes a real tick
+        starts = first[:, None] + period[:, None] * k
+        k += offsets[:, None]
+        durations = np.concatenate([
+            real._tick.durations.take(k[lo:hi])
+            for real, lo, hi in zip(self.realizations, blocks.tolist(), blocks[1:].tolist())
+            if hi > lo
+        ])
+        ticks = to_sim_ns_array((starts, starts + durations))
+        np.maximum(ticks[0], edges[0][:, None], out=ticks[0])
+        np.minimum(ticks[1], edges[1][:, None], out=ticks[1])
+        np.copyto(ticks[1], ticks[0], where=padding)
+        return ticks[0], ticks[1]
+
+    @cached_property
+    def _rest(self) -> IntervalBatch:
+        """The rest plane, built on first query: every run's events off
+        its tick path, normalized per row, with the tick path's ticks cut
+        out.  Disjoint from those ticks, it adds to them to make each
+        CPU's noise."""
+        parts = [
+            (starts, durations, base + cpus)
+            for base, real in zip(self._bases.ravel().tolist(), self.realizations)
+            for starts, durations, cpus in [b.expand() for b in real._ticks if b is not real._tick]
+            + [(real._starts, real._durations, real._cpus)]
+        ]
+        starts, durations, keys = (np.concatenate(column) for column in zip(*parts))
+        rows, starts, ends = IntervalBatch.from_rows(
+            self._slots.size, keys, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
+        ).intervals_ns()
+        slots = self._slots[rows]
+        cut = np.flatnonzero(slots >= 0)
+        if cut.size:
+            # an interval on a ticking row keeps [start, first tick), the
+            # gaps between its ticks and [last tick, end): its pieces start
+            # at its start and at each tick end, and end at each tick start
+            # and at its end.  Rows come sorted, so runs come in blocks
+            tick_starts, tick_ends = self._clip(
+                slots[cut], np.stack((starts[cut], ends[cut])),
+                np.searchsorted(rows[cut], np.append(self._bases, self._slots.size)),
+            )
+            meets = tick_ends > tick_starts
+            owner = cut[np.nonzero(meets)[0]]
+            whole = np.arange(rows.size)
+            at_start = np.argsort(np.concatenate((whole, owner)), kind="stable")
+            at_end = np.argsort(np.concatenate((owner, whole)), kind="stable")
+            rows = rows[np.concatenate((whole, owner))[at_start]]
+            starts = np.concatenate((starts, tick_ends[meets]))[at_start]
+            ends = np.concatenate((tick_starts[meets], ends))[at_end]
+        return IntervalBatch.from_rows(self._slots.size, rows, starts, ends)
+
+    @cached_property
+    def _sibling_map(self) -> tuple[bool, np.ndarray]:
+        """``(union, rows)``, decided on first need from the machine's
+        sibling table: whether sibling pressure needs a union plane (a
+        CPU has two or more SMT siblings), and the row holding each CPU's
+        pressure, -1 for a CPU without a sibling."""
+        ptr, idx = self.machine.sibling_table
+        degree = np.diff(ptr)
+        if degree.max() > 1:
+            return True, np.where(degree > 0, np.arange(self.machine.n_cpus), -1)
+        rows = np.full(self.machine.n_cpus, -1, dtype=np.int64)
+        rows[degree == 1] = idx  # a lone sibling's stolen row is the pressure
+        return False, rows
+
+    def sibling_rows(self, cpus: np.ndarray) -> np.ndarray:
+        """The row holding the sibling pressure of each of *cpus* for
+        :meth:`overlap`, or -1 for a CPU without an SMT sibling (it has
+        none to query)."""
+        return self._sibling_map[1][cpus]
+
+    @cached_property
+    def _union(self) -> IntervalBatch:
+        """Row ``run * n_cpus + c``: the noise of every SMT sibling of *c*
+        in that run, built once over the full horizon from each interval
+        copied to its CPU's siblings."""
+        parts = [real._whole.intervals_ns() for real in self.realizations]
+        runs = np.repeat(self._bases.ravel(), [part[0].size for part in parts])
+        cpus, starts, ends = (np.concatenate(column) for column in zip(*parts))
+        ptr, idx = self.machine.sibling_table
+        first = ptr[cpus]
+        degree = ptr[cpus + 1] - first
+        copy = np.repeat(np.arange(cpus.size), degree)
+        k = np.arange(copy.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        return IntervalBatch.from_rows(
+            self._slots.size, runs[copy] + idx[first[copy] + k], starts[copy], ends[copy]
+        )
+
+    def overlap(
+        self, cpus: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Seconds of every run's noise inside its windows: ``(stolen,
+        sibling)``, C-contiguous ``(R, n)`` and ``(R, m)``.  *a* and *b*
+        are ``(R, n + m)``: column ``j < n`` of run *r* is
+        ``realizations[r].stolen_on(cpus[j]).overlap(a[r, j], b[r, j])``
+        bit for bit, and column ``n + j`` the sibling pressure at row
+        ``rows[j]`` of :meth:`sibling_rows`: with at most one SMT sibling
+        per CPU the sibling's own stolen time, answered in the same pass,
+        else the union plane's row.  Each answer is an exact int64-ns
+        measure divided by 1e9 once, as :meth:`IntervalSet.overlap` does.
+        """
+        cpus = np.asarray(cpus, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        edges = to_sim_ns_array((a, b))
+        union = rows.size and self._sibling_map[0]
+        # stolen windows, run-major: the rest plane plus the ticks, clipped
+        # and summed (a CPU's ticks are disjoint: they sum to their measure)
+        targets = cpus if union else np.concatenate((cpus, rows))
+        n_runs, width = len(edges[0]), targets.size
+        keys = (self._bases + targets).ravel()
+        flat = edges[:, :, :width].reshape(2, -1)
+        ns = self._rest.measure_ns(flat, keys)
+        ticking = np.flatnonzero(self._slots[keys] >= 0)
+        if ticking.size:
+            starts, ends = self._clip(
+                self._slots[keys[ticking]], flat.take(ticking, 1),
+                np.searchsorted(ticking, np.arange(n_runs + 1) * width),
+            )
+            ends -= starts
+            np.maximum(ends, 0, out=ends)
+            ns[ticking] += ends.sum(axis=1)
+        ns = ns.reshape(n_runs, width)
+        if union:
+            sibling = self._union.measure_ns(
+                edges[:, :, width:].reshape(2, -1), (self._bases + rows).ravel()
+            )
+            return ns / NS_PER_SEC, sibling.reshape(n_runs, -1) / NS_PER_SEC
+        return ns[:, :cpus.size] / NS_PER_SEC, ns[:, cpus.size:] / NS_PER_SEC
 
 
 class NoiseModel:

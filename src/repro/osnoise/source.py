@@ -22,12 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import NoiseModelError
-from repro.units import NS_PER_SEC, to_sim_ns_array
-
-#: Added to the floored window edges of :meth:`TickBlock.clip`: the first
-#: candidate is one tick before the low edge's, the last one past the high
-#: edge's (the bound is exclusive).
-_SPARE = np.asarray([[-1.0], [2.0]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +169,8 @@ class TickBlock:
     longer than ``longest``, the source's ``duration_mean +
     duration_jitter``.  Tick starts are computed, not stored: tracing
     and the full-horizon rows expand the ticks (:meth:`expand`), and
-    window queries clip only the ticks near each window (:meth:`clip`).
+    window queries clip only the ticks near each window
+    (:class:`~repro.osnoise.model.NoiseBatch`).
     """
 
     kind: str
@@ -202,7 +197,7 @@ class TickBlock:
         )
 
     @cached_property
-    def _offsets(self) -> np.ndarray:
+    def offsets(self) -> np.ndarray:
         """Per CPU, the index of its first tick's duration."""
         return np.cumsum(self.counts) - self.counts
 
@@ -228,46 +223,8 @@ class TickBlock:
         # tick index k within its CPU block
         k = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         starts = np.repeat(self.first, sizes) + self.period * k
-        durations = self.durations[np.repeat(self._offsets, sizes) + k]
+        durations = self.durations[np.repeat(self.offsets, sizes) + k]
         return starts, durations, np.repeat(self.cpus, sizes)
-
-    def clip(self, slots: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ticks of CPU ``cpus[slots[q]]`` clipped to the int64-ns
-        window ``[edges[0, q], edges[1, q])``, for every query *q*:
-        ``(starts, ends)``, each ``(Q, W)``, row *q* holding the query's
-        candidate ticks in tick order, padded to the *W* candidates of
-        the widest window.  A candidate that misses its window, and the
-        padding, come back with ``ends <= starts``.
-
-        A tick is quantized as every noise interval is: ``to_sim_ns`` of
-        its start ``first + period * k`` and of that start plus its
-        duration.  The candidates of a window ``[lo, hi)`` are the ticks
-        ``floor((lo - first) / period) - 1`` to ``floor((hi - first) /
-        period) + 1`` (edges in seconds), one spare tick beyond each
-        edge: a tick that starts before *hi* rounds to at most half a
-        nanosecond past it, and on a :attr:`disjoint` block a tick ending
-        after *lo* starts less than a period before it.  Both edges go
-        through one pass.
-        """
-        first, counts = self.first[slots], self.counts[slots]
-        bounds = edges / NS_PER_SEC
-        bounds -= first
-        bounds /= self.period
-        np.floor(bounds, out=bounds)
-        bounds += _SPARE
-        np.maximum(bounds, 0, out=bounds)
-        np.minimum(bounds, counts, out=bounds)
-        k0, k1 = bounds.astype(np.int64)
-        k = k0[:, None] + np.arange(int((k1 - k0).max(initial=0)))
-        padding = k >= k1[:, None]
-        np.minimum(k, counts[:, None] - 1, out=k)  # padding indexes a real tick
-        starts = first[:, None] + self.period * k
-        k += self._offsets[slots][:, None]
-        ticks = to_sim_ns_array((starts, starts + self.durations[k]))
-        np.maximum(ticks[0], edges[0][:, None], out=ticks[0])
-        np.minimum(ticks[1], edges[1][:, None], out=ticks[1])
-        np.copyto(ticks[1], ticks[0], where=padding)
-        return ticks[0], ticks[1]
 
 
 @dataclass(frozen=True)

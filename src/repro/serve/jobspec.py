@@ -61,7 +61,7 @@ import json
 from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
 
-from repro.errors import ConfigurationError, HarnessError, JobSpecError
+from repro.errors import AxisPointError, ConfigurationError, HarnessError, JobSpecError
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.shard import parse_shard, shard_members
@@ -343,6 +343,8 @@ def validate_spec(spec: Any) -> dict:
                 "job spec field 'where': the filters select no "
                 "configurations"
             )
+    except AxisPointError as exc:
+        raise JobSpecError(f"job spec field 'axes': {exc}") from None
     except (ConfigurationError, HarnessError) as exc:
         raise JobSpecError(f"job spec: {exc}") from None
     return out

@@ -322,6 +322,7 @@ class TestSweep:
         (["run", "--threads", "0"], "base"),
         (["sweep", "--reps", "0"], "reps"),
         (["run", "--shard", "0/0"], "shard"),
+        (["sweep", "--grid", "num_threads=0,2", "--reps", "2"], "axes"),
     ])
     def test_user_error_names_the_spec_field(self, capsys, argv, field):
         assert main([*argv, "--platform", "toy", "--runs", "1"]) == 1
@@ -453,6 +454,44 @@ class TestShard:
         with pytest.raises(SystemExit):
             main([*self.SWEEP, "--backend", "serial"])
         assert "--backend" in capsys.readouterr().err
+
+
+class TestCacheDirCreation:
+    """Read-only cache commands refuse a missing ``--cache-dir`` and leave
+    nothing behind; commands that write results create it."""
+
+    @staticmethod
+    def _cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["gather", "--grid", "num_threads=2"],
+        ["cache", "stats"],
+        ["cache", "gc"],
+    ])
+    def test_read_only_command_creates_nothing(self, tmp_path, argv):
+        missing = tmp_path / "mistyped"
+        proc = self._cli(*argv, "--cache-dir", str(missing))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cache dir {missing} does not exist\n"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--platform", "toy", "--threads", "2"],
+        ["sweep", "--platform", "toy", "--grid", "num_threads=2"],
+        ["experiment", "table2"],
+    ])
+    def test_writing_command_creates_the_cache_dir(self, tmp_path, argv):
+        fresh = tmp_path / "fresh"
+        proc = self._cli(*argv, "--runs", "1", "--reps", "2", "--cache-dir", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert list(fresh.glob("*.json"))
 
 
 class TestBenchReport:

@@ -10,7 +10,7 @@ from repro.freq.dvfs import FrequencyModel
 from repro.freq.governor import PerformanceGovernor
 from repro.omp import NoiseMode, OMPEnvironment, RegionExecutor, RegionParams, Team
 from repro.omp.runtime import OpenMPRuntime
-from repro.osnoise.model import NoiseModel, NoiseRealization, PlacedEvent
+from repro.osnoise.model import NoiseBatch, NoiseModel, NoiseRealization, PlacedEvent
 from repro.osnoise.source import PoissonSource
 from repro.osnoise.placement import PinnedPlacement
 from repro.platform import toy, vera
@@ -150,21 +150,24 @@ class TestNoiseAggregation:
 
 
 class TestSiblingRows:
-    """Sibling pressure is queried only for threads whose CPU has an SMT
-    sibling that is not a teammate, at the rows the realization maps
-    them to: with one sibling per CPU, the sibling's own stolen time."""
+    """Each region asks its noise batch once, for every run: the stolen
+    windows of the team's CPUs, and sibling pressure only for threads
+    whose CPU has an SMT sibling that is not a teammate, at the rows the
+    batch maps them to: with one sibling per CPU, the sibling's own
+    stolen row."""
 
-    def _spy(self, ex, monkeypatch):
-        """Record the method and rows of every noise query of run 0."""
-        noise = ex.runs[0].noise
+    def _spy(self, monkeypatch):
+        """Record the CPUs, sibling rows and answers of every query."""
         queried = []
-        for name in ("stolen_time", "sibling_time"):
-            def recording(real, rows, a, b, name=name, query=getattr(NoiseRealization, name)):
-                if real is noise:
-                    queried.append((name, np.asarray(rows).tolist()))
-                return query(real, rows, a, b)
+        query = NoiseBatch.overlap
 
-            monkeypatch.setattr(NoiseRealization, name, recording)
+        def recording(batch, cpus, rows, a, b):
+            stolen, sibling = query(batch, cpus, rows, a, b)
+            queried.append((np.asarray(cpus).tolist(), np.asarray(rows).tolist(),
+                            stolen.tolist(), sibling.tolist()))
+            return stolen, sibling
+
+        monkeypatch.setattr(NoiseBatch, "overlap", recording)
         return queried
 
     def test_all_smt_shared_team_issues_no_sibling_rows(self, platform, monkeypatch):
@@ -175,40 +178,53 @@ class TestSiblingRows:
             PlacedEvent(us(10), us(400), "daemon", cpu=8),
         ]
         ex, _ = make_executor(platform, [0, 8], noise_events=events)
-        queried = self._spy(ex, monkeypatch)
+        queried = self._spy(monkeypatch)
         res = ex.execute(Team(m, (0, 8), bound=True), np.full(2, ms(1)))
-        assert queried == [("stolen_time", [0, 8])]
+        assert queried == [([0, 8], [], [[4e-4, 4e-4]], [[]])]  # exact ns / 1e9
         assert res.noise_seconds[0] == pytest.approx(us(400), rel=1e-3)
 
     def test_free_sibling_is_queried(self, platform, monkeypatch):
-        ex, _ = make_executor(platform, [0, 1])
-        queried = self._spy(ex, monkeypatch)
+        # SMT-2: the pressure on cpus 0 and 1 is the stolen time of 8 and
+        # 9, answered in the same pass as the team's own rows
+        events = [PlacedEvent(us(10), us(300), "daemon", cpu=9)]
+        ex, _ = make_executor(platform, [0, 1], noise_events=events)
+        queried = self._spy(monkeypatch)
         ex.execute(Team(platform.machine, (0, 1), bound=True), np.full(2, ms(1)))
-        # SMT-2: the pressure on cpus 0 and 1 is the stolen time of 8 and 9
-        assert queried == [
-            ("stolen_time", [0, 1]), ("sibling_time", [8, 9]), ("stolen_time", [8, 9]),
-        ]
-        assert "_union" not in vars(ex.runs[0].noise)
+        assert queried == [([0, 1], [8, 9], [[0.0, 0.0]], [[0.0, 3e-4]])]
+        assert "_union" not in vars(ex._noise)
 
     def test_team_without_smt_issues_no_sibling_query(self, monkeypatch):
         plat = vera()
         ex, _ = make_executor(plat, [0, 1, 2, 3])
-        queried = self._spy(ex, monkeypatch)
+        queried = self._spy(monkeypatch)
         ex.execute(Team(plat.machine, (0, 1, 2, 3), bound=True), np.full(4, ms(1)))
-        assert queried == [("stolen_time", [0, 1, 2, 3])]
-        assert "_union" not in vars(ex.runs[0].noise)
+        assert queried == [([0, 1, 2, 3], [], [[0.0] * 4], [[]])]
+        assert "_union" not in vars(ex._noise)
 
     def test_wider_smt_queries_the_union_plane(self, monkeypatch):
         plat = toy(smt=4)
         # cpu 8 is a sibling of cpu 0: its noise is pressure on thread 0
         events = [PlacedEvent(us(10), us(400), "daemon", cpu=8)]
         ex, _ = make_executor(plat, [0, 1], noise_events=events)
-        queried = self._spy(ex, monkeypatch)
+        queried = self._spy(monkeypatch)
         res = ex.execute(Team(plat.machine, (0, 1), bound=True), np.full(2, ms(1)))
-        assert queried == [("stolen_time", [0, 1]), ("sibling_time", [0, 1])]
-        assert "_union" in vars(ex.runs[0].noise)
+        assert queried == [([0, 1], [0, 1], [[0.0, 0.0]], [[4e-4, 0.0]])]
+        assert "_union" in vars(ex._noise)
         expected_extra = plat.region_params.smt_noise_penalty * us(400)
         assert res.duration[0] == pytest.approx(ms(1) + expected_extra, rel=1e-2)
+
+    def test_runs_share_one_query(self, platform, monkeypatch):
+        """Two runs: one call answers both runs' rows, each from its own
+        realization."""
+        events = [PlacedEvent(us(10), us(300), "daemon", cpu=9)]
+        ex_a, _ = make_executor(platform, [0, 1], noise_events=events)
+        ex_b, _ = make_executor(platform, [0, 1])
+        both = RegionExecutor(ex_a.runs + ex_b.runs)
+        queried = self._spy(monkeypatch)
+        both.execute(Team(platform.machine, (0, 1), bound=True), np.full(2, ms(1)))
+        assert queried == [
+            ([0, 1], [8, 9], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 3e-4], [0.0, 0.0]])
+        ]
 
 
 class TestRepAxis:

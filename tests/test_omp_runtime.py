@@ -72,6 +72,12 @@ class TestRunContext:
         assert ctx.t == 0.0
         assert ctx.machine is rt.machine
 
+    def test_runs_share_the_bound_team(self):
+        """The pinned team is resolved once per runtime, not per run."""
+        rt = self.make_runtime()
+        first, second = (rt.start_run(run, RngFactory(2), 1.0) for run in (0, 1))
+        assert first.team is second.team is rt.resolve_bound_team()
+
     def test_advance(self):
         ctx = self.make_runtime().start_run(0, RngFactory(2), 1.0)
         ctx.advance(0.5)

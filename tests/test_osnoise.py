@@ -16,7 +16,6 @@ from repro.osnoise import (
     NoiseRealization,
     PinnedPlacement,
     PoissonSource,
-    TickBlock,
     TimerTickSource,
     dardel_noise,
     noisy_profile,
@@ -25,6 +24,7 @@ from repro.osnoise import (
 )
 from repro.omp import OMPEnvironment, RegionExecutor
 from repro.omp.runtime import OpenMPRuntime
+from repro.osnoise.model import NoiseBatch
 from repro.platform import get_platform, toy
 from repro.rng import RngFactory
 from repro.sim.intervals import IntervalSet
@@ -187,8 +187,11 @@ class TestNoiseModel:
             placement=PinnedPlacement([8]),
         )
         real = model.realize(0.0, 1.0, busy_cpus=[0], rng=RngFactory(2).stream("n"))
-        rows = real.sibling_rows(np.array([0]))
-        assert real.sibling_time(rows, np.array([0.0]), np.array([1.0]))[0] > 0
+        batch = NoiseBatch([real])
+        stolen, sibling = batch.overlap(
+            [0], batch.sibling_rows(np.array([0])), np.zeros((1, 2)), np.ones((1, 2))
+        )
+        assert sibling[0, 0] > 0 and stolen[0, 0] == 0
         assert real.stolen_on(0).is_empty()
 
     def test_spare_cpus_absorb_daemons(self, machine):
@@ -371,7 +374,9 @@ class TestTickBlock:
             data.draw(st.lists(point, min_size=n, max_size=n)) + [-0.05, 0.4],
         ])  # with one window before the first tick and one after the last
         slots = np.concatenate((slots, [0, 0]))
-        clip_starts, clip_ends = block.clip(slots, edges)
+        machine = TopologyBuilder("toy").add_sockets(2, 1, 4, smt=2).build()
+        batch = NoiseBatch([NoiseRealization(machine, [], ticks=[block])])
+        clip_starts, clip_ends = batch._clip(slots, edges, np.asarray([0, slots.size]))
         for q, slot in enumerate(slots.tolist()):
             own = ticks[:, cpus == block.cpus[slot]]
             lo, hi = np.maximum(own[0], edges[0, q]), np.minimum(own[1], edges[1, q])
@@ -441,9 +446,10 @@ HORIZON = 0.05
 @st.composite
 def realizations(draw, machine):
     """A realization with random non-tick events, one block of disjoint
-    ticks and, at random, a block whose ticks must join the rest plane:
-    ticks longer than their period, or a busy list that repeats a CPU.
-    Either block may come first."""
+    ticks (or, at random, none: a run without a tick path) and, at
+    random, a block whose ticks must join the rest plane: ticks longer
+    than their period, or a busy list that repeats a CPU.  Either block
+    may come first."""
     n = machine.n_cpus
     cpu = st.integers(0, n - 1)
     events = draw(st.lists(
@@ -461,6 +467,8 @@ def realizations(draw, machine):
         duration_jitter=5e-7,
     )
     blocks = [src.sample_block(0.0, HORIZON, draw(st.lists(cpu, max_size=6, unique=True)), rng)]
+    if not draw(st.integers(0, 4)):
+        blocks = []
     fallback = draw(st.sampled_from([None, "overlapping", "repeated"]))
     if fallback == "overlapping":
         loose = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
@@ -503,38 +511,56 @@ window_point = st.floats(min_value=-1e-3, max_value=HORIZON * 1.2)
 
 
 class TestNoisePlanes:
-    """Window queries answer as the full-horizon per-CPU sets do, bit for
-    bit: the tick sum plus the rest plane for stolen time, the row map or
-    the union plane for sibling pressure."""
+    """A batch of realizations answers every run's window queries as that
+    run's full-horizon per-CPU sets do, bit for bit: the tick sum plus the
+    rest plane for stolen time, the stolen rows or the union plane for
+    sibling pressure."""
 
     def _check(self, machine, data):
-        real = data.draw(realizations(machine))
-        stolen, sibling = oracle_sets(real)
-        n = machine.n_cpus
-        for _ in range(data.draw(st.integers(1, 5))):
-            rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+        reals = data.draw(st.lists(realizations(machine), min_size=1, max_size=4))
+        oracles = [oracle_sets(real) for real in reals]
+        batch = NoiseBatch(reals)
+        n_runs, n_cpus = len(reals), machine.n_cpus
+
+        def windows(width):
             # independent edges: about half the windows are reversed
-            a, b = (
-                np.asarray(data.draw(st.lists(window_point, min_size=rows.size, max_size=rows.size)))
+            return (
+                np.asarray(data.draw(st.lists(
+                    window_point, min_size=n_runs * width, max_size=n_runs * width
+                ))).reshape(n_runs, width)
                 for _ in range(2)
             )
+
+        cpu = st.integers(0, n_cpus - 1)
+        for _ in range(data.draw(st.integers(1, 5))):
+            cpus = np.asarray(data.draw(st.lists(cpu, min_size=1, max_size=8)))
+            # sibling pressure is read at the batch's row map; a CPU without
+            # an SMT sibling maps to no row and has none
+            sib_rows = batch.sibling_rows(cpus)
+            has = sib_rows >= 0
+            for q, c in enumerate(cpus.tolist()):
+                assert has[q] == bool(machine.siblings_of(c))
+            sib_cpus, rows = cpus[has], sib_rows[has]
+            sa, sb = windows(cpus.size)
+            pa, pb = windows(rows.size)
             # and every window again, moved past the horizon
             past = data.draw(st.floats(min_value=HORIZON, max_value=2 * HORIZON))
-            rows, a, b = np.tile(rows, 2), np.concatenate((a, a + past)), np.concatenate((b, b + past))
-            got = real.stolen_time(rows, a, b)
-            # sibling pressure is read at the realization's row map; a
-            # CPU without an SMT sibling maps to no row and has none
-            sib_rows = real.sibling_rows(rows)
-            has = sib_rows >= 0
-            sib = np.zeros(rows.size)
-            sib[has] = real.sibling_time(sib_rows[has], a[has], b[has])
-            for q, c in enumerate(rows.tolist()):
-                assert got[q] == stolen[c].overlap(float(a[q]), float(b[q]))
-                assert has[q] == bool(machine.siblings_of(c))
-                assert sib[q] == sibling[c].overlap(float(a[q]), float(b[q]))
+            sa, sb, pa, pb = (np.concatenate((x, x + past), axis=1) for x in (sa, sb, pa, pb))
+            cpus, sib_cpus, rows = np.tile(cpus, 2), np.tile(sib_cpus, 2), np.tile(rows, 2)
+            stolen, sibling = batch.overlap(
+                cpus, rows, np.concatenate((sa, pa), axis=1), np.concatenate((sb, pb), axis=1)
+            )
+            assert stolen.shape == (n_runs, cpus.size) and stolen.flags.c_contiguous
+            assert sibling.shape == (n_runs, rows.size) and sibling.flags.c_contiguous
+            for r, (own, pressure) in enumerate(oracles):
+                for j, c in enumerate(cpus.tolist()):
+                    assert stolen[r, j] == own[c].overlap(float(sa[r, j]), float(sb[r, j]))
+                for j, c in enumerate(sib_cpus.tolist()):
+                    assert sibling[r, j] == pressure[c].overlap(float(pa[r, j]), float(pb[r, j]))
         # the full-horizon row views are the per-CPU sets
-        for c in range(n):
-            assert real.stolen_on(c) == stolen[c]
+        for real, (own, _) in zip(reals, oracles):
+            for c in range(n_cpus):
+                assert real.stolen_on(c) == own[c]
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -558,14 +584,14 @@ class TestNoisePlanes:
         env = OMPEnvironment(num_threads=4, places="cores", proc_bind=ProcBind.CLOSE)
         ctx = OpenMPRuntime(platform, env).start_run(0, RngFactory(1), horizon=100.0)
         shapes = []  # (windows, candidate ticks of the widest)
-        clip = TickBlock.clip
+        clip = NoiseBatch._clip
 
-        def counting(self, slots, edges):
-            out = clip(self, slots, edges)
+        def counting(self, slots, edges, blocks):
+            out = clip(self, slots, edges, blocks)
             shapes.append(out[0].shape)
             return out
 
-        monkeypatch.setattr(TickBlock, "clip", counting)
+        monkeypatch.setattr(NoiseBatch, "_clip", counting)
         RegionExecutor([ctx]).execute(ctx.team, np.full(4, ms(1)))
         assert ctx.noise.count_by_kind()["tick"] > 90_000
         assert (len(ctx.team.cpus), 2) in shapes
@@ -574,18 +600,22 @@ class TestNoisePlanes:
 
 class TestNoiseMemory:
     def test_machine_wide_window_queries_hold_no_tick_planes(self):
-        """Window queries over a machine-wide realization allocate per
-        window, not per tick: no interval array of the ticks they reach."""
+        """Window queries over a batch of machine-wide realizations
+        allocate per window, not per tick: no interval array of the ticks
+        they reach, and no copy of a run's tick durations."""
         platform = get_platform("dardel")
         model = NoiseModel(platform.machine, platform.noise_profile.sources)
-        real = model.realize(
-            0.0, 20.0, range(platform.machine.n_cpus), RngFactory(1).stream("noise")
-        )
-        rows = np.arange(64)
+        batch = NoiseBatch([
+            model.realize(
+                0.0, 20.0, range(platform.machine.n_cpus), RngFactory(seed).stream("noise")
+            )
+            for seed in range(1, 5)
+        ])
+        cpus, none = np.arange(64), np.empty(0, dtype=np.int64)
         tracemalloc.start()
         try:
             for t in np.linspace(0.0, 10.0 - ms(5), 2000).tolist():
-                real.stolen_time(rows, np.full(64, t), np.full(64, t + ms(5)))
+                batch.overlap(cpus, none, np.full((4, 64), t), np.full((4, 64), t + ms(5)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -104,6 +104,8 @@ class TestValidation:
             ({"kind": "experiment", "experiment": "nope"}, "'experiment'"),
             ({"kind": "experiment", "experiment": "table2", "runs": -1},
              "'runs'"),
+            ({"axes": [{"kind": "grid", "axes": {"num_threads": [0, 2]}}]},
+             "field 'axes': num_threads=0: num_threads must be positive"),
         ],
     )
     def test_errors_name_the_offending_field(self, spec, fragment):

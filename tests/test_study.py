@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from golden_kwargs import GOLDEN_KWARGS
+from repro.cli import main
 from repro.errors import HarnessError
 from repro.harness import ExperimentConfig, ResultCache, Study
 from repro.harness.experiments import EXPERIMENTS
@@ -321,3 +322,19 @@ class TestGoldenArtifacts:
 
     def test_goldens_cover_every_registered_driver(self):
         assert set(GOLDEN_KWARGS) == set(EXPERIMENTS)
+
+    def test_dardel_smt_and_unbound_sweep_matches_golden(self, tmp_path, capsys):
+        """CI's Dardel SMT and unbound leg: bound teams on cores read
+        their siblings' noise, unbound teams re-place on machine-wide
+        noise.  Its execution modes are compared with each other there;
+        this pins the bytes they share."""
+        out = tmp_path / "dardel.csv"
+        assert main([
+            "sweep", "--platform", "dardel", "--threads", "64",
+            "--grid", "proc_bind=close,false", "--grid", "places=cores,threads",
+            "--grid", "benchmark=schedbench,babelstream", "--runs", "3", "--reps", "4",
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).parent / "golden" / "dardel_smt_unbound.csv"
+        assert out.read_bytes() == golden.read_bytes()
