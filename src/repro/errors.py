@@ -34,7 +34,12 @@ class ScheduleError(ConfigurationError):
 
 
 class AxisPointError(ConfigurationError):
-    """A study axis point (named in the message) builds no valid config."""
+    """A study axis point (named in the message) builds no valid config;
+    *field* is what built it: ``axes`` or ``derive.<key>``."""
+
+    def __init__(self, message: str, field: str = "axes"):
+        super().__init__(message)
+        self.field = field
 
 
 class SimulationError(ReproError):

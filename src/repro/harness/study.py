@@ -245,19 +245,21 @@ class Study:
             for point in combo:
                 for key, value in point.items():
                     self._apply_point(key, value, fields, params)
+            field = "axes"  # what built the config that failed
             try:
                 cfg = self.base.with_overrides(benchmark_params=params, **fields)
+                for key, fn in self._derived:
+                    field = f"derive.{key}"
+                    value = fn(cfg)
+                    if key in _CONFIG_FIELDS:
+                        cfg = cfg.with_overrides(**{key: value})
+                    else:
+                        cfg = cfg.with_overrides(
+                            benchmark_params={**cfg.benchmark_params, key: value}
+                        )
             except ConfigurationError as exc:
                 point = ", ".join(f"{k}={v}" for p in combo for k, v in p.items())
-                raise AxisPointError(f"{point}: {exc}") from None
-            for key, fn in self._derived:
-                value = fn(cfg)
-                if key in _CONFIG_FIELDS:
-                    cfg = cfg.with_overrides(**{key: value})
-                else:
-                    cfg = cfg.with_overrides(
-                        benchmark_params={**cfg.benchmark_params, key: value}
-                    )
+                raise AxisPointError(f"{point}: {exc}" if point else str(exc), field) from None
             if all(pred(cfg) for pred in self._predicates):
                 built.append(cfg)
         return tuple(built)

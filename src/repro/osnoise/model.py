@@ -29,10 +29,12 @@ Performance note: a full-scale schedbench run on the Dardel model realizes
 on the order of a million timer ticks, yet a region run reaches only part
 of its horizon.  The realization therefore keeps the non-tick events in
 flat NumPy arrays and the ticks as :class:`~repro.osnoise.source.TickBlock`
-s (every duration drawn, starts computed on demand).  A window query
-touches only the few ticks near the window, so a region run holds no
-interval arrays of its ticks; only the full-horizon rows of
-:meth:`NoiseRealization.stolen_on` put them all in one plane.
+s: starts computed on demand, durations drawn where queries first reach
+them.  A window query touches only the few ticks near the window, so a
+region run holds no interval arrays of its ticks and no durations past
+its queries' reach; only the full-horizon rows of
+:meth:`NoiseRealization.stolen_on` draw every duration and put every
+tick in one plane.
 """
 
 from __future__ import annotations
@@ -221,8 +223,8 @@ class NoiseBatch:
     run's window queries in one call (:meth:`overlap`).  Row ``run *
     n_cpus + cpu`` is that CPU's noise in that run: its slot in the runs'
     stacked tick-path tables (the durations stay in each realization's
-    own array), and its row of the rest and union planes, each built
-    once per batch."""
+    block), and its row of the rest and union planes, each built once
+    per batch."""
 
     def __init__(self, realizations: Sequence[NoiseRealization]):
         self.realizations = tuple(realizations)
@@ -235,22 +237,24 @@ class NoiseBatch:
         # each row's slot in the stacked table, -1 where it has no ticks
         self._slots = np.full(self._bases.size * self.machine.n_cpus, -1, dtype=np.int64)
         self._slots[keys] = np.arange(keys.size)
-        # per slot: (first tick, period) and (tick count, offset of its durations)
-        self._times = np.hstack([np.empty((2, 0))] + [
-            (t.first, np.full(t.cpus.size, t.period)) for _, t in paths])
+        # per slot: (first tick, period, longest tick) and (tick count, row in its block)
+        self._times = np.hstack([np.empty((3, 0))] + [
+            (t.first, np.full(t.cpus.size, t.period), np.full(t.cpus.size, t.longest))
+            for _, t in paths])
         self._index = np.hstack([np.empty((2, 0), dtype=np.int64)] + [
-            (t.counts, t.offsets) for _, t in paths])
+            (t.counts, np.arange(t.cpus.size)) for _, t in paths])
 
     def _clip(
-        self, slots: np.ndarray, edges: np.ndarray, blocks: np.ndarray
+        self, slots: np.ndarray, edges: np.ndarray, blocks: np.ndarray, grow: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ticks of slot ``slots[q]`` clipped to the int64-ns window
         ``[edges[0, q], edges[1, q])``, for every query *q*: ``(starts,
         ends)``, each ``(Q, W)``, row *q* holding the query's candidate
         ticks in tick order, padded to the *W* candidates of the widest
         window.  A candidate that misses its window, and the padding,
-        come back with ``ends <= starts``.  One ``take`` per run reads
-        the durations of its queries, ``blocks[r]:blocks[r + 1]``.
+        come back with ``ends <= starts``.  The queries of run *r* are
+        ``blocks[r]:blocks[r + 1]``, and its block reads their durations
+        in one :meth:`TickBlock.take`.
 
         A tick is quantized as every noise interval is: ``to_sim_ns`` of
         its start ``first + period * k`` and of that start plus its
@@ -260,8 +264,16 @@ class NoiseBatch:
         edge: a tick that starts before *hi* rounds to at most half a
         nanosecond past it, and on a :attr:`TickBlock.disjoint` block a
         tick ending after *lo* starts less than a period before it.
+
+        With *grow*, each run's block first grows the rows its windows
+        reach.  Without it (the rest plane's cut, over the whole horizon),
+        a candidate past its row's drawn ticks is drawn, and not kept,
+        only if its quantized start is before *hi* and that start plus
+        ``ceil(longest in ns) + 2`` after *lo*: any other candidate clips
+        to nothing whatever it lasts.
         """
-        (first, period), (counts, offsets) = self._times.take(slots, 1), self._index.take(slots, 1)
+        (first, period, longest), (counts, rows) = (
+            self._times.take(slots, 1), self._index.take(slots, 1))
         bounds = edges / NS_PER_SEC
         bounds -= first
         bounds /= period
@@ -274,17 +286,25 @@ class NoiseBatch:
         padding = k >= k1[:, None]
         np.minimum(k, counts[:, None] - 1, out=k)  # padding indexes a real tick
         starts = first[:, None] + period[:, None] * k
-        k += offsets[:, None]
-        durations = np.concatenate([
-            real._tick.durations.take(k[lo:hi])
-            for real, lo, hi in zip(self.realizations, blocks.tolist(), blocks[1:].tolist())
-            if hi > lo
-        ])
-        ticks = to_sim_ns_array((starts, starts + durations))
-        np.maximum(ticks[0], edges[0][:, None], out=ticks[0])
-        np.minimum(ticks[1], edges[1][:, None], out=ticks[1])
-        np.copyto(ticks[1], ticks[0], where=padding)
-        return ticks[0], ticks[1]
+        tick_starts = to_sim_ns_array(starts)
+        if grow:
+            need = np.where(k1 > k0, k1, 0)  # a window without candidates needs none
+        else:
+            reach = (np.ceil(longest * NS_PER_SEC) + 2).astype(np.int64)[:, None]
+            far = (tick_starts < edges[1][:, None]) & (tick_starts + reach > edges[0][:, None])
+            far &= ~padding
+        parts = []
+        for real, lo, hi in zip(self.realizations, blocks.tolist(), blocks[1:].tolist()):
+            if hi > lo:
+                if grow:
+                    real._tick.grow(rows[lo:hi], need[lo:hi])
+                parts.append(real._tick.take(rows[lo:hi], k[lo:hi], None if grow else far[lo:hi]))
+        starts += np.concatenate(parts)
+        tick_ends = to_sim_ns_array(starts)
+        np.maximum(tick_starts, edges[0][:, None], out=tick_starts)
+        np.minimum(tick_ends, edges[1][:, None], out=tick_ends)
+        np.copyto(tick_ends, tick_starts, where=padding)
+        return tick_starts, tick_ends
 
     @cached_property
     def _rest(self) -> IntervalBatch:
@@ -312,6 +332,7 @@ class NoiseBatch:
             tick_starts, tick_ends = self._clip(
                 slots[cut], np.stack((starts[cut], ends[cut])),
                 np.searchsorted(rows[cut], np.append(self._bases, self._slots.size)),
+                grow=False,
             )
             meets = tick_ends > tick_starts
             owner = cut[np.nonzero(meets)[0]]

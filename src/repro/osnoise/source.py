@@ -5,7 +5,9 @@ over a time window.  Two families cover everything the reproduction needs:
 
 * :class:`TimerTickSource` — deterministic-period per-CPU scheduler ticks.
   Linux runs the tick only on non-idle CPUs (``NO_HZ_IDLE``), so ticks are
-  intrinsically placed on the busy CPUs themselves.
+  intrinsically placed on the busy CPUs themselves.  A
+  :class:`TickBlock` fixes each tick duration's stream position and
+  draws it when a query first reaches it.
 * :class:`PoissonSource` — memoryless arrivals with log-normal service
   times; parameterized into daemons, IRQs and rare long events by the
   profiles module.  IRQ-like sources can carry a fixed CPU affinity
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,6 +83,13 @@ class NoiseSource:
         return None
 
 
+#: Tick durations a block draws per CPU up front, about 1 s at 250 Hz.
+#: The highest tick figure3's queries reach in a batch at ``--runs 3
+#: --reps 10`` is 97 at the median and 443 at most; at ``--runs 2 --reps
+#: 3``, figure1 reaches 3, runtime_compare 5 and table2 136.
+PREFIX_TICKS = 256
+
+
 @dataclass(frozen=True)
 class TimerTickSource(NoiseSource):
     """Periodic scheduler tick on every busy CPU.
@@ -113,38 +121,51 @@ class TimerTickSource(NoiseSource):
 
         The draw-order contract: per busy CPU, in order, one ``random()``
         phase and, when the CPU ticks at all, one ``uniform(size=n)`` block
-        of its *n* tick durations.  Every duration is drawn here, so the
-        generator leaves in the same state however far the block is later
-        expanded.
+        of its *n* tick durations.  Only the first :data:`PREFIX_TICKS` of
+        them are drawn here: ``PCG64.advance`` jumps the rest, leaving the
+        generator as drawing them would, and the block draws them later.
         """
         if t_end < t_start:
             raise NoiseModelError("window end before start")
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise NoiseModelError(f"tick durations need a PCG64 stream, got {bitgen!r}")
+        state = bitgen.state
         period = 1.0 / self.hz
         low = self.duration_mean - self.duration_jitter
         high = self.duration_mean + self.duration_jitter
-        random, uniform = rng.random, rng.uniform
-        cpus: list[int] = []
-        first: list[float] = []
-        counts: list[int] = []
-        dur_parts: list[np.ndarray] = []
+        random, uniform, advance = rng.random, rng.uniform, bitgen.advance
+        cpus, first, counts, positions, dur_parts = [], [], [], [], []
+        position = 0  # draws taken since the saved state
         for cpu in busy_cpus:
             # per-cpu phase offset: ticks are not synchronized across cpus
             start = t_start + random() * period
+            position += 1
             if start >= t_end:
                 continue
             n = max(0, math.floor((t_end - start) / period)) + 1
-            dur_parts.append(uniform(low, high, size=n))
+            drawn = min(n, PREFIX_TICKS)
+            dur_parts.append(uniform(low, high, size=drawn))
+            if n > drawn:
+                advance(n - drawn)
             cpus.append(int(cpu))
             first.append(start)
             counts.append(n)
+            positions.append(position)
+            position += n
+        if state["has_uint32"]:  # advance drops a buffered 32-bit half; drawing keeps it
+            bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": state["uinteger"]}
         return TickBlock(
             kind=self.kind,
             period=period,
             cpus=np.asarray(cpus, dtype=np.int64),
             first=np.asarray(first, dtype=np.float64),
             counts=np.asarray(counts, dtype=np.int64),
-            durations=np.concatenate(dur_parts) if dur_parts else np.empty(0),
+            positions=np.asarray(positions, dtype=np.int64),
+            low=low,
             longest=high,
+            state=state,
+            durations=np.concatenate(dur_parts) if dur_parts else np.empty(0),
         )
 
     def sample(self, t_start, t_end, busy_cpus, rng):
@@ -159,18 +180,21 @@ class TimerTickSource(NoiseSource):
         return starts, durations, cpus, self.kind
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class TickBlock:
     """The periodic ticks of one :class:`TimerTickSource` realization.
 
     CPU ``cpus[i]`` ticks at ``first[i] + period * k`` for ``k <
-    counts[i]``; its tick ``k`` lasts ``durations[offset_i + k]``, where
-    ``offset_i`` sums the counts of the CPUs before it, and no tick lasts
-    longer than ``longest``, the source's ``duration_mean +
-    duration_jitter``.  Tick starts are computed, not stored: tracing
-    and the full-horizon rows expand the ticks (:meth:`expand`), and
-    window queries clip only the ticks near each window
-    (:class:`~repro.osnoise.model.NoiseBatch`).
+    counts[i]``, and no tick lasts longer than ``longest``, the source's
+    ``duration_mean + duration_jitter``.  Tick starts are computed, not
+    stored: tracing and the full-horizon rows expand the ticks
+    (:meth:`expand`), and window queries clip only the ticks near each
+    window (:class:`~repro.osnoise.model.NoiseBatch`).
+
+    CPU ``i``'s tick ``k`` lasts draw ``positions[i] + k`` of
+    ``uniform(low, longest)`` after the generator ``state`` the block
+    was sampled from.  The drawn table, its only mutable state, holds
+    each CPU's first ``drawn[i]`` durations, row after row.
     """
 
     kind: str
@@ -178,11 +202,18 @@ class TickBlock:
     cpus: np.ndarray
     first: np.ndarray
     counts: np.ndarray
-    durations: np.ndarray
+    positions: np.ndarray
+    low: float
     longest: float
+    state: dict
+    durations: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.drawn = np.minimum(self.counts, PREFIX_TICKS)
+        self._offsets = np.cumsum(self.drawn) - self.drawn
 
     def __len__(self) -> int:
-        return int(self.durations.size)
+        return int(self.counts.sum())
 
     @property
     def disjoint(self) -> bool:
@@ -196,10 +227,60 @@ class TickBlock:
             and len(set(self.cpus.tolist())) == self.cpus.size
         )
 
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Per CPU, the index of its first tick's duration."""
-        return np.cumsum(self.counts) - self.counts
+    def _draw(self, starts: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+        """The durations at stream positions ``[starts[j], starts[j] +
+        sizes[j])``, one array per ascending, disjoint run *j*: one
+        ``advance`` and one ``uniform`` each, from the saved state."""
+        rng = np.random.Generator(np.random.PCG64(0))  # its state is replaced
+        rng.bit_generator.state = self.state
+        parts, at = [], 0
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            rng.bit_generator.advance(start - at)
+            parts.append(rng.uniform(self.low, self.longest, size=size))
+            at = start + size
+        return parts
+
+    def grow(self, rows: np.ndarray, need: np.ndarray) -> None:
+        """Hold at least the first ``need[q]`` ticks of row ``rows[q]``:
+        one forward pass in which each short row at least doubles, up to
+        its tick count.  A value depends only on its stream position, so
+        the order in which rows grow changes none."""
+        over = need > self.drawn[rows]
+        if not over.any():
+            return
+        want = self.drawn.copy()
+        np.maximum.at(want, rows[over], need[over])
+        short = np.flatnonzero(want > self.drawn)
+        drawn = self.drawn[short]
+        want[short] = np.minimum(self.counts[short], np.maximum(want[short], 2 * drawn))
+        parts = self._draw(self.positions[short] + drawn, want[short] - drawn)
+        # each short row's new draws go right after its drawn prefix
+        pieces, at = [], 0
+        for end, part in zip((self._offsets[short] + drawn).tolist(), parts):
+            pieces += [self.durations[at:end], part]
+            at = end
+        pieces.append(self.durations[at:])
+        self.durations = np.concatenate(pieces)
+        self.drawn = want
+        self._offsets = np.cumsum(want) - want
+
+    def take(
+        self, rows: np.ndarray, k: np.ndarray, far: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The durations of tick ``k[q, j] < counts`` of row ``rows[q]``.
+        A tick past the row's drawn ones is drawn now where *far* is set,
+        and not kept; elsewhere it reads some drawn duration of its row,
+        which the caller masks out or clips to nothing."""
+        drawn = self.drawn[rows][:, None]
+        out = self.durations.take(self._offsets[rows][:, None] + np.minimum(k, drawn - 1))
+        if far is not None and (far := far & (k >= drawn)).any():
+            positions, inverse = np.unique(
+                (self.positions[rows][:, None] + k)[far], return_inverse=True)
+            # one draw per run of consecutive positions (all positions are >= 0)
+            run = np.flatnonzero(np.diff(positions, prepend=-2) != 1)
+            out[far] = np.concatenate(
+                self._draw(positions[run], np.diff(run, append=positions.size)))[inverse]
+        return out
 
     def reach_counts(self, reach: float = math.inf) -> np.ndarray:
         """Per CPU, how many ticks :meth:`expand` keeps for *reach*."""
@@ -212,7 +293,7 @@ class TickBlock:
     def expand(self, reach: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(starts, durations, cpus)`` of the ticks that can meet a
         window ending by *reach*, CPU block by CPU block in tick order;
-        all ticks by default.
+        all ticks by default.  Grows every row to the ticks it keeps.
 
         Each CPU keeps its ticks with index below ``ceil((reach - first) /
         period) + 1`` (:meth:`reach_counts`): an omitted tick starts at
@@ -220,10 +301,11 @@ class TickBlock:
         float rounding of ``first + period * k``.
         """
         sizes = self.reach_counts(reach)
+        self.grow(np.arange(sizes.size), sizes)
         # tick index k within its CPU block
         k = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         starts = np.repeat(self.first, sizes) + self.period * k
-        durations = self.durations[np.repeat(self.offsets, sizes) + k]
+        durations = self.durations[np.repeat(self._offsets, sizes) + k]
         return starts, durations, np.repeat(self.cpus, sizes)
 
 

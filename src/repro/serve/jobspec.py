@@ -344,7 +344,7 @@ def validate_spec(spec: Any) -> dict:
                 "configurations"
             )
     except AxisPointError as exc:
-        raise JobSpecError(f"job spec field 'axes': {exc}") from None
+        raise JobSpecError(f"job spec field {exc.field!r}: {exc}") from None
     except (ConfigurationError, HarnessError) as exc:
         raise JobSpecError(f"job spec: {exc}") from None
     return out

@@ -25,6 +25,7 @@ from repro.osnoise import (
 from repro.omp import OMPEnvironment, RegionExecutor
 from repro.omp.runtime import OpenMPRuntime
 from repro.osnoise.model import NoiseBatch
+from repro.osnoise.source import PREFIX_TICKS, TickBlock
 from repro.platform import get_platform, toy
 from repro.rng import RngFactory
 from repro.sim.intervals import IntervalSet
@@ -357,13 +358,54 @@ class TestTickBlock:
         assert np.all(np.isin(part_c, block.cpus))
 
     @given(src=tick_sources, seed=st.integers(0, 2**16),
-           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5),
            data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_clip_is_the_expanded_ticks_clipped_by_hand(self, src, seed, busy, data):
+    @settings(max_examples=100, deadline=None)
+    def test_growth_in_any_increments_is_the_reference_draw(self, src, seed, busy, data):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = src.sample_block(0.0, 0.3, busy, rng)
+        reference = reference_ticks(src, 0.0, 0.3, busy, ref_rng)
+        ref_durations = np.split(reference[1], np.cumsum(block.counts)[:-1])
+        rows = st.integers(0, max(block.cpus.size - 1, 0))
+        for _ in range(data.draw(st.integers(0, 6)) if block.cpus.size else 0):
+            picked = np.asarray(data.draw(st.lists(rows, min_size=1, max_size=4)))
+            need = data.draw(st.lists(st.integers(0, 1000), min_size=picked.size,
+                                      max_size=picked.size))
+            block.grow(picked, np.asarray(need))
+            # every row holds a prefix of its reference draws, whatever grew
+            assert np.all(block.drawn <= block.counts)
+            for i, drawn in enumerate(block.drawn.tolist()):
+                held = block.take(np.asarray([i]), np.arange(drawn)[None, :])[0]
+                assert np.array_equal(held, ref_durations[i][:drawn])
+        for mine, ref in zip(block.expand(), reference):
+            assert np.array_equal(mine, ref)
+        assert np.array_equal(block.drawn, block.counts)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_buffered_half_survives_the_jump(self, seed):
+        src = TimerTickSource(hz=1000.0)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for gen in (rng, ref_rng):
+            gen.random(dtype=np.float32)  # keeps the other half of its 64-bit draw
+        block = src.sample_block(0.0, 0.5, [0, 1, 2], rng)
+        reference = reference_ticks(src, 0.0, 0.5, [0, 1, 2], ref_rng)
+        assert block.counts.min() > PREFIX_TICKS  # the generator jumped
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random(dtype=np.float32) == ref_rng.random(dtype=np.float32)
+        for mine, ref in zip(block.expand(), reference):
+            assert np.array_equal(mine, ref)
+
+    @staticmethod
+    def _check_clip(src, seed, busy, data, grow):
+        """Clip random windows with the batch and by hand, from a twin
+        block expanded in full, so the clipped block draws on its own;
+        returns the block, the query slots, the windows and the twin's
+        quantized tick starts."""
         block = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
         assume(block.disjoint and len(block))
-        starts, durations, cpus = block.expand()
+        twin = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
+        starts, durations, cpus = twin.expand()
         ticks = to_sim_ns_array((starts, starts + durations))
         point = st.floats(min_value=-0.1, max_value=0.4)
         n = data.draw(st.integers(1, 8))
@@ -376,7 +418,7 @@ class TestTickBlock:
         slots = np.concatenate((slots, [0, 0]))
         machine = TopologyBuilder("toy").add_sockets(2, 1, 4, smt=2).build()
         batch = NoiseBatch([NoiseRealization(machine, [], ticks=[block])])
-        clip_starts, clip_ends = batch._clip(slots, edges, np.asarray([0, slots.size]))
+        clip_starts, clip_ends = batch._clip(slots, edges, np.asarray([0, slots.size]), grow)
         for q, slot in enumerate(slots.tolist()):
             own = ticks[:, cpus == block.cpus[slot]]
             lo, hi = np.maximum(own[0], edges[0, q]), np.minimum(own[1], edges[1, q])
@@ -391,6 +433,43 @@ class TestTickBlock:
         widest = max(np.max(edges[1] - edges[0]), 0) / 1e9 / block.period
         assert clip_starts.shape == clip_ends.shape == (slots.size, clip_starts.shape[1])
         assert clip_starts.shape[1] <= widest + 4
+        return block, slots, edges, ticks[0]
+
+    @given(src=tick_sources, seed=st.integers(0, 2**16),
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_clip_is_the_expanded_ticks_clipped_by_hand(self, src, seed, busy, data):
+        self._check_clip(src, seed, busy, data, grow=True)
+
+    @given(src=tick_sources, seed=st.integers(0, 2**16),
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cut_path_draws_only_ticks_that_can_meet_their_window(self, src, seed, busy, data):
+        draws = []  # (block, stream positions drawn)
+
+        def spy(self, starts, sizes):
+            draws.append((self, np.repeat(starts, sizes) + np.arange(sizes.sum())
+                          - np.repeat(np.cumsum(sizes) - sizes, sizes)))
+            return draw(self, starts, sizes)
+
+        draw = TickBlock._draw
+        TickBlock._draw = spy
+        try:
+            block, slots, edges, tick_starts = self._check_clip(src, seed, busy, data, grow=False)
+        finally:
+            TickBlock._draw = draw
+        assert np.array_equal(block.drawn, np.minimum(block.counts, PREFIX_TICKS))  # kept nothing
+        reach = math.ceil(block.longest * 1e9) + 2
+        offsets = np.cumsum(block.counts) - block.counts
+        for position in [p for owner, ps in draws if owner is block for p in ps.tolist()]:
+            row = int(np.searchsorted(block.positions, position, side="right")) - 1
+            k = position - block.positions[row]
+            assert block.drawn[row] <= k < block.counts[row]
+            start = tick_starts[offsets[row] + k]
+            assert any(start < edges[1, q] and start + reach > edges[0, q]
+                       for q in np.flatnonzero(slots == row).tolist())
 
 
 class TestTickPath:
@@ -518,7 +597,6 @@ class TestNoisePlanes:
 
     def _check(self, machine, data):
         reals = data.draw(st.lists(realizations(machine), min_size=1, max_size=4))
-        oracles = [oracle_sets(real) for real in reals]
         batch = NoiseBatch(reals)
         n_runs, n_cpus = len(reals), machine.n_cpus
 
@@ -532,6 +610,7 @@ class TestNoisePlanes:
             )
 
         cpu = st.integers(0, n_cpus - 1)
+        answers = []
         for _ in range(data.draw(st.integers(1, 5))):
             cpus = np.asarray(data.draw(st.lists(cpu, min_size=1, max_size=8)))
             # sibling pressure is read at the batch's row map; a CPU without
@@ -552,11 +631,17 @@ class TestNoisePlanes:
             )
             assert stolen.shape == (n_runs, cpus.size) and stolen.flags.c_contiguous
             assert sibling.shape == (n_runs, rows.size) and sibling.flags.c_contiguous
+            answers.append((cpus, sib_cpus, sa, sb, pa, pb, stolen, sibling))
+        # the oracles draw every tick, so they are built after the queries:
+        # the batch grew its blocks' rows and drew its far ticks on its own
+        oracles = [oracle_sets(real) for real in reals]
+        for cpus, sib_cpus, sa, sb, pa, pb, stolen, sibling in answers:
             for r, (own, pressure) in enumerate(oracles):
                 for j, c in enumerate(cpus.tolist()):
                     assert stolen[r, j] == own[c].overlap(float(sa[r, j]), float(sb[r, j]))
                 for j, c in enumerate(sib_cpus.tolist()):
-                    assert sibling[r, j] == pressure[c].overlap(float(pa[r, j]), float(pb[r, j]))
+                    assert sibling[r, j] == pressure[c].overlap(
+                        float(pa[r, j]), float(pb[r, j]))
         # the full-horizon row views are the per-CPU sets
         for real, (own, _) in zip(reals, oracles):
             for c in range(n_cpus):
@@ -599,23 +684,54 @@ class TestNoisePlanes:
 
 
 class TestNoiseMemory:
-    def test_machine_wide_window_queries_hold_no_tick_planes(self):
-        """Window queries over a batch of machine-wide realizations
-        allocate per window, not per tick: no interval array of the ticks
-        they reach, and no copy of a run's tick durations."""
+    """Four machine-wide 20-s Dardel realizations, queried on 64 CPUs: a
+    block holds the tick durations queries have reached, not its
+    horizon's, and a window query allocates per window, not per tick."""
+
+    @staticmethod
+    def _realize():
         platform = get_platform("dardel")
         model = NoiseModel(platform.machine, platform.noise_profile.sources)
-        batch = NoiseBatch([
+        return [
             model.realize(
                 0.0, 20.0, range(platform.machine.n_cpus), RngFactory(seed).stream("noise")
             )
             for seed in range(1, 5)
-        ])
+        ]
+
+    @staticmethod
+    def _query(batch, t_end):
+        """2000 windows of 5 ms on 64 CPUs, spread over ``[0, t_end)``."""
         cpus, none = np.arange(64), np.empty(0, dtype=np.int64)
+        for t in np.linspace(0.0, t_end - ms(5), 2000).tolist():
+            batch.overlap(cpus, none, np.full((4, 64), t), np.full((4, 64), t + ms(5)))
+
+    def test_realizations_hold_only_their_drawn_prefix(self):
         tracemalloc.start()
         try:
-            for t in np.linspace(0.0, 10.0 - ms(5), 2000).tolist():
-                batch.overlap(cpus, none, np.full((4, 64), t), np.full((4, 64), t + ms(5)))
+            reals = self._realize()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(real.n_events for real in reals) > 5_000_000
+        assert held < 4 * 2**20
+
+    def test_queries_near_the_start_draw_only_the_ticks_they_reach(self):
+        tracemalloc.start()
+        try:
+            self._query(NoiseBatch(self._realize()), 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_queries_inside_the_prefix_hold_no_tick_planes(self):
+        """Windows inside the drawn prefix grow nothing: no interval array
+        of the ticks they reach, and no copy of a run's tick durations."""
+        batch = NoiseBatch(self._realize())
+        tracemalloc.start()
+        try:
+            self._query(batch, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -106,6 +106,10 @@ class TestValidation:
              "'runs'"),
             ({"axes": [{"kind": "grid", "axes": {"num_threads": [0, 2]}}]},
              "field 'axes': num_threads=0: num_threads must be positive"),
+            ({"base": {"platform": "toy"},
+              "axes": [{"kind": "grid", "axes": {"runtime": ["gnu"]}}],
+              "derive": {"num_threads": "0"}},
+             "field 'derive.num_threads': runtime=gnu: num_threads must be positive"),
         ],
     )
     def test_errors_name_the_offending_field(self, spec, fragment):

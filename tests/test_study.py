@@ -338,3 +338,20 @@ class TestGoldenArtifacts:
         capsys.readouterr()
         golden = Path(__file__).parent / "golden" / "dardel_smt_unbound.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_vera_long_runs_sweep_matches_golden(self, tmp_path, capsys):
+        """CI's Vera long-run leg: 40 repetitions carry bound and
+        machine-wide runs past the tick durations their noise blocks draw
+        up front, so region queries grow the blocks' rows and the rest
+        planes draw far ticks.  Its execution modes are compared with
+        this golden there too."""
+        out = tmp_path / "vera.csv"
+        assert main([
+            "sweep", "--platform", "vera",
+            "--grid", "benchmark=syncbench,schedbench,babelstream", "--threads", "8",
+            "--grid", "proc_bind=close,false", "--runs", "2", "--reps", "40",
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).parent / "golden" / "vera_long_runs.csv"
+        assert out.read_bytes() == golden.read_bytes()
