@@ -45,6 +45,8 @@ records as CSV or JSON::
 service's spec schema and build the Study through its ``validate_spec``
 → ``spec_to_study`` (see docs/service.md): flags and a JSON job spec
 expand to the same configs, and a flag error names the spec field.
+``experiment`` and ``gather --experiment`` build the experiment's own
+sweep spec through the same two functions.
 
 Shard one sweep across independent workers (different terminals, or
 different hosts sharing one cache directory), then assemble the shards
@@ -327,8 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--experiment", default=None, choices=available_experiments(),
         metavar="NAME",
         help="gather a sharded `experiment NAME` run instead of a sweep: "
-             "verify the manifests, then render the artifact from cache "
-             "only (never simulating)",
+             "verify the manifests cover the experiment, then render the "
+             "artifact from cache only (never simulating)",
     )
     p_gather.add_argument(
         "--cache-dir", required=True, metavar="DIR",
@@ -573,15 +575,14 @@ def _cmd_platform(name: str) -> int:
 def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
     spec = get_experiment(name)
     knobs = spec.knobs(args.runs, args.reps, args.seed)
-    cache = _make_cache(args)
-    if args.shard is not None:
-        # a shard renders no artifact: run the experiment's study directly;
-        # completion surfaces as ShardRunComplete (handled in main)
-        spec.build_study(**knobs).run(
-            jobs=args.jobs, cache=cache, shard=parse_shard(args.shard)
-        )
-    artifact = spec.driver(**knobs, jobs=args.jobs, cache=cache)
-    print(artifact.render())
+    # a shard renders no artifact: its run ends in ShardRunComplete
+    # (handled in main) once it has written its manifest
+    result = spec.build_study(**knobs).run(
+        jobs=args.jobs,
+        cache=_make_cache(args),
+        shard=None if args.shard is None else parse_shard(args.shard),
+    )
+    print(spec.render(result, **knobs).render())
     return 0
 
 
@@ -725,54 +726,34 @@ def _cmd_gather(args: argparse.Namespace) -> int:
     import json
 
     from repro.harness.report import render_gather_summary, render_telemetry
-    from repro.harness.shard import (
-        ReplayCache,
-        load_manifests,
-        verify_manifest_entries,
-    )
     from repro.obs.metrics import MetricsRegistry
 
     cache = _existing_cache(args)
-
     if args.experiment is not None:
-        # verify the partition + entry digests, then replay the driver
-        # from cache only.  Diagnostics go to stderr: stdout carries the
-        # artifact alone, byte-comparable with `repro-omp experiment`.
-        manifests = load_manifests(cache, args.expect_shards)
-        verified = verify_manifest_entries(cache, manifests)
-        total_bytes = sum(
-            e["bytes"] for p in manifests.values() for e in p["entries"]
-        )
-        print(
-            render_gather_summary(
-                len(manifests), verified, total_bytes, verified
-            ),
-            file=sys.stderr,
-        )
         spec = get_experiment(args.experiment)
-        artifact = spec.driver(
-            **spec.knobs(args.runs, args.reps, args.seed),
-            jobs=1,
-            cache=ReplayCache(args.cache_dir),
-        )
-        print(artifact.render())
-        return 0
-
-    if args.runs is None:
-        args.runs = 10  # the sweep parser's default: keep spec parity
-    study, _ = _study_from_args(args)
+        knobs = spec.knobs(args.runs, args.reps, args.seed)
+        study = spec.build_study(**knobs)
+    else:
+        if args.runs is None:
+            args.runs = 10  # the sweep parser's default: keep spec parity
+        study, _ = _study_from_args(args)
     metrics = MetricsRegistry()
     result = study.gather(
         cache, expected_shards=args.expect_shards, metrics=metrics
     )
-    print(
-        render_gather_summary(
-            int(metrics.gauge("manifest_shards").value),
-            int(metrics.counter("manifest_entries_verified").value),
-            metrics.gauge("manifest_total_bytes").value,
-            len(result),
-        )
+    summary = render_gather_summary(
+        int(metrics.gauge("manifest_shards").value),
+        int(metrics.counter("manifest_entries_verified").value),
+        metrics.gauge("manifest_total_bytes").value,
+        len(result),
     )
+    if args.experiment is not None:
+        # stdout carries the artifact alone, byte-comparable with
+        # `repro-omp experiment`
+        print(summary, file=sys.stderr)
+        print(spec.render(result, **knobs).render())
+        return 0
+    print(summary)
     print()
     _render_sweep_report(args, result)
     if args.telemetry:

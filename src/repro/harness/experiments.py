@@ -4,13 +4,17 @@ Every experiment regenerates one artifact of the evaluation section as an
 :class:`ExperimentArtifact` carrying both structured data (for assertions
 and further analysis) and an ASCII rendering (the "figure").
 
-An experiment is declared once, as two functions:
+An experiment is a sweep spec plus a renderer, declared as two functions:
 
 * a *study builder* (``figure3_study``, ...) returns the experiment's
-  sweep as a :class:`~repro.harness.study.Study`.  Its signature is the
-  experiment's whole knob surface — scale (``runs``, ``outer_reps`` /
-  ``num_times``), ``seed`` and axis values — and its defaults are the
-  paper's scale (10 runs x 100 repetitions);
+  sweep as a job-spec dict (``name``, ``description``, ``base``,
+  ``axes`` and any ``derive`` clauses; see :mod:`repro.serve.jobspec`).
+  Its signature is the experiment's whole knob surface — scale
+  (``runs``, ``outer_reps`` / ``num_times``), ``seed`` and axis values —
+  and its defaults are the paper's scale (10 runs x 100 repetitions).
+  :meth:`ExperimentSpec.build_study` builds the
+  :class:`~repro.harness.study.Study` through ``validate_spec`` →
+  ``spec_to_study``, as every CLI and service job is built;
 * a *renderer*, decorated with :func:`experiment`, turns the executed
   :class:`~repro.harness.study.StudyResult` into the artifact.  It takes
   the knobs it reads as keyword-only arguments and declares no defaults:
@@ -18,10 +22,10 @@ An experiment is declared once, as two functions:
 
 The decorator returns the experiment's *driver*, ``figure3(runs=2,
 jobs=2, cache=...)``: it binds the call's knobs against the builder's
-signature (an unknown knob raises :class:`TypeError`), runs the study
-through one shared :class:`~repro.harness.parallel.Sweep` and renders the
-result.  Besides the builder's knobs, every driver accepts two execution
-knobs, forwarded to ``Study.run``:
+signature (an unknown knob raises :class:`TypeError`), runs the built
+study through one shared :class:`~repro.harness.parallel.Sweep` and
+renders the result.  Besides the builder's knobs, every driver accepts
+two execution knobs, forwarded to ``Study.run``:
 
 ``jobs``
     Worker processes for the run fan-out (default ``1`` = serial;
@@ -53,9 +57,11 @@ runtime_compare  vendor (libgomp/libomp) x wait-policy x threads, both
                  platforms — an open-comparison scenario beyond the paper
 ========  ==================================================================
 
-The CLI (``repro-omp list`` / ``repro-omp experiment``), the job service
-and the bench harness discover experiments from the registry, so a new
-one needs no dispatch edits anywhere else.
+The CLI (``repro-omp list`` / ``experiment`` / ``gather --experiment``),
+the job service and the bench harness discover experiments from the
+registry, so a new one needs no dispatch edits anywhere else.  A service
+``{"kind": "experiment"}`` job expands to the builder's spec, so it
+shares its configs and fingerprint with a sweep job of that spec.
 """
 
 from __future__ import annotations
@@ -63,23 +69,25 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import HarnessError
 from repro.harness.cache import ResultCache
-from repro.harness.config import ExperimentConfig
 from repro.harness.report import (
     render_pivot,
     render_series,
     render_table,
     render_tasking_summary,
 )
-from repro.harness.study import Study, StudyResult
+from repro.harness.study import StudyResult
 from repro.stats.descriptive import summarize
 from repro.types import StreamKernel, SyncConstruct
 from repro.units import to_ms, to_us
+
+if TYPE_CHECKING:
+    from repro.harness.study import Study
 
 
 @dataclass(frozen=True)
@@ -110,16 +118,17 @@ _REP_PARAM_NAMES = ("outer_reps", "num_times")
 class ExperimentSpec:
     """A registered experiment: its study builder, renderer and driver.
 
-    ``study_builder`` returns the exact :class:`~repro.harness.study.Study`
-    the experiment executes, as a pure function of its knobs; the job
-    service builds experiment jobs from it.  ``renderer`` turns the
+    ``study_builder`` returns the sweep spec the experiment executes, as a
+    pure function of its knobs; :meth:`build_study` turns it into the
+    :class:`~repro.harness.study.Study` that the driver, the CLI and the
+    job service's experiment jobs all run.  ``renderer`` turns the
     executed :class:`~repro.harness.study.StudyResult` into the artifact,
     and ``driver`` does both (see the module docstring).
     """
 
     name: str
     description: str
-    study_builder: Callable[..., Study]
+    study_builder: Callable[..., dict]
     renderer: Callable[..., ExperimentArtifact]
     driver: Callable[..., ExperimentArtifact]
 
@@ -155,15 +164,21 @@ class ExperimentSpec:
         return bound.arguments
 
     def build_study(self, **knobs: Any) -> Study:
-        """Call ``study_builder`` with the knobs its signature accepts.
+        """The experiment's Study: ``study_builder``'s spec at the knobs
+        its signature accepts, built through ``validate_spec`` →
+        ``spec_to_study`` like every job spec (so an invalid knob raises
+        :class:`~repro.errors.JobSpecError` naming the spec field).
 
         Unknown knobs are dropped (a caller mapping ``--reps`` onto both
         rep param names can pass the union), so one call site serves every
         registered experiment.
         """
+        # lazy, as in the CLI: `import repro.cli` loads no repro.serve module
+        from repro.serve.jobspec import spec_to_study, validate_spec
+
         params = inspect.signature(self.study_builder).parameters
         accepted = {k: v for k, v in knobs.items() if k in params}
-        return self.study_builder(**accepted)
+        return spec_to_study(validate_spec(self.study_builder(**accepted)))
 
     def render(self, result: StudyResult, **knobs: Any) -> ExperimentArtifact:
         """Render an executed study of this experiment; knobs left out
@@ -188,7 +203,7 @@ _EXECUTION_PARAMS = (
 def experiment(
     description: str,
     *,
-    study: Callable[..., Study],
+    study: Callable[..., dict],
     name: str | None = None,
 ):
     """Register the decorated renderer with its *study* builder under
@@ -205,7 +220,7 @@ def experiment(
             **knobs: Any,
         ) -> ExperimentArtifact:
             bound = spec.bind(**knobs)
-            result = study(**bound).run(jobs=jobs, cache=cache)
+            result = spec.build_study(**bound).run(jobs=jobs, cache=cache)
             return spec.render(result, **bound)
 
         params = inspect.signature(study).parameters.values()
@@ -254,24 +269,25 @@ _TABLE2_COLUMNS = (
 
 def table2_study(
     runs: int = 10, outer_reps: int = 100, seed: int = 42
-) -> Study:
+) -> dict:
     """The table2 sweep: schedbench dynamic_1 on four platform@threads."""
-    return Study(
-        ExperimentConfig(
-            benchmark="schedbench",
-            proc_bind="close",
-            schedule="dynamic",
-            schedule_chunk=1,
-            runs=runs,
-            seed=seed,
-            benchmark_params={"outer_reps": outer_reps},
-        ),
-        name="table2",
-        description="run-to-run schedbench dynamic_1 execution times",
-    ).cases(*(
-        {"platform": platform, "num_threads": threads, "places": places}
-        for platform, threads, places in _TABLE2_COLUMNS
-    ))
+    return {
+        "name": "table2",
+        "description": "run-to-run schedbench dynamic_1 execution times",
+        "base": {
+            "benchmark": "schedbench",
+            "proc_bind": "close",
+            "schedule": "dynamic",
+            "schedule_chunk": 1,
+            "runs": runs,
+            "seed": seed,
+            "benchmark_params": {"outer_reps": outer_reps},
+        },
+        "axes": [{"kind": "cases", "points": [
+            {"platform": platform, "num_threads": threads, "places": places}
+            for platform, threads, places in _TABLE2_COLUMNS
+        ]}],
+    }
 
 
 @experiment(
@@ -310,11 +326,21 @@ _DARDEL_THREADS = (4, 8, 16, 32, 64, 128, 254)
 _VERA_THREADS = (2, 4, 8, 16, 30)
 
 
-def _thread_places(platform: str, threads: int) -> str:
-    """ST-style placement except when SMT siblings are required."""
-    if platform == "dardel" and threads > 128:
-        return "threads"  # must use SMT siblings beyond the 128 cores
-    return "cores"
+#: The ``derive`` clause of the thread-ladder sweeps: ST-style placement,
+#: except beyond Dardel's 128 cores, where the team needs SMT siblings.
+_THREAD_PLACES = "'threads' if platform == 'dardel' and num_threads > 128 else 'cores'"
+
+
+def _ladder_cases(
+    dardel_threads: Sequence[int], vera_threads: Sequence[int]
+) -> dict:
+    """A cases axis over both platforms' thread ladders, Dardel first."""
+    sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
+    return {"kind": "cases", "points": [
+        {"platform": platform, "num_threads": threads}
+        for platform, sweep in sweeps
+        for threads in sweep
+    ]}
 
 
 def figure1_study(
@@ -323,31 +349,24 @@ def figure1_study(
     seed: int = 42,
     dardel_threads: Sequence[int] = _DARDEL_THREADS,
     vera_threads: Sequence[int] = _VERA_THREADS,
-) -> Study:
+) -> dict:
     """The figure1 sweep: syncbench reduction across both thread ladders."""
-    sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    return (
-        Study(
-            ExperimentConfig(
-                benchmark="syncbench",
-                proc_bind="close",
-                runs=runs,
-                seed=seed,
-                benchmark_params={
-                    "outer_reps": outer_reps,
-                    "constructs": (SyncConstruct.REDUCTION.value,),
-                },
-            ),
-            name="figure1",
-            description="syncbench execution time scaling",
-        )
-        .cases(*(
-            {"platform": platform, "num_threads": threads}
-            for platform, sweep in sweeps
-            for threads in sweep
-        ))
-        .derive(places=lambda cfg: _thread_places(cfg.platform, cfg.num_threads))
-    )
+    return {
+        "name": "figure1",
+        "description": "syncbench execution time scaling",
+        "base": {
+            "benchmark": "syncbench",
+            "proc_bind": "close",
+            "runs": runs,
+            "seed": seed,
+            "benchmark_params": {
+                "outer_reps": outer_reps,
+                "constructs": (SyncConstruct.REDUCTION.value,),
+            },
+        },
+        "axes": [_ladder_cases(dardel_threads, vera_threads)],
+        "derive": {"places": _THREAD_PLACES},
+    }
 
 
 @experiment(
@@ -402,28 +421,21 @@ def figure2_study(
     seed: int = 42,
     dardel_threads: Sequence[int] = (2, 4, 8, 16, 32, 64, 128, 254),
     vera_threads: Sequence[int] = _VERA_THREADS,
-) -> Study:
+) -> dict:
     """The figure2 sweep: BabelStream across both thread ladders."""
-    sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    return (
-        Study(
-            ExperimentConfig(
-                benchmark="babelstream",
-                proc_bind="close",
-                runs=runs,
-                seed=seed,
-                benchmark_params={"num_times": num_times},
-            ),
-            name="figure2",
-            description="BabelStream kernel time scaling",
-        )
-        .cases(*(
-            {"platform": platform, "num_threads": threads}
-            for platform, sweep in sweeps
-            for threads in sweep
-        ))
-        .derive(places=lambda cfg: _thread_places(cfg.platform, cfg.num_threads))
-    )
+    return {
+        "name": "figure2",
+        "description": "BabelStream kernel time scaling",
+        "base": {
+            "benchmark": "babelstream",
+            "proc_bind": "close",
+            "runs": runs,
+            "seed": seed,
+            "benchmark_params": {"num_times": num_times},
+        },
+        "axes": [_ladder_cases(dardel_threads, vera_threads)],
+        "derive": {"places": _THREAD_PLACES},
+    }
 
 
 @experiment(
@@ -488,23 +500,21 @@ def figure3_study(
     seed: int = 42,
     dardel_threads: Sequence[int] = (4, 16, 64, 128, 254),
     vera_threads: Sequence[int] = (2, 8, 16, 30),
-) -> Study:
+) -> dict:
     """The figure3 sweep: three benchmarks across both thread ladders."""
     benches = _figure3_benches(outer_reps, num_times)
     sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    return (
-        Study(
-            ExperimentConfig(
-                proc_bind="close",
-                schedule="dynamic",
-                schedule_chunk=1,
-                runs=runs,
-                seed=seed,
-            ),
-            name="figure3",
-            description="normalized min/max variability scaling",
-        )
-        .cases(*(
+    return {
+        "name": "figure3",
+        "description": "normalized min/max variability scaling",
+        "base": {
+            "proc_bind": "close",
+            "schedule": "dynamic",
+            "schedule_chunk": 1,
+            "runs": runs,
+            "seed": seed,
+        },
+        "axes": [{"kind": "cases", "points": [
             {
                 "platform": platform,
                 "benchmark": bench,
@@ -514,9 +524,9 @@ def figure3_study(
             for platform, sweep in sweeps
             for bench, _label, params in benches
             for threads in sweep
-        ))
-        .derive(places=lambda cfg: _thread_places(cfg.platform, cfg.num_threads))
-    )
+        ]}],
+        "derive": {"places": _THREAD_PLACES},
+    }
 
 
 @experiment(
@@ -602,35 +612,38 @@ def figure4_study(
     outer_reps: int = 100,
     num_times: int = 100,
     seed: int = 42,
-) -> Study:
+) -> dict:
     """The figure4 sweep: three Dardel workloads x pinned/unpinned."""
     cases = _figure4_cases(outer_reps, num_times)
     bindings = _FIGURE4_BINDINGS
-    return (
-        Study(
-            ExperimentConfig(
-                platform="dardel",
-                schedule="dynamic",
-                schedule_chunk=1,
-                runs=runs,
-                seed=seed,
-            ),
-            name="figure4",
-            description="thread pinning on/off on Dardel",
-        )
-        .cases(*(
-            {
-                "benchmark": bench,
-                "num_threads": threads,
-                "benchmark_params": params,
-            }
-            for bench, threads, _label, params in cases
-        ))
-        .zip(
-            proc_bind=[bind for _bound, bind in bindings],
-            places=[None if bind == "false" else "cores" for _bound, bind in bindings],
-        )
-    )
+    return {
+        "name": "figure4",
+        "description": "thread pinning on/off on Dardel",
+        "base": {
+            "platform": "dardel",
+            "schedule": "dynamic",
+            "schedule_chunk": 1,
+            "runs": runs,
+            "seed": seed,
+        },
+        "axes": [
+            {"kind": "cases", "points": [
+                {
+                    "benchmark": bench,
+                    "num_threads": threads,
+                    "benchmark_params": params,
+                }
+                for bench, threads, _label, params in cases
+            ]},
+            {"kind": "zip", "axes": {
+                "proc_bind": [bind for _bound, bind in bindings],
+                "places": [
+                    None if bind == "false" else "cores"
+                    for _bound, bind in bindings
+                ],
+            }},
+        ],
+    }
 
 
 @experiment("Figure 4: thread pinning on/off on Dardel", study=figure4_study)
@@ -711,23 +724,26 @@ def figure5_study(
     outer_reps: int = 100,
     num_times: int = 100,
     seed: int = 42,
-) -> Study:
+) -> dict:
     """The figure5 sweep: three Dardel workloads x ST/MT placement."""
     blocks = _figure5_blocks(outer_reps, num_times)
-    return (
-        Study(
-            ExperimentConfig(
-                platform="dardel", proc_bind="close", runs=runs, seed=seed
-            ),
-            name="figure5",
-            description="ST vs MT at equal thread counts on Dardel",
-        )
-        .cases(*(
-            {"benchmark": bench, "num_threads": threads, **extra}
-            for _block, bench, threads, extra in blocks
-        ))
-        .grid(places=[places for _mode, places in _FIGURE5_MODES])
-    )
+    return {
+        "name": "figure5",
+        "description": "ST vs MT at equal thread counts on Dardel",
+        "base": {
+            "platform": "dardel", "proc_bind": "close", "runs": runs,
+            "seed": seed,
+        },
+        "axes": [
+            {"kind": "cases", "points": [
+                {"benchmark": bench, "num_threads": threads, **extra}
+                for _block, bench, threads, extra in blocks
+            ]},
+            {"kind": "grid", "axes": {
+                "places": [places for _mode, places in _FIGURE5_MODES],
+            }},
+        ],
+    }
 
 
 @experiment(
@@ -847,25 +863,28 @@ _VERA_NUMA_PLACEMENTS = (
 
 def _vera_numa_study(
     benchmark: str, params: dict, runs: int, seed: int
-) -> Study:
+) -> dict:
     """The figure6/figure7 sweep: 16 Vera cores on 1 vs 2 NUMA domains."""
-    return Study(
-        ExperimentConfig(
-            platform="vera",
-            benchmark=benchmark,
-            num_threads=16,
-            proc_bind="close",
-            schedule="dynamic" if benchmark == "schedbench" else "static",
-            schedule_chunk=1 if benchmark == "schedbench" else None,
-            runs=runs,
-            seed=seed,
-            benchmark_params=params,
-            freq_logging=True,
-            logger_cpu=31,  # a spare core on the second socket
-        ),
-        name=f"{benchmark}-numa",
-        description="16 Vera cores on 1 vs 2 NUMA domains",
-    ).grid(places=[places for _name, places in _VERA_NUMA_PLACEMENTS])
+    return {
+        "name": f"{benchmark}-numa",
+        "description": "16 Vera cores on 1 vs 2 NUMA domains",
+        "base": {
+            "platform": "vera",
+            "benchmark": benchmark,
+            "num_threads": 16,
+            "proc_bind": "close",
+            "schedule": "dynamic" if benchmark == "schedbench" else "static",
+            "schedule_chunk": 1 if benchmark == "schedbench" else None,
+            "runs": runs,
+            "seed": seed,
+            "benchmark_params": params,
+            "freq_logging": True,
+            "logger_cpu": 31,  # a spare core on the second socket
+        },
+        "axes": [{"kind": "grid", "axes": {
+            "places": [places for _name, places in _VERA_NUMA_PLACEMENTS],
+        }}],
+    }
 
 
 def _figure6_params(outer_reps: int) -> dict:
@@ -881,7 +900,7 @@ def _figure7_params(outer_reps: int) -> dict:
 
 def figure6_study(
     runs: int = 10, outer_reps: int = 100, seed: int = 42
-) -> Study:
+) -> dict:
     """The figure6 sweep: schedbench on 1 vs 2 Vera NUMA domains."""
     return _vera_numa_study(
         "schedbench", _figure6_params(outer_reps), runs, seed
@@ -890,7 +909,7 @@ def figure6_study(
 
 def figure7_study(
     runs: int = 10, outer_reps: int = 100, seed: int = 42
-) -> Study:
+) -> dict:
     """The figure7 sweep: syncbench on 1 vs 2 Vera NUMA domains."""
     return _vera_numa_study(
         "syncbench", _figure7_params(outer_reps), runs, seed
@@ -986,33 +1005,31 @@ def figure8_study(
     grainsizes: Sequence[int] = (1, 8, 64),
     noise_profiles: Sequence[str] = ("default", "quiet"),
     total_iters: int = 512,
-) -> Study:
+) -> dict:
     """The figure8 sweep: taskbench noise x threads x grainsize grid."""
-    return (
-        Study(
-            ExperimentConfig(
-                platform="vera",
-                benchmark="taskbench",
-                places="cores",
-                proc_bind="close",
-                runs=runs,
-                seed=seed,
-                benchmark_params={
-                    "outer_reps": outer_reps,
-                    "pattern": "taskloop",
-                    "total_iters": total_iters,
-                    "imbalance": 0.6,
-                },
-            ),
-            name="figure8",
-            description="taskbench work-stealing sweep on Vera",
-        )
-        .grid(
-            noise=list(noise_profiles),
-            num_threads=list(threads),
-            grainsize=list(grainsizes),
-        )
-    )
+    return {
+        "name": "figure8",
+        "description": "taskbench work-stealing sweep on Vera",
+        "base": {
+            "platform": "vera",
+            "benchmark": "taskbench",
+            "places": "cores",
+            "proc_bind": "close",
+            "runs": runs,
+            "seed": seed,
+            "benchmark_params": {
+                "outer_reps": outer_reps,
+                "pattern": "taskloop",
+                "total_iters": total_iters,
+                "imbalance": 0.6,
+            },
+        },
+        "axes": [{"kind": "grid", "axes": {
+            "noise": list(noise_profiles),
+            "num_threads": list(threads),
+            "grainsize": list(grainsizes),
+        }}],
+    }
 
 
 @experiment(
@@ -1122,35 +1139,33 @@ def runtime_compare_study(
     vera_threads: Sequence[int] = (8, 16, 30),
     runtimes: Sequence[str] = ("gnu", "llvm"),
     wait_policies: Sequence[str] = ("active", "passive"),
-) -> Study:
+) -> dict:
     """The runtime_compare sweep: vendor x wait-policy x thread ladders."""
-    sweeps = (("dardel", dardel_threads), ("vera", vera_threads))
-    return (
-        Study(
-            ExperimentConfig(
-                benchmark="syncbench",
-                proc_bind="close",
-                runs=runs,
-                seed=seed,
-                benchmark_params={
-                    "outer_reps": outer_reps,
-                    "constructs": (
-                        SyncConstruct.BARRIER.value,
-                        SyncConstruct.PARALLEL.value,
-                    ),
-                },
-            ),
-            name="runtime_compare",
-            description="vendor x wait-policy x threads on both platforms",
-        )
-        .cases(*(
-            {"platform": platform, "num_threads": threads}
-            for platform, sweep in sweeps
-            for threads in sweep
-        ))
-        .grid(runtime=list(runtimes), wait_policy=list(wait_policies))
-        .derive(places=lambda cfg: _thread_places(cfg.platform, cfg.num_threads))
-    )
+    return {
+        "name": "runtime_compare",
+        "description": "vendor x wait-policy x threads on both platforms",
+        "base": {
+            "benchmark": "syncbench",
+            "proc_bind": "close",
+            "runs": runs,
+            "seed": seed,
+            "benchmark_params": {
+                "outer_reps": outer_reps,
+                "constructs": (
+                    SyncConstruct.BARRIER.value,
+                    SyncConstruct.PARALLEL.value,
+                ),
+            },
+        },
+        "axes": [
+            _ladder_cases(dardel_threads, vera_threads),
+            {"kind": "grid", "axes": {
+                "runtime": list(runtimes),
+                "wait_policy": list(wait_policies),
+            }},
+        ],
+        "derive": {"places": _THREAD_PLACES},
+    }
 
 
 @experiment("Runtime compare: vendor (gnu/llvm) x wait-policy x threads, "

@@ -14,9 +14,10 @@ Layers
 ------
 :mod:`repro.serve.jobspec`
     The JSON job-spec schema: strict validation (errors name the
-    offending field), ``spec_to_study`` / ``spec_from_study`` round-trips
-    of the full Study surface, and a safe expression evaluator for
-    string-form ``derive`` / ``where`` clauses.
+    offending field), ``spec_to_study`` over the full Study surface (the
+    one path every CLI sweep, experiment and service job is built
+    through), and a safe expression evaluator for string-form
+    ``derive`` / ``where`` clauses.
 :mod:`repro.serve.jobs`
     ``Job`` / ``JobStore`` / ``JobQueue``: deterministic job ids,
     atomic-write persistence, the queued → running → done/failed/
@@ -37,8 +38,9 @@ rate-limit semantics.
 """
 
 # Public names resolve on first access (PEP 562), so importing one layer
-# — the CLI's sweep/run/gather load only :mod:`repro.serve.jobspec` —
-# does not pull in the HTTP stack of :mod:`repro.serve.server`.
+# — the CLI's experiment/sweep/run/gather load only
+# :mod:`repro.serve.jobspec` — does not pull in the HTTP stack of
+# :mod:`repro.serve.server`.
 _LAZY_ATTRS = {
     "Governor": "repro.serve.governor",
     "Job": "repro.serve.jobs",
@@ -47,7 +49,6 @@ _LAZY_ATTRS = {
     "JobStore": "repro.serve.jobs",
     "TokenBucket": "repro.serve.governor",
     "create_http_server": "repro.serve.server",
-    "spec_from_study": "repro.serve.jobspec",
     "spec_to_study": "repro.serve.jobspec",
     "validate_spec": "repro.serve.jobspec",
 }

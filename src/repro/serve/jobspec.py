@@ -9,7 +9,8 @@ offending field — and :func:`spec_to_study` builds the Study it
 describes.  The CLI's ``run`` / ``sweep`` / ``gather`` compile their
 flags to a spec and build it through the same two functions, so a job
 submitted over HTTP produces records byte-identical to the same sweep
-run locally.
+run locally.  Each registered experiment's builder returns a sweep spec
+too (:mod:`repro.harness.experiments`), built the same way.
 
 Sweep specs::
 
@@ -31,22 +32,16 @@ Experiment specs::
 
     {"kind": "experiment", "experiment": "table2", "runs": 2, "reps": 5}
 
+expand to the experiment's own sweep spec at those knobs, so an
+experiment job and a sweep job of that spec share configs and
+fingerprint.
+
 ``derive`` / ``where`` clauses are *expressions over config fields*, not
 Python callables: they are parsed against a strict AST whitelist (names,
 constants, arithmetic, comparisons, boolean logic, conditional
 expressions — no calls, no attributes, no subscripts), so a spec can
 carry logic without the service evaluating arbitrary code.  Names
 resolve like axis keys: config fields first, then ``benchmark_params``.
-
-:func:`spec_from_study` inverts the mapping.  Studies built from plain
-axes serialize declaratively; studies carrying Python ``derive`` /
-``where`` callables (e.g. the registered experiments' placement lambdas)
-cannot ship a lambda in JSON, so they *fold*: the expanded config list
-itself becomes one ``cases`` axis of full config dicts over an empty
-base.  Folding widens the axis-name set (every config field becomes an
-axis), so the tidy-record columns differ — but the expanded config list
-is byte-identical, which is the invariant the schema guarantees (and
-``tests/test_serve.py`` locks for every registered experiment).
 
 Everything here is a pure function of the spec's content — fingerprints
 hash sorted cache keys, never clocks or pids (DET005).
@@ -56,7 +51,6 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import itertools
 import json
 from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
@@ -71,13 +65,12 @@ __all__ = [
     "compile_clause",
     "reps_key",
     "spec_fingerprint",
-    "spec_from_study",
     "spec_shard",
     "spec_to_study",
     "validate_spec",
 ]
 
-#: Legal ExperimentConfig field names for ``base`` and folded points.
+#: Legal ExperimentConfig field names for ``base``.
 _CONFIG_FIELDS = tuple(f.name for f in _dataclass_fields(ExperimentConfig))
 
 _AXIS_KINDS = ("grid", "zip", "cases")
@@ -351,15 +344,16 @@ def validate_spec(spec: Any) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Spec <-> Study
+# Spec -> Study
 # ---------------------------------------------------------------------------
 
 def spec_to_study(spec: Mapping[str, Any]) -> Study:
     """Build the :class:`Study` a validated *spec* describes.
 
-    The sweep CLI builds its Study here too, so identical parameters
-    produce identical configs (and identical cache keys) whether they
-    arrive as flags or as JSON.
+    The CLI and every registered experiment build their Study here too,
+    so identical parameters produce identical configs (and identical
+    cache keys) whether they arrive as flags, as JSON or as an
+    experiment's knobs.
     """
     if spec.get("kind") == "experiment":
         from repro.harness.experiments import EXPERIMENTS
@@ -398,81 +392,6 @@ def spec_to_study(spec: Mapping[str, Any]) -> Study:
             reps_key(cfg.benchmark): reps, **cfg.benchmark_params
         })
     return study
-
-
-def _axis_to_entry(axis) -> dict:
-    """Serialize one internal ``_Axis``; grid/zip reconstruct their value
-    lists, anything unreconstructable falls back to explicit points."""
-    points = [dict(p) for p in axis.points]
-    if axis.kind in ("grid", "zip"):
-        values: dict[str, list] = {}
-        for name in axis.names:
-            seen: list = []
-            for point in points:
-                if name not in point:
-                    break
-                value = point[name]
-                if axis.kind == "zip" or value not in seen:
-                    seen.append(value)
-            else:
-                values[name] = seen
-                continue
-            break
-        if len(values) == len(axis.names):
-            candidate = {"kind": axis.kind, "axes": values}
-            if axis.kind == "grid":
-                rebuilt = [
-                    dict(zip(axis.names, combo))
-                    for combo in itertools.product(
-                        *(values[n] for n in axis.names)
-                    )
-                ]
-            else:
-                rebuilt = [
-                    dict(zip(axis.names, combo))
-                    for combo in zip(*(values[n] for n in axis.names))
-                ]
-            if rebuilt == points:
-                return candidate
-    return {"kind": "cases", "points": points}
-
-
-def spec_from_study(study: Study, *, fold: bool | None = None) -> dict:
-    """Serialize *study* to a job spec whose expansion is byte-identical.
-
-    Plain-axis studies serialize declaratively.  Studies carrying Python
-    ``derive`` / ``where`` callables cannot ship them as JSON, so they
-    fold: the expanded config list becomes one ``cases`` axis of full
-    config dicts over an empty base (same configs, wider axis-name set —
-    see the module docstring).  *fold* forces either behavior.
-    """
-    has_callables = bool(study._derived or study._predicates)
-    if fold is None:
-        fold = has_callables
-    if has_callables and not fold:
-        raise JobSpecError(
-            f"study {study.name!r} carries Python derive/where callables; "
-            f"serialize it folded (fold=True) or express the clauses as "
-            f"spec expressions"
-        )
-    if fold:
-        return {
-            "kind": "sweep",
-            "base": {},
-            "axes": [{
-                "kind": "cases",
-                "points": [cfg.to_dict() for cfg in study.configs()],
-            }],
-            "name": study.name,
-            "description": study.description,
-        }
-    return {
-        "kind": "sweep",
-        "base": study.base.to_dict(),
-        "axes": [_axis_to_entry(axis) for axis in study._axes],
-        "name": study.name,
-        "description": study.description,
-    }
 
 
 def spec_shard(spec: Mapping[str, Any]) -> tuple[int, int] | None:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.units import NS_PER_SEC, to_sim_ns, to_sim_ns_array
+from repro.units import NS_PER_SEC, to_sim_ns_array
 
 __all__ = ["IntervalBatch", "IntervalSet"]
 
@@ -97,12 +97,6 @@ class IntervalSet:
             object.__setattr__(self, "_lists", cached)
         return cached
 
-    def contains_point(self, t: float) -> bool:
-        starts, ends, _ = self._as_lists()
-        x = to_sim_ns(t)
-        i = bisect_right(starts, x) - 1
-        return i >= 0 and x < ends[i]
-
     # -- measure queries -----------------------------------------------------
 
     def overlap(self, a: float, b: float) -> float:
@@ -131,14 +125,6 @@ class IntervalSet:
             if past > 0:
                 measure += past
         return measure / NS_PER_SEC
-
-    def clip(self, a: float, b: float) -> "IntervalSet":
-        """The intersection with ``[a, b)`` as a new set."""
-        lo, hi = to_sim_ns(a), to_sim_ns(b)
-        s = np.maximum(self.starts, lo)
-        e = np.minimum(self.ends, hi)
-        keep = e > s
-        return IntervalSet(s[keep], e[keep], _ns=True)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(*_normalize(

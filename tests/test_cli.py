@@ -36,16 +36,18 @@ def test_cli_experiment_never_imports_scipy():
 
 
 def test_local_commands_leave_the_http_stack_unloaded():
-    """``list`` and ``experiment`` load no ``repro.serve`` module, and
-    ``sweep`` loads the job-spec layer without the HTTP server."""
+    """``list`` loads no ``repro.serve`` module; ``experiment`` and
+    ``sweep`` load the job-spec layer without the HTTP server."""
     code = (
         "import sys\n"
         "from repro.cli import main\n"
         "assert main(['list']) == 0\n"
-        "assert main(['experiment', 'table2', '--runs', '1', '--reps', '2']) == 0\n"
         "assert not [m for m in sys.modules if m.startswith('repro.serve')]\n"
-        "assert main(['sweep', '--grid', 'num_threads=2,4', '--dry-run']) == 0\n"
+        "assert main(['experiment', 'table2', '--runs', '1', '--reps', '2']) == 0\n"
         "assert 'repro.serve.jobspec' in sys.modules\n"
+        "assert 'http.server' not in sys.modules, 'http.server was imported'\n"
+        "assert 'repro.serve.server' not in sys.modules\n"
+        "assert main(['sweep', '--grid', 'num_threads=2,4', '--dry-run']) == 0\n"
         "assert 'http.server' not in sys.modules, 'http.server was imported'\n"
         "assert 'repro.serve.server' not in sys.modules\n"
         "from repro.serve import JobService\n"
@@ -99,6 +101,14 @@ class TestExperiment:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["experiment", "figure99"])
+
+    def test_user_error_names_the_spec_field(self, capsys):
+        """An experiment builds its spec like ``run`` and ``sweep`` do,
+        so its errors name the spec field too."""
+        assert main(["experiment", "table2", "--runs", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: job spec field 'base': runs must be positive\n"
+        )
 
 
 class TestRun:
@@ -448,6 +458,28 @@ class TestShard:
         assert main(["gather", "--experiment", *self.TABLE2, *cache,
                      "--expect-shards", "2"]) == 0
         assert capsys.readouterr().out == serial
+
+    def test_experiment_gather_refuses_another_studys_manifests(
+        self, capsys, tmp_path
+    ):
+        """The manifests must cover the experiment itself: an unsharded
+        table2 run leaves its entries but no manifest, and a sharded
+        sweep's manifest covers only that sweep."""
+        cache = ["--cache-dir", str(tmp_path)]
+        table2 = ["table2", "--runs", "1", "--reps", "2"]
+        assert main(["experiment", *table2, *cache]) == 0
+        assert main(["sweep", "--platform", "vera", "--grid", "num_threads=2,4",
+                     "--runs", "1", "--reps", "2", *cache, "--shard", "0/1"]) == 0
+        capsys.readouterr()
+        assert main(["gather", "--experiment", *table2, *cache,
+                     "--expect-shards", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: config 'schedbench@dardel n=4 close seed=42' "
+        )
+        assert "is not in any shard manifest" in captured.err
+        assert "re-run --shard 0/1" in captured.err
 
     def test_backend_flag_is_gone(self, capsys):
         """``--jobs`` alone picks the backend."""

@@ -1,12 +1,12 @@
 """Tests for the job service (``repro.serve``).
 
 Four layers: the job-spec schema (validation errors naming fields, the
-clause whitelist, spec <-> Study parity with the sweep CLI, and the
-per-experiment round-trip guarantee), job lifecycle plumbing (ids,
-persistence, the dedup-aware queue), the governor (token buckets with an
-injected clock), and the whole service end-to-end over real HTTP on an
-ephemeral port — records byte-identity, SSE progress, dedup sharing, and
-rate limiting.
+clause whitelist, spec -> Study parity with the sweep CLI, and each
+experiment's spec surviving a JSON round trip), job lifecycle plumbing
+(ids, persistence, the dedup-aware queue), the governor (token buckets
+with an injected clock), and the whole service end-to-end over real HTTP
+on an ephemeral port — records byte-identity, SSE progress, dedup
+sharing, and rate limiting.
 """
 
 import contextlib
@@ -34,7 +34,6 @@ from repro.serve import (
     JobStore,
     TokenBucket,
     create_http_server,
-    spec_from_study,
     spec_to_study,
     validate_spec,
 )
@@ -299,6 +298,9 @@ class TestSpecStudyParity:
         describe it expand to identical configs, hence cache keys."""
         service = spec_to_study(validate_spec(spec)).preview()
         assert cli_dry_run(sweep_flags(spec)) == service
+        # the wire form expands to the same rows
+        wire = json.loads(json.dumps(spec))
+        assert spec_to_study(validate_spec(wire)).preview() == service
 
     def test_zip_axes_match_cli(self):
         cli = cli_dry_run([
@@ -326,40 +328,27 @@ class TestSpecStudyParity:
         assert configs[0].benchmark_params["outer_reps"] == 7
         assert configs[1].benchmark_params["num_times"] == 7
 
-    def test_declarative_round_trip(self):
-        study = (
-            Study(ExperimentConfig(platform="vera", runs=2), name="rt")
-            .grid(num_threads=(2, 4), runtime=("gnu", "llvm"))
-            .zip(schedule=("static", "dynamic"), noise=("default", "quiet"))
-            .cases({"proc_bind": "spread"}, {"proc_bind": "close"})
-        )
-        spec = spec_from_study(study)
-        assert [a["kind"] for a in spec["axes"]] == ["grid", "zip", "cases"]
-        rebuilt = spec_to_study(validate_spec(spec))
-        assert canonical_configs(rebuilt) == canonical_configs(study)
-        assert rebuilt.axis_names() == study.axis_names()
-
-    def test_derive_study_requires_fold(self):
-        study = Study(ExperimentConfig(runs=2)).grid(num_threads=(2, 4)).derive(
-            places=lambda cfg: "cores"
-        )
-        with pytest.raises(JobSpecError, match="fold"):
-            spec_from_study(study, fold=False)
-        spec = spec_from_study(study)  # folds automatically
-        assert spec["axes"][0]["kind"] == "cases"
-        rebuilt = spec_to_study(validate_spec(spec))
-        assert canonical_configs(rebuilt) == canonical_configs(study)
-
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_experiment_round_trips(self, name):
-        """Satellite guarantee: each registered experiment's Study
-        serializes to the job-spec schema and back to a byte-identical
-        expanded config list."""
-        study = EXPERIMENTS[name].build_study()
-        spec = validate_spec(spec_from_study(study))
-        rebuilt = spec_to_study(spec)
-        assert canonical_configs(rebuilt) == canonical_configs(study)
-        assert spec_fingerprint(rebuilt) == spec_fingerprint(study)
+        """Each experiment's builder returns plain data: its spec after a
+        JSON round trip validates and previews the cache keys of
+        ``build_study()``, and an experiment job at the same knobs has
+        the fingerprint of that spec."""
+        exp = EXPERIMENTS[name]
+        knobs = exp.knobs(runs=2, reps=3, seed=5)
+        study = exp.build_study(**knobs)
+        wire = json.loads(json.dumps(exp.study_builder(**knobs)))
+        rebuilt = spec_to_study(validate_spec(wire))
+
+        def keys(built):
+            return [row["cache_key"] for row in built.preview()]
+
+        assert keys(rebuilt) == keys(study)
+        job = spec_to_study(validate_spec({
+            "kind": "experiment", "experiment": name,
+            "runs": 2, "reps": 3, "seed": 5,
+        }))
+        assert spec_fingerprint(rebuilt) == spec_fingerprint(job)
 
     def test_experiment_spec_kind(self):
         spec = validate_spec({"kind": "experiment", "experiment": "table2",

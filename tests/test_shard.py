@@ -480,18 +480,21 @@ class TestShardedExperiments:
     def test_gathered_artifact_byte_identical(self, tmp_path, driver, kwargs):
         serial = driver(**kwargs).render()
         cache = ResultCache(tmp_path)
-        # shards run the driver's registered study, as `experiment --shard` does
-        study = experiments.get_experiment(driver.__name__).build_study(**kwargs)
+        # the shards and the gather share the experiment's study, as
+        # `experiment --shard` and `gather --experiment` do
+        spec = experiments.get_experiment(driver.__name__)
+        study = spec.build_study(**kwargs)
         for i in range(2):
             with pytest.raises(ShardRunComplete):
                 study.run(cache=cache, shard=(i, 2))
-        manifests = load_manifests(cache, expected_shards=2)
-        verify_manifest_entries(cache, manifests)
-        gathered = driver(**kwargs, cache=ReplayCache(tmp_path)).render()
+        metrics = MetricsRegistry()
+        result = study.gather(cache, expected_shards=2, metrics=metrics)
+        gathered = spec.render(result, **kwargs).render()
         assert gathered.encode() == serial.encode()
-        # the replay never simulated: every config came from the shards
-        replay_misses = ReplayCache(tmp_path).misses
-        assert replay_misses == 0
+        # the manifests cover exactly the study, and gather replays them
+        # without simulating (its cache raises on a miss)
+        assert metrics.counter("manifest_entries_verified").value == len(study)
+        assert metrics.counter("configs_cached").value == len(study)
 
 
 # ---------------------------------------------------------------------------

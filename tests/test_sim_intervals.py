@@ -56,22 +56,11 @@ class TestQueries:
     def test_total(self):
         assert self.s.total == pytest.approx(3.0)
 
-    def test_contains_point(self):
-        assert self.s.contains_point(1.5)
-        assert not self.s.contains_point(2.0)  # half-open
-        assert self.s.contains_point(4.0)
-        assert not self.s.contains_point(0.0)
-        assert not self.s.contains_point(3.0)
-
     def test_overlap(self):
         assert self.s.overlap(0.0, 10.0) == pytest.approx(3.0)
         assert self.s.overlap(1.5, 4.5) == pytest.approx(1.0)
         assert self.s.overlap(2.0, 4.0) == 0.0
         assert self.s.overlap(5.0, 5.0) == 0.0
-
-    def test_clip(self):
-        assert list(self.s.clip(1.5, 5.0)) == [(1.5, 2.0), (4.0, 5.0)]
-        assert self.s.clip(2.0, 4.0).is_empty()
 
     def test_union(self):
         other = IntervalSet.from_pairs([(1.5, 4.5)])

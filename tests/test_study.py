@@ -4,9 +4,13 @@ Covers axis composition and ordering, execution equality across the
 serial / parallel / cached paths, tidy-record export round-trips, the
 Study-driven report renderers, and — crucially — a byte-identity
 regression for every registered experiment driver against renders
-captured from the pre-Study hand-rolled drivers (``tests/golden/``).
+captured from the pre-Study hand-rolled drivers (``tests/golden/``),
+plus a digest of every experiment's expansion (cache keys and record
+columns).
 """
 
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -17,6 +21,7 @@ from golden_kwargs import GOLDEN_KWARGS
 from repro.cli import main
 from repro.errors import HarnessError
 from repro.harness import ExperimentConfig, ResultCache, Study
+from repro.harness.cache import cache_key
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.report import (
     render_group_summaries,
@@ -25,7 +30,7 @@ from repro.harness.report import (
     render_study_overview,
     sparkline,
 )
-from repro.harness.study import config_value, load_records
+from repro.harness.study import StudyResult, config_value, load_records
 
 BASE = ExperimentConfig(
     platform="toy",
@@ -355,3 +360,77 @@ class TestGoldenArtifacts:
         capsys.readouterr()
         golden = Path(__file__).parent / "golden" / "vera_long_runs.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+
+#: SHA-256 of each experiment's expansion at its default knobs and at
+#: ``GOLDEN_KWARGS``, recorded when the builders were Python Study chains.
+#: The default figure1-3 ladders reach Dardel's 254 threads, so they take
+#: the ``places`` clause's 'threads' branch; the goldens' ladders do not.
+EXPANSION_PINS = {
+    ("figure1", "default"):
+        "20e0c11bcb16faa27ca3a46efcac086e0945c5ca2e9b89e3aae44ce29c4d5485",
+    ("figure1", "golden"):
+        "41878296ceb72e16e3cc75883e8e5966628994aee7605811015658169094ef06",
+    ("figure2", "default"):
+        "20395f4e783ad15fe5f6ffa39424ea892ce896de961705a4b428eaec950525dc",
+    ("figure2", "golden"):
+        "67ce426e613035c967a80f3d2c8deaf46324ced1e87c1225af9ca1bbcb30d010",
+    ("figure3", "default"):
+        "32d8bdf679ea253fa291dd1bc0f79d8cb482b5d3a3852733e456db487bb6486e",
+    ("figure3", "golden"):
+        "ea52baf114e26d46edc313e00f3fcac00bdf4a2e7d4928c8ceedcee719d9979e",
+    ("figure4", "default"):
+        "cd2012366fe37a19332875b9d186970f502fa4d88b10f14026e4d7b045237659",
+    ("figure4", "golden"):
+        "44ebbca682b6992b211111a07deb1f180aa425d12393de5c56fee251344f30c4",
+    ("figure5", "default"):
+        "96e82788f74169a99b480d1fc6011188d459fb9b7d64ed7ef3b2918e81cffd3d",
+    ("figure5", "golden"):
+        "2987e796b5a4bf87d64f9e825fa3dc0890328278c019ffa413fb04e2072d1bfb",
+    ("figure6", "default"):
+        "b5b78899ad9bfe9fc77c00c66d2652812e6a2e1c6b23d507d56c34c854d2b1f9",
+    ("figure6", "golden"):
+        "e0e3935a4ca3210aa00b0c90382bd4640dfe0c0e83b5e679861a837ee83772fe",
+    ("figure7", "default"):
+        "f70c5d0587366ea78d5a25a6fc1a80959c5d1b04a84316944d29ca0ac1fafd22",
+    ("figure7", "golden"):
+        "4630f9173d7271017aee1ebcda92edb2e563f3fcbe6bf673fd5e1644e8628f76",
+    ("figure8", "default"):
+        "63131cd331c925c21b28eebbed24a8f7e7692905f293883154578eb6671de805",
+    ("figure8", "golden"):
+        "3c81734733a1792f9269fef650dc2135d3477b9f33c5b7cf582a65b061d3837e",
+    ("runtime_compare", "default"):
+        "3466272b8b80ebeea6038eba4fb125f68b0170a9e55071c41453044db5fd16fe",
+    ("runtime_compare", "golden"):
+        "d528b617eada59ca2cce12891e9598119905e41d8feb3deb15b85f9c12a2abb7",
+    ("table2", "default"):
+        "ce698589c46bfee47d90497ec14cf17317d267164d88593055bce0daa489f00d",
+    ("table2", "golden"):
+        "de7906b2099646c74d82efc987e5c874eb3154b333c2dbf6bde45387cfd13472",
+}
+
+
+def expansion_digest(study: Study) -> str:
+    """Hash the study's name, description and record columns, then per
+    config its cache key and the text of each identity cell."""
+    axes = StudyResult(study, (), ()).record_axes()
+    digest = hashlib.sha256()
+    digest.update(json.dumps([study.name, study.description, list(axes)]).encode())
+    for cfg in study.configs():
+        cells = [str(config_value(cfg, name)) for name in axes]
+        digest.update(json.dumps([cache_key(cfg), cells]).encode())
+    return digest.hexdigest()
+
+
+class TestExperimentExpansionPins:
+    """Every config, cache key and tidy-record column of each experiment
+    stays what it was, whatever form its builder takes."""
+
+    @pytest.mark.parametrize("name, knobs", sorted(EXPANSION_PINS))
+    def test_expansion_matches_pin(self, name, knobs):
+        kwargs = GOLDEN_KWARGS[name] if knobs == "golden" else {}
+        study = EXPERIMENTS[name].build_study(**kwargs)
+        assert expansion_digest(study) == EXPANSION_PINS[(name, knobs)]
+
+    def test_pins_cover_every_registered_experiment(self):
+        assert {name for name, _ in EXPANSION_PINS} == set(EXPERIMENTS)
