@@ -693,12 +693,17 @@ def _render_sweep_report(args: argparse.Namespace, result) -> None:
             )
         )
     if args.out:
-        out = Path(args.out)
-        if out.suffix.lower() == ".json":
-            n_records = result.to_json(out)
-        else:
-            n_records = result.to_csv(out)
-        print(f"\nexported {n_records} tidy records to {out}")
+        _export(args, result)
+
+
+def _export(args: argparse.Namespace, result, file=None) -> None:
+    """``--out``: the tidy records of *result*, JSON or CSV by suffix."""
+    out = Path(args.out)
+    if out.suffix.lower() == ".json":
+        n_records = result.to_json(out)
+    else:
+        n_records = result.to_csv(out)
+    print(f"\nexported {n_records} tidy records to {out}", file=file)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -722,6 +727,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags ``gather --experiment`` reads: the experiment, its knobs, the
+#: shared cache and the exports.  The experiment fixes its own configs.
+_EXPERIMENT_GATHER_FLAGS = frozenset({
+    "command", "experiment", "runs", "reps", "seed", "cache_dir",
+    "expect_shards", "out", "telemetry", "telemetry_out",
+})
+
+
+def _reject_sweep_flags(args: argparse.Namespace) -> None:
+    """A sweep or config flag of ``gather --experiment`` set away from its
+    default would be ignored, so it is a user error."""
+    defaults = vars(_build_parser().parse_args(["gather", "--cache-dir=."]))
+    ignored = [
+        "--" + key.replace("_", "-") for key, default in defaults.items()
+        if key not in _EXPERIMENT_GATHER_FLAGS and getattr(args, key) != default
+    ]
+    if ignored:
+        raise HarnessError(
+            f"gather --experiment {args.experiment} builds the experiment's "
+            f"own configs; drop {', '.join(ignored)}"
+        )
+
+
 def _cmd_gather(args: argparse.Namespace) -> int:
     import json
 
@@ -730,6 +758,7 @@ def _cmd_gather(args: argparse.Namespace) -> int:
 
     cache = _existing_cache(args)
     if args.experiment is not None:
+        _reject_sweep_flags(args)
         spec = get_experiment(args.experiment)
         knobs = spec.knobs(args.runs, args.reps, args.seed)
         study = spec.build_study(**knobs)
@@ -749,21 +778,25 @@ def _cmd_gather(args: argparse.Namespace) -> int:
     )
     if args.experiment is not None:
         # stdout carries the artifact alone, byte-comparable with
-        # `repro-omp experiment`
-        print(summary, file=sys.stderr)
+        # `repro-omp experiment`; everything else goes to stderr
+        side = sys.stderr
+        print(summary, file=side)
         print(spec.render(result, **knobs).render())
-        return 0
-    print(summary)
-    print()
-    _render_sweep_report(args, result)
-    if args.telemetry:
+        if args.out:
+            _export(args, result, file=side)
+    else:
+        side = sys.stdout
+        print(summary)
         print()
-        print(render_telemetry(metrics))
+        _render_sweep_report(args, result)
+    if args.telemetry:
+        print(file=side)
+        print(render_telemetry(metrics), file=side)
     if args.telemetry_out:
         Path(args.telemetry_out).write_text(
             json.dumps(metrics.to_dict(), indent=1) + "\n"
         )
-        print(f"wrote telemetry JSON to {args.telemetry_out}")
+        print(f"wrote telemetry JSON to {args.telemetry_out}", file=side)
     return 0
 
 

@@ -2,25 +2,28 @@
 
 Models the extra-application activities the paper identifies as variability
 sources: periodic timer ticks, kernel daemons (kworkers, housekeeping),
-device interrupts, and rare long-running system events.  Each source
-produces a marked point process of :class:`~repro.osnoise.source.NoiseEvent`
-objects; a :class:`~repro.osnoise.placement.PlacementPolicy` decides which
-logical CPU absorbs each event (idle CPUs first — this is the mechanism by
-which the paper's "spare 2 cores" strategy and the ST configuration reduce
-variability), and :class:`~repro.osnoise.model.NoiseModel` turns everything
-into per-CPU preemption interval sets used by the execution model.
+device interrupts, and rare long-running system events.  Noise is arrays
+end to end.  A profile has at most one
+:class:`~repro.osnoise.source.TimerTickSource`, whose ticks on the busy
+CPUs form one :class:`~repro.osnoise.source.TickBlock`; every other
+source samples ``(starts, durations, cpus)`` arrays.  Events without a
+CPU of their own are placed by
+:func:`~repro.osnoise.placement.idle_first_cpus` (idle CPUs first — this
+is the mechanism by which the paper's "spare 2 cores" strategy and the ST
+configuration reduce variability), and
+:class:`~repro.osnoise.model.NoiseModel` keeps everything in a
+:class:`~repro.osnoise.model.NoiseRealization` that answers the execution
+model's per-CPU preemption queries.
 """
 
 from repro.osnoise.source import (
-    NoiseEvent,
     NoiseSource,
     PoissonSource,
     TickBlock,
     TimerTickSource,
-    placed,
 )
-from repro.osnoise.placement import IdleFirstPlacement, PinnedPlacement, PlacementPolicy
-from repro.osnoise.model import NoiseModel, NoiseRealization, PlacedEvent
+from repro.osnoise.placement import idle_first_cpus
+from repro.osnoise.model import NoiseModel, NoiseRealization
 from repro.osnoise.profiles import (
     NoiseProfile,
     dardel_noise,
@@ -30,18 +33,13 @@ from repro.osnoise.profiles import (
 )
 
 __all__ = [
-    "NoiseEvent",
     "NoiseSource",
     "PoissonSource",
     "TickBlock",
     "TimerTickSource",
-    "placed",
-    "PlacementPolicy",
-    "IdleFirstPlacement",
-    "PinnedPlacement",
+    "idle_first_cpus",
     "NoiseModel",
     "NoiseRealization",
-    "PlacedEvent",
     "NoiseProfile",
     "dardel_noise",
     "vera_noise",

@@ -1,7 +1,7 @@
-"""Noise realization: from event processes to per-CPU preemption sets.
+"""Noise realization: from sampled sources to per-CPU preemption sets.
 
 :class:`NoiseModel` samples every source of a profile over a run window,
-places unassigned events, and compiles the result into a
+places the un-pinned events idle-first, and keeps the result in a
 :class:`NoiseRealization` that the execution model queries:
 
 * :meth:`NoiseRealization.stolen_on` — intervals during which a CPU is
@@ -28,19 +28,18 @@ CPU has two or more siblings build a union plane.
 Performance note: a full-scale schedbench run on the Dardel model realizes
 on the order of a million timer ticks, yet a region run reaches only part
 of its horizon.  The realization therefore keeps the non-tick events in
-flat NumPy arrays and the ticks as :class:`~repro.osnoise.source.TickBlock`
-s: starts computed on demand, durations drawn where queries first reach
-them.  A window query touches only the few ticks near the window, so a
-region run holds no interval arrays of its ticks and no durations past
-its queries' reach; only the full-horizon rows of
-:meth:`NoiseRealization.stolen_on` draw every duration and put every
-tick in one plane.
+flat NumPy arrays and the ticks as one
+:class:`~repro.osnoise.source.TickBlock`: starts computed on demand,
+durations drawn where queries first reach them.  A window query touches
+only the few ticks near the window, so a region run holds no interval
+arrays of its ticks and no durations past its queries' reach; only the
+full-horizon rows of :meth:`NoiseRealization.stolen_on` draw every
+duration and put every tick in one plane.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -48,108 +47,71 @@ import numpy as np
 
 from repro.errors import NoiseModelError
 from repro.obs.tracer import CPU_TRACK_BASE, Tracer
-from repro.osnoise.placement import IdleFirstPlacement, PlacementPolicy
-from repro.osnoise.source import NoiseEvent, NoiseSource, TickBlock, TimerTickSource
+from repro.osnoise.placement import idle_first_cpus
+from repro.osnoise.source import PREFIX_TICKS, NoiseSource, TickBlock, TimerTickSource
 from repro.sim.intervals import IntervalBatch, IntervalSet
 from repro.topology.hwthread import Machine
 from repro.units import NS_PER_SEC, to_sim_ns_array
 
 
-@dataclass(frozen=True, slots=True)
-class PlacedEvent:
-    """A noise event with its final CPU assignment."""
-
-    start: float
-    duration: float
-    kind: str
-    cpu: int
-
-
 class NoiseRealization:
-    """All noise of one run window.
-
-    Events are kept flat: the non-tick events as arrays ``(starts,
-    durations, cpus, kinds)``, the ticks as :class:`TickBlock` s.  The
-    first block of disjoint ticks takes the tick path, whose ticks a
-    :class:`NoiseBatch` sums straight from the block; every other event
-    joins the batch's rest plane.
+    """All noise of one run window, as arrays: the ticks of the profile's
+    one tick source as a :class:`TickBlock` (``None`` without one), and
+    every other event as flat arrays ``(starts, durations, cpus,
+    kinds)`` in sampling order.  A :class:`NoiseBatch` sums the block's
+    ticks straight from the block, disjoint by construction
+    (:class:`~repro.osnoise.source.TimerTickSource`), and keeps the other
+    events in its rest plane.
     """
 
-    def __init__(self, machine: Machine, events: Sequence[PlacedEvent] | None = None,
-                 *, arrays: tuple[np.ndarray, np.ndarray, np.ndarray, list[str]] | None = None,
-                 ticks: Sequence[TickBlock] = ()):
-        """Construct from a list of :class:`PlacedEvent` (tests, small runs)
-        or from flat arrays ``(starts, durations, cpus, kinds)`` (fast
-        path), plus the tick blocks of the run's tick sources.
-        """
+    def __init__(
+        self,
+        machine: Machine,
+        arrays: tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[str]],
+        tick: TickBlock | None = None,
+    ):
+        starts, durations, cpus, kinds = arrays
         self.machine = machine
-        if arrays is not None:
-            starts, durations, cpus, kinds = arrays
-            self._starts = np.asarray(starts, dtype=np.float64)
-            self._durations = np.asarray(durations, dtype=np.float64)
-            self._cpus = np.asarray(cpus, dtype=np.int64)
-            self._kinds = list(kinds)
-        else:
-            events = list(events or ())
-            self._starts = np.asarray([e.start for e in events], dtype=np.float64)
-            self._durations = np.asarray([e.duration for e in events], dtype=np.float64)
-            self._cpus = np.asarray([e.cpu for e in events], dtype=np.int64)
-            self._kinds = [e.kind for e in events]
-        self._ticks = tuple(ticks)
+        self._starts = np.asarray(starts, dtype=np.float64)
+        self._durations = np.asarray(durations, dtype=np.float64)
+        self._cpus = np.asarray(cpus, dtype=np.int64)
+        self._kinds = np.asarray(kinds, dtype=str)
+        self._tick = tick
         if not (
             self._starts.shape == self._durations.shape == self._cpus.shape
-            and len(self._kinds) == self._starts.size
+            == self._kinds.shape
         ):
             raise NoiseModelError("inconsistent noise arrays")
         if np.any(self._durations < 0):
             raise NoiseModelError("negative noise event duration")
-        for cpus in [self._cpus] + [block.cpus for block in self._ticks]:
+        for cpus in [self._cpus] + ([] if tick is None else [tick.cpus]):
             bad = cpus[(cpus < 0) | (cpus >= machine.n_cpus)]
             if bad.size:
                 raise NoiseModelError(f"event on unknown cpu {int(bad[0])}")
-        # the first block of disjoint ticks takes the tick path; any other
-        # block (ticks that may overlap, a repeated CPU, a second tick
-        # source on the same CPUs) joins the events in the rest plane
-        self._tick = next(
-            (block for block in self._ticks if len(block) and block.disjoint), None
-        )
         self._stolen_rows: dict[int, IntervalSet] = {}
 
-    # -- event access (lazy object materialization) ---------------------------
-
-    def _arrays(self, reach: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, durations, cpus)`` of the ticks expanded to *reach*
-        (:meth:`TickBlock.expand`), then every non-tick event."""
-        parts = [block.expand(reach) for block in self._ticks]
-        parts.append((self._starts, self._durations, self._cpus))
-        return tuple(np.concatenate(column) for column in zip(*parts))
-
-    def _kinds_until(self, reach: float = math.inf) -> list[str]:
-        """Kinds of the events :meth:`_arrays` returns for *reach*."""
-        kinds = []
-        for block in self._ticks:
-            kinds += [block.kind] * int(block.reach_counts(reach).sum())
-        return kinds + self._kinds
-
-    @property
-    def events(self) -> tuple[PlacedEvent, ...]:
-        """Every event: ticks first, then the rest in sampling order."""
-        starts, durations, cpus = self._arrays()
-        return tuple(
-            PlacedEvent(float(s), float(d), k, int(c))
-            for s, d, k, c in zip(starts, durations, self._kinds_until(), cpus)
-        )
+    def events(
+        self, reach: float = math.inf
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, durations, cpus, kinds)``: the ticks that can meet a
+        window ending by *reach* (:meth:`TickBlock.expand`; all of them
+        by default), CPU by CPU, then every other event in sampling
+        order."""
+        rest = (self._starts, self._durations, self._cpus, self._kinds)
+        if self._tick is None:
+            return rest
+        ticks = self._tick.expand(reach)
+        ticks += (np.full(ticks[0].size, self._tick.kind),)
+        return tuple(np.concatenate(pair) for pair in zip(ticks, rest))
 
     @property
     def n_events(self) -> int:
-        return int(self._starts.size) + sum(len(block) for block in self._ticks)
+        return int(self._starts.size) + (0 if self._tick is None else len(self._tick))
 
     def count_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for block in self._ticks:
-            out[block.kind] = out.get(block.kind, 0) + len(block)
-        for k in self._kinds:
-            out[k] = out.get(k, 0) + 1
+        out = {} if self._tick is None else {self._tick.kind: len(self._tick)}
+        for kind in self._kinds.tolist():
+            out[kind] = out.get(kind, 0) + 1
         return out
 
     # -- full-horizon interval queries --------------------------------------------
@@ -159,7 +121,7 @@ class NoiseRealization:
         """Every CPU's noise over the full horizon, one row per CPU: all
         its ticks and other events, merged.  Built on the first full-row
         request (the work-stealing scheduler's)."""
-        starts, durations, cpus = self._arrays()
+        starts, durations, cpus, _ = self.events()
         return IntervalBatch.from_rows(
             self.machine.n_cpus, cpus, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
         )
@@ -191,8 +153,7 @@ class NoiseRealization:
         if not tracer.enabled:
             return 0
         # every tick starting before t_end, then the non-tick events
-        all_starts, all_durations, all_cpus = self._arrays(t_end)
-        kinds = self._kinds_until(t_end)
+        all_starts, all_durations, all_cpus, kinds = self.events(t_end)
         emitted = 0
         for cpu in sorted(set(int(c) for c in cpus)):
             tid = CPU_TRACK_BASE + cpu
@@ -205,7 +166,7 @@ class NoiseRealization:
             for j in np.nonzero(mask)[0].tolist():
                 s = max(t_start, float(all_starts[j]))
                 e = min(t_end, float(all_starts[j] + all_durations[j]))
-                tracer.span(tid, kinds[j], s, e, cat="osnoise")
+                tracer.span(tid, str(kinds[j]), s, e, cat="osnoise")
                 emitted += 1
         return emitted
 
@@ -214,15 +175,15 @@ class NoiseRealization:
             return NotImplemented
         return all(
             np.array_equal(mine, theirs)
-            for mine, theirs in zip(self._arrays(), other._arrays())
-        ) and self._kinds_until() == other._kinds_until()
+            for mine, theirs in zip(self.events(), other.events())
+        )
 
 
 class NoiseBatch:
     """The noise of ``R`` realizations of one machine, answering every
     run's window queries in one call (:meth:`overlap`).  Row ``run *
     n_cpus + cpu`` is that CPU's noise in that run: its slot in the runs'
-    stacked tick-path tables (the durations stay in each realization's
+    stacked tick tables (the durations stay in each realization's
     block), and its row of the rest and union planes, each built once
     per batch."""
 
@@ -262,11 +223,13 @@ class NoiseBatch:
         ``floor((lo - first) / period) - 1`` to ``floor((hi - first) /
         period) + 1`` (edges in seconds), one spare tick beyond each
         edge: a tick that starts before *hi* rounds to at most half a
-        nanosecond past it, and on a :attr:`TickBlock.disjoint` block a
-        tick ending after *lo* starts less than a period before it.
+        nanosecond past it, and a tick ending after *lo* starts less than
+        a period before it, since it ends 2 ns before the next starts.
 
         With *grow*, each run's block first grows the rows its windows
-        reach.  Without it (the rest plane's cut, over the whole horizon),
+        reach past :data:`~repro.osnoise.source.PREFIX_TICKS`: a row
+        holds at least its first ``min(count, PREFIX_TICKS)`` durations,
+        and no window needs more than its count.  Without it (the rest plane's cut, over the whole horizon),
         a candidate past its row's drawn ticks is drawn, and not kept,
         only if its quantized start is before *hi* and that start plus
         ``ceil(longest in ns) + 2`` after *lo*: any other candidate clips
@@ -289,6 +252,7 @@ class NoiseBatch:
         tick_starts = to_sim_ns_array(starts)
         if grow:
             need = np.where(k1 > k0, k1, 0)  # a window without candidates needs none
+            deep = need > PREFIX_TICKS
         else:
             reach = (np.ceil(longest * NS_PER_SEC) + 2).astype(np.int64)[:, None]
             far = (tick_starts < edges[1][:, None]) & (tick_starts + reach > edges[0][:, None])
@@ -296,7 +260,7 @@ class NoiseBatch:
         parts = []
         for real, lo, hi in zip(self.realizations, blocks.tolist(), blocks[1:].tolist()):
             if hi > lo:
-                if grow:
+                if grow and deep[lo:hi].any():
                     real._tick.grow(rows[lo:hi], need[lo:hi])
                 parts.append(real._tick.take(rows[lo:hi], k[lo:hi], None if grow else far[lo:hi]))
         starts += np.concatenate(parts)
@@ -308,17 +272,14 @@ class NoiseBatch:
 
     @cached_property
     def _rest(self) -> IntervalBatch:
-        """The rest plane, built on first query: every run's events off
-        its tick path, normalized per row, with the tick path's ticks cut
-        out.  Disjoint from those ticks, it adds to them to make each
-        CPU's noise."""
-        parts = [
-            (starts, durations, base + cpus)
+        """The rest plane, built on first query: every run's non-tick
+        events, normalized per row, with the run's ticks cut out.
+        Disjoint from those ticks, it adds to them to make each CPU's
+        noise."""
+        starts, durations, keys = (np.concatenate(column) for column in zip(*[
+            (real._starts, real._durations, base + real._cpus)
             for base, real in zip(self._bases.ravel().tolist(), self.realizations)
-            for starts, durations, cpus in [b.expand() for b in real._ticks if b is not real._tick]
-            + [(real._starts, real._durations, real._cpus)]
-        ]
-        starts, durations, keys = (np.concatenate(column) for column in zip(*parts))
+        ]))
         rows, starts, ends = IntervalBatch.from_rows(
             self._slots.size, keys, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
         ).intervals_ns()
@@ -424,17 +385,16 @@ class NoiseBatch:
 
 
 class NoiseModel:
-    """Samples a set of sources into a :class:`NoiseRealization`."""
+    """Samples a set of sources into a :class:`NoiseRealization`.  At most
+    one of them is a :class:`TimerTickSource`: its ticks are the
+    realization's one tick block."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        sources: Sequence[NoiseSource],
-        placement: PlacementPolicy | None = None,
-    ):
+    def __init__(self, machine: Machine, sources: Sequence[NoiseSource]):
         self.machine = machine
         self.sources = tuple(sources)
-        self.placement = placement if placement is not None else IdleFirstPlacement()
+        ticks = [s for s in self.sources if isinstance(s, TimerTickSource)]
+        if len(ticks) > 1:
+            raise NoiseModelError(f"second tick source {ticks[1]!r}: a noise model has one")
 
     def realize(
         self,
@@ -447,62 +407,35 @@ class NoiseModel:
 
         *busy_cpus* is the set of CPUs hosting application threads — it
         drives both tick generation (ticks fire on busy CPUs) and the
-        idle-first placement of daemons.
+        idle-first placement of daemons.  The sources draw in order; then
+        one :func:`~repro.osnoise.placement.idle_first_cpus` draw places
+        every event without a CPU of its own.  Those placed rows follow
+        the pinned ones, each group in source order.
         """
         if t_end < t_start:
             raise NoiseModelError("window end before start")
-        starts_parts: list[np.ndarray] = []
-        dur_parts: list[np.ndarray] = []
-        cpu_parts: list[np.ndarray] = []
-        kinds: list[str] = []
-        ticks: list[TickBlock] = []
-        unplaced: list[NoiseEvent] = []
-        def _append_events(evs) -> None:
-            """Flush a block of assigned events as flat arrays (one append
-            per block instead of one single-element array per event)."""
-            starts_parts.append(np.asarray([e.start for e in evs]))
-            dur_parts.append(np.asarray([e.duration for e in evs]))
-            cpu_parts.append(np.asarray([e.cpu for e in evs]))
-            kinds.extend(e.kind for e in evs)
-
+        tick, pinned, unpinned, cpu_parts = None, [], [], []
         for source in self.sources:
             if isinstance(source, TimerTickSource):
-                ticks.append(source.sample_block(t_start, t_end, busy_cpus, rng))
+                tick = source.sample_block(t_start, t_end, busy_cpus, rng)
                 continue
-            sampled = source.sample_arrays(t_start, t_end, busy_cpus, rng)
-            if sampled is not None:
-                s, d, c, kind = sampled
-                starts_parts.append(s)
-                dur_parts.append(d)
-                cpu_parts.append(c)
-                kinds.extend([kind] * s.size)
-                continue
-            assigned = []
-            for ev in source.sample(t_start, t_end, busy_cpus, rng):
-                if ev.cpu is not None:
-                    assigned.append(ev)
-                else:
-                    unplaced.append(ev)
-            if assigned:
-                _append_events(assigned)
-
-        if unplaced:
-            placed_events = self.placement.place(unplaced, self.machine, busy_cpus, rng)
-            for ev in placed_events:
-                if ev.cpu is None:
-                    raise NoiseModelError(
-                        f"placement left event {ev.kind!r} at t={ev.start} unassigned"
-                    )
-            _append_events(placed_events)
-
-        if starts_parts:
-            starts = np.concatenate(starts_parts)
-            durations = np.concatenate(dur_parts)
-            cpus = np.concatenate(cpu_parts).astype(np.int64)
-        else:
-            starts = np.empty(0)
-            durations = np.empty(0)
-            cpus = np.empty(0, dtype=np.int64)
-        return NoiseRealization(
-            self.machine, arrays=(starts, durations, cpus, kinds), ticks=ticks
+            starts, durations, cpus = source.sample(t_start, t_end, rng)
+            if cpus is None:
+                unpinned.append((starts, durations, source.kind))
+            else:
+                pinned.append((starts, durations, source.kind))
+                cpu_parts.append(cpus)
+        n_unpinned = sum(starts.size for starts, _, _ in unpinned)
+        if n_unpinned:
+            cpu_parts.append(idle_first_cpus(self.machine, busy_cpus, n_unpinned, rng))
+        rows = pinned + unpinned
+        arrays = (
+            np.concatenate([np.empty(0)] + [starts for starts, _, _ in rows]),
+            np.concatenate([np.empty(0)] + [durations for _, durations, _ in rows]),
+            np.concatenate([np.empty(0, dtype=np.int64)] + cpu_parts),
+            np.repeat(
+                np.asarray([kind for _, _, kind in rows], dtype=str),
+                [starts.size for starts, _, _ in rows],
+            ),
         )
+        return NoiseRealization(self.machine, arrays, tick)

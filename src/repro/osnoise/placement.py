@@ -9,7 +9,7 @@ the mechanism behind two of the paper's findings:
 * the ST configuration leaves each core's second hardware thread idle,
   absorbing noise near the benchmark without preempting it.
 
-:class:`IdleFirstPlacement` implements exactly that preference order:
+:func:`idle_first_cpus` implements exactly that preference order:
 fully-idle cores first, then idle SMT siblings of busy cores, then (machine
 saturated) a uniformly random busy CPU — a preemption.
 """
@@ -21,88 +21,30 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import NoiseModelError
-from repro.osnoise.source import NoiseEvent, placed
 from repro.topology.hwthread import Machine
 
 
-class PlacementPolicy:
-    """Assigns a CPU to every event whose source had no inherent affinity."""
+def idle_first_cpus(
+    machine: Machine, busy_cpus: Sequence[int], n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The CPUs of *n* un-pinned events: idle cores → idle siblings →
+    random busy CPU (preemption).
 
-    def place(
-        self,
-        events: Sequence[NoiseEvent],
-        machine: Machine,
-        busy_cpus: Sequence[int],
-        rng: np.random.Generator,
-    ) -> list[NoiseEvent]:
-        raise NotImplementedError
-
-
-class IdleFirstPlacement(PlacementPolicy):
-    """Idle cores → idle siblings → random busy CPU (preemption)."""
-
-    def place(self, events, machine, busy_cpus, rng):
-        busy = {int(c) for c in busy_cpus}
-        # iterate the sorted view, not the set: set order is
-        # insertion-dependent, and DET002 keeps loops order-stable even
-        # where (as here) only an error message could observe the order
-        for cpu in sorted(busy):
-            if cpu >= machine.n_cpus:
-                raise NoiseModelError(f"busy cpu {cpu} not on {machine.name}")
-        busy_cores = {machine.hwthread(c).core_id for c in sorted(busy)}
-
-        idle_free_cores = [
-            c for c in range(machine.n_cpus)
-            if c not in busy and machine.hwthread(c).core_id not in busy_cores
-        ]
-        idle_siblings = [
-            c for c in range(machine.n_cpus)
-            if c not in busy and machine.hwthread(c).core_id in busy_cores
-        ]
-
-        # the preference pool is invariant over one placement pass (the
-        # idle sets depend only on busy_cpus), so all events draw from the
-        # same pool and the per-event draws batch into one pre-drawn array.
-        # A batched ``choice(pool, size=n)`` consumes the generator's
-        # stream exactly like n scalar ``choice(pool)`` calls, so event
-        # CPU assignments are bit-identical to the historical loop (this
-        # is locked by a regression test in tests/test_rng.py).
-        if idle_free_cores:
-            pool = idle_free_cores
-        elif idle_siblings:
-            pool = idle_siblings
-        else:
-            pool = np.arange(machine.n_cpus)
-
-        n_unassigned = sum(1 for ev in events if ev.cpu is None)
-        drawn = rng.choice(pool, size=n_unassigned) if n_unassigned else ()
-        cpus = iter(drawn)
-        return [
-            ev if ev.cpu is not None else placed(ev, int(next(cpus)))
-            for ev in events
-        ]
-
-
-class PinnedPlacement(PlacementPolicy):
-    """Degenerate policy placing every unassigned event on a fixed CPU set.
-
-    Useful for ablations ("what if all daemons ran on CPU 0?") and tests.
+    The preference pool depends only on *busy_cpus*, so every event draws
+    from the same pool, in one ``rng.choice(pool, size=n)``: the stream
+    and the CPUs of *n* scalar ``choice(pool)`` calls (locked by
+    ``tests/test_rng.py``).
     """
-
-    def __init__(self, cpus: Sequence[int]):
-        if not len(cpus):
-            raise NoiseModelError("PinnedPlacement needs at least one cpu")
-        self.cpus = tuple(int(c) for c in cpus)
-
-    def place(self, events, machine, busy_cpus, rng):
-        for cpu in self.cpus:
-            if cpu >= machine.n_cpus:
-                raise NoiseModelError(f"cpu {cpu} not on {machine.name}")
-        choices = np.asarray(self.cpus)
-        n_unassigned = sum(1 for ev in events if ev.cpu is None)
-        drawn = rng.choice(choices, size=n_unassigned) if n_unassigned else ()
-        cpus = iter(drawn)
-        return [
-            ev if ev.cpu is not None else placed(ev, int(next(cpus)))
-            for ev in events
-        ]
+    busy = {int(c) for c in busy_cpus}
+    # iterate the sorted view, not the set: set order is
+    # insertion-dependent, and DET002 keeps loops order-stable even
+    # where (as here) only an error message could observe the order
+    for cpu in sorted(busy):
+        if cpu >= machine.n_cpus:
+            raise NoiseModelError(f"busy cpu {cpu} not on {machine.name}")
+    busy_cores = {machine.hwthread(c).core_id for c in sorted(busy)}
+    idle = [c for c in range(machine.n_cpus) if c not in busy]
+    idle_free_cores = [c for c in idle if machine.hwthread(c).core_id not in busy_cores]
+    idle_siblings = [c for c in idle if machine.hwthread(c).core_id in busy_cores]
+    pool = idle_free_cores or idle_siblings or np.arange(machine.n_cpus)
+    return rng.choice(pool, size=n)

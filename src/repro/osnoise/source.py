@@ -1,7 +1,8 @@
 """Noise event sources.
 
 A *source* samples the (start, duration) marks of one class of OS activity
-over a time window.  Two families cover everything the reproduction needs:
+over a time window, as flat arrays.  Two families cover everything the
+reproduction needs:
 
 * :class:`TimerTickSource` — deterministic-period per-CPU scheduler ticks.
   Linux runs the tick only on non-idle CPUs (``NO_HZ_IDLE``), so ticks are
@@ -11,76 +12,31 @@ over a time window.  Two families cover everything the reproduction needs:
 * :class:`PoissonSource` — memoryless arrivals with log-normal service
   times; parameterized into daemons, IRQs and rare long events by the
   profiles module.  IRQ-like sources can carry a fixed CPU affinity
-  (matching ``/proc/irq/*/smp_affinity``); the rest are placed by policy.
+  (matching ``/proc/irq/*/smp_affinity``); the rest are placed idle-first
+  (:func:`~repro.osnoise.placement.idle_first_cpus`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import NoiseModelError
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseEvent:
-    """One OS activity stealing CPU: ``[start, start+duration)``.
+class NoiseSource:
+    """Base class of the noise sources.
 
-    ``cpu`` is ``None`` until a placement policy assigns it; sources with
-    inherent affinity (ticks, IRQs) set it at sampling time.
+    :class:`TimerTickSource` samples a :class:`TickBlock`
+    (:meth:`~TimerTickSource.sample_block`); every other source samples
+    arrays, ``sample(t_start, t_end, rng) -> (starts, durations, cpus)``,
+    with ``cpus`` ``None`` where its events have no CPU of their own.
     """
 
-    start: float
-    duration: float
-    kind: str
-    cpu: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise NoiseModelError(f"negative event duration {self.duration}")
-
-
-def placed(event: NoiseEvent, cpu: int) -> NoiseEvent:
-    """A copy of *event* assigned to *cpu*."""
-    return NoiseEvent(event.start, event.duration, event.kind, cpu)
-
-
-class NoiseSource:
-    """Base class; subclasses implement :meth:`sample`."""
-
     kind: str = "noise"
-
-    def sample(
-        self,
-        t_start: float,
-        t_end: float,
-        busy_cpus: Sequence[int],
-        rng: np.random.Generator,
-    ) -> list[NoiseEvent]:
-        """All events of this source in ``[t_start, t_end)``."""
-        raise NotImplementedError
-
-    def sample_arrays(
-        self,
-        t_start: float,
-        t_end: float,
-        busy_cpus: Sequence[int],
-        rng: np.random.Generator,
-    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, str]]:
-        """Vectorized fast path: ``(starts, durations, cpus, kind)``.
-
-        Sources whose events have an inherent CPU (ticks, IRQs) implement
-        this to avoid per-event Python objects — a full-scale run realizes
-        ~10^6 ticks.  Sources that need a placement policy return ``None``
-        and fall back to :meth:`sample`.
-
-        Must consume the *same* random draws as :meth:`sample` so both
-        paths realize identical noise for a given generator state.
-        """
-        return None
 
 
 #: Tick durations a block draws per CPU up front, about 1 s at 250 Hz.
@@ -100,7 +56,10 @@ class TimerTickSource(NoiseSource):
         Tick frequency (Linux ``CONFIG_HZ``, typically 100/250/1000).
     duration_mean / duration_jitter:
         Tick handler cost; actual cost is uniform in
-        ``[mean - jitter, mean + jitter]``.
+        ``[mean - jitter, mean + jitter]``.  The longest handler must end
+        at least 2 ns before the next tick starts, so rounding each
+        endpoint to the nanosecond (by at most half of one) cannot make
+        two ticks of a CPU meet: a CPU's ticks stay disjoint.
     """
 
     hz: float = 250.0
@@ -115,6 +74,12 @@ class TimerTickSource(NoiseSource):
             raise NoiseModelError("bad tick duration parameters")
         if self.duration_jitter > self.duration_mean:
             raise NoiseModelError("tick jitter exceeds mean (negative durations)")
+        longest, period = self.duration_mean + self.duration_jitter, 1.0 / self.hz
+        if not longest + 2e-9 <= period:
+            raise NoiseModelError(
+                f"tick handler of up to {longest} s does not end 2 ns before "
+                f"the next tick, {period} s later (hz={self.hz})"
+            )
 
     def sample_block(self, t_start, t_end, busy_cpus, rng) -> "TickBlock":
         """All ticks of ``[t_start, t_end)`` as a :class:`TickBlock`.
@@ -124,9 +89,14 @@ class TimerTickSource(NoiseSource):
         of its *n* tick durations.  Only the first :data:`PREFIX_TICKS` of
         them are drawn here: ``PCG64.advance`` jumps the rest, leaving the
         generator as drawing them would, and the block draws them later.
+        A CPU ticks once per period, so it may be listed only once.
         """
         if t_end < t_start:
             raise NoiseModelError("window end before start")
+        busy_cpus = list(busy_cpus)
+        if len(set(busy_cpus)) < len(busy_cpus):
+            repeated = next(c for i, c in enumerate(busy_cpus) if c in busy_cpus[:i])
+            raise NoiseModelError(f"busy cpu {repeated} listed twice")
         bitgen = rng.bit_generator
         if not isinstance(bitgen, np.random.PCG64):
             raise NoiseModelError(f"tick durations need a PCG64 stream, got {bitgen!r}")
@@ -168,17 +138,6 @@ class TimerTickSource(NoiseSource):
             durations=np.concatenate(dur_parts) if dur_parts else np.empty(0),
         )
 
-    def sample(self, t_start, t_end, busy_cpus, rng):
-        starts, durations, cpus = self.sample_block(t_start, t_end, busy_cpus, rng).expand()
-        return [
-            NoiseEvent(float(s), float(d), self.kind, cpu=int(c))
-            for s, d, c in zip(starts, durations, cpus)
-        ]
-
-    def sample_arrays(self, t_start, t_end, busy_cpus, rng):
-        starts, durations, cpus = self.sample_block(t_start, t_end, busy_cpus, rng).expand()
-        return starts, durations, cpus, self.kind
-
 
 @dataclass(eq=False)
 class TickBlock:
@@ -186,7 +145,10 @@ class TickBlock:
 
     CPU ``cpus[i]`` ticks at ``first[i] + period * k`` for ``k <
     counts[i]``, and no tick lasts longer than ``longest``, the source's
-    ``duration_mean + duration_jitter``.  Tick starts are computed, not
+    ``duration_mean + duration_jitter``.  No CPU appears twice, and a
+    tick ends at least 2 ns before its CPU's next tick starts (both
+    checked by the source), so a CPU's ticks stay disjoint in int64
+    nanoseconds.  Tick starts are computed, not
     stored: tracing and the full-horizon rows expand the ticks
     (:meth:`expand`), and window queries clip only the ticks near each
     window (:class:`~repro.osnoise.model.NoiseBatch`).
@@ -214,18 +176,6 @@ class TickBlock:
 
     def __len__(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def disjoint(self) -> bool:
-        """Whether every tick is disjoint from every other in int64 ns:
-        no CPU appears twice, and the longest tick ends at least 2 ns
-        before its CPU's next tick starts, so rounding each endpoint to
-        the nanosecond (by at most half of one) cannot make two ticks
-        meet.  Decided from the source's parameters alone."""
-        return (
-            self.longest + 2e-9 <= self.period
-            and len(set(self.cpus.tolist())) == self.cpus.size
-        )
 
     def _draw(self, starts: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
         """The durations at stream positions ``[starts[j], starts[j] +
@@ -343,9 +293,12 @@ class PoissonSource(NoiseSource):
         if self.affinity is not None and len(self.affinity) == 0:
             raise NoiseModelError("empty affinity set")
 
-    def _sample_impl(
+    def sample(
         self, t_start, t_end, rng
     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(starts, durations, cpus)`` of the events in ``[t_start,
+        t_end)``, in start order; ``cpus`` is ``None`` without an
+        affinity set, or when no event arrives."""
         if t_end < t_start:
             raise NoiseModelError("window end before start")
         horizon = t_end - t_start
@@ -364,23 +317,3 @@ class PoissonSource(NoiseSource):
         if self.affinity is not None:
             cpus = rng.choice(np.asarray(self.affinity, dtype=np.int64), size=n)
         return starts, durations, cpus
-
-    def sample(self, t_start, t_end, busy_cpus, rng):
-        starts, durations, cpus = self._sample_impl(t_start, t_end, rng)
-        if cpus is None:
-            return [
-                NoiseEvent(float(s), float(d), self.kind, cpu=None)
-                for s, d in zip(starts, durations)
-            ]
-        return [
-            NoiseEvent(float(s), float(d), self.kind, cpu=int(c))
-            for s, d, c in zip(starts, durations, cpus)
-        ]
-
-    def sample_arrays(self, t_start, t_end, busy_cpus, rng):
-        if self.affinity is None:
-            return None  # needs the placement policy
-        starts, durations, cpus = self._sample_impl(t_start, t_end, rng)
-        if cpus is None:
-            cpus = np.empty(0, dtype=np.int64)
-        return starts, durations, cpus, self.kind

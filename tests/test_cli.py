@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import JobSpecError
+from repro.harness.experiments import get_experiment
 from repro.serve.jobspec import validate_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -480,6 +483,81 @@ class TestShard:
         )
         assert "is not in any shard manifest" in captured.err
         assert "re-run --shard 0/1" in captured.err
+
+    @pytest.fixture(scope="class")
+    def table2_shards(self, tmp_path_factory):
+        """table2 sharded 2 ways into one cache dir, and its serial stdout."""
+        cache = tmp_path_factory.mktemp("table2-shards")
+        with contextlib.redirect_stdout(io.StringIO()) as serial:
+            assert main(["experiment", *self.TABLE2]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            for shard in ("0/2", "1/2"):
+                assert main(["experiment", *self.TABLE2, "--cache-dir", str(cache),
+                             "--shard", shard]) == 0
+        return cache, serial.getvalue()
+
+    def _gather_table2(self, cache, *flags):
+        return main(["gather", "--experiment", *self.TABLE2, "--cache-dir", str(cache),
+                     "--expect-shards", "2", *flags])
+
+    @pytest.mark.parametrize("name", ["table2.csv", "table2.json"])
+    def test_experiment_gather_exports_tidy_records(
+        self, capsys, tmp_path, table2_shards, name
+    ):
+        """``--out`` exports what the experiment's study exports run
+        unsharded; stdout still carries the artifact alone."""
+        cache, serial = table2_shards
+        out, reference = tmp_path / name, tmp_path / f"reference-{name}"
+        assert self._gather_table2(cache, "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert f"exported 8 tidy records to {out}" in captured.err
+        spec = get_experiment("table2")
+        ran = spec.build_study(**spec.knobs(2, 5, 42)).run()
+        ran.to_json(reference) if name.endswith(".json") else ran.to_csv(reference)
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_experiment_gather_reports_telemetry(self, capsys, tmp_path, table2_shards):
+        cache, serial = table2_shards
+        telemetry = tmp_path / "telemetry.json"
+        assert self._gather_table2(
+            cache, "--telemetry", "--telemetry-out", str(telemetry)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "harness telemetry" in captured.err
+        assert f"wrote telemetry JSON to {telemetry}" in captured.err
+        counters = {c["name"]: c["value"] for c in json.loads(telemetry.read_text())["counters"]}
+        assert counters["manifest_entries_verified"] == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "num_threads=2"],
+        ["--zip", "num_threads=2,4"],
+        ["--label", "dynamic_1"],
+        ["--group-by", "num_threads"],
+        ["--param", "outer_reps=3"],
+    ])
+    def test_experiment_gather_rejects_sweep_flags(self, capsys, table2_shards, flags):
+        assert self._gather_table2(table2_shards[0], *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f"drop {flags[0]}\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--threads", "999"],
+        ["--platform", "toy"],
+        ["--proc-bind", "false"],
+        ["--noise", "quiet"],
+        ["--freq-log"],
+        ["--threads", "999", "--platform", "toy"],
+    ])
+    def test_experiment_gather_rejects_config_flags(self, capsys, table2_shards, flags):
+        assert self._gather_table2(table2_shards[0], *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        for flag in flags:
+            assert not flag.startswith("--") or flag in captured.err
 
     def test_backend_flag_is_gone(self, capsys):
         """``--jobs`` alone picks the backend."""

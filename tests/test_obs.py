@@ -9,6 +9,7 @@ The contract under test (docs/observability.md):
 * harness metrics never leak into result artifacts.
 """
 
+import hashlib
 import json
 import textwrap
 
@@ -208,6 +209,25 @@ class TestTracingDeterminism:
         n2 = write_trace(cfgs, p2)
         assert n1 == n2 > 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_noise_trace_bytes_are_pinned(self, tmp_path):
+        """The trace of an unbound Vera BabelStream run, with tick, irq and
+        daemon spans, keeps its bytes: the file that ``repro-omp run
+        --platform vera --benchmark babelstream --threads 32 --proc-bind
+        false --runs 1 --param num_times=20 --seed 3 --trace PATH``
+        writes."""
+        cfg = ExperimentConfig(
+            platform="vera", benchmark="babelstream", num_threads=32, places=None,
+            proc_bind="false", runs=1, seed=3, benchmark_params={"num_times": 20},
+        )
+        path = tmp_path / "trace.json"
+        write_trace([cfg], path)
+        noise = {ev["name"] for ev in json.loads(path.read_text())["traceEvents"]
+                 if ev.get("cat") == "osnoise"}
+        assert noise == {"tick", "irq", "daemon"}
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cf967a367e626b50aa5988b1cc84dfa87513227d10ed6a44d1ff44650d004964"
+        )
 
     def test_trace_mode_independence(self, tmp_path):
         """Serial, pooled, and cache-replayed executions annotate to the

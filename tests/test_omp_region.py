@@ -10,9 +10,7 @@ from repro.freq.dvfs import FrequencyModel
 from repro.freq.governor import PerformanceGovernor
 from repro.omp import NoiseMode, OMPEnvironment, RegionExecutor, RegionParams, Team
 from repro.omp.runtime import OpenMPRuntime
-from repro.osnoise.model import NoiseBatch, NoiseModel, NoiseRealization, PlacedEvent
-from repro.osnoise.source import PoissonSource
-from repro.osnoise.placement import PinnedPlacement
+from repro.osnoise.model import NoiseBatch, NoiseRealization
 from repro.platform import toy, vera
 from repro.rng import RngFactory
 from repro.sched.balancer import StackingEpisode
@@ -26,11 +24,15 @@ def platform():
 
 
 def make_executor(platform, busy_cpus, noise_events=(), horizon=10.0):
-    """One-run executor with a deterministic noise realization."""
+    """One-run executor with a deterministic noise realization: daemon
+    events ``(start, duration, cpu)``."""
     model = FrequencyModel(platform.machine, platform.freq_spec)
     plan = model.plan(0.0, horizon, busy_cpus, PerformanceGovernor(),
                       RngFactory(1).stream("freq"))
-    noise = NoiseRealization(platform.machine, list(noise_events))
+    starts, durations, cpus = np.asarray(noise_events, dtype=float).reshape(-1, 3).T
+    noise = NoiseRealization(
+        platform.machine, (starts, durations, cpus.astype(np.int64), ["daemon"] * cpus.size)
+    )
     env = OMPEnvironment(num_threads=1, places="cores", proc_bind=ProcBind.CLOSE)
     ctx = OpenMPRuntime(platform, env).start_run(0, RngFactory(1), horizon)
     return RegionExecutor([replace(ctx, freq_plan=plan, noise=noise)]), plan
@@ -88,12 +90,9 @@ class TestSMTSharing:
 
 
 class TestNoiseAggregation:
-    def make_noise(self, machine, events):
-        return NoiseRealization(machine, events)
-
     def test_max_mode_single_thread_noise(self, platform):
         m = platform.machine
-        events = [PlacedEvent(start=us(100), duration=us(200), kind="daemon", cpu=0)]
+        events = [(us(100), us(200), 0)]
         ex, _ = make_executor(platform, [0, 1], noise_events=events)
         team = Team(m, (0, 1), bound=True)
         res = ex.execute(team, np.full(2, ms(1)), noise_mode=NoiseMode.MAX)
@@ -102,8 +101,8 @@ class TestNoiseAggregation:
     def test_max_mode_takes_worst_thread(self, platform):
         m = platform.machine
         events = [
-            PlacedEvent(us(10), us(100), "daemon", cpu=0),
-            PlacedEvent(us(10), us(300), "daemon", cpu=1),
+            (us(10), us(100), 0),
+            (us(10), us(300), 1),
         ]
         ex, _ = make_executor(platform, [0, 1], noise_events=events)
         team = Team(m, (0, 1), bound=True)
@@ -113,8 +112,8 @@ class TestNoiseAggregation:
     def test_sync_sum_adds_all(self, platform):
         m = platform.machine
         events = [
-            PlacedEvent(us(10), us(100), "daemon", cpu=0),
-            PlacedEvent(us(10), us(300), "daemon", cpu=1),
+            (us(10), us(100), 0),
+            (us(10), us(300), 1),
         ]
         ex, _ = make_executor(platform, [0, 1], noise_events=events)
         team = Team(m, (0, 1), bound=True)
@@ -124,7 +123,7 @@ class TestNoiseAggregation:
 
     def test_balanced_spreads_noise(self, platform):
         m = platform.machine
-        events = [PlacedEvent(us(10), us(400), "daemon", cpu=0)]
+        events = [(us(10), us(400), 0)]
         ex, _ = make_executor(platform, [0, 1], noise_events=events)
         team = Team(m, (0, 1), bound=True)
         res = ex.execute(team, np.full(2, ms(1)), noise_mode=NoiseMode.BALANCED)
@@ -132,7 +131,7 @@ class TestNoiseAggregation:
 
     def test_noise_outside_window_ignored(self, platform):
         m = platform.machine
-        events = [PlacedEvent(start=5.0, duration=us(500), kind="daemon", cpu=0)]
+        events = [(5.0, us(500), 0)]
         ex, _ = make_executor(platform, [0], noise_events=events)
         team = Team(m, (0,), bound=True)
         res = ex.execute(team, np.asarray([ms(1)]))
@@ -141,7 +140,7 @@ class TestNoiseAggregation:
     def test_sibling_pressure_slows(self, platform):
         m = platform.machine
         # noise on cpu 8 = sibling of team thread on cpu 0
-        events = [PlacedEvent(us(10), us(400), "daemon", cpu=8)]
+        events = [(us(10), us(400), 8)]
         ex, _ = make_executor(platform, [0], noise_events=events)
         team = Team(m, (0,), bound=True)
         res = ex.execute(team, np.asarray([ms(1)]))
@@ -174,8 +173,8 @@ class TestSiblingRows:
         m = platform.machine
         # noise on both hardware threads of core 0, which the team fills
         events = [
-            PlacedEvent(us(10), us(400), "daemon", cpu=0),
-            PlacedEvent(us(10), us(400), "daemon", cpu=8),
+            (us(10), us(400), 0),
+            (us(10), us(400), 8),
         ]
         ex, _ = make_executor(platform, [0, 8], noise_events=events)
         queried = self._spy(monkeypatch)
@@ -186,7 +185,7 @@ class TestSiblingRows:
     def test_free_sibling_is_queried(self, platform, monkeypatch):
         # SMT-2: the pressure on cpus 0 and 1 is the stolen time of 8 and
         # 9, answered in the same pass as the team's own rows
-        events = [PlacedEvent(us(10), us(300), "daemon", cpu=9)]
+        events = [(us(10), us(300), 9)]
         ex, _ = make_executor(platform, [0, 1], noise_events=events)
         queried = self._spy(monkeypatch)
         ex.execute(Team(platform.machine, (0, 1), bound=True), np.full(2, ms(1)))
@@ -204,7 +203,7 @@ class TestSiblingRows:
     def test_wider_smt_queries_the_union_plane(self, monkeypatch):
         plat = toy(smt=4)
         # cpu 8 is a sibling of cpu 0: its noise is pressure on thread 0
-        events = [PlacedEvent(us(10), us(400), "daemon", cpu=8)]
+        events = [(us(10), us(400), 8)]
         ex, _ = make_executor(plat, [0, 1], noise_events=events)
         queried = self._spy(monkeypatch)
         res = ex.execute(Team(plat.machine, (0, 1), bound=True), np.full(2, ms(1)))
@@ -216,7 +215,7 @@ class TestSiblingRows:
     def test_runs_share_one_query(self, platform, monkeypatch):
         """Two runs: one call answers both runs' rows, each from its own
         realization."""
-        events = [PlacedEvent(us(10), us(300), "daemon", cpu=9)]
+        events = [(us(10), us(300), 9)]
         ex_a, _ = make_executor(platform, [0, 1], noise_events=events)
         ex_b, _ = make_executor(platform, [0, 1])
         both = RegionExecutor(ex_a.runs + ex_b.runs)
@@ -231,7 +230,7 @@ class TestRepAxis:
     def test_rows_match_single_runs(self, platform):
         """A two-run executor answers each row exactly as that run alone."""
         m = platform.machine
-        events = [PlacedEvent(us(10), us(300), "daemon", cpu=1)]
+        events = [(us(10), us(300), 1)]
         ex_a, _ = make_executor(platform, [0, 1], noise_events=events)
         ex_b, _ = make_executor(platform, [0, 1])
         both = RegionExecutor(ex_a.runs + ex_b.runs)

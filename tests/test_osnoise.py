@@ -1,6 +1,7 @@
 """Tests for the OS-noise substrate."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 from repro.errors import NoiseModelError
 from repro.obs.tracer import SpanTracer
 from repro.osnoise import (
-    IdleFirstPlacement,
     NoiseModel,
     NoiseRealization,
-    PinnedPlacement,
     PoissonSource,
     TimerTickSource,
     dardel_noise,
+    idle_first_cpus,
     noisy_profile,
     quiet_profile,
     vera_noise,
@@ -26,12 +26,16 @@ from repro.omp import OMPEnvironment, RegionExecutor
 from repro.omp.runtime import OpenMPRuntime
 from repro.osnoise.model import NoiseBatch
 from repro.osnoise.source import PREFIX_TICKS, TickBlock
-from repro.platform import get_platform, toy
+from repro.platform import available_platforms, get_platform, toy
 from repro.rng import RngFactory
 from repro.sim.intervals import IntervalSet
 from repro.topology import TopologyBuilder, dardel_topology
 from repro.types import ProcBind
 from repro.units import ms, to_sim_ns_array, us
+
+
+#: The non-tick events of a realization that has none.
+NO_EVENTS = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), [])
 
 
 @pytest.fixture
@@ -44,27 +48,26 @@ class TestTimerTickSource:
     def test_tick_count_matches_rate(self):
         src = TimerTickSource(hz=250.0, duration_mean=us(2), duration_jitter=us(1))
         rng = RngFactory(1).stream("ticks")
-        events = src.sample(0.0, 1.0, busy_cpus=[3], rng=rng)
-        assert 248 <= len(events) <= 251
-        assert all(e.cpu == 3 for e in events)
+        starts, _, cpus = src.sample_block(0.0, 1.0, busy_cpus=[3], rng=rng).expand()
+        assert 248 <= starts.size <= 251
+        assert np.all(cpus == 3)
 
     def test_only_busy_cpus_tick(self):
         src = TimerTickSource()
         rng = RngFactory(1).stream("ticks")
-        events = src.sample(0.0, 0.1, busy_cpus=[1, 5], rng=rng)
-        assert {e.cpu for e in events} == {1, 5}
+        _, _, cpus = src.sample_block(0.0, 0.1, busy_cpus=[1, 5], rng=rng).expand()
+        assert set(cpus.tolist()) == {1, 5}
 
     def test_no_busy_no_ticks(self):
         src = TimerTickSource()
         rng = RngFactory(1).stream("ticks")
-        assert src.sample(0.0, 1.0, busy_cpus=[], rng=rng) == []
+        assert len(src.sample_block(0.0, 1.0, busy_cpus=[], rng=rng)) == 0
 
     def test_durations_in_band(self):
         src = TimerTickSource(duration_mean=us(2), duration_jitter=us(1))
         rng = RngFactory(2).stream("ticks")
-        events = src.sample(0.0, 0.5, busy_cpus=[0], rng=rng)
-        for e in events:
-            assert us(1) <= e.duration <= us(3)
+        _, durations, _ = src.sample_block(0.0, 0.5, busy_cpus=[0], rng=rng).expand()
+        assert np.all((us(1) <= durations) & (durations <= us(3)))
 
     def test_validation(self):
         with pytest.raises(NoiseModelError):
@@ -77,32 +80,33 @@ class TestPoissonSource:
     def test_event_count(self):
         src = PoissonSource(rate=100.0, duration_median=us(100))
         rng = RngFactory(3).stream("poisson")
-        events = src.sample(0.0, 10.0, busy_cpus=[], rng=rng)
-        assert 850 < len(events) < 1150
+        starts, _, _ = src.sample(0.0, 10.0, rng)
+        assert 850 < starts.size < 1150
 
     def test_affinity_respected(self):
         src = PoissonSource(rate=50.0, affinity=(0, 5), kind="irq")
         rng = RngFactory(4).stream("poisson")
-        events = src.sample(0.0, 5.0, busy_cpus=[], rng=rng)
-        assert {e.cpu for e in events} <= {0, 5}
+        _, _, cpus = src.sample(0.0, 5.0, rng)
+        assert set(cpus.tolist()) <= {0, 5}
 
     def test_unaffine_events_unplaced(self):
         src = PoissonSource(rate=50.0)
         rng = RngFactory(4).stream("poisson")
-        events = src.sample(0.0, 1.0, busy_cpus=[], rng=rng)
-        assert all(e.cpu is None for e in events)
+        starts, _, cpus = src.sample(0.0, 1.0, rng)
+        assert starts.size and cpus is None
 
     def test_duration_cap(self):
         src = PoissonSource(rate=200.0, duration_median=us(500), duration_sigma=3.0,
                             duration_cap=us(1000))
         rng = RngFactory(5).stream("poisson")
-        events = src.sample(0.0, 5.0, busy_cpus=[], rng=rng)
-        assert max(e.duration for e in events) <= us(1000)
+        _, durations, _ = src.sample(0.0, 5.0, rng)
+        assert durations.max() <= us(1000)
 
     def test_zero_rate(self):
         src = PoissonSource(rate=0.0)
         rng = RngFactory(5).stream("poisson")
-        assert src.sample(0.0, 100.0, busy_cpus=[], rng=rng) == []
+        starts, durations, cpus = src.sample(0.0, 100.0, rng)
+        assert starts.size == durations.size == 0 and cpus is None
 
     def test_validation(self):
         with pytest.raises(NoiseModelError):
@@ -113,57 +117,34 @@ class TestPoissonSource:
 
 class TestIdleFirstPlacement:
     def test_prefers_fully_idle_cores(self, machine):
-        src = PoissonSource(rate=500.0)
         rng = RngFactory(6).stream("x")
-        events = src.sample(0.0, 1.0, busy_cpus=[], rng=rng)
-        policy = IdleFirstPlacement()
         # busy: cpu 0..3 (cores 0..3 of socket 0). Fully idle cores: 4..7.
-        placed = policy.place(events, machine, busy_cpus=[0, 1, 2, 3], rng=rng)
-        idle_core_cpus = {4, 5, 6, 7, 12, 13, 14, 15}
-        assert all(e.cpu in idle_core_cpus for e in placed)
+        cpus = idle_first_cpus(machine, [0, 1, 2, 3], 500, rng)
+        assert set(cpus.tolist()) <= {4, 5, 6, 7, 12, 13, 14, 15}
 
     def test_falls_back_to_siblings(self, machine):
         # all 8 cores have thread0 busy -> only siblings idle
-        busy = list(range(8))
-        src = PoissonSource(rate=200.0)
-        rng = RngFactory(7).stream("x")
-        events = src.sample(0.0, 1.0, busy_cpus=busy, rng=rng)
-        placed = IdleFirstPlacement().place(events, machine, busy, rng)
-        assert all(8 <= e.cpu < 16 for e in placed)
+        cpus = idle_first_cpus(machine, list(range(8)), 200, RngFactory(7).stream("x"))
+        assert np.all((8 <= cpus) & (cpus < 16))
 
     def test_preempts_when_saturated(self, machine):
         busy = list(range(16))
-        src = PoissonSource(rate=200.0)
-        rng = RngFactory(8).stream("x")
-        events = src.sample(0.0, 1.0, busy_cpus=busy, rng=rng)
-        placed = IdleFirstPlacement().place(events, machine, busy, rng)
-        assert all(0 <= e.cpu < 16 for e in placed)
+        cpus = idle_first_cpus(machine, busy, 200, RngFactory(8).stream("x"))
+        assert np.all((0 <= cpus) & (cpus < 16))
         # noise now lands on busy cpus
-        assert any(e.cpu in set(busy) for e in placed)
+        assert np.isin(cpus, busy).any()
 
     def test_affine_events_untouched(self, machine):
-        src = PoissonSource(rate=100.0, affinity=(2,), kind="irq")
-        rng = RngFactory(9).stream("x")
-        events = src.sample(0.0, 1.0, busy_cpus=[], rng=rng)
-        placed = IdleFirstPlacement().place(events, machine, [0, 1], rng)
-        assert all(e.cpu == 2 for e in placed)
+        model = NoiseModel(machine, [PoissonSource(rate=100.0, affinity=(2,), kind="irq"),
+                                     PoissonSource(rate=100.0)])
+        real = model.realize(0.0, 1.0, [0, 1], RngFactory(9).stream("x"))
+        _, _, cpus, kinds = real.events()
+        assert (kinds == "irq").any() and np.all(cpus[kinds == "irq"] == 2)
+        assert not np.isin(cpus[kinds == "daemon"], [0, 1, 8, 9]).any()  # busy cores
 
     def test_bad_busy_cpu(self, machine):
-        with pytest.raises(NoiseModelError):
-            IdleFirstPlacement().place([], machine, [999], RngFactory(1).stream("x"))
-
-
-class TestPinnedPlacement:
-    def test_places_on_fixed_set(self, machine):
-        src = PoissonSource(rate=100.0)
-        rng = RngFactory(10).stream("x")
-        events = src.sample(0.0, 1.0, busy_cpus=[], rng=rng)
-        placed = PinnedPlacement([3]).place(events, machine, [], rng)
-        assert all(e.cpu == 3 for e in placed)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(NoiseModelError):
-            PinnedPlacement([])
+        with pytest.raises(NoiseModelError, match="999"):
+            idle_first_cpus(machine, [999], 1, RngFactory(1).stream("x"))
 
 
 class TestNoiseModel:
@@ -178,14 +159,12 @@ class TestNoiseModel:
         model = NoiseModel(machine, quiet_profile().sources)
         real = model.realize(0.0, 10.0, [0], RngFactory(1).stream("n"))
         assert real.stolen_on(0).is_empty()
-        assert real.events == ()
+        assert all(column.size == 0 for column in real.events())
 
     def test_sibling_pressure(self, machine):
         # noise pinned on cpu 8 (sibling of cpu 0 in core 0)
         model = NoiseModel(
-            machine,
-            [PoissonSource(rate=50.0, duration_median=us(100))],
-            placement=PinnedPlacement([8]),
+            machine, [PoissonSource(rate=50.0, duration_median=us(100), affinity=(8,))]
         )
         real = model.realize(0.0, 1.0, busy_cpus=[0], rng=RngFactory(2).stream("n"))
         batch = NoiseBatch([real])
@@ -241,7 +220,7 @@ class TestNoiseModel:
         model = NoiseModel(machine, vera_noise().sources)
         r1 = model.realize(0.0, 1.0, [0, 1], RngFactory(5).stream("n"))
         r2 = model.realize(0.0, 1.0, [0, 1], RngFactory(5).stream("n"))
-        assert r1.events == r2.events
+        assert r1 == r2
 
 
 class TestProfiles:
@@ -308,11 +287,14 @@ def reference_ticks(src, t_start, t_end, busy_cpus, rng):
     return tuple(np.concatenate(p) for p in (starts_parts, dur_parts, cpu_parts))
 
 
-tick_sources = st.builds(
-    TimerTickSource,
-    hz=st.sampled_from([100.0, 250.0, 1000.0, 3000.0]),
-    duration_mean=st.floats(min_value=1e-6, max_value=4e-4),
-    duration_jitter=st.just(5e-7),
+#: Valid sources only: the longest tick ends 2 ns before the next one.
+tick_sources = st.sampled_from([100.0, 250.0, 1000.0, 3000.0]).flatmap(
+    lambda hz: st.builds(
+        TimerTickSource,
+        hz=st.just(hz),
+        duration_mean=st.floats(min_value=1e-6, max_value=min(4e-4, 1 / hz - 5e-7 - 3e-9)),
+        duration_jitter=st.just(5e-7),
+    )
 )
 
 
@@ -320,24 +302,22 @@ class TestTickBlock:
     @given(src=tick_sources, seed=st.integers(0, 2**16),
            t_start=st.floats(min_value=0.0, max_value=1.0),
            length=st.floats(min_value=0.0, max_value=0.3),
-           busy=st.lists(st.integers(0, 15), max_size=5))
+           busy=st.lists(st.integers(0, 15), max_size=5, unique=True))
     @settings(max_examples=100, deadline=None)
     def test_full_expansion_is_the_reference_draw(self, src, seed, t_start, length, busy):
         t_end = t_start + length
-        rng, ref_rng, arr_rng = (np.random.default_rng(seed) for _ in range(3))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         block = src.sample_block(t_start, t_end, busy, rng)
         reference = reference_ticks(src, t_start, t_end, busy, ref_rng)
-        arrays = src.sample_arrays(t_start, t_end, busy, arr_rng)
-        for mine, ref, arr in zip(block.expand(), reference, arrays):
-            assert np.array_equal(mine, ref) and np.array_equal(arr, ref)
+        for mine, ref in zip(block.expand(), reference):
+            assert np.array_equal(mine, ref)
         assert len(block) == reference[0].size
         # the generator leaves in the same state, whatever is expanded later
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert arr_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @given(src=tick_sources, seed=st.integers(0, 2**16),
            reach=st.floats(min_value=-0.1, max_value=0.4),
-           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5))
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True))
     @settings(max_examples=100, deadline=None)
     def test_partial_expansion_keeps_every_tick_before_reach(self, src, seed, reach, busy):
         block = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
@@ -358,7 +338,7 @@ class TestTickBlock:
         assert np.all(np.isin(part_c, block.cpus))
 
     @given(src=tick_sources, seed=st.integers(0, 2**16),
-           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5),
+           busy=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
            data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_growth_in_any_increments_is_the_reference_draw(self, src, seed, busy, data):
@@ -403,7 +383,7 @@ class TestTickBlock:
         returns the block, the query slots, the windows and the twin's
         quantized tick starts."""
         block = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
-        assume(block.disjoint and len(block))
+        assume(len(block))
         twin = src.sample_block(0.0, 0.3, busy, np.random.default_rng(seed))
         starts, durations, cpus = twin.expand()
         ticks = to_sim_ns_array((starts, starts + durations))
@@ -417,7 +397,7 @@ class TestTickBlock:
         ])  # with one window before the first tick and one after the last
         slots = np.concatenate((slots, [0, 0]))
         machine = TopologyBuilder("toy").add_sockets(2, 1, 4, smt=2).build()
-        batch = NoiseBatch([NoiseRealization(machine, [], ticks=[block])])
+        batch = NoiseBatch([NoiseRealization(machine, NO_EVENTS, block)])
         clip_starts, clip_ends = batch._clip(slots, edges, np.asarray([0, slots.size]), grow)
         for q, slot in enumerate(slots.tolist()):
             own = ticks[:, cpus == block.cpus[slot]]
@@ -473,45 +453,42 @@ class TestTickBlock:
 
 
 class TestTickPath:
-    """Which tick block a realization sums straight from its ticks."""
+    """A realization has one tick block, whose ticks are disjoint on every
+    CPU; each input that could break that is rejected when it is built."""
 
     def test_every_preset_tick_source_is_disjoint(self):
-        for profile in (dardel_noise(), vera_noise(), noisy_profile(), toy().noise_profile):
-            for src in profile.sources:
-                if isinstance(src, TimerTickSource):
-                    block = src.sample_block(0.0, 1.0, [0, 1], np.random.default_rng(1))
-                    assert block.disjoint
-
-    def test_ticks_that_may_overlap_join_the_events(self):
-        src = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
-        assert not src.sample_block(0.0, 0.1, [0], np.random.default_rng(1)).disjoint
+        """Every preset's sources, and the loud profile's, pass."""
+        cases = [get_platform(name) for name in available_platforms()]
+        # the loud profile pins IRQs to Dardel's cpu 128
+        cases.append(get_platform("dardel").with_noise(noisy_profile()))
+        for platform in cases:
+            machine = platform.machine
+            model = NoiseModel(machine, platform.noise_profile.sources)
+            real = model.realize(0.0, 0.1, range(machine.n_cpus), np.random.default_rng(1))
+            assert real.count_by_kind()["tick"] >= machine.n_cpus
 
     def test_ticks_need_two_nanoseconds_of_room(self):
         period, jitter = 1e-3, 5e-7
-        rng = np.random.default_rng(1)
-        for room, disjoint in ((1e-9, False), (3e-9, True)):
-            src = TimerTickSource(
-                hz=1 / period, duration_mean=period - room - jitter, duration_jitter=jitter
-            )
-            assert src.sample_block(0.0, 0.1, [0], rng).disjoint is disjoint
+        TimerTickSource(hz=1 / period, duration_mean=period - 3e-9 - jitter,
+                        duration_jitter=jitter)
+        tight = period - 1e-9 - jitter
+        with pytest.raises(NoiseModelError, match=re.escape(f"up to {tight + jitter} s")):
+            TimerTickSource(hz=1 / period, duration_mean=tight, duration_jitter=jitter)
 
-    def test_a_repeated_cpu_joins_the_events(self):
+    def test_ticks_that_may_overlap_are_rejected(self):
+        with pytest.raises(NoiseModelError, match="hz=3000.0"):
+            TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
+
+    def test_a_repeated_busy_cpu_is_rejected(self):
         src = TimerTickSource()
-        rng = np.random.default_rng(1)
-        assert src.sample_block(0.0, 0.1, [0, 1], rng).disjoint
-        assert not src.sample_block(0.0, 0.1, [0, 1, 0], rng).disjoint
+        assert len(src.sample_block(0.0, 0.1, [0, 1], np.random.default_rng(1)))
+        with pytest.raises(NoiseModelError, match="busy cpu 0 listed twice"):
+            src.sample_block(0.0, 0.1, [0, 1, 0], np.random.default_rng(1))
 
-    def test_the_first_disjoint_block_takes_the_tick_path(self, machine):
-        rng = np.random.default_rng(2)
-        loose = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
-        blocks = [loose.sample_block(0.0, 0.1, [0], rng),
-                  TimerTickSource().sample_block(0.0, 0.1, [0, 1], rng),
-                  TimerTickSource().sample_block(0.0, 0.1, [1, 2], rng)]
-        real = NoiseRealization(machine, [], ticks=blocks)
-        assert real._tick is blocks[1]
-        stolen, _ = oracle_sets(real)
-        for cpu in range(4):
-            assert real.stolen_on(cpu) == stolen[cpu]
+    def test_a_second_tick_source_is_rejected(self, machine):
+        second = TimerTickSource(hz=100.0)
+        with pytest.raises(NoiseModelError, match="hz=100.0"):
+            NoiseModel(machine, [TimerTickSource(), PoissonSource(), second])
 
 
 def smt4_machine():
@@ -524,11 +501,8 @@ HORIZON = 0.05
 
 @st.composite
 def realizations(draw, machine):
-    """A realization with random non-tick events, one block of disjoint
-    ticks (or, at random, none: a run without a tick path) and, at
-    random, a block whose ticks must join the rest plane: ticks longer
-    than their period, or a busy list that repeats a CPU.  Either block
-    may come first."""
+    """A realization with random non-tick events and one tick block (or,
+    at random, none: a run without ticks)."""
     n = machine.n_cpus
     cpu = st.integers(0, n - 1)
     events = draw(st.lists(
@@ -545,37 +519,24 @@ def realizations(draw, machine):
         duration_mean=draw(st.floats(min_value=1e-6, max_value=8e-5)),
         duration_jitter=5e-7,
     )
-    blocks = [src.sample_block(0.0, HORIZON, draw(st.lists(cpu, max_size=6, unique=True)), rng)]
-    if not draw(st.integers(0, 4)):
-        blocks = []
-    fallback = draw(st.sampled_from([None, "overlapping", "repeated"]))
-    if fallback == "overlapping":
-        loose = TimerTickSource(hz=3000.0, duration_mean=4e-4, duration_jitter=5e-7)
-        busy = draw(st.lists(cpu, min_size=1, max_size=4, unique=True))
-        blocks.append(loose.sample_block(0.0, HORIZON, busy, rng))
-    elif fallback == "repeated":
-        busy = draw(st.lists(cpu, min_size=1, max_size=4))
-        blocks.append(src.sample_block(0.0, HORIZON, busy + busy[:1], rng))
-    if draw(st.booleans()):
-        blocks.reverse()
+    block = src.sample_block(0.0, HORIZON, draw(st.lists(cpu, max_size=6, unique=True)), rng)
     arrays = (
         np.asarray([e[0] for e in events]),
         np.asarray([e[1] for e in events]),
         np.asarray([e[2] for e in events], dtype=np.int64),
         ["daemon"] * len(events),
     )
-    return NoiseRealization(machine, arrays=arrays, ticks=blocks)
+    return NoiseRealization(machine, arrays, block if draw(st.integers(0, 4)) else None)
 
 
 def oracle_sets(real):
     """Full-horizon per-CPU sets, built event by event, and their sibling
     unions: the per-CPU path the planes replace."""
     machine = real.machine
-    events = real.events
+    starts, durations, cpus, _ = real.events()
     stolen = []
     for c in range(machine.n_cpus):
-        s = np.asarray([e.start for e in events if e.cpu == c], dtype=float)
-        d = np.asarray([e.duration for e in events if e.cpu == c], dtype=float)
+        s, d = starts[cpus == c], durations[cpus == c]
         stolen.append(IntervalSet(s, s + d))
     sibling = []
     for c in range(machine.n_cpus):

@@ -172,20 +172,15 @@ class TestBatchedDrawEquivalence:
         assert a.random() == b.random()
 
     def test_placement_matches_scalar_reference(self):
-        """IdleFirstPlacement's batched draw must reproduce the historical
+        """idle_first_cpus's batched draw must reproduce the historical
         per-event loop bit-for-bit (same CPUs, same final stream state)."""
-        from repro.osnoise.placement import IdleFirstPlacement
-        from repro.osnoise.source import NoiseEvent, placed
+        from repro.osnoise.placement import idle_first_cpus
         from repro.platform import get_platform
 
         machine = get_platform("vera").machine
-        events = [
-            NoiseEvent(start=0.001 * i, duration=1e-5, kind="daemon")
-            for i in range(40)
-        ]
         busy = list(range(8))
 
-        def reference(events, machine, busy_cpus, rng):
+        def reference(n, machine, busy_cpus, rng):
             busy = set(busy_cpus)
             busy_cores = {machine.hwthread(c).core_id for c in busy}
             idle_free = [
@@ -198,42 +193,34 @@ class TestBatchedDrawEquivalence:
             ]
             all_cpus = np.arange(machine.n_cpus)
             out = []
-            for ev in events:
-                if ev.cpu is not None:
-                    out.append(ev)
-                    continue
+            for _ in range(n):
                 if idle_free:
                     cpu = int(rng.choice(idle_free))
                 elif idle_sib:
                     cpu = int(rng.choice(idle_sib))
                 else:
                     cpu = int(rng.choice(all_cpus))
-                out.append(placed(ev, cpu))
+                out.append(cpu)
             return out
 
         a, b = np.random.default_rng(1234), np.random.default_rng(1234)
-        got = IdleFirstPlacement().place(events, machine, busy, b)
-        want = reference(events, machine, busy, a)
-        assert [e.cpu for e in got] == [e.cpu for e in want]
+        got = idle_first_cpus(machine, busy, 40, b)
+        want = reference(40, machine, busy, a)
+        assert got.tolist() == want
         assert a.random() == b.random()
 
     def test_placement_saturated_machine(self):
         """All CPUs busy: the batched draw falls through to the random
         preemption pool, still matching the scalar reference."""
-        from repro.osnoise.placement import IdleFirstPlacement
-        from repro.osnoise.source import NoiseEvent
+        from repro.osnoise.placement import idle_first_cpus
         from repro.platform import get_platform
 
         machine = get_platform("vera").machine
-        events = [
-            NoiseEvent(start=0.001 * i, duration=1e-5, kind="daemon")
-            for i in range(16)
-        ]
         busy = list(range(machine.n_cpus))
         a, b = np.random.default_rng(5), np.random.default_rng(5)
-        got = IdleFirstPlacement().place(events, machine, busy, b)
+        got = idle_first_cpus(machine, busy, 16, b)
         want = [int(a.choice(np.arange(machine.n_cpus))) for _ in range(16)]
-        assert [e.cpu for e in got] == want
+        assert got.tolist() == want
         assert a.random() == b.random()
 
     def test_scan_victims_early_out_consumes_same_stream(self):
