@@ -1,7 +1,8 @@
 """Committed baseline of intentional rule exceptions.
 
-Some findings are deliberate (the engine micro-benchmarks read
-``time.perf_counter`` because they *measure* wall time) — the baseline
+Some findings are deliberate (the event-loop benchmark in
+:mod:`repro.sim.bench` reads ``time.perf_counter`` because it *measures*
+wall time) — the baseline
 records them, each with a mandatory human-readable reason, so the lint
 run stays a hard gate for everything else.  Entries match findings by
 line-number-free identity (rule, normalized path, normalized snippet),

@@ -84,7 +84,7 @@ class FileContext:
 
     @property
     def module_name(self) -> str:
-        """Dotted module name (``repro.sim.engine``), or ``""``."""
+        """Dotted module name (``repro.sim.trace``), or ``""``."""
         return ".".join(self.module_parts)
 
     def in_package(self, *packages: str) -> bool:

@@ -51,7 +51,7 @@ class Finding:
     message:
         What is wrong, specifically (names the offending symbol/field).
     scope:
-        Dotted in-file scope (``"Engine.spawn"``), or ``"<module>"``.
+        Dotted in-file scope (``"WorkStealingScheduler.run"``), or ``"<module>"``.
     snippet:
         The stripped source line the finding points at.
     fix_hint:

@@ -73,7 +73,7 @@ class AmbientNondeterminism(Rule):
     )
     fix_hint = (
         "draw from a named RngFactory stream (repro.rng) and read time "
-        "from the simulation Clock"
+        "from simulated time (the run context's cursor, ctx.t)"
     )
     packages = SIMULATION_PACKAGES
     node_types = (ast.Call,)

@@ -90,7 +90,7 @@ class GuardedTraceEmission(Rule):
         "one method call (plus an args-dict allocation) per event.  An "
         "unguarded tracer.span/instant/counter call site pays that cost "
         "O(events) times per run with tracing off — the exact overhead "
-        "docs/observability.md promises is absent, and the engine "
+        "docs/observability.md promises is absent, and the event-loop "
         "throughput the bench trajectory tracks would silently regress."
     )
     fix_hint = (

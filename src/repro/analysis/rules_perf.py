@@ -2,9 +2,11 @@
 (no per-iteration closure allocation) and PERF003 (no per-run Python
 loops in rep-axis code).
 
-The PR 5 engine overhaul bought its 2.2-2.8x by making the event loop
-allocation-free: slotted instances and one reusable trampoline per
-process; the region executor (:mod:`repro.omp.region`) and the benchmark
+The event loops were made fast by keeping them allocation-free: slotted
+instances, and callables bound once per episode rather than built per
+event (the work-stealing scheduler binds each thread's frequency and
+noise queries before its loop); the region executor
+(:mod:`repro.omp.region`) and the benchmark
 drivers written over it evaluate all runs of a bound configuration as
 one array program over the run axis.  These rules keep both disciplines
 from eroding as the hot modules grow.
@@ -120,15 +122,17 @@ class NoClosureInLoop(Rule):
     rationale = (
         "A lambda or def inside a for/while body allocates a fresh "
         "function object every iteration.  On the event hot path that "
-        "was the dominant allocation churn before PR 5 (one lambda per "
-        "process step); the engine now binds one trampoline per process "
+        "was the dominant allocation churn before the event loops were "
+        "reworked (one lambda per process step); the work-stealing "
+        "scheduler binds its per-thread callables once per episode "
         "precisely to avoid it, and new per-event closures would undo "
         "that win invisibly."
     )
     fix_hint = (
         "hoist the function out of the loop and bind loop variables via "
-        "default arguments, or store a reusable callable on the object "
-        "(the Process.resume trampoline pattern)"
+        "default arguments, or bind the callable once before the loop "
+        "(as WorkStealingScheduler.run binds each thread's "
+        "invert_integral and overlap)"
     )
     packages = HOT_PACKAGES
     node_types = (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -387,12 +387,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="measure engine throughput (events/sec) and record the "
-             "numbers to a JSON report",
+        help="measure the work-stealing event loop's throughput (simulated "
+             "events/sec of the figure8 smoke) and record it to a JSON report",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
-        help="~10x smaller workloads (CI smoke)",
+        help="5 smoke repetitions instead of 30 (CI smoke)",
     )
     p_bench.add_argument(
         "--out", default="BENCH_engine.json", metavar="PATH",
@@ -889,14 +889,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     report = run_benchmarks(quick=args.quick)
     report = write_report(report, args.out, stamp=args.stamp)
-    eng = report["engine"]
     smoke = report["figure8_smoke"]
-    print("engine throughput (events/sec):")
-    print(f"  callbacks:     {eng['callback_events_per_sec']:>12,}")
-    print(f"  processes:     {eng['process_events_per_sec']:>12,}")
-    print(f"  cancel churn:  {eng['cancel_churn_events_per_sec']:>12,}")
     print(
-        f"figure8 smoke:   {smoke['events_per_sec']:>12,} "
+        f"figure8 smoke: {smoke['events_per_sec']:,} events/sec "
         f"({smoke['events']} simulated events in {smoke['wall_seconds']:.3f}s)"
     )
     for key, factor in report.get("speedup_vs_baseline", {}).items():

@@ -2,9 +2,10 @@
 core").
 
 A background sampler pinned to a spare CPU reads ``scaling_cur_freq`` of
-every CPU at a fixed interval through the simulated sysfs.  It is
-implemented as a :mod:`repro.sim` process driven by the event engine — the
-same structure as the authors' background Python script — and its CPU is
+every CPU at a fixed interval through the simulated sysfs, as the
+authors' background Python script does.  Its samples lie on a plain grid
+(``t_start``, then each previous sample time plus the interval, while it
+does not pass ``t_end``), so no event queue is involved.  Its CPU is
 marked busy to the noise/placement models so the logger itself perturbs
 the benchmark as little as possible (and measurably, if you pin it onto a
 benchmark core on purpose).
@@ -12,6 +13,7 @@ benchmark core on purpose).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +21,6 @@ import numpy as np
 from repro.errors import HarnessError
 from repro.freq.dvfs import FrequencyPlan, FrequencySpec
 from repro.freq.sysfs import CpuFreqSysfs
-from repro.sim.engine import Engine
-from repro.sim.process import Timeout
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class FrequencyLogger:
     def __init__(self, logger_cpu: int, interval: float = 0.01):
         if interval <= 0:
             raise HarnessError(f"logger interval must be positive, got {interval}")
+        if not math.isfinite(interval):
+            raise HarnessError(f"logger interval must be finite, got {interval}")
         self.logger_cpu = int(logger_cpu)
         self.interval = float(interval)
 
@@ -72,26 +74,21 @@ class FrequencyLogger:
         t_start: float,
         t_end: float,
     ) -> FrequencyLog:
-        """Run the sampling process over ``[t_start, t_end]``."""
+        """Sample every CPU at ``t_start``, ``t_start + interval``, ...
+        up to ``t_end``.  Each time is the previous one plus the interval,
+        accumulated in float64."""
         if t_end <= t_start:
             raise HarnessError("empty logging window")
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
+            raise HarnessError(f"logging window must be finite, got [{t_start}, {t_end}]")
         sysfs = CpuFreqSysfs(spec, plan, governor_name)
         times: list[float] = []
         rows: list[np.ndarray] = []
-
-        engine = Engine()
-        engine.clock.advance_to(t_start)
-
-        def sampler():
-            while engine.clock.now <= t_end:
-                times.append(engine.clock.now)
-                rows.append(sysfs.snapshot_khz(engine.clock.now))
-                yield Timeout(self.interval)
-
-        engine.spawn(sampler(), name="freqlogger")
-        engine.run(until=t_end)
-        if not times:
-            raise HarnessError("logger captured no samples")
+        t = float(t_start)
+        while t <= t_end:
+            times.append(t)
+            rows.append(sysfs.snapshot_khz(t))
+            t = t + self.interval
         return FrequencyLog(
             logger_cpu=self.logger_cpu,
             interval=self.interval,

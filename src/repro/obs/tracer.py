@@ -8,8 +8,8 @@ events (point markers), and counter samples (time series), all stamped in
 tracer cannot perturb a run.
 
 The default :data:`NULL_TRACER` is a do-nothing singleton whose
-``enabled`` flag is ``False``.  The hot paths (engine loop, work-stealing
-workers) hoist ``tracing = tracer.enabled`` once per episode and guard
+``enabled`` flag is ``False``.  The hot paths (the work-stealing event
+loop) hoist ``tracing = tracer.enabled`` once per episode and guard
 every emission with ``if tracing:`` — the contract lint rule OBS001
 enforces (see :mod:`repro.analysis.rules_obs`) — so the null path costs
 one attribute read per *episode*, not per event, and allocates nothing.

@@ -104,16 +104,6 @@ class NoiseRealization:
         ticks += (np.full(ticks[0].size, self._tick.kind),)
         return tuple(np.concatenate(pair) for pair in zip(ticks, rest))
 
-    @property
-    def n_events(self) -> int:
-        return int(self._starts.size) + (0 if self._tick is None else len(self._tick))
-
-    def count_by_kind(self) -> dict[str, int]:
-        out = {} if self._tick is None else {self._tick.kind: len(self._tick)}
-        for kind in self._kinds.tolist():
-            out[kind] = out.get(kind, 0) + 1
-        return out
-
     # -- full-horizon interval queries --------------------------------------------
 
     @cached_property
@@ -169,14 +159,6 @@ class NoiseRealization:
                 tracer.span(tid, str(kinds[j]), s, e, cat="osnoise")
                 emitted += 1
         return emitted
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NoiseRealization):
-            return NotImplemented
-        return all(
-            np.array_equal(mine, theirs)
-            for mine, theirs in zip(self.events(), other.events())
-        )
 
 
 class NoiseBatch:

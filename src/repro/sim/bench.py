@@ -1,28 +1,17 @@
-"""Event-loop throughput benchmarks (events/second).
+"""Event-loop throughput benchmark (simulated events per wall-clock second).
 
-Two event loops carry the simulation's discrete events: the general
-engine (:mod:`repro.sim.engine`, which drives generator processes such
-as the frequency logger) and the work-stealing scheduler's own flat
-loop, where every task body, steal probe and backoff of a tasking run is
-one wake-up.  This module measures the engine three ways:
+The work-stealing scheduler's flat loop is the simulator's one event
+loop: every task body, steal probe and backoff of a tasking run is one
+wake-up, so tasking wall-clock is wake-ups/sec times wake-up count.
+:func:`bench_figure8_smoke` runs that loop on a real Vera run context
+(frequency plan, OS noise, taskloop workload — the figure8
+configuration) and reports *simulated events (scheduler wake-ups) per
+second of wall time*, the number the ``repro-omp bench`` CLI records
+into ``BENCH_engine.json`` so the performance trajectory is tracked
+across commits.
 
-* :func:`bench_callback_events` — bare callback events through
-  ``schedule_at`` + ``run`` (heap + dispatch overhead, no generators);
-* :func:`bench_process_events` — generator processes yielding timeouts
-  (the periodic-process shape: trampoline + ``Process.step`` on top of
-  the heap);
-* :func:`bench_cancel_churn` — schedule/cancel churn exercising the
-  cancellation side-set and lazy compaction;
-
-plus one end-to-end probe, :func:`bench_figure8_smoke`, which runs the
-work-stealing scheduler on a real Vera run context (frequency plan, OS
-noise, taskloop workload — the figure8 configuration) and reports
-*simulated events (scheduler wake-ups) per second of wall time*, the
-number the ``repro-omp bench`` CLI records into ``BENCH_engine.json`` so
-the performance trajectory is tracked across commits.
-
-All benchmarks are deterministic in their simulated results (seeded);
-only the wall-clock measurements vary run to run.
+The simulated event count is deterministic (seeded); only the
+wall-clock measurements vary run to run.
 """
 
 from __future__ import annotations
@@ -30,75 +19,13 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.sim.clock import Clock
-from repro.sim.engine import Engine
-from repro.sim.process import Timeout
-
 __all__ = [
     "append_trajectory",
-    "bench_callback_events",
-    "bench_process_events",
-    "bench_cancel_churn",
     "bench_figure8_smoke",
     "carry_baseline",
     "run_benchmarks",
     "write_report",
 ]
-
-
-def bench_callback_events(n_events: int = 200_000) -> float:
-    """Events/sec for bare callbacks scheduled up front."""
-    eng = Engine()
-
-    def callback() -> None:
-        pass
-
-    start = time.perf_counter()
-    for i in range(n_events):
-        eng.schedule_at(float(i), callback)
-    eng.run()
-    elapsed = time.perf_counter() - start
-    return n_events / elapsed
-
-
-def bench_process_events(n_procs: int = 32, steps: int = 5_000) -> float:
-    """Events/sec for generator processes yielding periodic timeouts."""
-    eng = Engine()
-
-    def proc():
-        for _ in range(steps):
-            yield Timeout(0.001)
-
-    for i in range(n_procs):
-        eng.spawn(proc(), name=f"proc-{i}")
-    start = time.perf_counter()
-    eng.run()
-    elapsed = time.perf_counter() - start
-    return eng.events_executed / elapsed
-
-
-def bench_cancel_churn(n_rounds: int = 50_000) -> float:
-    """Events/sec under heavy schedule-then-cancel churn.
-
-    Each round schedules two future events and cancels one, so half of all
-    queued entries die before execution — the pattern that exercises the
-    cancellation side-set and the lazy heap compaction.
-    """
-    eng = Engine(clock=Clock())
-    start = time.perf_counter()
-    for i in range(n_rounds):
-        t = float(i)
-        keep = eng.schedule_at(t, _noop)
-        kill = eng.schedule_at(t + 0.5, _noop)
-        kill.cancel()
-        del keep
-    eng.run()
-    elapsed = time.perf_counter() - start
-    return eng.events_executed / elapsed
-
-
-def _noop() -> None:
-    pass
 
 
 def bench_figure8_smoke(
@@ -151,24 +78,12 @@ def bench_figure8_smoke(
 
 
 def run_benchmarks(quick: bool = False) -> dict[str, Any]:
-    """Run the full engine benchmark suite; returns the report payload.
+    """Run the figure8 smoke benchmark; returns the report payload.
 
-    ``quick`` shrinks every workload ~10x for CI smoke runs.
+    ``quick`` shrinks the workload ~6x (5 repetitions instead of 30) for
+    CI smoke runs.
     """
-    scale = 0.1 if quick else 1.0
-    n_cb = max(10_000, int(200_000 * scale))
-    n_procs, steps = 16, max(500, int(5_000 * scale))
-    n_cancel = max(5_000, int(50_000 * scale))
-    smoke_reps = max(5, int(30 * scale))
-
-    # one warmup pass keeps allocator/JIT-free interpreter noise out of
-    # the first measured number
-    bench_callback_events(5_000)
-    bench_process_events(4, 500)
-
-    callbacks = bench_callback_events(n_cb)
-    processes = bench_process_events(n_procs, steps)
-    cancels = bench_cancel_churn(n_cancel)
+    smoke_reps = 5 if quick else 30
     smoke = bench_figure8_smoke(reps=smoke_reps)
     from repro import __version__
 
@@ -176,11 +91,6 @@ def run_benchmarks(quick: bool = False) -> dict[str, Any]:
         "schema": 1,
         "quick": quick,
         "version": __version__,
-        "engine": {
-            "callback_events_per_sec": round(callbacks),
-            "process_events_per_sec": round(processes),
-            "cancel_churn_events_per_sec": round(cancels),
-        },
         "figure8_smoke": {
             "reps": smoke_reps,
             "wall_seconds": round(smoke["wall_seconds"], 4),
@@ -196,7 +106,7 @@ def carry_baseline(report: dict[str, Any], prior: dict[str, Any]) -> dict[str, A
     ``BENCH_engine.json`` carries a hand-recorded ``baseline_pre_overhaul``
     section (the pre-overhaul numbers the speedups are judged against);
     a fresh ``repro-omp bench`` run must not silently drop it.  Copies the
-    baseline from *prior* into *report* and recomputes
+    baseline from *prior* into *report* and recomputes the figure8 smoke's
     ``speedup_vs_baseline`` from the fresh numbers — but only when the
     fresh run used the same workload scale the baseline records
     (``quick`` flag): dividing ``--quick`` numbers by a full-workload
@@ -208,21 +118,15 @@ def carry_baseline(report: dict[str, Any], prior: dict[str, Any]) -> dict[str, A
     report["baseline_pre_overhaul"] = baseline
     if report.get("quick", False) != baseline.get("quick", False):
         return report  # scale mismatch: keep the record, skip the ratios
-    speedup: dict[str, float] = {}
-    base_engine = baseline.get("engine", {})
-    for key, value in report["engine"].items():
-        base = base_engine.get(key)
-        if base:
-            speedup[key] = round(value / base, 2)
     base_smoke = baseline.get("figure8_smoke", {})
     if base_smoke.get("events_per_sec"):
-        speedup["figure8_smoke_events_per_sec"] = round(
-            report["figure8_smoke"]["events_per_sec"]
-            / base_smoke["events_per_sec"],
-            2,
-        )
-    if speedup:
-        report["speedup_vs_baseline"] = speedup
+        report["speedup_vs_baseline"] = {
+            "figure8_smoke_events_per_sec": round(
+                report["figure8_smoke"]["events_per_sec"]
+                / base_smoke["events_per_sec"],
+                2,
+            ),
+        }
     return report
 
 
@@ -237,10 +141,9 @@ def append_trajectory(
     every re-run erased the performance history.  The trajectory is an
     append-only list of past measurements: the prior file's entries are
     carried over and the *prior* report's own headline numbers are
-    appended as one entry ``{stamp?, version?, quick, engine,
-    figure8_smoke}`` (plus ``rep_fusion`` where an older report recorded
-    one) before the fresh report replaces them
-    at top level.  *stamp* is a caller-provided label (``--stamp``, e.g.
+    appended as one entry ``{stamp?, version?, quick, figure8_smoke}``
+    (plus the ``engine`` and ``rep_fusion`` blocks where an older report
+    recorded them) before the fresh report replaces them at top level.  *stamp* is a caller-provided label (``--stamp``, e.g.
     a date or commit id) attached to the **new** report so the *next* run
     records it; the code version (``repro.__version__``) rides along the
     same way, so every trajectory entry says which code produced its
@@ -258,7 +161,7 @@ def append_trajectory(
         for key in ("version", "quick", "engine", "figure8_smoke", "rep_fusion"):
             if key in prior:
                 snapshot[key] = prior[key]
-        if "engine" in snapshot or "figure8_smoke" in snapshot:
+        if "figure8_smoke" in snapshot:
             entries.append(snapshot)
     if stamp is not None:
         report["stamp"] = stamp

@@ -1,326 +1,24 @@
-"""Event loop.
+"""Placeholder for the retired discrete-event engine.
 
-The engine is a classic calendar queue over a binary heap.  Heap entries
-are plain ``(time, seq, callback)`` tuples; the sequence number makes
-ordering stable for simultaneous events (FIFO within a timestamp), which
-the tests rely on for determinism, and — because it is unique — guarantees
-tuple comparison never reaches the (incomparable) callback.
-
-Cancellation is tracked *outside* the heap: :meth:`Engine.schedule_at`
-returns a small :class:`ScheduledEvent` handle and the engine keeps a
-side-set of cancelled sequence numbers.  Cancelled entries stay in the
-heap until they surface (lazy deletion) but are compacted away eagerly
-once they outnumber the live entries, so a cancel-heavy workload can
-never bloat the queue or stall the run loop.  :attr:`Engine.pending` is
-O(1) bookkeeping, not a queue scan.
-
-Generator-based processes (see :mod:`repro.sim.process`) are driven by the
-engine: each ``yield Timeout(dt)`` re-schedules the generator ``dt`` seconds
-later.  The re-schedule reuses one trampoline closure bound at spawn time
-(stored on the :class:`~repro.sim.process.Process`), so stepping a process
-allocates only the heap tuple — no per-step lambda.
+Nothing in the program queues events any more: the frequency logger
+samples its fixed grid with a plain loop
+(:mod:`repro.harness.freqlogger`), and the work-stealing scheduler runs
+its own event loop (:mod:`repro.omp.tasking.scheduler`).  The class
+below stays importable only because the end-to-end benchmark's layer
+split (``benchmarks/e2e/traced_main.py``, ``LAYERS``) resolves
+``Engine.run`` by path; the program never constructs it.  Drop it
+together with that entry.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from heapq import heapify, heappop, heappush
-from typing import Callable, Generator, Optional
-
-from repro.errors import SimulationError
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.clock import Clock
-from repro.sim.process import Process, Timeout
-
-
-class ScheduledEvent:
-    """Handle for a queued event, as returned by :meth:`Engine.schedule_at`.
-
-    Ordering lives in the heap tuples, not here; the handle only supports
-    :meth:`cancel` and inspection.  Cancelling an event that already ran
-    (or was already cancelled) is a no-op.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "_engine")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None], engine: "Engine"):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped.
-
-        ``cancelled`` flips only if the event was still queued; a late
-        cancel on an executed event leaves the handle reporting the truth
-        (the callback ran)."""
-        if self.cancelled:
-            return
-        self.cancelled = self._engine._cancel(self.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "queued"
-        return f"ScheduledEvent(t={self.time!r}, seq={self.seq}, {state})"
+__all__ = ["Engine"]
 
 
 class Engine:
-    """Discrete-event engine.
+    """The ``sim.engine.run`` layer's path target; never constructed."""
 
-    ``max_events`` is a lifetime cap on executed events: once the engine has
-    executed that many, the next :meth:`step` raises
-    :class:`~repro.errors.SimulationError`.  It is a runaway guard — a buggy
-    process that re-arms itself forever (e.g. a steal loop that never
-    terminates) fails fast with a diagnostic instead of spinning; it is not
-    a way to pause a simulation (use ``run(until=...)`` for that).  The cap
-    is checked *before* the next event is removed from the queue, so a
-    caller that catches the error holds a consistent engine: the event that
-    tripped the cap is still queued and a later ``run()`` (e.g. after
-    raising the cap) resumes exactly where the simulation stopped.
+    __slots__ = ()
 
-    Examples
-    --------
-    >>> eng = Engine()
-    >>> seen = []
-    >>> _ = eng.schedule_at(2.0, lambda: seen.append("b"))
-    >>> _ = eng.schedule_at(1.0, lambda: seen.append("a"))
-    >>> eng.run()
-    >>> seen
-    ['a', 'b']
-    >>> eng.clock.now
-    2.0
-    """
-
-    __slots__ = (
-        "clock",
-        "max_events",
-        "tracer",
-        "_queue",
-        "_seq",
-        "_events_executed",
-        "_cancelled",
-        "_handles",
-    )
-
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        max_events: Optional[int] = None,
-        tracer: Tracer = NULL_TRACER,
-    ):
-        if max_events is not None and max_events <= 0:
-            raise SimulationError(f"max_events must be positive, got {max_events}")
-        self.clock = clock if clock is not None else Clock()
-        self.max_events = max_events
-        #: Observability sink (docs/observability.md).  The engine emits
-        #: one coarse span per run() call — never per event — so the
-        #: tracer costs one attribute read per episode on the null path.
-        self.tracer = tracer
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
-        self._events_executed = 0
-        #: Sequence numbers of cancelled-but-still-queued events.
-        self._cancelled: set[int] = set()
-        #: Sequence numbers with a live handle (removed once executed, so a
-        #: late ``cancel()`` on a finished event cannot corrupt bookkeeping).
-        self._handles: set[int] = set()
-
-    # -- scheduling ---------------------------------------------------------
-
-    def schedule_at(self, t: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule *callback* at absolute time *t* (must not be in the past).
-
-        *t* must be finite: ``nan`` would corrupt heap ordering (every
-        comparison against it is false) and ``inf`` can never execute, only
-        wedge ``run(until=...)`` — both raise :class:`SimulationError`.
-        """
-        t = float(t)
-        if not math.isfinite(t):
-            raise SimulationError(f"event time must be finite, got {t!r}")
-        if t < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: t={t!r} < now={self.clock.now!r}"
-            )
-        seq = next(self._seq)
-        ev = ScheduledEvent(t, seq, callback, self)
-        self._handles.add(seq)
-        heappush(self._queue, (t, seq, callback))
-        return ev
-
-    def schedule_after(self, dt: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule *callback* ``dt >= 0`` seconds from now (*dt* finite)."""
-        dt = float(dt)
-        if not math.isfinite(dt):
-            raise SimulationError(f"delay must be finite, got {dt!r}")
-        if dt < 0:
-            raise SimulationError(f"negative delay: {dt!r}")
-        return self.schedule_at(self.clock.now + dt, callback)
-
-    def _schedule_fast(self, t: float, callback: Callable[[], None]) -> None:
-        """Internal hot path: queue an uncancellable event, no handle."""
-        heappush(self._queue, (t, next(self._seq), callback))
-
-    def spawn(self, generator: Generator, name: str = "proc") -> Process:
-        """Start a generator-based process immediately (first step at ``now``)."""
-        proc = Process(generator, name=name)
-
-        def resume(_step=self._step_process, _proc=proc) -> None:
-            _step(_proc)
-
-        proc.resume = resume  # one trampoline per process, reused every step
-        self._schedule_fast(self.clock.now, resume)
-        return proc
-
-    def _step_process(self, proc: Process) -> None:
-        if not proc._alive:
-            return
-        command = proc.step()
-        if command is None:  # process finished
-            return
-        if type(command) is Timeout or isinstance(command, Timeout):
-            delay = command.delay
-            if not (delay >= 0.0) or delay == math.inf:  # catches nan too
-                proc.kill()
-                raise SimulationError(
-                    f"process {proc.name!r} yielded non-finite or negative "
-                    f"timeout {delay!r}"
-                )
-            self._schedule_fast(self.clock.now + delay, proc.resume)
-        else:
-            proc.kill()
-            raise SimulationError(
-                f"process {proc.name!r} yielded unsupported command {command!r}"
-            )
-
-    # -- cancellation bookkeeping -------------------------------------------
-
-    def _cancel(self, seq: int) -> bool:
-        """Record a cancellation; ``False`` if the event already left the
-        queue (executed, or popped as previously-cancelled)."""
-        if seq not in self._handles or seq in self._cancelled:
-            return False
-        self._cancelled.add(seq)
-        if 2 * len(self._cancelled) > len(self._queue):
-            self._compact()
-        return True
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry from the heap and re-heapify.
-
-        Mutates the queue list IN PLACE (slice assignment): ``run()`` and
-        ``step()`` hold a local alias to it while dispatching callbacks,
-        and a callback may cancel events and trigger this compaction —
-        rebinding ``self._queue`` would strand the running loop on a
-        stale list.
-        """
-        cancelled = self._cancelled
-        if not cancelled:
-            return
-        self._queue[:] = [e for e in self._queue if e[1] not in cancelled]
-        heapify(self._queue)
-        self._handles -= cancelled
-        cancelled.clear()
-
-    def _discard(self, seq: int) -> None:
-        """Forget a popped entry's handle/cancellation state."""
-        self._handles.discard(seq)
-        self._cancelled.discard(seq)
-
-    # -- running ------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Number of queued (not yet executed, not cancelled) events."""
-        return len(self._queue) - len(self._cancelled)
-
-    @property
-    def events_executed(self) -> int:
-        return self._events_executed
-
-    def _check_cap(self) -> None:
-        if self.max_events is not None and self._events_executed >= self.max_events:
-            raise SimulationError(
-                f"engine event cap exceeded ({self.max_events} events "
-                f"executed, {self.pending} still pending at "
-                f"t={self.clock.now!r}); likely a runaway process"
-            )
-
-    def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` when the queue is empty.
-
-        The lifetime cap is checked *before* the event is popped, so a cap
-        error leaves the queue intact and the simulation resumable.
-        """
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue:
-            if cancelled and queue[0][1] in cancelled:
-                _, seq, _ = heappop(queue)
-                self._discard(seq)
-                continue
-            self._check_cap()
-            t, seq, callback = heappop(queue)
-            if self._handles:
-                self._handles.discard(seq)
-            self.clock.advance_to(t)
-            callback()
-            self._events_executed += 1
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
-        """Run until the queue drains or the clock would pass *until*.
-
-        When *until* is given, the clock is left exactly at *until* and any
-        later events stay queued (so a simulation can be resumed).
-
-        *max_events* is a per-call budget (distinct from the lifetime cap):
-        executed events *and* cancelled entries discarded from the head of
-        the queue both count against it, so even a pathological
-        cancel-heavy queue cannot spin this loop unboundedly.
-        """
-        executed = 0
-        queue = self._queue
-        cancelled = self._cancelled
-        handles = self._handles
-        clock = self.clock
-        t_begin = clock.now
-        while queue:
-            head = queue[0]
-            if cancelled and head[1] in cancelled:
-                if executed >= max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({max_events} events); "
-                        f"likely a runaway periodic process"
-                    )
-                heappop(queue)
-                self._discard(head[1])
-                executed += 1
-                continue
-            if until is not None and head[0] > until:
-                break
-            if executed >= max_events:
-                raise SimulationError(
-                    f"event budget exceeded ({max_events} events); "
-                    f"likely a runaway periodic process"
-                )
-            # read the cap fresh each event: a callback may tighten it
-            # (watchdog pattern), and step()-driven loops honor that
-            if self.max_events is not None and self._events_executed >= self.max_events:
-                self._check_cap()
-            heappop(queue)
-            if handles:
-                handles.discard(head[1])
-            clock.advance_to(head[0])
-            head[2]()
-            self._events_executed += 1
-            executed += 1
-        if until is not None and until > clock.now:
-            clock.advance_to(until)
-        if self.tracer.enabled and executed:
-            self.tracer.span(
-                0, "engine.run", t_begin, clock.now, cat="engine",
-                args={"events": executed, "pending": self.pending},
-            )
+    def run(self) -> None:
+        raise NotImplementedError("the discrete-event engine is retired")

@@ -66,6 +66,30 @@ def test_local_commands_leave_the_http_stack_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_loads_no_event_engine():
+    """Neither importing the CLI nor a run with the frequency logger
+    loads the retired engine's modules: the logger samples a plain grid."""
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "retired = ('repro.sim.engine', 'repro.sim.clock', 'repro.sim.process')\n"
+        "assert not [m for m in retired if m in sys.modules]\n"
+        "from repro.harness import ExperimentConfig, Runner\n"
+        "result = Runner(ExperimentConfig(platform='toy', num_threads=4, runs=1, "
+        "freq_logging=True, benchmark_params={'outer_reps': 2})).run()\n"
+        "assert result.records[0].freq_log.n_samples > 0\n"
+        "assert not [m for m in retired if m in sys.modules]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestList:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -612,7 +636,6 @@ class TestBenchReport:
         return {
             "schema": 1,
             "quick": quick,
-            "engine": {"callback_events_per_sec": 400},
             "figure8_smoke": {"reps": 30, "events": 10, "events_per_sec": 200},
         }
 
@@ -630,6 +653,9 @@ class TestBenchReport:
         return path
 
     def test_baseline_carried_and_speedups_recomputed(self, tmp_path):
+        """The recorded baseline is kept whole (its engine block too);
+        only the figure8 smoke, which the bench still measures, gets a
+        speedup."""
         import json
 
         from repro.sim.bench import write_report
@@ -638,7 +664,6 @@ class TestBenchReport:
         report = write_report(self._report(quick=False), path)
         assert "baseline_pre_overhaul" in report
         assert report["speedup_vs_baseline"] == {
-            "callback_events_per_sec": 4.0,
             "figure8_smoke_events_per_sec": 2.0,
         }
         on_disk = json.loads(path.read_text())
@@ -668,10 +693,16 @@ class TestBenchReport:
         assert "baseline_pre_overhaul" not in report
 
     def test_cli_bench_command(self, tmp_path, capsys):
+        import json
+
         from repro.cli import main
 
         out = tmp_path / "report.json"
         assert main(["bench", "--quick", "--out", str(out)]) == 0
         captured = capsys.readouterr().out
-        assert "engine throughput" in captured
-        assert out.exists()
+        assert captured.startswith("figure8 smoke: ")
+        assert "engine" not in captured
+        report = json.loads(out.read_text())
+        assert "engine" not in report
+        # the deterministic event count of 5 smoke repetitions
+        assert report["figure8_smoke"]["events"] == 1080

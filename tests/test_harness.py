@@ -1,5 +1,7 @@
 """Tests for the experiment harness (config, runner, results, logger)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,65 @@ class TestFrequencyLogger:
                           RngFactory(1).stream("f"))
         with pytest.raises(HarnessError):
             FrequencyLogger(0, 0.01).capture(plat.freq_spec, plan, "x", 1.0, 1.0)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        """A plain ``t += interval`` loop would return one sample for
+        these; the constructor refuses them."""
+        with pytest.raises(HarnessError, match="finite"):
+            FrequencyLogger(0, interval)
+
+    @pytest.mark.parametrize("window", [(0.0, float("inf")), (float("nan"), 1.0)])
+    def test_non_finite_window_rejected(self, window):
+        plat = toy()
+        plan = FrequencyModel(plat.machine, plat.freq_spec).plan(
+            0.0, 1.0, [0], PerformanceGovernor(), RngFactory(1).stream("f")
+        )
+        with pytest.raises(HarnessError, match="finite"):
+            FrequencyLogger(0, 0.01).capture(plat.freq_spec, plan, "x", *window)
+
+    #: SHA-256 of ``times.tobytes() + freqs_khz.tobytes()`` per window:
+    #: the runner's ``(0.0, max(ctx.t, 1e-3))``, an unrounded start with
+    #: an interval that does not divide the window, and a window whose
+    #: end lies on the sample grid.
+    PINNED_LOGS = {
+        "runner": (7, "1df1b20bab3c375f27ed6891530fbc3deb0a78a79f539b35038483426c1aa788"),
+        "unrounded": (90, "ac55be1b0fa28f124ac603694a6252cf81e32a2f95ee90b3dcb44ba07ebad9b8"),
+        "on_grid": (33, "d9b8784e30299761cbd7a842bcb11ae63fb598dbf662e53d673630cd8e421399"),
+    }
+
+    def test_samples_are_pinned(self):
+        """Sample times accumulate ``t + interval`` in float64 from
+        ``t_start`` and include ``t_end`` when the grid reaches it; the
+        logs of a Vera run context keep their bytes."""
+        runner = Runner(ExperimentConfig(
+            platform="vera", benchmark="syncbench", num_threads=16,
+            places="cores", proc_bind="close", runs=1, seed=29,
+            freq_logging=True, benchmark_params={"outer_reps": 40},
+        ))
+        record = runner.run_one(0)
+        ctx, logger = runner.start_run_context(0)
+        plat = runner.platform
+
+        def capture(interval, t_start, t_end):
+            return FrequencyLogger(logger.logger_cpu, interval).capture(
+                plat.freq_spec, ctx.freq_plan, plat.default_governor, t_start, t_end
+            )
+
+        logs = {
+            "runner": record.freq_log,
+            "unrounded": capture(1 / 300, 0.0123456789, 0.31),
+            "on_grid": capture(2.0 ** -8, 0.125, 0.25),
+        }
+        assert logs["runner"].times[-1] == 0.060000000000000005
+        assert logs["on_grid"].times[-1] == 0.25
+        got = {
+            name: (log.n_samples, hashlib.sha256(
+                log.times.tobytes() + log.freqs_khz.tobytes()
+            ).hexdigest())
+            for name, log in logs.items()
+        }
+        assert got == self.PINNED_LOGS
 
 
 class TestReportHelpers:

@@ -32,8 +32,6 @@ from repro.obs import (
     validate_chrome,
 )
 from repro.obs.annotate import build_trace, write_trace
-from repro.sim.clock import Clock
-from repro.sim.engine import Engine
 
 QUICK = {"outer_reps": 4}
 
@@ -169,21 +167,6 @@ class TestValidateChrome:
             validate_chrome({"traceEvents": [bad]})
 
 
-class TestEngineTracing:
-    def test_engine_emits_one_run_span(self):
-        tr = SpanTracer()
-        tr.begin_process(0, "engine")
-        eng = Engine(clock=Clock(), tracer=tr)
-        for i in range(5):
-            eng.schedule_at(float(i), lambda: None)
-        eng.run()
-        assert tr.span_names() == {"engine.run"}
-        assert tr.n_events == 1  # one coarse span per run(), never per event
-
-    def test_default_engine_uses_null_tracer(self):
-        assert Engine().tracer is NULL_TRACER
-
-
 # ---------------------------------------------------------------------------
 # Zero-overhead / determinism contract
 # ---------------------------------------------------------------------------
@@ -258,7 +241,7 @@ class TestTracingDeterminism:
         assert "parallel.fork" in names       # region fork
         assert "parallel.join" in names       # join barrier (top span)
         assert "barrier.gather" in names      # per-round decomposition
-        assert "engine.run" in names          # engine coarse span
+        assert "engine.run" in names          # scheduler episode span
         kinds = {"task.body", "deque.pop", "steal", "idle.backoff"}
         assert kinds & names                  # scheduler internals
         # OS-noise tracks exist (tick spans on CPU_TRACK_BASE + cpu tids)
@@ -451,13 +434,11 @@ class TestRenderTelemetry:
 class TestBenchTrajectory:
     REPORT1 = {
         "schema": 1, "quick": True,
-        "engine": {"callback_events_per_sec": 100},
-        "figure8_smoke": {"events_per_sec": 10},
+        "figure8_smoke": {"events": 1080, "events_per_sec": 100},
     }
     REPORT2 = {
         "schema": 1, "quick": True,
-        "engine": {"callback_events_per_sec": 120},
-        "figure8_smoke": {"events_per_sec": 12},
+        "figure8_smoke": {"events": 1080, "events_per_sec": 120},
     }
 
     def test_history_is_append_only(self, tmp_path):
@@ -472,10 +453,10 @@ class TestBenchTrajectory:
         assert data == report3
         traj = data["trajectory"]
         assert [e.get("stamp") for e in traj] == ["r1", "r2"]
-        assert traj[0]["engine"]["callback_events_per_sec"] == 100
-        assert traj[1]["engine"]["callback_events_per_sec"] == 120
+        assert traj[0]["figure8_smoke"]["events_per_sec"] == 100
+        assert traj[1]["figure8_smoke"]["events_per_sec"] == 120
         # the headline numbers are the fresh run's
-        assert data["engine"]["callback_events_per_sec"] == 100
+        assert data["figure8_smoke"]["events_per_sec"] == 100
 
     def test_baseline_still_carried(self, tmp_path):
         from repro.sim.bench import write_report
@@ -484,28 +465,36 @@ class TestBenchTrajectory:
         prior = dict(
             self.REPORT1,
             baseline_pre_overhaul={
-                "quick": True, "engine": {"callback_events_per_sec": 50},
+                "quick": True, "figure8_smoke": {"events_per_sec": 50},
             },
         )
         out.write_text(json.dumps(prior))
         report = write_report(dict(self.REPORT2), out)
-        assert report["baseline_pre_overhaul"]["engine"][
-            "callback_events_per_sec"] == 50
-        assert report["speedup_vs_baseline"]["callback_events_per_sec"] == 2.4
+        assert report["baseline_pre_overhaul"]["figure8_smoke"][
+            "events_per_sec"] == 50
+        assert report["speedup_vs_baseline"] == {
+            "figure8_smoke_events_per_sec": 2.4,
+        }
         assert len(report["trajectory"]) == 1
 
     def test_entries_without_rep_fusion_append(self, tmp_path):
         from repro.sim.bench import write_report
 
         out = tmp_path / "BENCH.json"
-        # a report recorded when the bench still measured rep fusion
-        out.write_text(json.dumps(dict(self.REPORT1, rep_fusion={"speedup": 2.9})))
+        # a report recorded when the bench still measured rep fusion and
+        # the deleted event engine's microbenchmarks
+        engine = {"callback_events_per_sec": 370096}
+        out.write_text(json.dumps(
+            dict(self.REPORT1, rep_fusion={"speedup": 2.9}, engine=engine)
+        ))
         write_report(dict(self.REPORT2), out, stamp="r2")
         report = write_report(dict(self.REPORT1), out)
         first, second = report["trajectory"]
         assert first["rep_fusion"] == {"speedup": 2.9}
-        assert second["stamp"] == "r2" and "rep_fusion" not in second
-        assert "rep_fusion" not in report
+        assert first["engine"] == engine
+        assert second["stamp"] == "r2"
+        assert "rep_fusion" not in second and "engine" not in second
+        assert "rep_fusion" not in report and "engine" not in report
 
 
 # ---------------------------------------------------------------------------
