@@ -30,57 +30,28 @@ Declare a custom sweep without writing a driver (see docs/study.md)::
 #: old float-sum overlap semantics and must not replay.
 __version__ = "1.3.0"
 
-# Public API is re-exported lazily to keep `import repro` cheap and to avoid
-# import cycles while subpackages are loaded on demand.
-_LAZY_ATTRS = {
-    "Machine": ("repro.topology", "Machine"),
-    "CpuSet": ("repro.topology", "CpuSet"),
-    "TopologyBuilder": ("repro.topology", "TopologyBuilder"),
-    "dardel_topology": ("repro.topology", "dardel_topology"),
-    "vera_topology": ("repro.topology", "vera_topology"),
-    "Platform": ("repro.platform", "Platform"),
-    "dardel": ("repro.platform", "dardel"),
-    "vera": ("repro.platform", "vera"),
-    "get_platform": ("repro.platform", "get_platform"),
-    "RngFactory": ("repro.rng", "RngFactory"),
-    "OMPEnvironment": ("repro.omp", "OMPEnvironment"),
-    "OpenMPRuntime": ("repro.omp", "OpenMPRuntime"),
-    "RuntimeProfile": ("repro.omp", "RuntimeProfile"),
-    "WaitPolicy": ("repro.omp", "WaitPolicy"),
-    "get_runtime_profile": ("repro.omp", "get_runtime_profile"),
-    "available_runtimes": ("repro.omp", "available_runtimes"),
-    "Task": ("repro.omp.tasking", "Task"),
-    "TaskCostParams": ("repro.omp.tasking", "TaskCostParams"),
-    "WorkStealingScheduler": ("repro.omp.tasking", "WorkStealingScheduler"),
-    "ExperimentConfig": ("repro.harness", "ExperimentConfig"),
-    "Runner": ("repro.harness", "Runner"),
-    "Sweep": ("repro.harness", "Sweep"),
-    "Study": ("repro.harness", "Study"),
-    "StudyResult": ("repro.harness", "StudyResult"),
-    "ResultCache": ("repro.harness", "ResultCache"),
-    "experiments": ("repro.harness", "experiments"),
-    "SMTMode": ("repro.types", "SMTMode"),
-    "ProcBind": ("repro.types", "ProcBind"),
-    "ScheduleKind": ("repro.types", "ScheduleKind"),
-    "SyncConstruct": ("repro.types", "SyncConstruct"),
-    "StreamKernel": ("repro.types", "StreamKernel"),
-}
+# Public names resolve on first access (PEP 562), so `import repro` stays
+# cheap and subpackages load on demand.
+from repro._lazy import lazy_exports
 
-__all__ = ["__version__", *sorted(_LAZY_ATTRS)]
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY_ATTRS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value  # cache for next access
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_ATTRS))
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.topology": [
+        "Machine", "CpuSet", "TopologyBuilder", "dardel_topology",
+        "vera_topology",
+    ],
+    "repro.platform": ["Platform", "dardel", "vera", "get_platform"],
+    "repro.rng": ["RngFactory"],
+    "repro.omp": [
+        "OMPEnvironment", "OpenMPRuntime", "RuntimeProfile", "WaitPolicy",
+        "get_runtime_profile", "available_runtimes",
+    ],
+    "repro.omp.tasking": ["Task", "TaskCostParams", "WorkStealingScheduler"],
+    "repro.harness": [
+        "ExperimentConfig", "Runner", "Sweep", "Study", "StudyResult",
+        "ResultCache", "experiments",
+    ],
+    "repro.types": [
+        "SMTMode", "ProcBind", "ScheduleKind", "SyncConstruct", "StreamKernel",
+    ],
+})
+__all__ = ["__version__", *__all__]

@@ -27,43 +27,18 @@ Intentional exceptions live in the committed ``lint-baseline.json``
 (see :mod:`repro.analysis.baseline` and docs/static-analysis.md).
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-)
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import (
-    RULES,
-    Rule,
-    available_rules,
-    get_rules,
-    register_rule,
-)
-from repro.analysis.runner import (
-    LintReport,
-    format_json,
-    format_text,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "DEFAULT_BASELINE_NAME",
-    "Finding",
-    "LintReport",
-    "RULES",
-    "Rule",
-    "Severity",
-    "available_rules",
-    "format_json",
-    "format_text",
-    "get_rules",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "register_rule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.baseline": [
+        "Baseline", "BaselineEntry", "DEFAULT_BASELINE_NAME",
+    ],
+    "repro.analysis.findings": ["Finding", "Severity"],
+    "repro.analysis.registry": [
+        "RULES", "Rule", "available_rules", "get_rules", "register_rule",
+    ],
+    "repro.analysis.runner": [
+        "LintReport", "format_json", "format_text", "iter_python_files",
+        "lint_paths", "lint_source",
+    ],
+})

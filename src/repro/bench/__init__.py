@@ -11,39 +11,19 @@ simulated node:
   experiment harness.
 """
 
-from repro.bench.epcc.common import EpccStats, epcc_stats, target_innerreps
-from repro.bench.epcc.syncbench import (
-    ConstructMeasurement,
-    Syncbench,
-    SyncbenchParams,
-)
-from repro.bench.epcc.schedbench import (
-    Schedbench,
-    SchedbenchParams,
-    ScheduleMeasurement,
-)
-from repro.bench.babelstream import (
-    BabelStream,
-    BabelStreamParams,
-    StreamMeasurement,
-    KERNEL_BYTE_FACTORS,
-)
-from repro.bench.registry import available_benchmarks, get_benchmark
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EpccStats",
-    "epcc_stats",
-    "target_innerreps",
-    "Syncbench",
-    "SyncbenchParams",
-    "ConstructMeasurement",
-    "Schedbench",
-    "SchedbenchParams",
-    "ScheduleMeasurement",
-    "BabelStream",
-    "BabelStreamParams",
-    "StreamMeasurement",
-    "KERNEL_BYTE_FACTORS",
-    "available_benchmarks",
-    "get_benchmark",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bench.epcc.common": ["EpccStats", "epcc_stats", "target_innerreps"],
+    "repro.bench.epcc.syncbench": [
+        "Syncbench", "SyncbenchParams", "ConstructMeasurement",
+    ],
+    "repro.bench.epcc.schedbench": [
+        "Schedbench", "SchedbenchParams", "ScheduleMeasurement",
+    ],
+    "repro.bench.babelstream": [
+        "BabelStream", "BabelStreamParams", "StreamMeasurement",
+        "KERNEL_BYTE_FACTORS",
+    ],
+    "repro.bench.registry": ["available_benchmarks", "get_benchmark"],
+})

@@ -10,18 +10,14 @@ a 1000 us target test time; ``schedbench`` uses a 15 us delay and
 ``itersperthr = 8192``; ``syncbench`` uses a 0.1 us delay.
 """
 
-from repro.bench.epcc.common import EpccStats, epcc_stats, target_innerreps
-from repro.bench.epcc.syncbench import ConstructMeasurement, Syncbench, SyncbenchParams
-from repro.bench.epcc.schedbench import Schedbench, SchedbenchParams, ScheduleMeasurement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EpccStats",
-    "epcc_stats",
-    "target_innerreps",
-    "Syncbench",
-    "SyncbenchParams",
-    "ConstructMeasurement",
-    "Schedbench",
-    "SchedbenchParams",
-    "ScheduleMeasurement",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bench.epcc.common": ["EpccStats", "epcc_stats", "target_innerreps"],
+    "repro.bench.epcc.syncbench": [
+        "Syncbench", "SyncbenchParams", "ConstructMeasurement",
+    ],
+    "repro.bench.epcc.schedbench": [
+        "Schedbench", "SchedbenchParams", "ScheduleMeasurement",
+    ],
+})

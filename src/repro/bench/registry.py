@@ -1,20 +1,21 @@
-"""Benchmark registry: name-based lookup for the CLI and harness."""
+"""Benchmark registry: name-based lookup for the CLI and harness.
+
+The table names each benchmark's class without importing it, so the
+CLI's ``--benchmark`` choices load no simulation module.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
 
-from repro.bench.babelstream import BabelStream
-from repro.bench.epcc.schedbench import Schedbench
-from repro.bench.epcc.syncbench import Syncbench
-from repro.bench.taskbench import Taskbench
 from repro.errors import BenchmarkError
 
-_BENCHMARKS: dict[str, Callable[[], object]] = {
-    "syncbench": Syncbench,
-    "schedbench": Schedbench,
-    "babelstream": BabelStream,
-    "taskbench": Taskbench,
+#: Benchmark name -> ``"module:Class"``, imported on lookup.
+_BENCHMARKS = {
+    "babelstream": "repro.bench.babelstream:BabelStream",
+    "schedbench": "repro.bench.epcc.schedbench:Schedbench",
+    "syncbench": "repro.bench.epcc.syncbench:Syncbench",
+    "taskbench": "repro.bench.taskbench:Taskbench",
 }
 
 
@@ -25,12 +26,12 @@ def get_benchmark(name: str):
     'Syncbench'
     """
     try:
-        factory = _BENCHMARKS[name.lower()]
+        module, _, cls = _BENCHMARKS[name.lower()].partition(":")
     except KeyError:
         raise BenchmarkError(
             f"unknown benchmark {name!r}; choose from {sorted(_BENCHMARKS)}"
         ) from None
-    return factory()
+    return getattr(importlib.import_module(module), cls)()
 
 
 def available_benchmarks() -> tuple[str, ...]:

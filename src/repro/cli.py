@@ -110,7 +110,7 @@ from repro.harness.report import (
 from repro.harness.shard import ShardRunComplete, parse_shard
 from repro.harness.study import Study, coerce_token
 from repro.omp.vendor import available_runtimes, get_runtime_profile
-from repro.platform import available_platforms, get_platform
+from repro.types import PLATFORMS
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -213,7 +213,7 @@ def _finish_obs(args: argparse.Namespace, configs, metrics) -> None:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Base-configuration flags shared by ``run`` and ``sweep``."""
-    parser.add_argument("--platform", choices=available_platforms(), default="vera")
+    parser.add_argument("--platform", choices=PLATFORMS, default="vera")
     parser.add_argument("--benchmark", choices=available_benchmarks(),
                         default="syncbench")
     parser.add_argument("--threads", type=int, default=4)
@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list platforms, benchmarks and experiments")
 
     p_platform = sub.add_parser("platform", help="describe a platform preset")
-    p_platform.add_argument("name", choices=available_platforms())
+    p_platform.add_argument("name", choices=PLATFORMS)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p_exp.add_argument("name", choices=available_experiments())
@@ -554,7 +554,7 @@ def _parse_axis(item: str) -> tuple[str, list]:
 
 
 def _cmd_list() -> int:
-    print("platforms:  ", ", ".join(available_platforms()))
+    print("platforms:  ", ", ".join(PLATFORMS))
     print("benchmarks: ", ", ".join(available_benchmarks()))
     print("runtimes:   ", ", ".join(
         f"{name} ({get_runtime_profile(name).vendor})"
@@ -568,6 +568,8 @@ def _cmd_list() -> int:
 
 
 def _cmd_platform(name: str) -> int:
+    from repro.platform import get_platform
+
     print(get_platform(name).describe())
     return 0
 

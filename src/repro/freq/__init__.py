@@ -18,32 +18,15 @@ starting at time *t*" and backs the simulated sysfs cpufreq tree that the
 frequency logger reads.
 """
 
-from repro.freq.power import BoostTable
-from repro.freq.governor import (
-    Governor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-    OndemandGovernor,
-    SchedutilGovernor,
-    make_governor,
-)
-from repro.freq.variation import DerateProcess, DipProcess, FrequencyDip
-from repro.freq.dvfs import FrequencyModel, FrequencyPlan, FrequencySpec
-from repro.freq.sysfs import CpuFreqSysfs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoostTable",
-    "Governor",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "OndemandGovernor",
-    "SchedutilGovernor",
-    "make_governor",
-    "DerateProcess",
-    "DipProcess",
-    "FrequencyDip",
-    "FrequencyModel",
-    "FrequencyPlan",
-    "FrequencySpec",
-    "CpuFreqSysfs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.freq.power": ["BoostTable"],
+    "repro.freq.governor": [
+        "Governor", "PerformanceGovernor", "PowersaveGovernor",
+        "OndemandGovernor", "SchedutilGovernor", "make_governor",
+    ],
+    "repro.freq.variation": ["DerateProcess", "DipProcess", "FrequencyDip"],
+    "repro.freq.dvfs": ["FrequencyModel", "FrequencyPlan", "FrequencySpec"],
+    "repro.freq.sysfs": ["CpuFreqSysfs"],
+})

@@ -23,53 +23,28 @@ Turns configurations into results:
   by config + seed + code version;
 * :mod:`repro.harness.results` — result containers with JSON round-trip;
 * :mod:`repro.harness.freqlogger` — the simulated background frequency
-  logger (a :mod:`repro.sim` process sampling the simulated sysfs);
+  logger (it reads the simulated sysfs on a fixed grid of sample times);
 * :mod:`repro.harness.report` — ASCII tables and series renderers;
 * :mod:`repro.harness.experiments` — one driver per paper table/figure.
 """
 
-from repro.harness.backend import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.harness.cache import ResultCache, cache_key
-from repro.harness.config import ExperimentConfig
-from repro.harness.freqlogger import FrequencyLog, FrequencyLogger
-from repro.harness.parallel import Sweep
-from repro.harness.results import ExperimentResult, RunRecord
-from repro.harness.runner import Runner
-from repro.harness.shard import (
-    ReplayCache,
-    ShardRunComplete,
-    ShardSummary,
-    parse_shard,
-    shard_index_of,
-)
-from repro.harness.study import Study, StudyResult
-from repro.harness import experiments
-from repro.harness import report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "Runner",
-    "Sweep",
-    "Study",
-    "StudyResult",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "ShardRunComplete",
-    "ShardSummary",
-    "ReplayCache",
-    "parse_shard",
-    "shard_index_of",
-    "ResultCache",
-    "cache_key",
-    "RunRecord",
-    "ExperimentResult",
-    "FrequencyLogger",
-    "FrequencyLog",
-    "experiments",
-    "report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.harness.config": ["ExperimentConfig"],
+    "repro.harness.runner": ["Runner"],
+    "repro.harness.parallel": ["Sweep"],
+    "repro.harness.study": ["Study", "StudyResult"],
+    "repro.harness.backend": [
+        "ExecutionBackend", "SerialBackend", "ProcessPoolBackend",
+    ],
+    "repro.harness.shard": [
+        "ShardRunComplete", "ShardSummary", "ReplayCache", "parse_shard",
+        "shard_index_of",
+    ],
+    "repro.harness.cache": ["ResultCache", "cache_key"],
+    "repro.harness.results": ["RunRecord", "ExperimentResult"],
+    "repro.harness.freqlogger": ["FrequencyLogger", "FrequencyLog"],
+    "repro.harness.experiments": ["experiments"],
+    "repro.harness.report": ["report"],
+})

@@ -26,16 +26,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import ExperimentResult, RunRecord
-from repro.harness.runner import Runner, run_batches
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.harness.runner import Runner
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -86,6 +87,8 @@ class SerialBackend(ExecutionBackend):
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
     ) -> list[tuple[ExperimentResult, float]]:
+        from repro.harness.runner import Runner
+
         out: list[tuple[ExperimentResult, float]] = []
         for cfg, _key in pending:
             t_cfg = time.time()
@@ -129,6 +132,8 @@ def _execute_batch(
     t_started = time.time()
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
+        from repro.harness.runner import Runner
+
         runner = _WORKER_RUNNERS[key] = Runner(config)
     records = runner.run_batch(run_indices)
     return _stamped(records, f"pid{os.getpid()}", t_started), t_started
@@ -168,6 +173,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _acquire_pool(self, task_count: int) -> tuple[ProcessPoolExecutor, bool]:
         """Executor for one batch plus whether the caller owns (must close) it."""
+        from concurrent.futures import ProcessPoolExecutor
+
         if not self.persistent:
             return (
                 ProcessPoolExecutor(max_workers=min(self.jobs, task_count)),
@@ -194,6 +201,9 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> list[tuple[ExperimentResult, float]]:
         if not pending:
             return []
+        # imported before the pool starts, so forked workers inherit it
+        from repro.harness.runner import run_batches
+
         # the k-th batch of every config is submitted before any config's
         # (k+1)-th, so every config makes progress from the start
         batches = [run_batches(cfg) for cfg, _key in pending]

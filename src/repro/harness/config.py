@@ -28,9 +28,11 @@ class ExperimentConfig:
     Attributes
     ----------
     platform:
-        Platform preset name (``dardel`` / ``vera`` / ``toy``).
+        Platform preset name (``dardel`` / ``vera`` / ``toy``, the table
+        :data:`repro.types.PLATFORMS`).
     benchmark:
-        ``syncbench`` / ``schedbench`` / ``babelstream``.
+        ``syncbench`` / ``schedbench`` / ``babelstream`` / ``taskbench``
+        (:mod:`repro.bench.registry`).
     num_threads:
         ``OMP_NUM_THREADS``.
     places / proc_bind:

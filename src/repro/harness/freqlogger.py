@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import HarnessError
-from repro.freq.dvfs import FrequencyPlan, FrequencySpec
-from repro.freq.sysfs import CpuFreqSysfs
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.freq.dvfs import FrequencyPlan, FrequencySpec
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class FrequencyLogger:
             raise HarnessError("empty logging window")
         if not (math.isfinite(t_start) and math.isfinite(t_end)):
             raise HarnessError(f"logging window must be finite, got [{t_start}, {t_end}]")
+        # here, not at module level: a cached result's FrequencyLog needs
+        # no simulation module
+        from repro.freq.sysfs import CpuFreqSysfs
+
         sysfs = CpuFreqSysfs(spec, plan, governor_name)
         times: list[float] = []
         rows: list[np.ndarray] = []

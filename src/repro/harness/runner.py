@@ -6,10 +6,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.bench.babelstream import BabelStream, BabelStreamParams
-from repro.bench.epcc.schedbench import Schedbench, SchedbenchParams
-from repro.bench.epcc.syncbench import Syncbench, SyncbenchParams
-from repro.bench.taskbench import Taskbench, TaskbenchParams
 from repro.errors import ConfigurationError, HarnessError
 from repro.harness.config import ExperimentConfig
 from repro.harness.freqlogger import FrequencyLogger
@@ -92,7 +88,11 @@ class Runner:
             ) from exc
 
     def _build_benchmark(self, name: str, params: dict) -> Any:
+        # each branch imports its own benchmark: a region-only run never
+        # loads taskbench or the tasking scheduler
         if name == "syncbench":
+            from repro.bench.epcc.syncbench import Syncbench, SyncbenchParams
+
             constructs = params.pop("constructs", None)
             bench = Syncbench(SyncbenchParams(**params))
             bench_constructs = (
@@ -102,6 +102,8 @@ class Runner:
             )
             return ("syncbench", bench, bench_constructs)
         if name == "schedbench":
+            from repro.bench.epcc.schedbench import Schedbench, SchedbenchParams
+
             schedules = params.pop("schedules", None)
             bench = Schedbench(SchedbenchParams(**params))
             if schedules is None:
@@ -114,9 +116,13 @@ class Runner:
                 )
             return ("schedbench", bench, sched_list)
         if name == "babelstream":
+            from repro.bench.babelstream import BabelStream, BabelStreamParams
+
             bench = BabelStream(BabelStreamParams(**params))
             return ("babelstream", bench, None)
         if name == "taskbench":
+            from repro.bench.taskbench import Taskbench, TaskbenchParams
+
             bench = Taskbench(TaskbenchParams(**params))
             return ("taskbench", bench, None)
         raise HarnessError(f"unknown benchmark {self.config.benchmark!r}")

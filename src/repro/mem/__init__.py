@@ -11,7 +11,9 @@ Provides the bandwidth model behind BabelStream:
   interconnect after migrations (Figure 4c/4f).
 """
 
-from repro.mem.bandwidth import BandwidthModel, MemorySpec
-from repro.mem.pages import PagePlacement
+from repro._lazy import lazy_exports
 
-__all__ = ["MemorySpec", "BandwidthModel", "PagePlacement"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.mem.bandwidth": ["MemorySpec", "BandwidthModel"],
+    "repro.mem.pages": ["PagePlacement"],
+})

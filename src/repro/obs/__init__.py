@@ -14,25 +14,12 @@ the simulation is a pure function of (config, seed), so the annotation
 pass describes pool or cached results exactly.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracer import (
-    CPU_TRACK_BASE,
-    NULL_TRACER,
-    NullTracer,
-    SpanTracer,
-    Tracer,
-    validate_chrome,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CPU_TRACK_BASE",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "SpanTracer",
-    "Tracer",
-    "validate_chrome",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.tracer": [
+        "CPU_TRACK_BASE", "NULL_TRACER", "NullTracer", "SpanTracer",
+        "Tracer", "validate_chrome",
+    ],
+    "repro.obs.metrics": ["Counter", "Gauge", "Histogram", "MetricsRegistry"],
+})

@@ -22,57 +22,27 @@ Implements the runtime mechanisms the paper's benchmarks exercise:
 * :mod:`repro.omp.runtime` — the user-facing facade.
 """
 
-from repro.omp.env import OMPEnvironment
-from repro.omp.places import Place, parse_places
-from repro.omp.vendor import (
-    BarrierAlgorithm,
-    RuntimeProfile,
-    WaitPolicy,
-    available_runtimes,
-    default_profile,
-    get_runtime_profile,
-)
-from repro.omp.proc_bind import assign_cpus, bind_threads
-from repro.omp.team import Team
-from repro.omp.schedule import LoopPlan, ScheduleCostParams, plan_loop
-from repro.omp.constructs import ConstructProfile, SyncCostModel, SyncCostParams
-from repro.omp.region import NoiseMode, RegionExecutor, RegionParams, RegionResult
-from repro.omp.tasking import (
-    Task,
-    TaskCostModel,
-    TaskCostParams,
-    TaskRunStats,
-    WorkStealingScheduler,
-)
-from repro.omp.runtime import OpenMPRuntime
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OMPEnvironment",
-    "Place",
-    "parse_places",
-    "BarrierAlgorithm",
-    "RuntimeProfile",
-    "WaitPolicy",
-    "available_runtimes",
-    "default_profile",
-    "get_runtime_profile",
-    "bind_threads",
-    "assign_cpus",
-    "Team",
-    "LoopPlan",
-    "ScheduleCostParams",
-    "plan_loop",
-    "SyncCostModel",
-    "SyncCostParams",
-    "ConstructProfile",
-    "NoiseMode",
-    "RegionExecutor",
-    "RegionParams",
-    "RegionResult",
-    "Task",
-    "TaskCostModel",
-    "TaskCostParams",
-    "TaskRunStats",
-    "WorkStealingScheduler",
-    "OpenMPRuntime",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.omp.env": ["OMPEnvironment"],
+    "repro.omp.places": ["Place", "parse_places"],
+    "repro.omp.vendor": [
+        "BarrierAlgorithm", "RuntimeProfile", "WaitPolicy",
+        "available_runtimes", "default_profile", "get_runtime_profile",
+    ],
+    "repro.omp.proc_bind": ["bind_threads", "assign_cpus"],
+    "repro.omp.team": ["Team"],
+    "repro.omp.schedule": ["LoopPlan", "ScheduleCostParams", "plan_loop"],
+    "repro.omp.constructs": [
+        "SyncCostModel", "SyncCostParams", "ConstructProfile",
+    ],
+    "repro.omp.region": [
+        "NoiseMode", "RegionExecutor", "RegionParams", "RegionResult",
+    ],
+    "repro.omp.tasking": [
+        "Task", "TaskCostModel", "TaskCostParams", "TaskRunStats",
+        "WorkStealingScheduler",
+    ],
+    "repro.omp.runtime": ["OpenMPRuntime"],
+})

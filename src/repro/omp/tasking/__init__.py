@@ -17,18 +17,13 @@ traces, OS noise, topology-priced operations) the worksharing models use:
   random victim selection.
 """
 
-from repro.omp.tasking.params import TaskCostModel, TaskCostParams
-from repro.omp.tasking.scheduler import TaskRunStats, WorkStealingScheduler
-from repro.omp.tasking.task import Task
-from repro.omp.tasking.workloads import fib_tasks, taskloop_tasks, uniform_tasks
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Task",
-    "TaskCostParams",
-    "TaskCostModel",
-    "TaskRunStats",
-    "WorkStealingScheduler",
-    "taskloop_tasks",
-    "fib_tasks",
-    "uniform_tasks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.omp.tasking.task": ["Task"],
+    "repro.omp.tasking.params": ["TaskCostParams", "TaskCostModel"],
+    "repro.omp.tasking.scheduler": ["TaskRunStats", "WorkStealingScheduler"],
+    "repro.omp.tasking.workloads": [
+        "taskloop_tasks", "fib_tasks", "uniform_tasks",
+    ],
+})

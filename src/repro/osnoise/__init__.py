@@ -16,33 +16,16 @@ configuration reduce variability), and
 model's per-CPU preemption queries.
 """
 
-from repro.osnoise.source import (
-    NoiseSource,
-    PoissonSource,
-    TickBlock,
-    TimerTickSource,
-)
-from repro.osnoise.placement import idle_first_cpus
-from repro.osnoise.model import NoiseModel, NoiseRealization
-from repro.osnoise.profiles import (
-    NoiseProfile,
-    dardel_noise,
-    noisy_profile,
-    quiet_profile,
-    vera_noise,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NoiseSource",
-    "PoissonSource",
-    "TickBlock",
-    "TimerTickSource",
-    "idle_first_cpus",
-    "NoiseModel",
-    "NoiseRealization",
-    "NoiseProfile",
-    "dardel_noise",
-    "vera_noise",
-    "quiet_profile",
-    "noisy_profile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.osnoise.source": [
+        "NoiseSource", "PoissonSource", "TickBlock", "TimerTickSource",
+    ],
+    "repro.osnoise.placement": ["idle_first_cpus"],
+    "repro.osnoise.model": ["NoiseModel", "NoiseRealization"],
+    "repro.osnoise.profiles": [
+        "NoiseProfile", "dardel_noise", "vera_noise", "quiet_profile",
+        "noisy_profile",
+    ],
+})

@@ -33,6 +33,7 @@ from repro.sched.params import SchedParams
 from repro.topology.builder import TopologyBuilder
 from repro.topology.hwthread import Machine
 from repro.topology.platforms import dardel_topology, vera_topology
+from repro.types import PLATFORMS
 from repro.units import gb_per_s, ghz, ns, us
 
 
@@ -251,7 +252,9 @@ def toy(smt: int = 2) -> Platform:
     )
 
 
-_PLATFORMS = {"dardel": dardel, "vera": vera, "toy": toy}
+#: Preset factory by name, one per :data:`repro.types.PLATFORMS` entry.
+#: Add a factory here to register a custom platform at run time.
+_PLATFORMS = {name: globals()[name] for name in PLATFORMS}
 
 
 def get_platform(name: str) -> Platform:

@@ -18,21 +18,13 @@ Bound (pinned) threads bypass all of this except per-fork wake IPIs, which
 is precisely why pinning removes most run-to-run variability (Figure 4).
 """
 
-from repro.sched.params import SchedParams
-from repro.sched.runqueue import RunqueueState
-from repro.sched.wakeup import WakeupPlacer
-from repro.sched.balancer import BalancerModel, StackingEpisode
-from repro.sched.migration import MigrationEvent, MigrationModel
-from repro.sched.model import ForkOutcome, SchedulerModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchedParams",
-    "RunqueueState",
-    "WakeupPlacer",
-    "BalancerModel",
-    "StackingEpisode",
-    "MigrationModel",
-    "MigrationEvent",
-    "ForkOutcome",
-    "SchedulerModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sched.params": ["SchedParams"],
+    "repro.sched.runqueue": ["RunqueueState"],
+    "repro.sched.wakeup": ["WakeupPlacer"],
+    "repro.sched.balancer": ["BalancerModel", "StackingEpisode"],
+    "repro.sched.migration": ["MigrationModel", "MigrationEvent"],
+    "repro.sched.model": ["ForkOutcome", "SchedulerModel"],
+})

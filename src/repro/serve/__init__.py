@@ -41,30 +41,11 @@ rate-limit semantics.
 # — the CLI's experiment/sweep/run/gather load only
 # :mod:`repro.serve.jobspec` — does not pull in the HTTP stack of
 # :mod:`repro.serve.server`.
-_LAZY_ATTRS = {
-    "Governor": "repro.serve.governor",
-    "Job": "repro.serve.jobs",
-    "JobQueue": "repro.serve.jobs",
-    "JobService": "repro.serve.server",
-    "JobStore": "repro.serve.jobs",
-    "TokenBucket": "repro.serve.governor",
-    "create_http_server": "repro.serve.server",
-    "spec_to_study": "repro.serve.jobspec",
-    "validate_spec": "repro.serve.jobspec",
-}
+from repro._lazy import lazy_exports
 
-__all__ = sorted(_LAZY_ATTRS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _LAZY_ATTRS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.serve' has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache for next access
-    return value
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.governor": ["Governor", "TokenBucket"],
+    "repro.serve.jobs": ["Job", "JobQueue", "JobStore"],
+    "repro.serve.server": ["JobService", "create_http_server"],
+    "repro.serve.jobspec": ["spec_to_study", "validate_spec"],
+})

@@ -11,10 +11,9 @@ There is no general event queue: the work-stealing scheduler
 frequency logger (:mod:`repro.harness.freqlogger`) samples a fixed grid.
 """
 
-from repro.sim.trace import PiecewiseConstant
-from repro.sim.intervals import IntervalSet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PiecewiseConstant",
-    "IntervalSet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.trace": ["PiecewiseConstant"],
+    "repro.sim.intervals": ["IntervalSet"],
+})

@@ -14,52 +14,24 @@ Implements the paper's metrics and the standard characterization toolkit:
   the harness renders.
 """
 
-from repro.stats.descriptive import (
-    SummaryStats,
-    coefficient_of_variation,
-    normalized_min_max,
-    summarize,
-)
-from repro.stats.outliers import (
-    iqr_outliers,
-    mad_outliers,
-    sigma_outliers,
-)
-from repro.stats.bootstrap import bootstrap_ci
-from repro.stats.compare import ComparisonResult, compare_samples, variance_ratio
-from repro.stats.distribution import (
-    LognormalFit,
-    bimodality_coefficient,
-    fit_lognormal,
-    is_bimodal,
-    lognormal_ks,
-    tail_fraction,
-)
-from repro.stats.variability import (
-    VariabilityDecomposition,
-    VariabilityReport,
-    decompose_variability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SummaryStats",
-    "summarize",
-    "coefficient_of_variation",
-    "normalized_min_max",
-    "sigma_outliers",
-    "iqr_outliers",
-    "mad_outliers",
-    "bootstrap_ci",
-    "compare_samples",
-    "ComparisonResult",
-    "variance_ratio",
-    "LognormalFit",
-    "fit_lognormal",
-    "lognormal_ks",
-    "bimodality_coefficient",
-    "is_bimodal",
-    "tail_fraction",
-    "VariabilityDecomposition",
-    "VariabilityReport",
-    "decompose_variability",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.stats.descriptive": [
+        "SummaryStats", "summarize", "coefficient_of_variation",
+        "normalized_min_max",
+    ],
+    "repro.stats.outliers": ["sigma_outliers", "iqr_outliers", "mad_outliers"],
+    "repro.stats.bootstrap": ["bootstrap_ci"],
+    "repro.stats.compare": [
+        "compare_samples", "ComparisonResult", "variance_ratio",
+    ],
+    "repro.stats.distribution": [
+        "LognormalFit", "fit_lognormal", "lognormal_ks",
+        "bimodality_coefficient", "is_bimodal", "tail_fraction",
+    ],
+    "repro.stats.variability": [
+        "VariabilityDecomposition", "VariabilityReport",
+        "decompose_variability",
+    ],
+})

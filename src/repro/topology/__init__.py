@@ -11,21 +11,14 @@ provided as presets:
   16-core, 2 NUMA domains, 32 hardware threads (SMT disabled, as on Vera).
 """
 
-from repro.topology.hwthread import Core, HWThread, Machine, NUMADomain, Socket
-from repro.topology.builder import TopologyBuilder
-from repro.topology.cpuset import CpuSet
-from repro.topology.distance import numa_distance_matrix
-from repro.topology.platforms import dardel_topology, vera_topology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HWThread",
-    "Core",
-    "NUMADomain",
-    "Socket",
-    "Machine",
-    "TopologyBuilder",
-    "CpuSet",
-    "numa_distance_matrix",
-    "dardel_topology",
-    "vera_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.topology.hwthread": [
+        "HWThread", "Core", "NUMADomain", "Socket", "Machine",
+    ],
+    "repro.topology.builder": ["TopologyBuilder"],
+    "repro.topology.cpuset": ["CpuSet"],
+    "repro.topology.distance": ["numa_distance_matrix"],
+    "repro.topology.platforms": ["dardel_topology", "vera_topology"],
+})

@@ -5,6 +5,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+#: Platform preset names (``ExperimentConfig.platform``), the choices of the
+#: CLI's ``--platform``.  :mod:`repro.platform` maps each to its preset
+#: factory; this table lets the CLI name them without importing it.
+PLATFORMS = ("dardel", "toy", "vera")
+
 
 class SMTMode(str, enum.Enum):
     """How hardware threads (SMT siblings) are used by an experiment.

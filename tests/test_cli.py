@@ -90,6 +90,204 @@ def test_cli_loads_no_event_engine():
     assert proc.returncode == 0, proc.stderr
 
 
+#: Simulation-side modules (and the process pool) that a command whose
+#: every config hits the cache never needs.
+SIMULATION_MODULES = frozenset({
+    "repro.platform",
+    "repro.harness.runner",
+    "repro.bench.epcc.syncbench",
+    "repro.bench.babelstream",
+    "repro.bench.taskbench",
+    "repro.omp.region",
+    "repro.omp.runtime",
+    "repro.omp.tasking.scheduler",
+    "repro.osnoise",
+    "repro.sched",
+    "repro.topology",
+    "repro.freq.dvfs",
+    "concurrent.futures.process",
+})
+
+#: ``repro-omp ARGV`` in a fresh interpreter; the last stderr line lists
+#: every module loaded by the time ``main`` returned.
+_CLI_PROBE = (
+    "import json, sys\n"
+    "import repro.cli\n"
+    "code = repro.cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _cli_in_fresh_interpreter(*argv: str) -> tuple[str, set[str]]:
+    """(stdout, loaded modules) of ``repro-omp ARGV`` in a new process."""
+    proc = _fresh_python("-c", _CLI_PROBE, *argv)
+    return proc.stdout, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def _cache_listing(cache_dir: Path) -> dict[str, tuple[bytes, int]]:
+    return {
+        path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(cache_dir.iterdir())
+    }
+
+
+#: Experiment knobs of the warm-cache tests: small enough to simulate in
+#: about a second.
+_KNOBS = ("--runs", "1", "--reps", "2")
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """Cold serial figure3 and figure8 runs into one cache: the cache dir,
+    and each experiment's (stdout, loaded modules)."""
+    cache_dir = tmp_path_factory.mktemp("warm") / "cache"
+    cold = {
+        name: _cli_in_fresh_interpreter(
+            "experiment", name, *_KNOBS, "--cache-dir", str(cache_dir)
+        )
+        for name in ("figure3", "figure8")
+    }
+    return cache_dir, cold
+
+
+def test_cli_import_loads_only_the_result_side():
+    """``import repro.cli`` loads NumPy and the result side: no simulation
+    module and no process pool, and at most 30 ``repro`` modules."""
+    proc = _fresh_python(
+        "-c", "import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))"
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & SIMULATION_MODULES, sorted(loaded & SIMULATION_MODULES)
+    ours = [m for m in loaded if m == "repro" or m.startswith("repro.")]
+    assert len(ours) <= 30, sorted(ours)
+
+
+def test_serial_region_experiment_loads_no_pool_and_no_tasking(warm_cache):
+    """A serial figure3 simulates region benchmarks only: it loads the
+    runner, but not the process pool, taskbench or the tasking scheduler."""
+    _cache_dir, cold = warm_cache
+    _stdout, loaded = cold["figure3"]
+    assert "repro.harness.runner" in loaded
+    assert not loaded & {
+        "concurrent.futures.process",
+        "repro.bench.taskbench",
+        "repro.omp.tasking.scheduler",
+    }
+
+
+@pytest.mark.parametrize("name", ["figure3", "figure8"])
+def test_warm_replay_loads_no_simulation_module(warm_cache, name):
+    """A fully cached experiment prints the cold run's bytes without
+    loading the simulation side, and writes nothing to the cache."""
+    cache_dir, cold = warm_cache
+    before = _cache_listing(cache_dir)
+    stdout, loaded = _cli_in_fresh_interpreter(
+        "experiment", name, *_KNOBS, "--cache-dir", str(cache_dir)
+    )
+    assert stdout == cold[name][0]
+    assert not loaded & SIMULATION_MODULES, sorted(loaded & SIMULATION_MODULES)
+    assert _cache_listing(cache_dir) == before
+
+
+def test_one_cache_miss_simulates_only_that_config(warm_cache, tmp_path):
+    """With one figure3 entry deleted, the replay loads the runner,
+    re-simulates that config alone (the other entries stay untouched, the
+    deleted one comes back byte-identical) and prints the same bytes."""
+    import shutil
+
+    from repro.harness.cache import ResultCache
+
+    source, cold = warm_cache
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(source, cache_dir)
+    spec = get_experiment("figure3")
+    config = spec.build_study(**spec.knobs(1, 2, 42)).configs()[0]
+    victim = ResultCache(cache_dir).path_for(config)
+    before = _cache_listing(cache_dir)
+    victim.unlink()
+    stdout, loaded = _cli_in_fresh_interpreter(
+        "experiment", "figure3", *_KNOBS, "--cache-dir", str(cache_dir)
+    )
+    assert stdout == cold["figure3"][0]
+    assert "repro.harness.runner" in loaded
+    assert "repro.bench.taskbench" not in loaded
+    after = _cache_listing(cache_dir)
+    assert after.keys() == before.keys()
+    for entry, (data, mtime) in after.items():
+        assert data == before[entry][0]
+        assert (mtime == before[entry][1]) == (entry != victim.name)
+
+
+def test_lazy_packages_resolve_every_public_name():
+    """Importing a package loads none of its modules; every name in its
+    ``__all__`` is listed by ``dir()`` and resolves on first access."""
+    src = REPO_ROOT / "src"
+    packages = sorted(
+        ".".join(init.parent.relative_to(src).parts)
+        for init in src.glob("repro/**/__init__.py")
+    )
+    code = (
+        "import importlib, json, sys\n"
+        f"names = {packages!r}\n"
+        "packages = [importlib.import_module(n) for n in names]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.')\n"
+        "                and m not in names and m != 'repro._lazy')\n"
+        "assert not loaded, loaded\n"
+        "for pkg in packages:\n"
+        "    assert pkg.__all__, pkg.__name__\n"
+        "    missing = set(pkg.__all__) - set(dir(pkg))\n"
+        "    assert not missing, (pkg.__name__, missing)\n"
+        "    for attr in pkg.__all__:\n"
+        "        getattr(pkg, attr)\n"
+        "print(len(packages))\n"
+    )
+    assert int(_fresh_python("-c", code).stdout) == len(packages) >= 16
+
+
+def test_cli_name_tables_match_what_the_simulation_accepts():
+    """The CLI's ``--platform`` / ``--benchmark`` choices are the name
+    tables, and the tables name exactly the presets ``get_platform``
+    resolves and the benchmarks the runner builds."""
+    import repro.platform as platform_module
+    from repro.bench.registry import available_benchmarks
+    from repro.cli import _build_parser
+    from repro.errors import ConfigurationError, HarnessError
+    from repro.harness import ExperimentConfig, Runner
+    from repro.types import PLATFORMS
+
+    def choices(command: str, dest: str) -> tuple:
+        sub = _build_parser()._subparsers._group_actions[0].choices[command]
+        (action,) = [a for a in sub._actions if a.dest == dest]
+        return tuple(action.choices)
+
+    assert choices("run", "platform") == PLATFORMS
+    assert choices("platform", "name") == PLATFORMS
+    assert choices("sweep", "benchmark") == available_benchmarks()
+    assert platform_module.available_platforms() == PLATFORMS
+    for name in PLATFORMS:
+        assert platform_module.get_platform(name).name == name
+    with pytest.raises(ConfigurationError):
+        platform_module.get_platform("summit")
+    for name in available_benchmarks():
+        runner = Runner(ExperimentConfig(platform="toy", benchmark=name, runs=1))
+        assert runner._bench[0] == name
+    with pytest.raises(HarnessError):
+        Runner(ExperimentConfig(platform="toy", benchmark="linpack", runs=1))
+
+
 class TestList:
     def test_list(self, capsys):
         assert main(["list"]) == 0
