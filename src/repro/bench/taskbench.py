@@ -187,7 +187,7 @@ class Taskbench:
             team,
             ctx.runtime.task_cost,
             ctx.freq_plan,
-            ctx.noise,
+            ctx.noise_batch,
             streams,
             tracer=tracer,
         )

@@ -11,7 +11,7 @@ a passive waiter spins before sleeping, or ``infinite``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
@@ -73,9 +73,6 @@ class OMPEnvironment:
     def bound(self) -> bool:
         """Whether threads are pinned (``OMP_PROC_BIND`` != ``false``)."""
         return self.proc_bind.is_bound
-
-    def with_threads(self, n: int) -> "OMPEnvironment":
-        return replace(self, num_threads=n)
 
     @classmethod
     def from_env(cls, env: Mapping[str, str]) -> "OMPEnvironment":

@@ -30,7 +30,7 @@ from repro.omp.proc_bind import assign_cpus, bind_threads
 from repro.omp.tasking.params import TaskCostModel, TaskCostParams
 from repro.omp.team import Team
 from repro.omp.vendor import RuntimeProfile
-from repro.osnoise.model import NoiseModel, NoiseRealization
+from repro.osnoise.model import NoiseBatch, NoiseModel, NoiseRealization
 from repro.rng import RngFactory
 from repro.sched.model import ForkOutcome, SchedulerModel, trace_fork
 
@@ -59,6 +59,13 @@ class RunContext:
     #: Observability sink; benchmarks read it to emit spans along the run
     #: timeline (docs/observability.md).  Defaults to the no-op tracer.
     tracer: Tracer = NULL_TRACER
+
+    @cached_property
+    def noise_batch(self) -> NoiseBatch:
+        """The run's noise as a one-run :class:`NoiseBatch`, built on first
+        request: the work-stealing scheduler prices task bodies through
+        it."""
+        return NoiseBatch([self.noise])
 
     def advance(self, dt: float) -> None:
         if dt < 0:

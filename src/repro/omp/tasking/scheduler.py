@@ -24,9 +24,10 @@ LLVM/libomp runtime:
   when the team spans NUMA domains or sockets;
 * task *bodies* execute against the run's frequency plan
   (cycle-accurate rescaling through the per-CPU trace) and absorb the OS
-  noise stolen from their CPU during the body window, with SMT sharing
-  derating throughput — the same physical substrate the worksharing
-  executor uses.
+  noise stolen from their CPU during the body window, one window at a
+  time through the run's noise batch, with SMT sharing derating
+  throughput — the same physical substrate the worksharing executor
+  uses.
 
 Simultaneous wake-ups run in the order they were queued (``seq`` is a
 push counter, FIFO within a timestamp) and every random decision draws
@@ -58,7 +59,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.omp.tasking.params import TaskCostModel
 from repro.omp.tasking.task import Task
 from repro.omp.team import Team
-from repro.osnoise.model import NoiseRealization
+from repro.osnoise.model import NoiseBatch
 
 # Worker-loop phases: where a thread resumes when its wake-up is popped.
 _TOP = 0  # loop head: pop, steal or back off
@@ -125,9 +126,11 @@ class WorkStealingScheduler:
     cost_model:
         Prices for the runtime operations.
     freq_plan / noise:
-        The run's frequency traces and OS-noise realization (task bodies
-        are rescaled and extended through them; runtime operations are
-        treated as uncore-bound wall time).
+        The run's frequency traces, and its OS noise as a one-run
+        :class:`~repro.osnoise.model.NoiseBatch`, whose row *c* is CPU
+        *c* (task bodies are rescaled through the traces and extended by
+        :meth:`~repro.osnoise.model.NoiseBatch.stolen`; runtime operations
+        are treated as uncore-bound wall time).
     streams:
         One :class:`numpy.random.Generator` per thread — victim selection
         and per-task work jitter draw from thread ``i``'s own stream, so
@@ -162,7 +165,7 @@ class WorkStealingScheduler:
         team: Team,
         cost_model: TaskCostModel,
         freq_plan: FrequencyPlan,
-        noise: NoiseRealization,
+        noise: NoiseBatch,
         streams: Sequence[np.random.Generator],
         max_events: int | None = None,
         tracer: Tracer = NULL_TRACER,
@@ -252,7 +255,7 @@ class WorkStealingScheduler:
         # per-thread body substrate, resolved once per episode
         calibration_hz = self.freq_plan.calibration_hz
         invert = [tr.invert_integral for tr in self.freq_plan.traces_for(team.cpus)]
-        stolen = [self.noise.stolen_on(cpu).overlap for cpu in team.cpus]
+        stolen = [self.noise.stolen(cpu) for cpu in team.cpus]
         smt_shared = [bool(s) for s in team.smt_shared]
         tracer = self.tracer
         tracing = tracer.enabled  # hoisted once: the null path pays one bool test

@@ -1,47 +1,45 @@
-"""Noise realization: from sampled sources to per-CPU preemption sets.
+"""Noise realization: from sampled sources to per-CPU preemption.
 
 :class:`NoiseModel` samples every source of a profile over a run window,
 places the un-pinned events idle-first, and keeps the result in a
-:class:`NoiseRealization` that the execution model queries:
+:class:`NoiseRealization`.  The execution model asks one question of it,
+through a :class:`NoiseBatch` of one or more realizations: how much of a
+window is a CPU executing OS work instead of the application thread
+pinned there (a thread makes **no** progress inside it), and how much do
+its *SMT siblings* spend executing OS work (the thread keeps running but
+retires instructions more slowly; see the SMT penalty in the region
+executor).  :meth:`NoiseBatch.overlap` answers every window of every run
+of a region in one call; :meth:`NoiseBatch.stolen` answers one CPU's
+windows one at a time, for task bodies.
 
-* :meth:`NoiseRealization.stolen_on` — intervals during which a CPU is
-  executing OS work instead of the application thread pinned there
-  (a thread makes **no** progress inside these intervals), and
-* :meth:`NoiseBatch.overlap` — how much of each window of ``R`` runs a
-  CPU is stolen, and how much of it its *SMT siblings* spend executing
-  OS work; the thread keeps running but retires instructions more slowly
-  (see the SMT penalty in the region executor).
-
-A :class:`NoiseBatch` keys its runs' noise by ``run * n_cpus + cpu`` and
-answers every window of every run in one call; a single realization is
-the ``R = 1`` batch.  A CPU's ticks and the rest of its noise answer
-separately, and their int64-ns measures add: the ticks, an arithmetic
-progression that never overlaps itself, are clipped to each window and
-summed from the runs' stacked tick tables; the sparse non-tick events
-live in one :class:`~repro.sim.intervals.IntervalBatch` row per run and
-CPU with those ticks cut out.  Where no CPU has more than one SMT
-sibling (SMT-2 machines, and machines without SMT), a CPU's sibling
-pressure is its sibling's stolen time, read in the same pass at the
-siblings' rows (:meth:`NoiseBatch.sibling_rows`).  Only machines where a
-CPU has two or more siblings build a union plane.
+A :class:`NoiseBatch` keys its runs' noise by ``run * n_cpus + cpu``.  A
+CPU's ticks and the rest of its noise answer separately, and their
+int64-ns measures add: the ticks, an arithmetic progression that never
+overlaps itself, are clipped to each window, from the runs' stacked tick
+tables or by walking the row's ticks; the sparse non-tick events live in
+one :class:`~repro.sim.intervals.IntervalBatch` row per run and CPU with
+those ticks cut out.  Where no CPU has more than one SMT sibling (SMT-2
+machines, and machines without SMT), a CPU's sibling pressure is its
+sibling's stolen time, read in the same pass at the siblings' rows
+(:meth:`NoiseBatch.sibling_rows`).  Only machines where a CPU has two or
+more siblings build a union plane.
 
 Performance note: a full-scale schedbench run on the Dardel model realizes
-on the order of a million timer ticks, yet a region run reaches only part
-of its horizon.  The realization therefore keeps the non-tick events in
-flat NumPy arrays and the ticks as one
+on the order of a million timer ticks, yet a run reaches only part of its
+horizon.  The realization therefore keeps the non-tick events in flat
+NumPy arrays and the ticks as one
 :class:`~repro.osnoise.source.TickBlock`: starts computed on demand,
 durations drawn where queries first reach them.  A window query touches
-only the few ticks near the window, so a region run holds no interval
-arrays of its ticks and no durations past its queries' reach; only the
-full-horizon rows of :meth:`NoiseRealization.stolen_on` draw every
-duration and put every tick in one plane.
+only the few ticks near the window, so a run holds no interval arrays of
+its ticks and no durations past its queries' reach; only the union plane
+and tracing expand the ticks.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +47,7 @@ from repro.errors import NoiseModelError
 from repro.obs.tracer import CPU_TRACK_BASE, Tracer
 from repro.osnoise.placement import idle_first_cpus
 from repro.osnoise.source import PREFIX_TICKS, NoiseSource, TickBlock, TimerTickSource
-from repro.sim.intervals import IntervalBatch, IntervalSet
+from repro.sim.intervals import IntervalBatch
 from repro.topology.hwthread import Machine
 from repro.units import NS_PER_SEC, to_sim_ns_array
 
@@ -88,7 +86,6 @@ class NoiseRealization:
             bad = cpus[(cpus < 0) | (cpus >= machine.n_cpus)]
             if bad.size:
                 raise NoiseModelError(f"event on unknown cpu {int(bad[0])}")
-        self._stolen_rows: dict[int, IntervalSet] = {}
 
     def events(
         self, reach: float = math.inf
@@ -103,25 +100,6 @@ class NoiseRealization:
         ticks = self._tick.expand(reach)
         ticks += (np.full(ticks[0].size, self._tick.kind),)
         return tuple(np.concatenate(pair) for pair in zip(ticks, rest))
-
-    # -- full-horizon interval queries --------------------------------------------
-
-    @cached_property
-    def _whole(self) -> IntervalBatch:
-        """Every CPU's noise over the full horizon, one row per CPU: all
-        its ticks and other events, merged.  Built on the first full-row
-        request (the work-stealing scheduler's)."""
-        starts, durations, cpus, _ = self.events()
-        return IntervalBatch.from_rows(
-            self.machine.n_cpus, cpus, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
-        )
-
-    def stolen_on(self, cpu: int) -> IntervalSet:
-        """Intervals during which *cpu* runs OS work (thread fully stalled)."""
-        cached = self._stolen_rows.get(cpu)
-        if cached is None:
-            cached = self._stolen_rows[cpu] = self._whole.row(cpu)
-        return cached
 
     # -- observability ---------------------------------------------------------
 
@@ -163,11 +141,11 @@ class NoiseRealization:
 
 class NoiseBatch:
     """The noise of ``R`` realizations of one machine, answering every
-    run's window queries in one call (:meth:`overlap`).  Row ``run *
-    n_cpus + cpu`` is that CPU's noise in that run: its slot in the runs'
-    stacked tick tables (the durations stay in each realization's
-    block), and its row of the rest and union planes, each built once
-    per batch."""
+    run's window queries in one call (:meth:`overlap`), or one row's one
+    window at a time (:meth:`stolen`).  Row ``run * n_cpus + cpu`` is
+    that CPU's noise in that run: its slot in the runs' stacked tick
+    tables (the durations stay in each realization's block), and its row
+    of the rest and union planes, each built once per batch."""
 
     def __init__(self, realizations: Sequence[NoiseRealization]):
         self.realizations = tuple(realizations)
@@ -186,6 +164,7 @@ class NoiseBatch:
             for _, t in paths])
         self._index = np.hstack([np.empty((2, 0), dtype=np.int64)] + [
             (t.counts, np.arange(t.cpus.size)) for _, t in paths])
+        self._stolen: dict[int, Callable[[float, float], float]] = {}
 
     def _clip(
         self, slots: np.ndarray, edges: np.ndarray, blocks: np.ndarray, grow: bool = True
@@ -262,7 +241,7 @@ class NoiseBatch:
             (real._starts, real._durations, base + real._cpus)
             for base, real in zip(self._bases.ravel().tolist(), self.realizations)
         ]))
-        rows, starts, ends = IntervalBatch.from_rows(
+        rows, starts, ends = IntervalBatch(
             self._slots.size, keys, to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
         ).intervals_ns()
         slots = self._slots[rows]
@@ -285,7 +264,73 @@ class NoiseBatch:
             rows = rows[np.concatenate((whole, owner))[at_start]]
             starts = np.concatenate((starts, tick_ends[meets]))[at_start]
             ends = np.concatenate((tick_starts[meets], ends))[at_end]
-        return IntervalBatch.from_rows(self._slots.size, rows, starts, ends)
+        return IntervalBatch(self._slots.size, rows, starts, ends)
+
+    def stolen(self, row: int) -> Callable[[float, float], float]:
+        """``overlap(a, b)``: seconds of row *row*'s noise inside ``[a,
+        b)``, one window per call, bit for bit as :meth:`overlap` answers
+        the window in its stolen column.  Built once per row; task bodies
+        price their noise through it.
+
+        The rest plane's row answers by bisection
+        (:meth:`~repro.sim.intervals.IntervalSet.measure_ns`), and the
+        row's ticks by a walk over the candidates :meth:`_clip` documents,
+        quantized as it quantizes them.  The row's drawn ticks are
+        quantized on first need, and a window reaching past them first
+        grows the row (:meth:`TickBlock.grow`).  The two int64-ns measures
+        add, and the sum is divided by 1e9 once.
+        """
+        query = self._stolen.get(row)
+        if query is None:
+            query = self._stolen[row] = self._row_query(row)
+        return query
+
+    def _row_query(self, row: int) -> Callable[[float, float], float]:
+        """:meth:`stolen`'s query of row *row*, built."""
+        rest = self._rest.row(row)
+        rest = rest.measure_ns if len(rest) else None  # most rows have no rest events
+        slot = int(self._slots[row])
+        if slot < 0:
+            def overlap(a: float, b: float) -> float:
+                lo, hi = round(a * NS_PER_SEC), round(b * NS_PER_SEC)
+                return rest(lo, hi) / NS_PER_SEC if rest and hi > lo else 0.0
+
+            return overlap
+        (first, period, _), (count, index) = (
+            self._times[:, slot].tolist(), self._index[:, slot].tolist())
+        block = self.realizations[row // self.machine.n_cpus]._tick
+        starts: list[int] = []  # the row's drawn ticks, quantized
+        ends: list[int] = []
+
+        def overlap(a: float, b: float) -> float:
+            nonlocal starts, ends
+            lo, hi = round(a * NS_PER_SEC), round(b * NS_PER_SEC)
+            if hi <= lo:
+                return 0.0
+            ns = rest(lo, hi) if rest else 0
+            # the per-call hot path of task bodies: comparisons, not min/max
+            k = math.floor((lo / NS_PER_SEC - first) / period) - 1
+            if k < 0:
+                k = 0
+            end = math.floor((hi / NS_PER_SEC - first) / period) + 2
+            if end > count:
+                end = count
+            if end > len(starts) and end > k:
+                block.grow(np.array([index]), np.array([end]))
+                at, drawn = int(block._offsets[index]), int(block.drawn[index])
+                tick_starts = first + period * np.arange(drawn)
+                starts = to_sim_ns_array(tick_starts).tolist()
+                ends = to_sim_ns_array(tick_starts + block.durations[at:at + drawn]).tolist()
+            for k in range(k, end):
+                start = starts[k]
+                if start >= hi:  # and so does every later tick
+                    break
+                stop = ends[k]
+                if stop > lo:
+                    ns += (stop if stop < hi else hi) - (start if start > lo else lo)
+            return ns / NS_PER_SEC
+
+        return overlap
 
     @cached_property
     def _sibling_map(self) -> tuple[bool, np.ndarray]:
@@ -310,17 +355,18 @@ class NoiseBatch:
     @cached_property
     def _union(self) -> IntervalBatch:
         """Row ``run * n_cpus + c``: the noise of every SMT sibling of *c*
-        in that run, built once over the full horizon from each interval
-        copied to its CPU's siblings."""
-        parts = [real._whole.intervals_ns() for real in self.realizations]
+        in that run, built once over the full horizon from each event
+        (:meth:`NoiseRealization.events`) copied to its CPU's siblings."""
+        parts = [real.events()[:3] for real in self.realizations]
         runs = np.repeat(self._bases.ravel(), [part[0].size for part in parts])
-        cpus, starts, ends = (np.concatenate(column) for column in zip(*parts))
+        starts, durations, cpus = (np.concatenate(column) for column in zip(*parts))
+        starts, ends = to_sim_ns_array(starts), to_sim_ns_array(starts + durations)
         ptr, idx = self.machine.sibling_table
         first = ptr[cpus]
         degree = ptr[cpus + 1] - first
         copy = np.repeat(np.arange(cpus.size), degree)
         k = np.arange(copy.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        return IntervalBatch.from_rows(
+        return IntervalBatch(
             self._slots.size, runs[copy] + idx[first[copy] + k], starts[copy], ends[copy]
         )
 
@@ -329,13 +375,16 @@ class NoiseBatch:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Seconds of every run's noise inside its windows: ``(stolen,
         sibling)``, C-contiguous ``(R, n)`` and ``(R, m)``.  *a* and *b*
-        are ``(R, n + m)``: column ``j < n`` of run *r* is
-        ``realizations[r].stolen_on(cpus[j]).overlap(a[r, j], b[r, j])``
-        bit for bit, and column ``n + j`` the sibling pressure at row
-        ``rows[j]`` of :meth:`sibling_rows`: with at most one SMT sibling
-        per CPU the sibling's own stolen time, answered in the same pass,
-        else the union plane's row.  Each answer is an exact int64-ns
-        measure divided by 1e9 once, as :meth:`IntervalSet.overlap` does.
+        are ``(R, n + m)``: column ``j < n`` of run *r* is the measure of
+        CPU ``cpus[j]``'s noise in that run (its ticks and every other
+        event, merged) inside ``[a[r, j], b[r, j])``, and column ``n + j``
+        the sibling pressure at row ``rows[j]`` of :meth:`sibling_rows`:
+        with at most one SMT sibling per CPU the sibling's own stolen
+        time, answered in the same pass, else the union plane's row.  Each
+        answer is an exact int64-ns measure divided by 1e9 once, as
+        :meth:`~repro.sim.intervals.IntervalSet.overlap` answers for the
+        per-CPU set of those
+        intervals, bit for bit.
         """
         cpus = np.asarray(cpus, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.int64)

@@ -149,7 +149,7 @@ class TickBlock:
     tick ends at least 2 ns before its CPU's next tick starts (both
     checked by the source), so a CPU's ticks stay disjoint in int64
     nanoseconds.  Tick starts are computed, not
-    stored: tracing and the full-horizon rows expand the ticks
+    stored: tracing and the SMT union plane expand the ticks
     (:meth:`expand`), and window queries clip only the ticks near each
     window (:class:`~repro.osnoise.model.NoiseBatch`).
 

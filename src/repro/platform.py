@@ -27,7 +27,7 @@ from repro.omp.constructs import SyncCostParams
 from repro.omp.region import RegionParams
 from repro.omp.schedule import ScheduleCostParams
 from repro.omp.tasking.params import TaskCostParams
-from repro.omp.vendor import RuntimeProfile, default_profile, get_runtime_profile
+from repro.omp.vendor import RuntimeProfile, default_profile
 from repro.osnoise.profiles import NoiseProfile, dardel_noise, quiet_profile, vera_noise
 from repro.sched.params import SchedParams
 from repro.topology.builder import TopologyBuilder
@@ -61,16 +61,6 @@ class Platform:
     def quiet(self) -> "Platform":
         """A noise-free copy (calibration / unit tests)."""
         return self.with_noise(quiet_profile())
-
-    def with_runtime(self, profile: RuntimeProfile | str) -> "Platform":
-        """A copy running a different OpenMP implementation.
-
-        Accepts either a :class:`~repro.omp.vendor.RuntimeProfile` or a
-        registry name (``"gnu"`` / ``"llvm"``).
-        """
-        if isinstance(profile, str):
-            profile = get_runtime_profile(profile)
-        return replace(self, runtime_profile=profile)
 
     def describe(self) -> str:
         return (
@@ -271,6 +261,3 @@ def get_platform(name: str) -> Platform:
         ) from None
     return factory()
 
-
-def available_platforms() -> tuple[str, ...]:
-    return tuple(sorted(_PLATFORMS))

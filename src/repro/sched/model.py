@@ -56,9 +56,6 @@ class ForkOutcome:
     def n_threads(self) -> int:
         return len(self.cpus)
 
-    def stacked_threads(self) -> tuple[int, ...]:
-        return tuple(sorted({e.thread for e in self.episodes}))
-
 
 def trace_fork(tracer: Tracer, outcome: ForkOutcome, t0: float) -> None:
     """Emit one fork's scheduler-wakeup picture onto *tracer* at *t0*.

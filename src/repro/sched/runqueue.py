@@ -47,16 +47,9 @@ class RunqueueState:
 
     # -- queries ------------------------------------------------------------
 
-    def nr_running(self, cpu: int) -> int:
-        return int(self._count[cpu])
-
     def counts(self) -> np.ndarray:
         """A copy of the per-CPU runnable counts."""
         return self._count.copy()
-
-    def idle_cpus(self) -> list[int]:
-        """CPUs with an empty runqueue."""
-        return np.flatnonzero(self._count == 0).tolist()
 
     def idle_core_mask(self) -> np.ndarray:
         """Per CPU: ``True`` when no hardware thread of its core is busy."""
@@ -67,10 +60,6 @@ class RunqueueState:
     def idle_cores(self) -> list[int]:
         """Cores whose *every* hardware thread is idle."""
         return np.unique(self._core_of[self.idle_core_mask()]).tolist()
-
-    def stacked_cpus(self) -> list[int]:
-        """CPUs hosting more than one runnable task."""
-        return np.flatnonzero(self._count > 1).tolist()
 
     def load_fraction(self) -> float:
         """Busy CPUs / all CPUs."""

@@ -3,8 +3,11 @@
 * :class:`~repro.sim.trace.PiecewiseConstant` — right-continuous step
   signals with exact integration, used for per-core frequency traces and
   logger output.
-* :class:`~repro.sim.intervals.IntervalSet` — sorted disjoint interval
-  algebra used for noise/occupancy accounting.
+* :class:`~repro.sim.intervals.IntervalSet` and
+  :class:`~repro.sim.intervals.IntervalBatch` — sorted disjoint
+  intervals in integer nanoseconds and their measures; the noise model
+  keeps its non-tick events in batch planes and reads one row at a time
+  through a set.
 
 There is no general event queue: the work-stealing scheduler
 (:mod:`repro.omp.tasking.scheduler`) runs its own event loop, and the

@@ -1,10 +1,10 @@
 """Sorted disjoint interval algebra in integer simulated time.
 
-Noise accounting reduces to questions about unions of time intervals:
-*how much of window [a, b) is stolen by noise on this hardware thread?* and
-*given that noise preempts me entirely, when do I finish W seconds of work
-started at t0?*  :class:`IntervalSet` answers both and is the workhorse of
-:mod:`repro.omp.region`.
+Noise accounting reduces to one question about unions of time intervals:
+*how much of window [a, b) is stolen by noise on this hardware thread?*
+:class:`IntervalSet` answers it for one row, one window at a time
+(:meth:`IntervalSet.measure_ns`); the noise model reads a row of its rest
+plane through it, and the tests use it as the per-CPU oracle.
 
 Intervals are half-open ``[start, end)`` with int64 endpoints in the
 tracer's simulated-nanosecond time base (:func:`repro.units.to_sim_ns`),
@@ -13,11 +13,11 @@ seconds.  Overlaps difference exact prefix sums of interval lengths: O(log
 L) per query, and independent of how queries are grouped or batched.
 
 :class:`IntervalBatch` holds many rows in one flat plane under a
-row-major int64 sort key.  One builder (:meth:`IntervalBatch.from_rows`)
-sorts and merges every row in a single pass, and one ``searchsorted``
-answers a query per row, in int64 ns (:meth:`IntervalBatch.measure_ns`)
-or in seconds (:meth:`IntervalBatch.overlap_fused`).  The noise model
-keeps one row per CPU.
+row-major int64 sort key.  Its constructor sorts and merges every row in
+a single pass, and one ``searchsorted`` answers a query per row, in int64
+ns (:meth:`IntervalBatch.measure_ns`) or in seconds
+(:meth:`IntervalBatch.overlap_fused`).  The noise model keeps one row per
+run and CPU.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.units import NS_PER_SEC, to_sim_ns_array
 
 __all__ = ["IntervalBatch", "IntervalSet"]
 
-_EMPTY = np.empty(0, dtype=np.int64)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -100,19 +99,21 @@ class IntervalSet:
     # -- measure queries -----------------------------------------------------
 
     def overlap(self, a: float, b: float) -> float:
-        """Measure of the intersection with window ``[a, b)``, in seconds.
-
-        The measure before ``ns(b)`` minus the measure before ``ns(a)``,
-        each one bisect over the cached lists plus a prefix sum.
-        """
-        # the scalar query of every task body: to_sim_ns inlined
+        """Measure of the intersection with window ``[a, b)``, in seconds:
+        :meth:`measure_ns` of the quantized window."""
         lo, hi = int(round(a * NS_PER_SEC)), int(round(b * NS_PER_SEC))
         if hi <= lo:
             return 0.0
+        return self.measure_ns(lo, hi) / NS_PER_SEC
+
+    def measure_ns(self, lo: int, hi: int) -> int:
+        """Int ns of the set inside the int-ns window ``[lo, hi)``, ``lo <
+        hi``: the measure before *hi* minus the measure before *lo*, each
+        one bisect over the cached lists plus a prefix sum."""
         starts, ends, cum = self._lists or self._as_lists()
         i = bisect_right(starts, hi)
         if not i:  # an empty set, or a window before its first interval
-            return 0.0
+            return 0
         measure = cum[i]
         past = ends[i - 1] - hi
         if past > 0:  # hi falls inside interval i - 1
@@ -124,7 +125,7 @@ class IntervalSet:
             past = ends[i - 1] - lo
             if past > 0:
                 measure += past
-        return measure / NS_PER_SEC
+        return measure
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(*_normalize(
@@ -149,7 +150,7 @@ class IntervalSet:
 
 
 class IntervalBatch:
-    """Rows of :class:`IntervalSet` in one flat plane, answering one overlap
+    """Rows of int64-ns intervals in one flat plane, answering one overlap
     query per window.
 
     Row ``k``'s endpoints are shifted by ``k * span - lo``, where
@@ -164,27 +165,10 @@ class IntervalBatch:
 
     __slots__ = ("_n_rows", "_lo", "_hi", "_span", "_starts", "_ends", "_cum")
 
-    def __init__(self, sets: Iterable["IntervalSet"]):
-        sets = tuple(sets)
-        rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-        starts = np.concatenate([s.starts for s in sets] or [_EMPTY])
-        ends = np.concatenate([s.ends for s in sets] or [_EMPTY])
-        self._fill(len(sets), rows, starts, ends)
-
-    @classmethod
-    def from_rows(
-        cls, n_rows: int, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> "IntervalBatch":
+    def __init__(self, n_rows: int, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         """The plane of int64-ns intervals ``[starts[i], ends[i])`` on row
         ``rows[i]``: unsorted, overlapping and empty intervals are allowed,
         and row ``k`` answers as ``IntervalSet`` of its own intervals."""
-        batch = cls.__new__(cls)
-        batch._fill(n_rows, rows, starts, ends)
-        return batch
-
-    def _fill(
-        self, n_rows: int, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> None:
         keep = ends > starts
         if not keep.all():
             rows, starts, ends = rows[keep], starts[keep], ends[keep]

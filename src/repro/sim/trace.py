@@ -182,21 +182,6 @@ class PiecewiseConstant:
             t = seg_end
             idx += 1
 
-    def restricted(self, a: float, b: float) -> "PiecewiseConstant":
-        """The trace clipped to start at *a*, keeping breakpoints < *b*."""
-        if b <= a:
-            raise TraceError(f"restricted: empty window [{a}, {b}]")
-        ia = int(self._segment_index(np.asarray([a]))[0])
-        mask = (self.times > a) & (self.times < b)
-        times = np.concatenate([[a], self.times[mask]])
-        values = np.concatenate([[self.values[ia]], self.values[mask]])
-        return PiecewiseConstant(times, values)
-
-    def min_value(self, a: float, b: float) -> float:
-        """Minimum signal value attained on ``[a, b)``."""
-        r = self.restricted(a, b)
-        return float(np.min(r.values))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PiecewiseConstant(n={len(self)}, start={self.start:.6f}, "

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
+from repro.stats.descriptive import _validated
 
 
 @dataclass(frozen=True)
@@ -25,27 +26,10 @@ class ComparisonResult:
     mean_ratio: float  # mean(a) / mean(b)
     variance_ratio: float  # var(a) / var(b)
 
-    def distributions_differ(self, alpha: float = 0.01) -> bool:
-        """Kolmogorov-Smirnov verdict at level *alpha*."""
-        return self.ks_pvalue < alpha
-
-    def medians_differ(self, alpha: float = 0.01) -> bool:
-        """Mann-Whitney verdict at level *alpha*."""
-        return self.mw_pvalue < alpha
-
-
-def _validated(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ReproError("each sample needs at least 2 points")
-    if not np.all(np.isfinite(x)):
-        raise ReproError("sample contains non-finite values")
-    return x
-
 
 def variance_ratio(a, b) -> float:
     """var(a)/var(b); > 1 means *a* is more variable."""
-    xa, xb = _validated(a), _validated(b)
+    xa, xb = _validated(a, min_size=2), _validated(b, min_size=2)
     vb = xb.var(ddof=1)
     if vb == 0:
         return float("inf") if xa.var(ddof=1) > 0 else 1.0
@@ -63,7 +47,7 @@ def compare_samples(a, b) -> ComparisonResult:
     # this module
     from scipy import stats as sps
 
-    xa, xb = _validated(a), _validated(b)
+    xa, xb = _validated(a, min_size=2), _validated(b, min_size=2)
     ks = sps.ks_2samp(xa, xb)
     mw = sps.mannwhitneyu(xa, xb, alternative="two-sided")
     mean_b = xb.mean()

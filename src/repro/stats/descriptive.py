@@ -41,10 +41,12 @@ class SummaryStats:
         return self.maximum / self.minimum if self.minimum else float("inf")
 
 
-def _validated(sample) -> np.ndarray:
+def _validated(sample, min_size: int = 1) -> np.ndarray:
+    """*sample* as a 1-D float64 array of at least *min_size* finite
+    points; the one sample check of :mod:`repro.stats`."""
     x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ReproError("sample must be a non-empty 1-D array")
+    if x.ndim != 1 or x.size < min_size:
+        raise ReproError(f"need a 1-D sample with >= {min_size} points")
     if not np.all(np.isfinite(x)):
         raise ReproError("sample contains non-finite values")
     return x

@@ -22,19 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
+from repro.stats.descriptive import _validated
 
 #: Bimodality-coefficient value of the uniform distribution; the customary
 #: threshold above which a sample is flagged as potentially multi-modal.
 BIMODALITY_THRESHOLD = 5.0 / 9.0
-
-
-def _validated(sample, min_size: int = 2) -> np.ndarray:
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size < min_size:
-        raise ReproError(f"need a 1-D sample with >= {min_size} points")
-    if not np.all(np.isfinite(x)):
-        raise ReproError("sample contains non-finite values")
-    return x
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,7 @@ def fit_lognormal(sample) -> LognormalFit:
     >>> fit.median
     1.0
     """
-    x = _validated(sample)
+    x = _validated(sample, min_size=2)
     if np.any(x <= 0):
         raise ReproError("log-normal fit requires strictly positive data")
     logs = np.log(x)

@@ -17,18 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
+from repro.stats.descriptive import _validated
 
 #: Consistency constant: MAD * 1.4826 estimates sigma for normal data.
 MAD_SIGMA_SCALE = 1.4826
-
-
-def _validated(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ReproError("sample must be a non-empty 1-D array")
-    if not np.all(np.isfinite(x)):
-        raise ReproError("sample contains non-finite values")
-    return x
 
 
 def sigma_outliers(sample, n_sigmas: float = 3.0) -> np.ndarray:

@@ -121,10 +121,6 @@ class VariabilityReport:
     def run_means(self) -> np.ndarray:
         return np.asarray([s.mean for s in self.per_run])
 
-    def run_norm_min_max(self) -> np.ndarray:
-        """(n_runs, 2) of per-run normalized (min, max) — Figure 3's series."""
-        return np.asarray([(s.norm_min, s.norm_max) for s in self.per_run])
-
     def render(self, unit_scale: float = 1e6, unit: str = "us") -> str:
         """ASCII rendering: one row per run + pooled summary."""
         lines = [f"== {self.label} =="]

@@ -102,16 +102,10 @@ class CpuSet:
     __and__ = intersection
     __sub__ = difference
 
-    def issubset(self, other: "CpuSet") -> bool:
-        return set(self._cpus) <= set(other._cpus)
-
     def isdisjoint(self, other: "CpuSet") -> bool:
         return set(self._cpus).isdisjoint(other._cpus)
 
     # -- rendering -----------------------------------------------------------
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self._cpus
 
     def to_ranges(self) -> list[tuple[int, int]]:
         """Collapse into inclusive ``(lo, hi)`` runs."""

@@ -160,10 +160,6 @@ class Machine:
     def all_cpus(self) -> CpuSet:
         return CpuSet(range(self.n_cpus))
 
-    def primary_cpus(self) -> CpuSet:
-        """The first hardware thread of every core (the ST cpu pool)."""
-        return CpuSet(core.cpu_ids[0] for core in self.cores)
-
     def distance(self, numa_a: int, numa_b: int) -> int:
         """ACPI SLIT-style distance between two NUMA domains (10 = local)."""
         if not self.numa_distance:
@@ -182,10 +178,6 @@ class Machine:
 
     def cores_spanned(self, cpus: Sequence[int] | CpuSet) -> int:
         return len({self.hwthread(c).core_id for c in cpus})
-
-    def numa_ids_array(self) -> np.ndarray:
-        """``numa_id`` per cpu, as an int array indexed by cpu id."""
-        return np.asarray([t.numa_id for t in self.hwthreads], dtype=np.int64)
 
     def core_ids_array(self) -> np.ndarray:
         """``core_id`` per cpu, as an int array indexed by cpu id."""

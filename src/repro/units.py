@@ -84,28 +84,11 @@ def to_ns(seconds: float) -> float:
 GHZ = 1e9
 #: One megahertz in hertz.
 MHZ = 1e6
-#: One kilohertz in hertz (sysfs cpufreq reports kHz).
-KHZ = 1e3
 
 
 def ghz(value: float) -> float:
     """Convert *value* GHz to Hz."""
     return value * GHZ
-
-
-def mhz(value: float) -> float:
-    """Convert *value* MHz to Hz."""
-    return value * MHZ
-
-
-def to_ghz(hz: float) -> float:
-    """Convert *hz* to GHz."""
-    return hz / GHZ
-
-
-def to_khz(hz: float) -> float:
-    """Convert *hz* to kHz (the unit used by the Linux cpufreq sysfs)."""
-    return hz / KHZ
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +105,9 @@ GIB = 1024 ** 3
 GB = 1e9
 
 
-def gib(value: float) -> float:
-    """Convert *value* GiB to bytes."""
-    return value * GIB
-
-
 def gb_per_s(value: float) -> float:
     """Convert *value* GB/s (decimal) to bytes/s."""
     return value * GB
-
-
-def to_gb_per_s(bytes_per_s: float) -> float:
-    """Convert *bytes_per_s* to decimal GB/s."""
-    return bytes_per_s / GB
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,15 @@ event_rows = st.lists(
 window_ends = st.floats(min_value=-1e-4, max_value=1.2e-3)
 
 
+def plane(sets) -> IntervalBatch:
+    """The batch holding each of *sets* as one row, in order."""
+    sets = list(sets)
+    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    starts = np.concatenate([s.starts for s in sets])
+    ends = np.concatenate([s.ends for s in sets])
+    return IntervalBatch(len(sets), rows, starts, ends)
+
+
 class TestIntervalBatch:
     """Prefix-sum overlap of the flat plane against an exact integer oracle."""
 
@@ -147,7 +156,7 @@ class TestIntervalBatch:
     )
     def test_overlap_fused_bitwise_equals_scalar(self, a, b):
         sets = self._sets()
-        batch = IntervalBatch(sets)
+        batch = plane(sets)
         fused = batch.overlap_fused(
             np.full(len(sets), a), np.full(len(sets), b)
         )
@@ -157,7 +166,7 @@ class TestIntervalBatch:
 
     def test_per_row_windows(self):
         sets = self._sets()
-        batch = IntervalBatch(sets)
+        batch = plane(sets)
         a = np.linspace(0.0, 90.0, len(sets))
         b = a + np.linspace(0.5, 30.0, len(sets))
         fused = batch.overlap_fused(a, b)
@@ -165,21 +174,21 @@ class TestIntervalBatch:
             assert fused[k] == s.overlap(float(a[k]), float(b[k]))
 
     def test_len(self):
-        assert len(IntervalBatch(self._sets())) == 6
+        assert len(plane(self._sets())) == 6
 
     @given(data=st.data(), rows=st.lists(event_rows, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_scalar_and_any_grouping(self, data, rows):
         a = np.asarray(data.draw(st.lists(window_ends, min_size=len(rows), max_size=len(rows))))
         b = np.asarray(data.draw(st.lists(window_ends, min_size=len(rows), max_size=len(rows))))
-        fused = IntervalBatch(rows).overlap_fused(a, b)
+        fused = plane(rows).overlap_fused(a, b)
         for k, s in enumerate(rows):
             assert fused[k] == oracle_ns(s, a[k], b[k]) / 1e9
             assert fused[k] == s.overlap(float(a[k]), float(b[k]))
         # any subset of the rows, in any order, answers each row alike
         pick = data.draw(st.permutations(range(len(rows))))
         pick = pick[: data.draw(st.integers(min_value=1, max_value=len(rows)))]
-        again = IntervalBatch(rows[k] for k in pick).overlap_fused(a[pick], b[pick])
+        again = plane(rows[k] for k in pick).overlap_fused(a[pick], b[pick])
         assert again.tolist() == fused[pick].tolist()
 
     def test_events_merged_by_quantization_count_once(self):
@@ -193,7 +202,7 @@ class TestIntervalBatch:
         assert list(zip(s.starts.tolist(), s.ends.tolist())) == [(1000, 1016)]
         assert s.overlap(0.0, 1.0) == oracle_ns(s, 0.0, 1.0) / 1e9 == 16e-9
         assert s.overlap(1.011e-6, 1.012e-6) == 1e-9
-        fused = IntervalBatch([s, IntervalSet.empty()]).overlap_fused(
+        fused = plane([s, IntervalSet.empty()]).overlap_fused(
             np.array([0.0, 0.0]), np.array([1.0, 1.0])
         )
         assert fused.tolist() == [16e-9, 0.0]

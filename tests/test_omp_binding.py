@@ -168,10 +168,6 @@ class TestOMPEnvironment:
         assert "OMP_PROC_BIND=close" in text
         assert "OMP_SCHEDULE=dynamic,1" in text
 
-    def test_with_threads(self):
-        env = OMPEnvironment(num_threads=4).with_threads(8)
-        assert env.num_threads == 8
-
 
 class TestTeam:
     def test_basic_properties(self, machine):

@@ -5,9 +5,9 @@ import pytest
 
 from repro.errors import BindingError, ConfigurationError
 from repro.omp import OMPEnvironment, OpenMPRuntime
-from repro.platform import dardel, toy, vera, get_platform, available_platforms
+from repro.platform import dardel, toy, vera, get_platform
 from repro.rng import RngFactory
-from repro.types import ProcBind
+from repro.types import PLATFORMS, ProcBind
 
 
 class TestTeamResolution:
@@ -139,7 +139,7 @@ class TestRunContext:
             for cpu in ctx.team.cpus:
                 # toy's tick source fires 250/s on every (machine-wide
                 # busy) CPU: one simulated second cannot be silent
-                assert not ctx.noise.stolen_on(cpu).is_empty(), (
+                assert ctx.noise_batch.stolen(cpu)(0.0, 1.0) > 0, (
                     f"reforked cpu {cpu} has no noise events"
                 )
         assert len(seen_cpus) > 6  # reforks actually moved the team
@@ -149,7 +149,7 @@ class TestRunContext:
         ctx = rt.start_run(0, RngFactory(2), horizon=1.0)
         machine = rt.machine
         assert all(
-            not ctx.noise.stolen_on(cpu).is_empty()
+            ctx.noise_batch.stolen(cpu)(0.0, 1.0) > 0
             for cpu in range(machine.n_cpus)
         )
 
@@ -165,7 +165,8 @@ class TestRunContext:
 
 class TestPlatformPresets:
     def test_available(self):
-        assert set(available_platforms()) == {"dardel", "toy", "vera"}
+        assert set(PLATFORMS) == {"dardel", "toy", "vera"}
+        assert all(get_platform(name).name == name for name in PLATFORMS)
 
     def test_get_platform(self):
         assert get_platform("DARDEL").name == "dardel"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.taskbench import Taskbench, TaskbenchParams
 from repro.errors import NoiseModelError
 from repro.obs.tracer import SpanTracer
 from repro.osnoise import (
@@ -26,11 +27,11 @@ from repro.omp import OMPEnvironment, RegionExecutor
 from repro.omp.runtime import OpenMPRuntime
 from repro.osnoise.model import NoiseBatch
 from repro.osnoise.source import PREFIX_TICKS, TickBlock
-from repro.platform import available_platforms, get_platform, toy
+from repro.platform import get_platform, toy
 from repro.rng import RngFactory
 from repro.sim.intervals import IntervalSet
 from repro.topology import TopologyBuilder, dardel_topology
-from repro.types import ProcBind
+from repro.types import PLATFORMS, ProcBind
 from repro.units import ms, to_sim_ns_array, us
 
 
@@ -152,13 +153,12 @@ class TestNoiseModel:
         model = NoiseModel(machine, dardel_noise().sources[:2])  # ticks + daemons
         rng = RngFactory(11).stream("noise")
         real = model.realize(0.0, 1.0, busy_cpus=[0, 1], rng=rng)
-        stolen0 = real.stolen_on(0)
-        assert stolen0.total > 0  # ticks on busy cpu 0
+        assert NoiseBatch([real]).stolen(0)(0.0, 1.0) > 0  # ticks on busy cpu 0
 
     def test_quiet_profile_is_silent(self, machine):
         model = NoiseModel(machine, quiet_profile().sources)
         real = model.realize(0.0, 10.0, [0], RngFactory(1).stream("n"))
-        assert real.stolen_on(0).is_empty()
+        assert NoiseBatch([real]).stolen(0)(0.0, 10.0) == 0.0
         assert all(column.size == 0 for column in real.events())
 
     def test_sibling_pressure(self, machine):
@@ -172,15 +172,16 @@ class TestNoiseModel:
             [0], batch.sibling_rows(np.array([0])), np.zeros((1, 2)), np.ones((1, 2))
         )
         assert sibling[0, 0] > 0 and stolen[0, 0] == 0
-        assert real.stolen_on(0).is_empty()
+        assert batch.stolen(0)(0.0, 1.0) == 0.0
 
     def test_spare_cpus_absorb_daemons(self, machine):
         """The paper's spare-2-cpus strategy: daemons land on idle cpus."""
         model = NoiseModel(machine, [PoissonSource(rate=100.0)])
         busy = list(range(14))  # spare cpus 14, 15
-        real = model.realize(0.0, 1.0, busy, RngFactory(3).stream("n"))
+        batch = NoiseBatch([model.realize(0.0, 1.0, busy, RngFactory(3).stream("n"))])
         for cpu in busy:
-            assert real.stolen_on(cpu).is_empty()
+            assert batch.stolen(cpu)(0.0, 1.0) == 0.0
+        assert batch.stolen(14)(0.0, 1.0) + batch.stolen(15)(0.0, 1.0) > 0
 
     def test_count_by_kind(self, machine):
         # dardel's irq affinity targets cpu 128, so use the tick+daemon
@@ -207,7 +208,7 @@ class TestNoiseModel:
             for ev in tracer.to_chrome()["traceEvents"]
             if ev["ph"] == "X"
         ]
-        stolen = real.stolen_on(0)
+        stolen = IntervalSet(starts, starts + durations)
         assert spans == list(zip(stolen.starts.tolist(), stolen.ends.tolist()))
 
     def test_profile_from_other_machine_rejected(self, machine):
@@ -459,7 +460,7 @@ class TestTickPath:
 
     def test_every_preset_tick_source_is_disjoint(self):
         """Every preset's sources, and the loud profile's, pass."""
-        cases = [get_platform(name) for name in available_platforms()]
+        cases = [get_platform(name) for name in PLATFORMS]
         # the loud profile pins IRQs to Dardel's cpu 128
         cases.append(get_platform("dardel").with_noise(noisy_profile()))
         for platform in cases:
@@ -555,12 +556,20 @@ class TestNoisePlanes:
     """A batch of realizations answers every run's window queries as that
     run's full-horizon per-CPU sets do, bit for bit: the tick sum plus the
     rest plane for stolen time, the stolen rows or the union plane for
-    sibling pressure."""
+    sibling pressure, and the scalar entry point for one row's stolen
+    time."""
 
     def _check(self, machine, data):
         reals = data.draw(st.lists(realizations(machine), min_size=1, max_size=4))
         batch = NoiseBatch(reals)
         n_runs, n_cpus = len(reals), machine.n_cpus
+
+        def scalar(out, cpus, a, b, columns):
+            # the stolen windows of *columns*, one at a time
+            for r in range(n_runs):
+                for j in columns:
+                    query = batch.stolen(r * n_cpus + int(cpus[j]))
+                    out[r, j] = query(float(a[r, j]), float(b[r, j]))
 
         def windows(width):
             # independent edges: about half the windows are reversed
@@ -588,26 +597,38 @@ class TestNoisePlanes:
             past = data.draw(st.floats(min_value=HORIZON, max_value=2 * HORIZON))
             sa, sb, pa, pb = (np.concatenate((x, x + past), axis=1) for x in (sa, sb, pa, pb))
             cpus, sib_cpus, rows = np.tile(cpus, 2), np.tile(sib_cpus, 2), np.tile(rows, 2)
+            # the scalar entry point answers some stolen windows before the
+            # batch call and the rest after it, so that rows grown by
+            # either path are read by the other
+            one = np.full((n_runs, cpus.size), np.nan)
+            order = data.draw(st.permutations(range(cpus.size)))
+            early = data.draw(st.integers(0, cpus.size))
+            scalar(one, cpus, sa, sb, order[:early])
             stolen, sibling = batch.overlap(
                 cpus, rows, np.concatenate((sa, pa), axis=1), np.concatenate((sb, pb), axis=1)
             )
+            scalar(one, cpus, sa, sb, order[early:])
             assert stolen.shape == (n_runs, cpus.size) and stolen.flags.c_contiguous
             assert sibling.shape == (n_runs, rows.size) and sibling.flags.c_contiguous
-            answers.append((cpus, sib_cpus, sa, sb, pa, pb, stolen, sibling))
+            answers.append((cpus, sib_cpus, sa, sb, pa, pb, stolen, sibling, one))
+        # and every row over its whole horizon, which grows it to its count
+        cpus = np.arange(n_cpus)
+        lo, hi = np.full((n_runs, n_cpus), -1e-3), np.full((n_runs, n_cpus), 2 * HORIZON)
+        whole = np.full((n_runs, n_cpus), np.nan)
+        scalar(whole, cpus, lo, hi, range(n_cpus))
+        answers.append((cpus, cpus[:0], lo, hi, None, None, None, None, whole))
         # the oracles draw every tick, so they are built after the queries:
         # the batch grew its blocks' rows and drew its far ticks on its own
         oracles = [oracle_sets(real) for real in reals]
-        for cpus, sib_cpus, sa, sb, pa, pb, stolen, sibling in answers:
+        for cpus, sib_cpus, sa, sb, pa, pb, stolen, sibling, one in answers:
             for r, (own, pressure) in enumerate(oracles):
                 for j, c in enumerate(cpus.tolist()):
-                    assert stolen[r, j] == own[c].overlap(float(sa[r, j]), float(sb[r, j]))
+                    want = own[c].overlap(float(sa[r, j]), float(sb[r, j]))
+                    assert one[r, j] == want
+                    assert stolen is None or stolen[r, j] == want
                 for j, c in enumerate(sib_cpus.tolist()):
                     assert sibling[r, j] == pressure[c].overlap(
                         float(pa[r, j]), float(pb[r, j]))
-        # the full-horizon row views are the per-CPU sets
-        for real, (own, _) in zip(reals, oracles):
-            for c in range(n_cpus):
-                assert real.stolen_on(c) == own[c]
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -686,6 +707,18 @@ class TestNoiseMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_task_bodies_draw_only_the_ticks_they_reach(self):
+        """A taskbench run on Vera prices its bodies through the run's
+        batch: early in a horizon of more than PREFIX_TICKS ticks per CPU,
+        its queries leave every tick row's later durations undrawn."""
+        env = OMPEnvironment(num_threads=8, places="cores", proc_bind=ProcBind.CLOSE)
+        ctx = OpenMPRuntime(get_platform("vera"), env).start_run(0, RngFactory(1), horizon=2.0)
+        block = ctx.noise._tick
+        assert block.cpus.size == 8 and (block.counts > PREFIX_TICKS).all()
+        Taskbench(TaskbenchParams(outer_reps=3)).measure(ctx)
+        assert ctx.t > 0
+        assert (block.drawn < block.counts).all()
 
     def test_queries_inside_the_prefix_hold_no_tick_planes(self):
         """Windows inside the drawn prefix grow nothing: no interval array

@@ -209,9 +209,9 @@ class TestRunqueueState:
         rq = RunqueueState(machine)
         rq.add(3)
         rq.add(3)
-        assert rq.nr_running(3) == 2
+        assert rq.counts()[3] == 2
         rq.remove(3)
-        assert rq.nr_running(3) == 1
+        assert rq.counts()[3] == 1
 
     def test_remove_too_many(self, machine):
         rq = RunqueueState(machine)
@@ -222,14 +222,12 @@ class TestRunqueueState:
         rq = RunqueueState(machine)
         rq.add(0)
         rq.move(0, 5)
-        assert rq.nr_running(0) == 0
-        assert rq.nr_running(5) == 1
+        assert rq.counts()[[0, 5]].tolist() == [0, 1]
 
     def test_idle_queries(self, machine):
         rq = RunqueueState(machine)
-        rq.add(0)  # core 0 busy on thread0
-        assert 0 not in rq.idle_cpus()
-        assert 8 in rq.idle_cpus()  # sibling idle
+        rq.add(0)  # core 0 busy on thread0, its sibling 8 idle
+        assert not rq.idle_core_mask()[[0, 8]].any()
         assert 0 not in rq.idle_cores()
         assert 1 in rq.idle_cores()
 
@@ -237,7 +235,7 @@ class TestRunqueueState:
         rq = RunqueueState(machine)
         rq.add(2)
         rq.add(2)
-        assert rq.stacked_cpus() == [2]
+        assert np.flatnonzero(rq.counts() > 1).tolist() == [2]
 
     def test_load_fraction(self, machine):
         rq = RunqueueState(machine)
@@ -258,9 +256,10 @@ class TestRunqueueState:
         rq = RunqueueState(m)
         for cpu in busy:
             rq.add(cpu % m.n_cpus)
+        counts = rq.counts()
         want = [
             core.core_id for core in m.cores
-            if all(rq.nr_running(c) == 0 for c in core.cpu_ids)
+            if all(counts[c] == 0 for c in core.cpu_ids)
         ]
         assert rq.idle_cores() == want
         assert all(type(c) is int for c in rq.idle_cores())
@@ -449,14 +448,14 @@ class TestSchedulerModel:
                                  rng=RngFactory(8).stream("f"))
         assert out.n_threads == 8
         assert out.cpus[0] == 0
-        assert out.stacked_threads() == ()
+        assert out.episodes == ()
 
     def test_fork_unbound_stacking_adds_delay(self, machine):
         model = SchedulerModel(machine, SchedParams(stacking_prob_per_thread=1.0))
         out = model.fork_unbound(8, master_cpu=0, t_start=0.0,
                                  rng=RngFactory(9).stream("f"))
         assert out.episodes  # everything stacked
-        stacked = [t for t in out.stacked_threads() if t != 0]
+        stacked = {e.thread for e in out.episodes} - {0}
         assert any(out.wake_delays[t] > us(100) for t in stacked)
 
     def test_determinism(self, machine):

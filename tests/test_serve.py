@@ -26,7 +26,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.shard import shard_members
 from repro.harness.study import Study
-from repro.platform import available_platforms
+from repro.types import PLATFORMS
 from repro.serve import (
     Job,
     JobQueue,
@@ -191,7 +191,7 @@ class TestClauses:
 #: CLI's token coercion unchanged.  ``proc_bind`` values are taken
 #: verbatim; every other ``none`` token reads as ``None``.
 AXIS_VALUES = {
-    "platform": st.sampled_from(available_platforms()),
+    "platform": st.sampled_from(PLATFORMS),
     "benchmark": st.sampled_from(available_benchmarks()),
     "num_threads": st.integers(1, 64),
     "proc_bind": st.sampled_from(["false", "true", "close", "spread", "master"]),

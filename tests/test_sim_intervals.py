@@ -169,8 +169,8 @@ row_events = st.lists(
 
 
 class TestPlaneBuilder:
-    """``IntervalBatch.from_rows``: one sort-and-merge pass over every row
-    answers as one :class:`IntervalSet` per row."""
+    """``IntervalBatch``: one sort-and-merge pass over every row answers
+    as one :class:`IntervalSet` per row."""
 
     @staticmethod
     def _rows(events, n_rows=6):
@@ -181,7 +181,7 @@ class TestPlaneBuilder:
         for k in range(n_rows):
             sel = rows == k
             per_row.append(IntervalSet(starts[sel] / 1e9, ends[sel] / 1e9))
-        return IntervalBatch.from_rows(n_rows, rows, starts, ends), per_row
+        return IntervalBatch(n_rows, rows, starts, ends), per_row
 
     @given(events=row_events, data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -208,25 +208,15 @@ class TestPlaneBuilder:
     def test_intervals_round_trip(self, events):
         plane, per_row = self._rows(events)
         rows, starts, ends = plane.intervals_ns()
-        again = IntervalBatch.from_rows(len(plane), rows, starts, ends)
+        again = IntervalBatch(len(plane), rows, starts, ends)
         for k, s in enumerate(per_row):
             sel = rows == k
             assert np.array_equal(starts[sel], s.starts)
             assert np.array_equal(ends[sel], s.ends)
             assert again.row(k) == s
 
-    def test_sets_form_is_the_same_plane(self):
-        sets = [IntervalSet.from_pairs([(0.0, 1.0), (2.0, 3.0)]), IntervalSet.empty(),
-                IntervalSet.from_pairs([(0.5, 2.5)])]
-        plane = IntervalBatch(sets)
-        for k, s in enumerate(sets):
-            assert plane.row(k) == s
-        assert plane.overlap_fused(np.zeros(3), np.full(3, 2.25)).tolist() == [
-            s.overlap(0.0, 2.25) for s in sets
-        ]
-
     def test_empty_plane_answers_zero(self):
-        plane = IntervalBatch.from_rows(
+        plane = IntervalBatch(
             3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
@@ -236,6 +226,6 @@ class TestPlaneBuilder:
     def test_sort_key_overflow_is_refused(self):
         big = np.int64(2**62)
         with pytest.raises(OverflowError, match="int64"):
-            IntervalBatch.from_rows(
+            IntervalBatch(
                 4, np.asarray([0, 3]), np.asarray([0, 1]), np.asarray([1, big])
             )

@@ -113,20 +113,6 @@ class TestInvertIntegral:
             make_trace().invert_integral(0.0, -1.0)
 
 
-class TestRestrictedAndSampling:
-    def test_restricted_preserves_values(self):
-        t = make_trace().restricted(0.5, 3.5)
-        assert t.start == 0.5
-        assert t.value_at(0.5) == 2.0
-        assert t.value_at(2.0) == 4.0
-        assert t.value_at(3.2) == 1.0
-
-    def test_min_value(self):
-        assert make_trace().min_value(0.0, 2.0) == 2.0
-        assert make_trace().min_value(0.0, 4.0) == 1.0
-        assert make_trace().min_value(1.0, 2.5) == 4.0
-
-
 # -- property-based checks ----------------------------------------------------
 
 durations = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)

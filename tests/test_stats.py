@@ -172,7 +172,7 @@ class TestCompare:
         a = rng.normal(10, 1, 300)
         b = rng.normal(10, 1, 300)
         r = compare_samples(a, b)
-        assert not r.distributions_differ(alpha=0.001)
+        assert r.ks_pvalue >= 0.001
         assert r.mean_ratio == pytest.approx(1.0, abs=0.05)
 
     def test_shifted_distributions_detected(self):
@@ -180,8 +180,8 @@ class TestCompare:
         a = rng.normal(20, 1, 300)
         b = rng.normal(10, 1, 300)
         r = compare_samples(a, b)
-        assert r.distributions_differ()
-        assert r.medians_differ()
+        assert r.ks_pvalue < 0.01
+        assert r.mw_pvalue < 0.01
         assert r.mean_ratio == pytest.approx(2.0, abs=0.1)
 
     def test_variance_ratio(self):
@@ -235,7 +235,6 @@ class TestVariabilityReport:
         assert rep.pooled.n == 250
         assert rep.decomposition is not None
         assert rep.run_means().shape == (5,)
-        assert rep.run_norm_min_max().shape == (5, 2)
 
     def test_render_contains_rows(self):
         rng = np.random.default_rng(12)

@@ -328,21 +328,24 @@ class TestGoldenArtifacts:
     def test_goldens_cover_every_registered_driver(self):
         assert set(GOLDEN_KWARGS) == set(EXPERIMENTS)
 
+    @staticmethod
+    def _sweep_matches_golden(tmp_path, capsys, args, name):
+        out = tmp_path / name
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).parent / "golden" / name
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_dardel_smt_and_unbound_sweep_matches_golden(self, tmp_path, capsys):
         """CI's Dardel SMT and unbound leg: bound teams on cores read
         their siblings' noise, unbound teams re-place on machine-wide
         noise.  Its execution modes are compared with each other there;
         this pins the bytes they share."""
-        out = tmp_path / "dardel.csv"
-        assert main([
-            "sweep", "--platform", "dardel", "--threads", "64",
+        self._sweep_matches_golden(tmp_path, capsys, [
+            "--platform", "dardel", "--threads", "64",
             "--grid", "proc_bind=close,false", "--grid", "places=cores,threads",
             "--grid", "benchmark=schedbench,babelstream", "--runs", "3", "--reps", "4",
-            "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
-        golden = Path(__file__).parent / "golden" / "dardel_smt_unbound.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        ], "dardel_smt_unbound.csv")
 
     def test_vera_long_runs_sweep_matches_golden(self, tmp_path, capsys):
         """CI's Vera long-run leg: 40 repetitions carry bound and
@@ -350,16 +353,31 @@ class TestGoldenArtifacts:
         up front, so region queries grow the blocks' rows and the rest
         planes draw far ticks.  Its execution modes are compared with
         this golden there too."""
-        out = tmp_path / "vera.csv"
-        assert main([
-            "sweep", "--platform", "vera",
+        self._sweep_matches_golden(tmp_path, capsys, [
+            "--platform", "vera",
             "--grid", "benchmark=syncbench,schedbench,babelstream", "--threads", "8",
             "--grid", "proc_bind=close,false", "--runs", "2", "--reps", "40",
-            "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
-        golden = Path(__file__).parent / "golden" / "vera_long_runs.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        ], "vera_long_runs.csv")
+
+    def test_vera_taskbench_sweep_matches_golden(self, tmp_path, capsys):
+        """CI's Vera taskbench leg: task bodies price their noise through
+        each run's noise batch.  Its execution modes are compared with
+        this golden there too."""
+        self._sweep_matches_golden(tmp_path, capsys, [
+            "--platform", "vera", "--benchmark", "taskbench",
+            "--grid", "num_threads=2,4", "--runs", "2", "--reps", "3",
+        ], "vera_taskbench.csv")
+
+    def test_dardel_fib_taskbench_sweep_matches_golden(self, tmp_path, capsys):
+        """CI's Dardel fib taskbench leg: threads places put SMT siblings
+        in one team, and unbound teams refork every repetition onto
+        machine-wide noise.  Its execution modes are compared with this
+        golden there too."""
+        self._sweep_matches_golden(tmp_path, capsys, [
+            "--platform", "dardel", "--benchmark", "taskbench", "--threads", "32",
+            "--grid", "places=cores,threads", "--grid", "proc_bind=close,false",
+            "--param", "pattern=fib", "--param", "fib_n=12", "--runs", "2", "--reps", "3",
+        ], "dardel_fib_taskbench.csv")
 
 
 #: SHA-256 of each experiment's expansion at its default knobs and at

@@ -45,7 +45,7 @@ from repro.omp.tasking import (
 )
 import repro.omp.tasking.scheduler as scheduler_mod
 from repro.omp.team import Team
-from repro.osnoise.model import NoiseModel
+from repro.osnoise.model import NoiseBatch, NoiseModel
 from repro.platform import toy, vera
 from repro.rng import RngFactory
 from repro.sim.bench import bench_figure8_smoke
@@ -177,7 +177,7 @@ def _scheduler(team, seed=3, platform=None, params=None):
     )
     streams = [f.stream("thief", i) for i in range(team.n_threads)]
     model = TaskCostModel(params if params is not None else TaskCostParams())
-    return WorkStealingScheduler(team, model, plan, noise, streams)
+    return WorkStealingScheduler(team, model, plan, NoiseBatch([noise]), streams)
 
 
 class TestWorkStealingScheduler:
@@ -343,14 +343,14 @@ _STEP_LEVELS = (2.0e9, 1.4e9, 2.6e9, 1.8e9, 2.3e9)
 
 
 class _StolenSets:
-    """Per-CPU stolen intervals: the one query the scheduler makes of a
-    noise realization."""
+    """Per-CPU stolen intervals, answering the one query the scheduler
+    makes of a run's noise batch."""
 
     def __init__(self, sets):
         self.sets = sets
 
-    def stolen_on(self, cpu):
-        return self.sets[cpu]
+    def stolen(self, cpu):
+        return self.sets[cpu].overlap
 
 
 def _stepped_substrate(machine):

@@ -76,10 +76,10 @@ class TestMachineLookups:
         assert sorted(cores_seen) == list(range(self.m.n_cores))
 
     def test_primary_cpus(self):
-        primaries = self.m.primary_cpus()
-        assert len(primaries) == self.m.n_cores
-        for cpu in primaries:
-            assert self.m.hwthread(cpu).smt_index == 0
+        """Each core's first hardware thread, and only it, is primary."""
+        for core in self.m.cores:
+            smt = [self.m.hwthread(cpu).smt_index for cpu in core.cpu_ids]
+            assert smt == list(range(len(smt)))
 
     def test_span_helpers(self):
         m = self.m
@@ -99,11 +99,9 @@ class TestMachineLookups:
         assert m.distance(0, 2) == 32  # cross socket
 
     def test_arrays(self):
-        numa = self.m.numa_ids_array()
         core = self.m.core_ids_array()
-        assert numa.shape == (self.m.n_cpus,)
+        assert core.shape == (self.m.n_cpus,)
         for cpu in range(self.m.n_cpus):
-            assert numa[cpu] == self.m.hwthread(cpu).numa_id
             assert core[cpu] == self.m.hwthread(cpu).core_id
 
 
@@ -143,7 +141,7 @@ class TestPresets:
 class TestCpuSet:
     def test_parse_and_str_roundtrip(self):
         s = CpuSet.parse("0-3,8,10-11")
-        assert s.as_tuple() == (0, 1, 2, 3, 8, 10, 11)
+        assert tuple(s) == (0, 1, 2, 3, 8, 10, 11)
         assert str(s) == "0-3,8,10-11"
 
     def test_parse_empty(self):
@@ -160,19 +158,18 @@ class TestCpuSet:
             CpuSet([-1])
 
     def test_dedup_and_order(self):
-        assert CpuSet([3, 1, 3, 2]).as_tuple() == (1, 2, 3)
+        assert tuple(CpuSet([3, 1, 3, 2])) == (1, 2, 3)
 
     def test_algebra(self):
         a = CpuSet([0, 1, 2])
         b = CpuSet([2, 3])
-        assert (a | b).as_tuple() == (0, 1, 2, 3)
-        assert (a & b).as_tuple() == (2,)
-        assert (a - b).as_tuple() == (0, 1)
-        assert CpuSet([0]).issubset(a)
+        assert tuple(a | b) == (0, 1, 2, 3)
+        assert tuple(a & b) == (2,)
+        assert tuple(a - b) == (0, 1)
         assert a.isdisjoint(CpuSet([9]))
 
     def test_range(self):
-        assert CpuSet.range(2, 5).as_tuple() == (2, 3, 4)
+        assert tuple(CpuSet.range(2, 5)) == (2, 3, 4)
 
     def test_immutable_and_hashable(self):
         s = CpuSet([1, 2])

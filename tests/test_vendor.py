@@ -1,6 +1,7 @@
 """Tests for runtime-vendor profiles (libgomp vs libomp) and wait policies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ class TestSyncCostModelProfiles:
 class TestRuntimeThreading:
     def test_runtime_resolves_platform_profile(self):
         rt = OpenMPRuntime(
-            vera().with_runtime("llvm"),
+            replace(vera(), runtime_profile=get_runtime_profile("llvm")),
             OMPEnvironment(num_threads=4, places="cores",
                            proc_bind=ProcBind.CLOSE),
         )
@@ -299,7 +300,8 @@ class TestRuntimeThreading:
         assert rt.sync_cost.sleep_share == 1.0
 
     def test_platform_with_runtime_describe(self):
-        assert "libomp" in vera().with_runtime("llvm").describe()
+        llvm = replace(vera(), runtime_profile=get_runtime_profile("llvm"))
+        assert "libomp" in llvm.describe()
 
 
 class TestConfigRuntimeField:
