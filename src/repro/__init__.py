@@ -51,7 +51,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ResultCache", "experiments",
     ],
     "repro.types": [
-        "SMTMode", "ProcBind", "ScheduleKind", "SyncConstruct", "StreamKernel",
+        "ProcBind", "ScheduleKind", "SyncConstruct", "StreamKernel",
     ],
 })
 __all__ = ["__version__", *__all__]

@@ -18,16 +18,12 @@ SMT link sharing), plus:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.bench.epcc.common import (
-    EpccStats,
-    epcc_stats,
-    require_finite,
-    require_integers,
-)
+from repro.bench.epcc.common import require_finite, require_integers
 from repro.errors import BenchmarkError
 from repro.mem.bandwidth import BandwidthModel
 from repro.mem.pages import PagePlacement
@@ -73,39 +69,25 @@ class BabelStreamParams:
         return KERNEL_BYTE_FACTORS[kernel] * self.array_bytes
 
 
-@dataclass(frozen=True)
-class StreamMeasurement:
-    """All kernel timings of one BabelStream run."""
-
-    times: dict[StreamKernel, np.ndarray] = field(compare=False)
-
-    def stats(self, kernel: StreamKernel) -> EpccStats:
-        return epcc_stats(self.times[kernel])
-
-    def min_avg_max(self, kernel: StreamKernel) -> tuple[float, float, float]:
-        t = self.times[kernel]
-        return float(t.min()), float(t.mean()), float(t.max())
-
-    def normalized_min_max(self, kernel: StreamKernel) -> tuple[float, float]:
-        """The paper's metric: min and max normalized to the average."""
-        mn, avg, mx = self.min_avg_max(kernel)
-        return mn / avg, mx / avg
-
-    def bandwidth(self, kernel: StreamKernel, params: BabelStreamParams) -> float:
-        """Best achieved bandwidth (bytes/s), as BabelStream reports."""
-        mn, _, _ = self.min_avg_max(kernel)
-        return params.kernel_bytes(kernel) / mn
-
-
 class BabelStream:
     """The BabelStream driver; one instance is reusable across runs."""
+
+    params_type = BabelStreamParams
 
     def __init__(self, params: BabelStreamParams | None = None):
         self.params = params if params is not None else BabelStreamParams()
 
-    def run(self, ex: RegionExecutor) -> list[StreamMeasurement]:
-        """Execute one full BabelStream run for every run of *ex* along
-        the runs' timelines; one measurement per run.
+    def horizon(self, n_threads: int) -> float:
+        """A generous run duration for horizon sizing, priced without a
+        run context: every kernel at 20 GB/s, with 4x slack."""
+        p = self.params
+        per_iter = 5 * p.array_bytes * 3 / 20e9 + 5 * p.kernel_gap
+        return p.num_times * per_iter * 4.0 + 1.0
+
+    def series(self, runs: Sequence[RunContext]) -> list[dict[str, np.ndarray]]:
+        """Execute one full BabelStream run for every run of *runs* along
+        the runs' timelines; per run, each kernel's ``num_times`` times
+        under its name, in execution order.
 
         Bound teams draw each run's kernel jitter for all iterations up
         front.  Unbound teams (one run per executor) migrate during the
@@ -113,6 +95,7 @@ class BabelStream:
         one moves the team, and the jitter drawn kernel by kernel.
         """
         p = self.params
+        ex = RegionExecutor(runs)
         ctx = ex.runs[0]
         team = ctx.team
         bound = team.bound
@@ -172,12 +155,10 @@ class BabelStream:
             ex.advance(duration + p.kernel_gap)
 
         return [
-            StreamMeasurement(
-                times={
-                    kernel: row[idx :: len(kernels)].copy()
-                    for idx, kernel in enumerate(kernels)
-                }
-            )
+            {
+                kernel.value: row[idx :: len(kernels)].copy()
+                for idx, kernel in enumerate(kernels)
+            }
             for row in times
         ]
 
@@ -228,9 +209,3 @@ class BabelStream:
             )
             per_iter += p.kernel_gap
         return p.num_times * per_iter
-
-    def horizon_estimate(self, ctx: RunContext) -> float:
-        """Rough run duration for horizon sizing."""
-        bw_model = BandwidthModel(ctx.machine, ctx.runtime.platform.mem_spec)
-        placement = PagePlacement.first_touch(ctx.machine, list(ctx.team.cpus))
-        return self._estimate_duration(ctx, bw_model, placement) * 2.0 + 0.5

@@ -8,46 +8,20 @@ The EPCC suite's procedure, reproduced here:
    lower all-core frequency, exactly as on real hardware;
 2. choose ``innerreps`` by doubling from 1 until ``innerreps x
    estimated-iteration-time`` reaches the target test time;
-3. run ``outer_repetitions`` timed tests and report mean / sd / min / max
-   plus the count of 3-sigma outliers.
+3. run ``outer_repetitions`` timed tests.  The suite prints mean / sd /
+   min / max and the count of 3-sigma outliers over them; here those come
+   from :func:`repro.stats.summarize` and :func:`repro.stats.sigma_outliers`
+   over the repetition times each benchmark's ``series`` returns.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
-
-import numpy as np
+from dataclasses import fields
+from typing import Any, Callable
 
 from repro.errors import BenchmarkError
-
-
-@dataclass(frozen=True)
-class EpccStats:
-    """The statistics an EPCC benchmark prints for one measurement."""
-
-    mean: float
-    sd: float
-    minimum: float
-    maximum: float
-    n: int
-    n_outliers: int
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (the paper's Figure 5 metric)."""
-        return self.sd / self.mean if self.mean else float("inf")
-
-    @property
-    def norm_min(self) -> float:
-        """Minimum normalized to the mean (the paper's Figure 3 metric)."""
-        return self.minimum / self.mean if self.mean else float("nan")
-
-    @property
-    def norm_max(self) -> float:
-        """Maximum normalized to the mean."""
-        return self.maximum / self.mean if self.mean else float("nan")
 
 
 def require_finite(params: object) -> None:
@@ -87,29 +61,32 @@ def require_integers(params: object) -> None:
             raise BenchmarkError(f"{f.name} must be an integer, got {value!r}")
 
 
-def epcc_stats(times: np.ndarray, outlier_sigmas: float = 3.0) -> EpccStats:
-    """EPCC-style statistics over repetition times.
+def parse_entries(
+    name: str, value: Any, what: str, parse: Callable[[Any], Any]
+) -> tuple:
+    """*value*, a non-empty list or tuple, with *parse* applied to each
+    entry; the violation is a :class:`~repro.errors.BenchmarkError`.
 
-    Outliers are repetitions more than ``outlier_sigmas`` standard
-    deviations from the mean (counted, not removed — matching the suite's
-    output).
+    A bare string is rejected, not read as one entry.  *parse* raises
+    ``ValueError`` or ``TypeError`` for an entry it does not accept, and
+    an entry that parses like an earlier one is a duplicate.
     """
-    t = np.asarray(times, dtype=np.float64)
-    if t.size == 0:
-        raise BenchmarkError("no repetitions to summarize")
-    if np.any(t < 0):
-        raise BenchmarkError("negative repetition time")
-    mean = float(t.mean())
-    sd = float(t.std(ddof=1)) if t.size > 1 else 0.0
-    n_out = int(np.count_nonzero(np.abs(t - mean) > outlier_sigmas * sd)) if sd else 0
-    return EpccStats(
-        mean=mean,
-        sd=sd,
-        minimum=float(t.min()),
-        maximum=float(t.max()),
-        n=int(t.size),
-        n_outliers=n_out,
-    )
+    if not isinstance(value, (list, tuple)) or not value:
+        raise BenchmarkError(
+            f"{name} must be a non-empty list of {what}, got {value!r}"
+        )
+    parsed: list = []
+    for entry in value:
+        try:
+            item = parse(entry)
+        except (TypeError, ValueError):
+            raise BenchmarkError(
+                f"{name}: bad entry {entry!r}; expected {what}"
+            ) from None
+        if item in parsed:
+            raise BenchmarkError(f"{name} lists {entry!r} twice")
+        parsed.append(item)
+    return tuple(parsed)
 
 
 def target_innerreps(test_time: float, iter_time_estimate: float,

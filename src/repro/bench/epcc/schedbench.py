@@ -16,13 +16,14 @@ noise at total/n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.bench.epcc.common import (
-    EpccStats,
-    epcc_stats,
+    parse_entries,
     require_finite,
     require_integers,
 )
@@ -45,6 +46,10 @@ class SchedbenchParams:
     SMT siblings (paper Table 2: 254 threads cost only the frequency
     derate) — but sibling interference makes repetition times *noisy*
     (Figure 5d), captured by a per-repetition log-normal multiplier.
+
+    ``schedules`` lists the ``[kind, chunk]`` pairs measured, in order
+    (e.g. ``[["dynamic", 1], ["static", None]]``); ``None`` measures the
+    run's ``OMP_SCHEDULE`` alone.
     """
 
     outer_reps: int = 100
@@ -54,6 +59,7 @@ class SchedbenchParams:
     rep_gap: float = us(200.0)
     smt_efficiency: float = 1.0
     smt_rep_jitter: float = 0.025
+    schedules: tuple[tuple[ScheduleKind, int | None], ...] | None = None
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -66,32 +72,58 @@ class SchedbenchParams:
             raise BenchmarkError("smt_efficiency outside (0, 1]")
         if self.smt_rep_jitter < 0:
             raise BenchmarkError("negative smt_rep_jitter")
+        if self.schedules is not None:
+            kinds = "/".join(k.value for k in ScheduleKind)
+            object.__setattr__(self, "schedules", parse_entries(
+                "schedules", self.schedules,
+                f"[kind, chunk] pairs (kind {kinds}, chunk null or a positive integer)",
+                _schedule,
+            ))
 
 
-@dataclass(frozen=True)
-class ScheduleMeasurement:
-    """One schedule's measurement within one run."""
-
-    kind: ScheduleKind
-    chunk: int | None
-    rep_times: np.ndarray = field(compare=False)
-
-    @property
-    def label(self) -> str:
-        """Paper-style label, e.g. ``dynamic_1``."""
-        suffix = f"_{self.chunk}" if self.chunk is not None else ""
-        return f"{self.kind.value}{suffix}"
-
-    @property
-    def stats(self) -> EpccStats:
-        return epcc_stats(self.rep_times)
+def _schedule(entry: Any) -> tuple[ScheduleKind, int | None]:
+    """One ``[kind, chunk]`` pair of :attr:`SchedbenchParams.schedules`."""
+    if not isinstance(entry, (list, tuple)):
+        raise TypeError(entry)
+    kind, chunk = entry
+    if chunk is None:
+        return ScheduleKind(kind), None
+    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(chunk)
+    return ScheduleKind(kind), int(chunk)
 
 
 class Schedbench:
     """The schedbench driver; one instance is reusable across runs."""
 
+    params_type = SchedbenchParams
+
     def __init__(self, params: SchedbenchParams | None = None):
         self.params = params if params is not None else SchedbenchParams()
+
+    def horizon(self, n_threads: int) -> float:
+        """Run duration for horizon sizing, per schedule plus half a
+        schedule."""
+        p = self.params
+        per_rep = p.itersperthr * p.delay_time * 1.6 + p.rep_gap
+        n_schedules = 1 if p.schedules is None else len(p.schedules)
+        return (p.outer_reps * per_rep + 1.0) * (n_schedules + 0.5)
+
+    def series(self, runs: Sequence[RunContext]) -> list[dict[str, np.ndarray]]:
+        """Measure every schedule on the runs *runs*, in order; per run,
+        each schedule's repetition times under its paper-style label
+        (``static``, ``dynamic_1``)."""
+        ex = RegionExecutor(runs)
+        schedules = self.params.schedules
+        if schedules is None:
+            env = ex.runs[0].runtime.env
+            schedules = ((env.schedule, env.schedule_chunk),)
+        rows: list[dict[str, np.ndarray]] = [{} for _ in ex.runs]
+        for kind, chunk in schedules:
+            label = kind.value if chunk is None else f"{kind.value}_{chunk}"
+            for row, times in zip(rows, self._measure(ex, kind, chunk)):
+                row[label] = times
+        return rows
 
     def _region_shape(
         self, ctx: RunContext, team: Team, kind: ScheduleKind, chunk: int | None
@@ -113,11 +145,11 @@ class Schedbench:
         )
         return plan, work, sync_overhead, ctx.sync_cost.barrier_cost(team)
 
-    def measure(
-        self, ex: RegionExecutor, kind: ScheduleKind, chunk: int | None = None
-    ) -> list[ScheduleMeasurement]:
-        """Measure one schedule for every run of *ex* (outer_reps
-        repetitions each); one measurement per run.
+    def _measure(
+        self, ex: RegionExecutor, kind: ScheduleKind, chunk: int | None
+    ) -> np.ndarray:
+        """Measure one schedule for every run of *ex*: the ``(runs,
+        outer_reps)`` repetition times.
 
         Bound teams draw each run's SMT jitter for all repetitions up
         front; unbound teams (one run per executor) re-place and draw
@@ -184,13 +216,4 @@ class Schedbench:
             rep_times[:, rep] = duration
             ex.advance(duration + p.rep_gap)
 
-        return [
-            ScheduleMeasurement(kind=kind, chunk=chunk, rep_times=times)
-            for times in rep_times
-        ]
-
-    def horizon_estimate(self, n_threads: int) -> float:
-        """Rough single-schedule run duration for horizon sizing."""
-        p = self.params
-        per_rep = p.itersperthr * p.delay_time * 1.6 + p.rep_gap
-        return p.outer_reps * per_rep + 1.0
+        return rep_times

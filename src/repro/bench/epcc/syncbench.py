@@ -24,13 +24,13 @@ Modelling notes (mirroring the real suite's code structure):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.bench.epcc.common import (
-    EpccStats,
-    epcc_stats,
+    parse_entries,
     require_finite,
     require_integers,
     target_innerreps,
@@ -46,13 +46,19 @@ from repro.units import us
 
 @dataclass(frozen=True)
 class SyncbenchParams:
-    """Table 1 parameters for syncbench."""
+    """Table 1 parameters for syncbench.
+
+    ``constructs`` lists the constructs measured, in order, by
+    :class:`~repro.types.SyncConstruct` value (e.g. ``["barrier",
+    "reduction"]``).
+    """
 
     outer_reps: int = 100
     delay_time: float = us(0.1)
     test_time: float = us(1000.0)
     rep_gap: float = us(50.0)
     smt_efficiency: float = 0.95  # the delay loop co-schedules well on SMT
+    constructs: tuple[SyncConstruct, ...] = (SyncConstruct.REDUCTION,)
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -63,32 +69,41 @@ class SyncbenchParams:
             raise BenchmarkError("invalid syncbench timing parameters")
         if not 0.0 < self.smt_efficiency <= 1.0:
             raise BenchmarkError("smt_efficiency outside (0, 1]")
-
-
-@dataclass(frozen=True)
-class ConstructMeasurement:
-    """One construct's measurement within one run."""
-
-    construct: SyncConstruct
-    innerreps: int
-    reference: float  # reference time per logical iteration (seconds)
-    rep_times: np.ndarray = field(compare=False)  # outer_reps test times
-
-    @property
-    def overheads(self) -> np.ndarray:
-        """Per-construct overhead per outer rep (seconds), EPCC-style."""
-        return self.rep_times / self.innerreps - self.reference
-
-    @property
-    def stats(self) -> EpccStats:
-        return epcc_stats(self.rep_times)
+        object.__setattr__(self, "constructs", parse_entries(
+            "constructs", self.constructs,
+            f"construct names ({', '.join(c.value for c in SyncConstruct)})",
+            SyncConstruct,
+        ))
 
 
 class Syncbench:
     """The syncbench driver; one instance is reusable across runs."""
 
+    params_type = SyncbenchParams
+
     def __init__(self, params: SyncbenchParams | None = None):
         self.params = params if params is not None else SyncbenchParams()
+
+    def horizon(self, n_threads: int) -> float:
+        """Run duration for horizon sizing: reps x test_time x slack,
+        per construct plus half a construct."""
+        p = self.params
+        per_construct = p.outer_reps * (p.test_time * 3.0 + p.rep_gap) + 0.5
+        return per_construct * (len(p.constructs) + 0.5)
+
+    def series(self, runs: Sequence[RunContext]) -> list[dict[str, np.ndarray]]:
+        """Measure every construct on the runs *runs*, in order; per run,
+        each construct's repetition times and its EPCC overhead
+        ``time / innerreps - delay``, clipped at zero."""
+        ex = RegionExecutor(runs)
+        rows: list[dict[str, np.ndarray]] = [{} for _ in ex.runs]
+        for construct in self.params.constructs:
+            innerreps, rep_times = self._measure(ex, construct)
+            overheads = rep_times / innerreps - self.params.delay_time
+            for row, times, overhead in zip(rows, rep_times, overheads):
+                row[construct.value] = times
+                row[f"{construct.value}.overhead"] = np.maximum(overhead, 0.0)
+        return rows
 
     # -- helpers -----------------------------------------------------------
 
@@ -119,11 +134,11 @@ class Syncbench:
 
     # -- measurement ---------------------------------------------------------
 
-    def measure(
+    def _measure(
         self, ex: RegionExecutor, construct: SyncConstruct
-    ) -> list[ConstructMeasurement]:
-        """Measure one construct for every run of *ex* (outer_reps
-        repetitions each); one measurement per run.
+    ) -> tuple[int, np.ndarray]:
+        """Measure one construct for every run of *ex*: ``innerreps`` and
+        the ``(runs, outer_reps)`` repetition times.
 
         Bound teams draw each run's contention jitter for all repetitions
         up front; unbound teams (one run per executor) re-place, draw and
@@ -195,17 +210,4 @@ class Syncbench:
             rep_times[:, rep] = duration
             ex.advance(duration + p.rep_gap)
 
-        return [
-            ConstructMeasurement(
-                construct=construct,
-                innerreps=innerreps,
-                reference=p.delay_time,
-                rep_times=times,
-            )
-            for times in rep_times
-        ]
-
-    def horizon_estimate(self, ctx_or_none=None) -> float:
-        """Rough run duration for horizon sizing: reps x test_time x slack."""
-        p = self.params
-        return p.outer_reps * (p.test_time * 3.0 + p.rep_gap) + 0.5
+        return innerreps, rep_times

@@ -14,16 +14,12 @@ variability source the worksharing benchmarks cannot expose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.bench.epcc.common import (
-    EpccStats,
-    epcc_stats,
-    require_finite,
-    require_integers,
-)
+from repro.bench.epcc.common import require_finite, require_integers
 from repro.errors import BenchmarkError
 from repro.omp.runtime import RunContext
 from repro.omp.tasking.scheduler import TaskRunStats, WorkStealingScheduler
@@ -33,10 +29,6 @@ from repro.units import us
 
 #: Workload patterns taskbench knows how to generate.
 PATTERNS = ("taskloop", "fib", "uniform")
-
-#: Series-name suffixes under which tasking metrics ride along with the
-#: repetition times in a :class:`~repro.harness.results.RunRecord`.
-METRIC_SUFFIXES = (".steals", ".failed_steals", ".idle_frac")
 
 
 @dataclass(frozen=True)
@@ -132,35 +124,33 @@ class TaskbenchParams:
         return uniform_tasks(self.n_tasks, self.task_work)
 
 
-@dataclass(frozen=True)
-class TaskMeasurement:
-    """One run's taskbench measurement: times plus scheduler internals."""
-
-    label: str
-    rep_times: np.ndarray = field(compare=False)
-    steals: np.ndarray = field(compare=False)
-    failed_steals: np.ndarray = field(compare=False)
-    idle_frac: np.ndarray = field(compare=False)
-
-    @property
-    def stats(self) -> EpccStats:
-        return epcc_stats(self.rep_times)
-
-    def metric_series(self) -> dict[str, np.ndarray]:
-        """The ride-along series, keyed ``<label><suffix>``."""
-        return {
-            f"{self.label}.steals": self.steals,
-            f"{self.label}.failed_steals": self.failed_steals,
-            f"{self.label}.idle_frac": self.idle_frac,
-        }
-
-
 class Taskbench:
     """The taskbench driver; one instance is reusable across runs."""
+
+    params_type = TaskbenchParams
 
     def __init__(self, params: TaskbenchParams | None = None):
         self.params = params if params is not None else TaskbenchParams()
         self._workloads: dict[int, tuple[Task, ...]] = {}
+
+    def horizon(self, n_threads: int) -> float:
+        """A generous run duration for horizon sizing, with 1.5x slack."""
+        p = self.params
+        workload = self._workload(n_threads)
+        total_work = sum(t.total_work() for t in workload)
+        total_tasks = sum(t.count() for t in workload)
+        # critical path >= total/n; add per-task overhead and sync slack
+        per_rep = (
+            total_work / max(1, n_threads) * 4.0
+            + total_tasks * us(2.0)
+            + p.rep_gap
+            + us(50.0)
+        )
+        return (p.outer_reps * per_rep + 1.0) * 1.5
+
+    def series(self, runs: Sequence[RunContext]) -> list[dict[str, np.ndarray]]:
+        """Run :meth:`measure` on each run of *runs*, one after another."""
+        return [self.measure(ctx) for ctx in runs]
 
     def _workload(self, n_threads: int) -> tuple[Task, ...]:
         """:meth:`TaskbenchParams.build_workload`, built once per team size."""
@@ -199,8 +189,14 @@ class Taskbench:
             )
         return fork, scheduler.run(self._workload(n), t_start=ctx.t + fork)
 
-    def measure(self, ctx: RunContext) -> TaskMeasurement:
-        """Execute ``outer_reps`` task-region repetitions along the run."""
+    def measure(self, ctx: RunContext) -> dict[str, np.ndarray]:
+        """Execute ``outer_reps`` task-region repetitions along the run.
+
+        Returns the repetition times under the workload's label, then the
+        scheduler's steals, failed steals and idle fraction per
+        repetition under ``<label>.steals``, ``<label>.failed_steals``
+        and ``<label>.idle_frac``.
+        """
         p = self.params
         label = p.label(ctx.team.n_threads)
         refork_rng = ctx.stream("taskbench", label, "refork")
@@ -229,25 +225,9 @@ class Taskbench:
             idle[rep] = run_stats.idle_fraction
             ctx.advance(duration + p.rep_gap)
 
-        return TaskMeasurement(
-            label=label,
-            rep_times=rep_times,
-            steals=steals,
-            failed_steals=failed,
-            idle_frac=idle,
-        )
-
-    def horizon_estimate(self, n_threads: int) -> float:
-        """Rough run duration for horizon sizing (generous)."""
-        p = self.params
-        workload = self._workload(n_threads)
-        total_work = sum(t.total_work() for t in workload)
-        total_tasks = sum(t.count() for t in workload)
-        # critical path >= total/n; add per-task overhead and sync slack
-        per_rep = (
-            total_work / max(1, n_threads) * 4.0
-            + total_tasks * us(2.0)
-            + p.rep_gap
-            + us(50.0)
-        )
-        return p.outer_reps * per_rep + 1.0
+        return {
+            label: rep_times,
+            f"{label}.steals": steals,
+            f"{label}.failed_steals": failed,
+            f"{label}.idle_frac": idle,
+        }

@@ -14,8 +14,8 @@ simulation window, combining:
 
 The resulting :class:`~repro.freq.dvfs.FrequencyPlan` answers the execution
 model's question "how long does it take cpu *c* to retire *W* cycles
-starting at time *t*" and backs the simulated sysfs cpufreq tree that the
-frequency logger reads.
+starting at time *t*", and its per-CPU snapshot is what the frequency
+logger samples in place of the sysfs ``scaling_cur_freq`` files.
 """
 
 from repro._lazy import lazy_exports
@@ -28,5 +28,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ],
     "repro.freq.variation": ["DerateProcess", "DipProcess", "FrequencyDip"],
     "repro.freq.dvfs": ["FrequencyModel", "FrequencyPlan", "FrequencySpec"],
-    "repro.freq.sysfs": ["CpuFreqSysfs"],
 })

@@ -125,7 +125,3 @@ def make_governor(name: str) -> Governor:
         ) from None
     return cls()
 
-
-def available_governors() -> tuple[str, ...]:
-    """Names accepted by :func:`make_governor` (sysfs ``scaling_available_governors``)."""
-    return tuple(sorted(_GOVERNORS))

@@ -23,7 +23,8 @@ Turns configurations into results:
   by config + seed + code version;
 * :mod:`repro.harness.results` — result containers with JSON round-trip;
 * :mod:`repro.harness.freqlogger` — the simulated background frequency
-  logger (it reads the simulated sysfs on a fixed grid of sample times);
+  logger (it samples the run's frequency plan, in kHz, on a fixed grid of
+  sample times);
 * :mod:`repro.harness.report` — ASCII tables and series renderers;
 * :mod:`repro.harness.experiments` — one driver per paper table/figure.
 """

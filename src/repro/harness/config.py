@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.bench.registry import benchmark_row
 from repro.errors import ConfigurationError
 from repro.omp.env import OMPEnvironment
 from repro.omp.vendor import WaitPolicy, get_runtime_profile
@@ -31,8 +32,10 @@ class ExperimentConfig:
         Platform preset name (``dardel`` / ``vera`` / ``toy``, the table
         :data:`repro.types.PLATFORMS`).
     benchmark:
-        ``syncbench`` / ``schedbench`` / ``babelstream`` / ``taskbench``
-        (:mod:`repro.bench.registry`).
+        ``syncbench`` / ``schedbench`` / ``babelstream`` / ``taskbench``,
+        matched case-insensitively against :mod:`repro.bench.registry`,
+        the one table that names a benchmark; ``benchmark_params`` are its
+        parameter dataclass's fields.
     num_threads:
         ``OMP_NUM_THREADS``.
     places / proc_bind:
@@ -92,6 +95,7 @@ class ExperimentConfig:
             ScheduleKind(self.schedule)
         except ValueError:
             raise ConfigurationError(f"bad schedule {self.schedule!r}") from None
+        benchmark_row(self.benchmark)  # raises on unknown benchmarks
         if self.noise not in ("default", "quiet"):
             raise ConfigurationError(
                 f"bad noise profile {self.noise!r}; choose 'default' or 'quiet'"

@@ -2,10 +2,12 @@
 core").
 
 A background sampler pinned to a spare CPU reads ``scaling_cur_freq`` of
-every CPU at a fixed interval through the simulated sysfs, as the
-authors' background Python script does.  Its samples lie on a plain grid
-(``t_start``, then each previous sample time plus the interval, while it
-does not pass ``t_end``), so no event queue is involved.  Its CPU is
+every CPU at a fixed interval, as the authors' background Python script
+does through the Linux CPUFreq sysfs.  Here each sample reads the run's
+frequency plan directly, in whole kHz as sysfs reports it.  Its samples
+lie on a plain grid (``t_start``, then each previous sample time plus
+the interval, while it does not pass ``t_end``), so no event queue is
+involved.  Its CPU is
 marked busy to the noise/placement models so the logger itself perturbs
 the benchmark as little as possible (and measurably, if you pin it onto a
 benchmark core on purpose).
@@ -22,7 +24,7 @@ import numpy as np
 from repro.errors import HarnessError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.freq.dvfs import FrequencyPlan, FrequencySpec
+    from repro.freq.dvfs import FrequencyPlan
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class FrequencyLog:
 
 
 class FrequencyLogger:
-    """Samples a run's frequency plan the way the real logger samples sysfs."""
+    """Samples a run's frequency plan the way the real logger samples
+    sysfs ``scaling_cur_freq``."""
 
     def __init__(self, logger_cpu: int, interval: float = 0.01):
         if interval <= 0:
@@ -69,31 +72,21 @@ class FrequencyLogger:
         self.interval = float(interval)
 
     def capture(
-        self,
-        spec: FrequencySpec,
-        plan: FrequencyPlan,
-        governor_name: str,
-        t_start: float,
-        t_end: float,
+        self, plan: FrequencyPlan, t_start: float, t_end: float
     ) -> FrequencyLog:
         """Sample every CPU at ``t_start``, ``t_start + interval``, ...
-        up to ``t_end``.  Each time is the previous one plus the interval,
-        accumulated in float64."""
+        up to ``t_end``, in kHz rounded to an integer.  Each time is the
+        previous one plus the interval, accumulated in float64."""
         if t_end <= t_start:
             raise HarnessError("empty logging window")
         if not (math.isfinite(t_start) and math.isfinite(t_end)):
             raise HarnessError(f"logging window must be finite, got [{t_start}, {t_end}]")
-        # here, not at module level: a cached result's FrequencyLog needs
-        # no simulation module
-        from repro.freq.sysfs import CpuFreqSysfs
-
-        sysfs = CpuFreqSysfs(spec, plan, governor_name)
         times: list[float] = []
         rows: list[np.ndarray] = []
         t = float(t_start)
         while t <= t_end:
             times.append(t)
-            rows.append(sysfs.snapshot_khz(t))
+            rows.append(np.round(plan.snapshot(t) / 1e3).astype(np.int64))
             t = t + self.interval
         return FrequencyLog(
             logger_cpu=self.logger_cpu,

@@ -2,33 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
-import numpy as np
-
+from repro.bench.registry import get_benchmark, runs_share_batches
 from repro.errors import ConfigurationError, HarnessError
 from repro.harness.config import ExperimentConfig
 from repro.harness.freqlogger import FrequencyLogger
 from repro.harness.results import ExperimentResult, RunRecord
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.omp.region import RegionExecutor
 from repro.omp.runtime import OpenMPRuntime, RunContext
 from repro.platform import get_platform
 from repro.rng import RngFactory
-from repro.types import ScheduleKind, SyncConstruct
 
 
 def _runs_share_batches(config: ExperimentConfig, traced: bool) -> bool:
     """Whether several of *config*'s runs may execute as one batch.
 
-    A bound, untraced region benchmark shares its team across runs, so
-    its runs evaluate together on the region executor's rep axis.
-    Unbound teams re-place per repetition, *traced* runs emit their spans
-    run by run, and taskbench's work-stealing order couples a run's
-    repetitions to its history: those execute one run per batch.
+    A bound, untraced config shares its team across runs, so its runs
+    evaluate together on the region executor's rep axis, where its
+    benchmark's registry row allows it: taskbench's work-stealing order
+    couples a run's repetitions to its history.  Unbound teams re-place
+    per repetition and *traced* runs emit their spans run by run: those
+    execute one run per batch.
     """
     return (
-        config.benchmark.lower() != "taskbench"
+        runs_share_batches(config.benchmark)
         and config.omp_environment().bound
         and not traced
     )
@@ -50,7 +48,10 @@ class Runner:
 
     A benchmark "run" corresponds to one launch of the real benchmark
     binary: a fresh OS placement, frequency realization and noise
-    realization, followed by the benchmark's own outer repetitions.
+    realization, followed by the benchmark's own outer repetitions.  The
+    benchmark comes from :func:`repro.bench.registry.get_benchmark`: its
+    ``horizon`` sizes each run's realization and its ``series`` turns a
+    batch of realized runs into their records' series.
     """
 
     def __init__(self, config: ExperimentConfig, tracer: Tracer = NULL_TRACER):
@@ -67,80 +68,9 @@ class Runner:
         self.rng_factory = RngFactory(config.seed).child(
             config.platform, config.benchmark, config.num_threads, config.proc_bind
         )
-        self._bench = self._make_benchmark()
+        self.bench = get_benchmark(config.benchmark, config.benchmark_params)
         # resolved and checked before any run is simulated
         self._logger_at = self._logger_cpu() if config.freq_logging else None
-
-    # -- benchmark construction -----------------------------------------------
-
-    def _make_benchmark(self) -> Any:
-        name = self.config.benchmark.lower()
-        params = dict(self.config.benchmark_params)
-        try:
-            return self._build_benchmark(name, params)
-        except TypeError as exc:
-            # a mistyped/unknown benchmark parameter (e.g. --param bogus=1,
-            # or a sweep axis that matches no knob of this benchmark) fails
-            # the params-dataclass construction with TypeError; surface it
-            # as a configuration error instead of a raw traceback
-            raise ConfigurationError(
-                f"bad parameters for benchmark {name!r}: {exc}"
-            ) from exc
-
-    def _build_benchmark(self, name: str, params: dict) -> Any:
-        # each branch imports its own benchmark: a region-only run never
-        # loads taskbench or the tasking scheduler
-        if name == "syncbench":
-            from repro.bench.epcc.syncbench import Syncbench, SyncbenchParams
-
-            constructs = params.pop("constructs", None)
-            bench = Syncbench(SyncbenchParams(**params))
-            bench_constructs = (
-                tuple(SyncConstruct(c) for c in constructs)
-                if constructs is not None
-                else (SyncConstruct.REDUCTION,)
-            )
-            return ("syncbench", bench, bench_constructs)
-        if name == "schedbench":
-            from repro.bench.epcc.schedbench import Schedbench, SchedbenchParams
-
-            schedules = params.pop("schedules", None)
-            bench = Schedbench(SchedbenchParams(**params))
-            if schedules is None:
-                sched_list = (
-                    (ScheduleKind(self.config.schedule), self.config.schedule_chunk),
-                )
-            else:
-                sched_list = tuple(
-                    (ScheduleKind(k), c) for k, c in schedules
-                )
-            return ("schedbench", bench, sched_list)
-        if name == "babelstream":
-            from repro.bench.babelstream import BabelStream, BabelStreamParams
-
-            bench = BabelStream(BabelStreamParams(**params))
-            return ("babelstream", bench, None)
-        if name == "taskbench":
-            from repro.bench.taskbench import Taskbench, TaskbenchParams
-
-            bench = Taskbench(TaskbenchParams(**params))
-            return ("taskbench", bench, None)
-        raise HarnessError(f"unknown benchmark {self.config.benchmark!r}")
-
-    # -- horizon estimation ------------------------------------------------------
-
-    def _horizon(self, ctx_threads: int) -> float:
-        kind, bench, payload = self._bench
-        if kind == "syncbench":
-            return bench.horizon_estimate() * (len(payload) + 0.5)
-        if kind == "schedbench":
-            return bench.horizon_estimate(ctx_threads) * (len(payload) + 0.5)
-        if kind == "taskbench":
-            return bench.horizon_estimate(ctx_threads) * 1.5
-        # babelstream: needs a context to price kernels; use a generous bound
-        p = bench.params
-        per_iter = 5 * p.array_bytes * 3 / 20e9 + 5 * p.kernel_gap
-        return p.num_times * per_iter * 4.0 + 1.0
 
     # -- execution -----------------------------------------------------------------
 
@@ -194,7 +124,7 @@ class Runner:
         if cfg.freq_logging:
             logger = FrequencyLogger(self._logger_at)
             extra_busy = (logger.logger_cpu,)
-        horizon = self._horizon(cfg.num_threads)
+        horizon = self.bench.horizon(cfg.num_threads)
         tracer = self.tracer
         if tracer.enabled:
             tracer.begin_run(run_index)
@@ -208,13 +138,7 @@ class Runner:
         """Post-run frequency-logger capture (``None`` without logging)."""
         if logger is None:
             return None
-        return logger.capture(
-            self.platform.freq_spec,
-            ctx.freq_plan,
-            self.platform.default_governor,
-            0.0,
-            max(ctx.t, 1e-3),
-        )
+        return logger.capture(ctx.freq_plan, 0.0, max(ctx.t, 1e-3))
 
     # -- batches ---------------------------------------------------------------
 
@@ -237,32 +161,7 @@ class Runner:
             )
         pairs = [self.start_run_context(run) for run in run_indices]
         runs = [ctx for ctx, _ in pairs]
-        series: list[dict[str, Any]] = [{} for _ in runs]
-
-        kind, bench, payload = self._bench
-        if kind == "taskbench":
-            (ctx,) = runs
-            tm = bench.measure(ctx)
-            series[0][tm.label] = tm.rep_times
-            series[0].update(tm.metric_series())
-        else:
-            ex = RegionExecutor(runs)
-            if kind == "syncbench":
-                for construct in payload:
-                    for row, m in zip(series, bench.measure(ex, construct)):
-                        row[construct.value] = m.rep_times
-                        # EPCC's reported metric: per-construct overhead
-                        row[f"{construct.value}.overhead"] = np.maximum(
-                            m.overheads, 0.0
-                        )
-            elif kind == "schedbench":
-                for sched_kind, chunk in payload:
-                    for row, m in zip(series, bench.measure(ex, sched_kind, chunk)):
-                        row[m.label] = m.rep_times
-            else:  # babelstream
-                for row, sm in zip(series, bench.run(ex)):
-                    for kernel, times in sm.times.items():
-                        row[kernel.value] = times
+        series = self.bench.series(runs)
 
         tracer = self.tracer
         if tracer.enabled:

@@ -55,6 +55,7 @@ import json
 from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
 
+from repro.bench.registry import reps_param
 from repro.errors import AxisPointError, ConfigurationError, HarnessError, JobSpecError
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig
@@ -63,7 +64,6 @@ from repro.harness.study import Study
 
 __all__ = [
     "compile_clause",
-    "reps_key",
     "spec_fingerprint",
     "spec_shard",
     "spec_to_study",
@@ -82,11 +82,6 @@ _SWEEP_KEYS = frozenset({
 _EXPERIMENT_KEYS = frozenset({
     "kind", "experiment", "runs", "reps", "seed", "shard",
 })
-
-
-def reps_key(benchmark: str) -> str:
-    """The repetition knob of *benchmark* (``reps`` maps onto it)."""
-    return "num_times" if benchmark == "babelstream" else "outer_reps"
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +381,11 @@ def spec_to_study(spec: Mapping[str, Any]) -> Study:
         study = study.where(compile_clause(text, f"where[{j}]"))
     reps = spec.get("reps")
     if reps is not None:
-        # per config: the knob's name follows each config's benchmark
-        # (which may be a swept axis), and an explicit axis/param value wins
+        # per config: the knob's name is the registry's repetition
+        # parameter of each config's benchmark (which may be a swept
+        # axis), and an explicit axis/param value wins
         study = study.derive(benchmark_params=lambda cfg: {
-            reps_key(cfg.benchmark): reps, **cfg.benchmark_params
+            reps_param(cfg.benchmark): reps, **cfg.benchmark_params
         })
     return study
 

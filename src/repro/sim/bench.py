@@ -41,11 +41,9 @@ def bench_figure8_smoke(
     ``reps`` work-stealing taskloop repetitions through the scheduler,
     measuring its event-loop wake-ups per wall-clock second.
     """
-    from repro.bench.taskbench import Taskbench, TaskbenchParams
     from repro.harness.config import ExperimentConfig
     from repro.harness.runner import Runner
 
-    params = TaskbenchParams(outer_reps=reps, grainsize=grainsize)
     config = ExperimentConfig(
         platform="vera",
         benchmark="taskbench",
@@ -57,9 +55,8 @@ def bench_figure8_smoke(
         benchmark_params={"outer_reps": reps, "grainsize": grainsize},
     )
     runner = Runner(config)
-    bench = Taskbench(params)
-    horizon = bench.horizon_estimate(threads) * 1.5
-    ctx = runner.runtime.start_run(0, runner.rng_factory, horizon)
+    bench = runner.bench
+    ctx = runner.runtime.start_run(0, runner.rng_factory, bench.horizon(threads))
 
     total_events = 0
     start = time.perf_counter()
@@ -68,7 +65,7 @@ def bench_figure8_smoke(
         total_events += stats.events_executed
         # unlike Taskbench.measure, the cursor skips the join: the
         # recorded event counts were measured along this timeline
-        ctx.advance(fork + stats.makespan + params.rep_gap)
+        ctx.advance(fork + stats.makespan + bench.params.rep_gap)
     elapsed = time.perf_counter() - start
     return {
         "wall_seconds": elapsed,

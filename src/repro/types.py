@@ -3,24 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 #: Platform preset names (``ExperimentConfig.platform``), the choices of the
 #: CLI's ``--platform``.  :mod:`repro.platform` maps each to its preset
 #: factory; this table lets the CLI name them without importing it.
 PLATFORMS = ("dardel", "toy", "vera")
-
-
-class SMTMode(str, enum.Enum):
-    """How hardware threads (SMT siblings) are used by an experiment.
-
-    ``ST`` uses at most one hardware thread per physical core and leaves the
-    sibling free (available to absorb OS activity); ``MT`` packs both
-    hardware threads of each core.  Mirrors the paper's Section 3.
-    """
-
-    ST = "ST"
-    MT = "MT"
 
 
 class ProcBind(str, enum.Enum):
@@ -73,30 +60,3 @@ class StreamKernel(str, enum.Enum):
     TRIAD = "triad"
     DOT = "dot"
 
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """A half-open interval of simulated time ``[start, end)`` in seconds."""
-
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"TimeWindow end {self.end} < start {self.start}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
-
-    def overlap(self, other: "TimeWindow") -> float:
-        """Length of the intersection with *other* (0.0 if disjoint)."""
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        return max(0.0, hi - lo)
-
-    def shifted(self, dt: float) -> "TimeWindow":
-        return TimeWindow(self.start + dt, self.end + dt)

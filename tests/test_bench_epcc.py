@@ -1,6 +1,7 @@
 """Tests for the EPCC benchmark machinery and drivers."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,17 +14,19 @@ from repro.bench import (
     SchedbenchParams,
     Syncbench,
     SyncbenchParams,
-    epcc_stats,
     get_benchmark,
     available_benchmarks,
     target_innerreps,
 )
+from repro.bench.registry import reps_param, runs_share_batches
 from repro.bench.taskbench import TaskbenchParams
-from repro.errors import BenchmarkError
-from repro.omp import OMPEnvironment, RegionExecutor
+from repro.errors import BenchmarkError, ConfigurationError, ReproError
+from repro.omp import OMPEnvironment
 from repro.omp.runtime import OpenMPRuntime
 from repro.platform import toy, vera
 from repro.rng import RngFactory
+from repro.serve.jobspec import spec_to_study, validate_spec
+from repro.stats import normalized_min_max, sigma_outliers, summarize
 from repro.types import ProcBind, ScheduleKind, StreamKernel, SyncConstruct
 from repro.units import ms, us
 
@@ -39,14 +42,18 @@ def make_ctx(platform, n_threads=4, bound=True, run_index=0, seed=5, horizon=2.0
     return rt.start_run(run_index, RngFactory(seed), horizon)
 
 
-def one_run(ctx) -> RegionExecutor:
-    """The R=1 executor over a single run context."""
-    return RegionExecutor([ctx])
+def one_series(bench, ctx) -> dict:
+    """*bench*'s series of the single run *ctx*."""
+    (row,) = bench.series([ctx])
+    return row
 
 
 class TestEpccCommon:
+    """EPCC prints mean / sd / min / max and the 3-sigma outlier count of
+    its repetition times; :mod:`repro.stats` computes them."""
+
     def test_stats_fields(self):
-        s = epcc_stats(np.asarray([1.0, 2.0, 3.0]))
+        s = summarize(np.asarray([1.0, 2.0, 3.0]))
         assert s.mean == 2.0
         assert s.n == 3
         assert s.norm_min == pytest.approx(0.5)
@@ -55,13 +62,13 @@ class TestEpccCommon:
     def test_outlier_counting(self):
         x = np.ones(100)
         x[3] = 50.0
-        assert epcc_stats(x).n_outliers == 1
+        assert np.count_nonzero(sigma_outliers(x)) == 1
 
     def test_stats_validation(self):
-        with pytest.raises(BenchmarkError):
-            epcc_stats(np.asarray([]))
-        with pytest.raises(BenchmarkError):
-            epcc_stats(np.asarray([-1.0]))
+        with pytest.raises(ReproError):
+            summarize(np.asarray([]))
+        with pytest.raises(ReproError):
+            summarize(np.asarray([np.nan]))
 
     def test_target_innerreps_power_of_two(self):
         reps = target_innerreps(us(1000), us(8))
@@ -81,41 +88,43 @@ class TestEpccCommon:
 class TestSyncbench:
     def test_measure_shapes(self):
         ctx = make_ctx(toy())
-        bench = Syncbench(SyncbenchParams(outer_reps=12))
-        m = bench.measure(one_run(ctx), SyncConstruct.BARRIER)[0]
-        assert m.rep_times.shape == (12,)
-        assert np.all(m.rep_times > 0)
-        assert m.innerreps >= 1
-        assert m.overheads.shape == (12,)
+        bench = Syncbench(SyncbenchParams(outer_reps=12, constructs=["barrier"]))
+        row = one_series(bench, ctx)
+        assert list(row) == ["barrier", "barrier.overhead"]
+        assert row["barrier"].shape == (12,)
+        assert np.all(row["barrier"] > 0)
+        assert row["barrier.overhead"].shape == (12,)
+        assert np.all(row["barrier.overhead"] >= 0)
 
     def test_cursor_advances(self):
         ctx = make_ctx(toy())
-        bench = Syncbench(SyncbenchParams(outer_reps=5))
+        bench = Syncbench(SyncbenchParams(outer_reps=5, constructs=["barrier"]))
         t0 = ctx.t
-        bench.measure(one_run(ctx), SyncConstruct.BARRIER)[0]
+        one_series(bench, ctx)
         assert ctx.t > t0
 
     def test_reduction_slower_than_barrier(self):
         ctx = make_ctx(toy(), n_threads=8)
-        bench = Syncbench(SyncbenchParams(outer_reps=10))
-        red = bench.measure(one_run(ctx), SyncConstruct.REDUCTION)[0]
-        bar = bench.measure(one_run(ctx), SyncConstruct.BARRIER)[0]
+        bench = Syncbench(
+            SyncbenchParams(outer_reps=10, constructs=["reduction", "barrier"])
+        )
+        row = one_series(bench, ctx)
         # overhead per construct instance: reduction >> barrier
-        assert red.overheads.mean() > bar.overheads.mean()
+        assert row["reduction.overhead"].mean() > row["barrier.overhead"].mean()
 
     def test_determinism(self):
         p = toy()
-        bench = Syncbench(SyncbenchParams(outer_reps=8))
-        a = bench.measure(one_run(make_ctx(p, seed=3)), SyncConstruct.SINGLE)[0]
-        b = bench.measure(one_run(make_ctx(p, seed=3)), SyncConstruct.SINGLE)[0]
-        np.testing.assert_array_equal(a.rep_times, b.rep_times)
+        bench = Syncbench(SyncbenchParams(outer_reps=8, constructs=["single"]))
+        a = one_series(bench, make_ctx(p, seed=3))
+        b = one_series(bench, make_ctx(p, seed=3))
+        np.testing.assert_array_equal(a["single"], b["single"])
 
     def test_different_seeds_differ(self):
         p = toy()
-        bench = Syncbench(SyncbenchParams(outer_reps=8))
-        a = bench.measure(one_run(make_ctx(p, seed=3)), SyncConstruct.SINGLE)[0]
-        b = bench.measure(one_run(make_ctx(p, seed=4)), SyncConstruct.SINGLE)[0]
-        assert not np.array_equal(a.rep_times, b.rep_times)
+        bench = Syncbench(SyncbenchParams(outer_reps=8, constructs=["single"]))
+        a = one_series(bench, make_ctx(p, seed=3))
+        b = one_series(bench, make_ctx(p, seed=4))
+        assert not np.array_equal(a["single"], b["single"])
 
     def test_params_validation(self):
         with pytest.raises(BenchmarkError):
@@ -127,9 +136,21 @@ class TestSyncbench:
 
     def test_unbound_team_reforks(self):
         ctx = make_ctx(toy(), bound=False)
-        bench = Syncbench(SyncbenchParams(outer_reps=6))
-        m = bench.measure(one_run(ctx), SyncConstruct.PARALLEL)[0]
-        assert m.rep_times.shape == (6,)
+        bench = Syncbench(SyncbenchParams(outer_reps=6, constructs=["parallel"]))
+        assert one_series(bench, ctx)["parallel"].shape == (6,)
+
+    def test_constructs_parse_to_enum_members(self):
+        p = SyncbenchParams(constructs=["barrier", SyncConstruct.SINGLE])
+        assert p.constructs == (SyncConstruct.BARRIER, SyncConstruct.SINGLE)
+        assert SyncbenchParams().constructs == (SyncConstruct.REDUCTION,)
+
+    @pytest.mark.parametrize("value", [
+        "reduction", "bogus", SyncConstruct.BARRIER, [], ["bogus"],
+        ["barrier", "barrier"], [["barrier"]], 3, None,
+    ])
+    def test_bad_constructs_rejected(self, value):
+        with pytest.raises(BenchmarkError, match="constructs"):
+            SyncbenchParams(constructs=value)
 
 
 class TestSchedbench:
@@ -142,18 +163,35 @@ class TestSchedbench:
     def test_measure_static(self):
         ctx = make_ctx(toy(), horizon=60.0)
         bench = Schedbench(SchedbenchParams(outer_reps=5, itersperthr=256))
-        m = bench.measure(one_run(ctx), ScheduleKind.STATIC)[0]
-        assert m.label == "static"
-        assert m.rep_times.shape == (5,)
+        row = one_series(bench, ctx)  # the run's OMP_SCHEDULE: static
+        assert list(row) == ["static"]
+        assert row["static"].shape == (5,)
         # 256 iters x 15us at calibration, derated by all-core boost
-        assert m.stats.mean > 256 * us(15) * 0.9
+        assert row["static"].mean() > 256 * us(15) * 0.9
 
     def test_dynamic_slower_than_static(self):
         ctx = make_ctx(toy(), horizon=60.0)
-        bench = Schedbench(SchedbenchParams(outer_reps=5, itersperthr=256))
-        st = bench.measure(one_run(ctx), ScheduleKind.STATIC)[0]
-        dy = bench.measure(one_run(ctx), ScheduleKind.DYNAMIC, 1)[0]
-        assert dy.stats.mean > st.stats.mean
+        bench = Schedbench(SchedbenchParams(
+            outer_reps=5, itersperthr=256,
+            schedules=[["static", None], ["dynamic", 1]],
+        ))
+        row = one_series(bench, ctx)
+        assert list(row) == ["static", "dynamic_1"]
+        assert row["dynamic_1"].mean() > row["static"].mean()
+
+    def test_schedules_parse_to_enum_pairs(self):
+        p = SchedbenchParams(schedules=[["guided", 4], ("static", None)])
+        assert p.schedules == ((ScheduleKind.GUIDED, 4), (ScheduleKind.STATIC, None))
+        assert SchedbenchParams().schedules is None
+
+    @pytest.mark.parametrize("value", [
+        "bogus", "dynamic,1", [], ["dynamic"], [["dynamic"]], [["bogus", 1]],
+        [["dynamic", 0]], [["dynamic", 1.5]], [["dynamic", True]],
+        [["static", 1, 2]], [["dynamic", 1], ["dynamic", 1]], 3,
+    ])
+    def test_bad_schedules_rejected(self, value):
+        with pytest.raises(BenchmarkError, match="schedules"):
+            SchedbenchParams(schedules=value)
 
     def test_params_validation(self):
         with pytest.raises(BenchmarkError):
@@ -168,10 +206,10 @@ class TestSchedbench:
         plat = vera()
         env = OMPEnvironment(num_threads=4, places="cores", proc_bind=ProcBind.CLOSE)
         rt = OpenMPRuntime(plat, env)
-        bench = Schedbench(SchedbenchParams(outer_reps=10))
-        ctx = rt.start_run(0, RngFactory(42), horizon=bench.horizon_estimate(4))
-        m = bench.measure(one_run(ctx), ScheduleKind.DYNAMIC, 1)[0]
-        assert m.stats.mean == pytest.approx(ms(136.5), rel=0.02)
+        bench = Schedbench(SchedbenchParams(outer_reps=10, schedules=[["dynamic", 1]]))
+        ctx = rt.start_run(0, RngFactory(42), horizon=bench.horizon(4))
+        row = one_series(bench, ctx)
+        assert row["dynamic_1"].mean() == pytest.approx(ms(136.5), rel=0.02)
 
 
 class TestBabelStream:
@@ -188,38 +226,37 @@ class TestBabelStream:
     def test_run_shapes(self):
         ctx = make_ctx(toy(), horizon=30.0)
         bench = BabelStream(BabelStreamParams(num_times=7))
-        sm = bench.run(one_run(ctx))[0]
-        for kernel in StreamKernel:
-            assert sm.times[kernel].shape == (7,)
-            assert np.all(sm.times[kernel] > 0)
+        row = one_series(bench, ctx)
+        assert list(row) == [kernel.value for kernel in StreamKernel]
+        for times in row.values():
+            assert times.shape == (7,)
+            assert np.all(times > 0)
 
     def test_add_triad_slower_than_copy(self):
         ctx = make_ctx(toy(), horizon=30.0)
         bench = BabelStream(BabelStreamParams(num_times=5))
-        sm = bench.run(one_run(ctx))[0]
-        assert sm.times[StreamKernel.ADD].mean() > sm.times[StreamKernel.COPY].mean()
+        row = one_series(bench, ctx)
+        assert row["add"].mean() > row["copy"].mean()
 
     def test_normalized_min_max_brackets_one(self):
         ctx = make_ctx(toy(), horizon=30.0)
         bench = BabelStream(BabelStreamParams(num_times=10))
-        sm = bench.run(one_run(ctx))[0]
-        lo, hi = sm.normalized_min_max(StreamKernel.TRIAD)
+        lo, hi = normalized_min_max(one_series(bench, ctx)["triad"])
         assert lo <= 1.0 <= hi
 
     def test_bandwidth_positive(self):
+        """Best achieved bandwidth, as BabelStream reports it."""
         ctx = make_ctx(toy(), horizon=30.0)
         bench = BabelStream(BabelStreamParams(num_times=5))
-        sm = bench.run(one_run(ctx))[0]
-        assert sm.bandwidth(StreamKernel.COPY, bench.params) > 1e9
+        best = one_series(bench, ctx)["copy"].min()
+        assert bench.params.kernel_bytes(StreamKernel.COPY) / best > 1e9
 
     def test_more_threads_faster(self):
         plat = toy()
         bench = BabelStream(BabelStreamParams(num_times=5))
-        t2 = bench.run(one_run(make_ctx(plat, n_threads=2, horizon=60.0)))[0]
-        t8 = bench.run(one_run(make_ctx(plat, n_threads=8, horizon=60.0)))[0]
-        assert (
-            t8.times[StreamKernel.COPY].mean() < t2.times[StreamKernel.COPY].mean()
-        )
+        t2 = one_series(bench, make_ctx(plat, n_threads=2, horizon=60.0))
+        t8 = one_series(bench, make_ctx(plat, n_threads=8, horizon=60.0))
+        assert t8["copy"].mean() < t2["copy"].mean()
 
     def test_params_validation(self):
         with pytest.raises(BenchmarkError):
@@ -235,13 +272,78 @@ class TestRegistry:
         assert type(get_benchmark("babelstream")).__name__ == "BabelStream"
 
     def test_unknown(self):
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigurationError, match="unknown benchmark 'linpack'"):
             get_benchmark("linpack")
 
     def test_available(self):
         assert set(available_benchmarks()) == {
             "babelstream", "schedbench", "syncbench", "taskbench",
         }
+
+    @pytest.mark.parametrize("name", ["syncbench", "SyncBench", "BABELSTREAM"])
+    def test_params_reach_the_params_type(self, name):
+        bench = get_benchmark(name, {reps_param(name): 3})
+        assert isinstance(bench.params, bench.params_type)
+        assert getattr(bench.params, reps_param(name)) == 3
+
+    def test_unknown_parameter_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="bad parameters for benchmark 'syncbench'"):
+            get_benchmark("SyncBench", {"bogus": 1})
+
+    def test_every_row_names_its_class_and_knobs(self):
+        """Each row's repetition parameter is a field of its class's
+        params type, and only taskbench runs one run per batch."""
+        for name in available_benchmarks():
+            bench = get_benchmark(name)
+            assert type(bench.params) is bench.params_type
+            knobs = {f.name for f in dataclasses.fields(bench.params_type)}
+            assert reps_param(name) in knobs
+        assert [
+            name for name in available_benchmarks() if not runs_share_batches(name)
+        ] == ["taskbench"]
+
+
+#: ``horizon(8)`` for Vera configs at 8 threads: the extent of every
+#: run's noise and frequency realization, which the runner sized before
+#: each benchmark sized its own.
+PINNED_HORIZONS = [
+    ("syncbench", {}, 1.2075),
+    ("syncbench", {"constructs": ["barrier", "single", "reduction"]}, 2.8175),
+    ("schedbench", {}, 31.0212),
+    ("schedbench", {"schedules": [["dynamic", 1], ["static", None]]}, 51.702000000000005),
+    ("babelstream", {}, 81.5406368),
+    ("taskbench", {}, 1.5595500000000002),
+    ("taskbench", {"pattern": "fib"}, 1.6269299999999998),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, horizon", PINNED_HORIZONS,
+    ids=[f"{name}-{'-'.join(params) or 'default'}" for name, params, _ in PINNED_HORIZONS],
+)
+def test_horizon_is_pinned(name, params, horizon):
+    assert get_benchmark(name, params).horizon(8) == horizon
+
+
+def test_schedules_run_is_pinned():
+    """A schedbench run over an explicit ``schedules`` list, bound and
+    unbound, keeps its records' bytes."""
+    spec = {
+        "base": {
+            "platform": "vera", "benchmark": "schedbench", "num_threads": 8,
+            "runs": 2, "seed": 7,
+            "benchmark_params": {
+                "outer_reps": 3, "itersperthr": 256,
+                "schedules": [["dynamic", 1], ["static", None]],
+            },
+        },
+        "axes": [{"kind": "grid", "axes": {"proc_bind": ["close", "false"]}}],
+    }
+    text = spec_to_study(validate_spec(spec)).run().to_csv_text()
+    assert len(text.splitlines()) == 9
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d01535a0700252b9670922a1d60d60e7587595197fd2fe154a27129885557f49"
+    )
 
 
 def _float_fields(cls) -> list[tuple[type, str]]:

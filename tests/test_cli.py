@@ -262,9 +262,9 @@ def test_cli_name_tables_match_what_the_simulation_accepts():
     tables, and the tables name exactly the presets ``get_platform``
     resolves and the benchmarks the runner builds."""
     import repro.platform as platform_module
-    from repro.bench.registry import available_benchmarks
+    from repro.bench.registry import available_benchmarks, get_benchmark
     from repro.cli import _build_parser
-    from repro.errors import ConfigurationError, HarnessError
+    from repro.errors import ConfigurationError
     from repro.harness import ExperimentConfig, Runner
     from repro.types import PLATFORMS
 
@@ -282,9 +282,9 @@ def test_cli_name_tables_match_what_the_simulation_accepts():
         platform_module.get_platform("summit")
     for name in available_benchmarks():
         runner = Runner(ExperimentConfig(platform="toy", benchmark=name, runs=1))
-        assert runner._bench[0] == name
-    with pytest.raises(HarnessError):
-        Runner(ExperimentConfig(platform="toy", benchmark="linpack", runs=1))
+        assert type(runner.bench) is type(get_benchmark(name))
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(platform="toy", benchmark="linpack", runs=1)
 
 
 class TestList:
@@ -603,6 +603,54 @@ class TestSweep:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and "bogus_param" in err
+
+
+class TestBenchmarkSelectionErrors:
+    """A bad benchmark name or benchmark list is ``error: ...`` with exit
+    1, never a traceback."""
+
+    @staticmethod
+    def _user_error(capsys, argv: list[str]) -> str:
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[-1].startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("value", ["bogus", "reduction"])
+    def test_constructs_string_is_not_a_list(self, capsys, value):
+        err = self._user_error(capsys, [
+            "run", "--platform", "vera", "--benchmark", "syncbench",
+            "--param", f"constructs={value}",
+        ])
+        assert "constructs must be a non-empty list of construct names" in err
+
+    def test_schedules_string_is_not_a_list(self, capsys):
+        err = self._user_error(capsys, [
+            "run", "--platform", "vera", "--benchmark", "schedbench",
+            "--param", "schedules=bogus",
+        ])
+        assert "schedules must be a non-empty list of [kind, chunk] pairs" in err
+
+    def test_unknown_benchmark_axis_fails_the_dry_run(self, capsys):
+        err = self._user_error(capsys, [
+            "sweep", "--platform", "toy", "--grid", "benchmark=syncbench,linpack",
+            "--runs", "1", "--reps", "2", "--dry-run",
+        ])
+        assert err.startswith(
+            "error: job spec field 'axes': benchmark=linpack: "
+            "unknown benchmark 'linpack'; choose from"
+        )
+
+    def test_benchmark_names_are_case_insensitive(self, capsys):
+        rc = main([
+            "sweep", "--platform", "toy", "--grid", "benchmark=BabelStream",
+            "--runs", "1", "--reps", "2",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "sweep: 1 configuration(s)" in captured.out
 
 
 class TestSweepDryRun:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import FrequencyError
 from repro.freq import (
     BoostTable,
-    CpuFreqSysfs,
     DerateProcess,
     DipProcess,
     FrequencyModel,
@@ -489,49 +488,3 @@ class TestPlanOracle:
             FrequencyPlan(machine, traces, 0.0, 2.0e9)
         with pytest.raises(FrequencyError, match="every cpu"):
             FrequencyPlan(machine, {**traces, 3: trace, 99: trace}, 0.0, 2.0e9)
-
-
-class TestSysfs:
-    def test_read_paths(self, machine):
-        spec = simple_spec()
-        model = FrequencyModel(machine, spec)
-        plan = model.plan(0.0, 1.0, [0, 1], PerformanceGovernor(), RngFactory(1).stream("f"))
-        fs = CpuFreqSysfs(spec, plan, "performance")
-        khz = int(fs.read("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq", 0.5))
-        assert khz == pytest.approx(3_000_000)
-        assert fs.read("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor", 0.0) == "performance"
-        assert int(fs.read("/sys/devices/system/cpu/cpu0/cpufreq/cpuinfo_max_freq", 0.0)) == 3_000_000
-        assert int(fs.read("/sys/devices/system/cpu/cpu0/cpufreq/cpuinfo_min_freq", 0.0)) == 1_000_000
-        assert "performance" in fs.read(
-            "/sys/devices/system/cpu/cpu0/cpufreq/scaling_available_governors", 0.0
-        )
-
-    def test_bad_paths(self, machine):
-        spec = simple_spec()
-        model = FrequencyModel(machine, spec)
-        plan = model.plan(0.0, 1.0, [0], PerformanceGovernor(), RngFactory(1).stream("f"))
-        fs = CpuFreqSysfs(spec, plan, "performance")
-        with pytest.raises(FrequencyError):
-            fs.read("/sys/nonsense", 0.0)
-        with pytest.raises(FrequencyError):
-            fs.read("/sys/devices/system/cpu/cpu999/cpufreq/scaling_cur_freq", 0.0)
-        with pytest.raises(FrequencyError):
-            fs.read("/sys/devices/system/cpu/cpu0/cpufreq/energy_bias", 0.0)
-
-    def test_snapshot_khz(self, machine):
-        spec = simple_spec()
-        model = FrequencyModel(machine, spec)
-        plan = model.plan(0.0, 1.0, [0], PerformanceGovernor(), RngFactory(1).stream("f"))
-        fs = CpuFreqSysfs(spec, plan, "performance")
-        snap = fs.snapshot_khz(0.5)
-        assert snap.shape == (machine.n_cpus,)
-        assert snap.dtype == np.int64
-
-    def test_path_for(self, machine):
-        spec = simple_spec()
-        model = FrequencyModel(machine, spec)
-        plan = model.plan(0.0, 1.0, [0], PerformanceGovernor(), RngFactory(1).stream("f"))
-        fs = CpuFreqSysfs(spec, plan, "performance")
-        path = fs.path_for(3)
-        assert path == "/sys/devices/system/cpu/cpu3/cpufreq/scaling_cur_freq"
-        assert fs.read(path, 0.0)

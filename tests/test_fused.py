@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from golden_kwargs import GOLDEN_KWARGS
 from repro.cli import main
-from repro.errors import ConfigurationError, HarnessError, JobSpecError
+from repro.errors import ConfigurationError, JobSpecError
 from repro.harness import ExperimentConfig, Study, Sweep
 from repro.harness.backend import ProcessPoolBackend, SerialBackend
 from repro.harness.experiments import EXPERIMENTS
@@ -216,8 +216,8 @@ class TestEligibility:
         assert run_batches(cfg) == [(0,), (1,), (2,)]
 
     def test_unknown_benchmark_has_no_formulation(self):
-        with pytest.raises(HarnessError, match="unknown benchmark"):
-            Runner(ExperimentConfig(benchmark="mystery"))
+        with pytest.raises(ConfigurationError, match="unknown benchmark"):
+            ExperimentConfig(benchmark="mystery")
 
     def test_unbound_teams_are_ineligible(self):
         cfg = ExperimentConfig(proc_bind="false", places=None, runs=2)

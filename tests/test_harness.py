@@ -131,11 +131,8 @@ class TestRunner:
         assert log.freqs_khz.shape[1] == 16  # toy machine cpus
 
     def test_unknown_benchmark(self):
-        cfg = ExperimentConfig(platform="toy", benchmark="syncbench")
-        runner = Runner(cfg)
-        object.__setattr__(runner.config, "benchmark", "bogus")
-        with pytest.raises(HarnessError):
-            runner._make_benchmark()
+        with pytest.raises(ConfigurationError, match="unknown benchmark 'bogus'"):
+            ExperimentConfig(platform="toy", benchmark="bogus")
 
     def test_logger_on_spare_cpu_ok(self):
         cfg = ExperimentConfig(
@@ -253,9 +250,10 @@ class TestFrequencyLogger:
         plan = model.plan(0.0, 1.0, [0, 1], PerformanceGovernor(),
                           RngFactory(1).stream("f"))
         logger = FrequencyLogger(logger_cpu=15, interval=0.05)
-        log = logger.capture(plat.freq_spec, plan, "performance", 0.0, 0.5)
+        log = logger.capture(plan, 0.0, 0.5)
         assert log.n_samples == 11  # t=0, 0.05, ..., 0.5
         assert log.freqs_khz.shape == (11, 16)
+        assert log.freqs_khz.dtype == np.int64  # whole kHz, as sysfs reports
         assert log.max_freq_ghz() <= 3.0 + 1e-9
 
     def test_band_occupancy(self):
@@ -263,9 +261,7 @@ class TestFrequencyLogger:
         model = FrequencyModel(plat.machine, plat.freq_spec)
         plan = model.plan(0.0, 1.0, [0, 1], PerformanceGovernor(),
                           RngFactory(1).stream("f"))
-        log = FrequencyLogger(15, 0.1).capture(
-            plat.freq_spec, plan, "performance", 0.0, 1.0
-        )
+        log = FrequencyLogger(15, 0.1).capture(plan, 0.0, 1.0)
         assert log.band_occupancy(10.0) == 1.0  # everything below 10 GHz
         assert log.band_occupancy(0.1) == 0.0
 
@@ -277,7 +273,7 @@ class TestFrequencyLogger:
         plan = model.plan(0.0, 1.0, [0], PerformanceGovernor(),
                           RngFactory(1).stream("f"))
         with pytest.raises(HarnessError):
-            FrequencyLogger(0, 0.01).capture(plat.freq_spec, plan, "x", 1.0, 1.0)
+            FrequencyLogger(0, 0.01).capture(plan, 1.0, 1.0)
 
     @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
     def test_non_finite_interval_rejected(self, interval):
@@ -293,7 +289,7 @@ class TestFrequencyLogger:
             0.0, 1.0, [0], PerformanceGovernor(), RngFactory(1).stream("f")
         )
         with pytest.raises(HarnessError, match="finite"):
-            FrequencyLogger(0, 0.01).capture(plat.freq_spec, plan, "x", *window)
+            FrequencyLogger(0, 0.01).capture(plan, *window)
 
     #: SHA-256 of ``times.tobytes() + freqs_khz.tobytes()`` per window:
     #: the runner's ``(0.0, max(ctx.t, 1e-3))``, an unrounded start with
@@ -320,7 +316,7 @@ class TestFrequencyLogger:
 
         def capture(interval, t_start, t_end):
             return FrequencyLogger(logger.logger_cpu, interval).capture(
-                plat.freq_spec, ctx.freq_plan, plat.default_governor, t_start, t_end
+                ctx.freq_plan, t_start, t_end
             )
 
         logs = {

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.registry import available_benchmarks
+from repro.bench.registry import available_benchmarks, reps_param
 from repro.cli import main
-from repro.errors import JobSpecError, ServiceError
+from repro.errors import BenchmarkError, JobSpecError, ServiceError
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import EXPERIMENTS
@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.serve.client import ServiceClient, parse_sse
 from repro.serve.jobs import job_id_for
-from repro.serve.jobspec import compile_clause, reps_key, spec_fingerprint
+from repro.serve.jobspec import compile_clause, spec_fingerprint
 
 
 def canonical_configs(study: Study) -> str:
@@ -315,9 +315,18 @@ class TestSpecStudyParity:
         })).preview()
         assert cli == service
 
-    def test_reps_key_follows_benchmark(self):
-        assert reps_key("babelstream") == "num_times"
-        assert reps_key("syncbench") == "outer_reps"
+    def test_bad_benchmark_param_value_fails_the_run_as_a_repro_error(self):
+        study = spec_to_study(validate_spec({
+            "base": {"platform": "toy", "benchmark": "syncbench", "runs": 1,
+                     "benchmark_params": {"constructs": ["bogus"]}},
+        }))
+        with pytest.raises(BenchmarkError, match="constructs: bad entry 'bogus'"):
+            study.run()
+
+    def test_reps_param_follows_benchmark(self):
+        assert reps_param("babelstream") == "num_times"
+        assert reps_param("BabelStream") == "num_times"
+        assert reps_param("syncbench") == "outer_reps"
         spec = validate_spec({
             "base": {"runs": 2},
             "axes": [{"kind": "grid",
